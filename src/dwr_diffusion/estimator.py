@@ -17,64 +17,76 @@ Temporal integrals use a 2-point Gauss rule, cell integrals
 
 Signed indicators are stored; absolute values enter only the per-slab and
 global sums.
+
+Both terms are batched.  The face term runs over piece arrays built in one
+pass over ``mesh.face_topology()``: one entry per face piece of every
+non-Dirichlet face (a "finer" face contributes one piece per fine
+neighbor), holding the owner and neighbor cells, the owner's face and the
+edge that carries the Gauss points.  The pieces are listed in the order of
+a per-cell loop (cells in ``dual.active_ids`` order, faces 0..3, pieces
+ascending along the face) and scattered with ``np.add.at``, which adds in
+that order.  Each indicator is therefore summed in the same order as a
+per-face loop would sum it: marking sorts |eta| with an index tie-break,
+so a reordered sum that flips the last bit of two near-equal indicators
+could change which cells are refined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .mesh import DIRICHLET, NEUMANN, FACE_VERTS, OPPOSITE_FACE
+from .mesh import NEUMANN, FACE_VERTS, OPPOSITE_FACE
 
 _TIME_QUAD = 2
 
 # outward normal = rotate the canonical face tangent; sign pattern per face
-_NORMAL_SIGN = (1.0, -1.0, -1.0, 1.0)  # ccw for left/top, cw for right/bottom
+_NORMAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # ccw for left/top, cw for right/bottom
+_FACE_VERTS = np.array(FACE_VERTS)
+_OPPOSITE = np.array(OPPOSITE_FACE)
+# reference coordinate held fixed on each face (x on left/right, y on bottom/top)
+_FACE_FIXED = np.array([0.0, 1.0, 0.0, 1.0])
 
 
-def _face_ref_points(face, s):
-    """Reference coordinates of face parameter values, shape (len(s), 2)."""
-    zeros = np.zeros_like(s)
-    ones = np.ones_like(s)
-    if face == 0:
-        return np.column_stack([zeros, s])
-    if face == 1:
-        return np.column_stack([ones, s])
-    if face == 2:
-        return np.column_stack([s, zeros])
-    return np.column_stack([s, ones])
+def _face_ref_points(faces, s):
+    """Reference coordinates of face parameters ``s`` (n, q) on ``faces`` (n,): (n, q, 2)."""
+    fixed = np.broadcast_to(_FACE_FIXED[faces][:, None], s.shape)
+    along_x = (faces >= 2)[:, None]  # bottom/top faces run along the x axis
+    return np.stack(
+        [np.where(along_x, s, fixed), np.where(along_x, fixed, s)], axis=-1
+    )
 
 
-class _CellField:
-    """Fast per-cell value/gradient/laplacian evaluation of a coefficient vector."""
+def _face_pieces(mesh, dual):
+    """Integer arrays describing every non-Dirichlet face piece, in estimator order.
 
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def cell_coeffs(self, cid):
-        return self.coeffs[self.space.dofs_on_cell(cid)]
-
-    def value(self, cid, ref_pts):
-        N = fem.tensor_shape(self.space.degree, ref_pts)
-        return N @ self.cell_coeffs(cid)
-
-    def grad(self, cid, ref_pts):
-        g_ref = fem.tensor_grad(self.space.degree, ref_pts)
-        _, _, _, invJ = fem._cell_geometry(self.space, ref_pts, cids=[cid])
-        grad = np.einsum("qed,qie->qid", invJ[0], g_ref)
-        return np.einsum("qid,i->qd", grad, self.cell_coeffs(cid))
-
-
-def _neighbor_ref_points(mesh, cid, face, phys_pts):
-    """Reference coordinates of physical points lying on a straight face of ``cid``."""
-    A, B = (mesh.points[mesh.cells[cid].vertices[s]] for s in FACE_VERTS[face])
-    span = B - A
-    s = ((phys_pts - A) @ span) / float(span @ span)
-    return _face_ref_points(face, s)
+    Returns (own, nbr, face, seg_cell, seg_face, neumann): positions in
+    ``dual.active_ids`` of the owner and neighbor cells (the owner itself on
+    a Neumann face), the owner's face, the (cell, face) whose edge is the
+    integration segment (the finer neighbor's on a "finer" face) and a
+    Neumann flag.
+    """
+    topo = mesh.face_topology()
+    index = dual.cell_index
+    rows = []
+    for k, cid in enumerate(dual.active_ids):
+        for f in range(4):
+            kind, payload = topo[(cid, f)]
+            if kind == "boundary":
+                if payload == NEUMANN:
+                    rows.append((k, k, f, k, f, 1))
+            elif kind == "finer":
+                g = OPPOSITE_FACE[f]
+                for nb in payload:
+                    j = index[nb]
+                    rows.append((k, j, f, j, g, 0))
+            else:
+                rows.append((k, index[payload], f, k, f, 0))
+    cols = np.array(rows, dtype=int).reshape(-1, 6).T
+    return (*cols[:5], cols[5].astype(bool))
 
 
 def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
@@ -99,20 +111,15 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     """Signed indicator per active cell for explicitly given weight vectors."""
     mesh = slab.mesh
     primal, dual = slab.primal, slab.dual
-    tau = slab.tau
     eps = coeff.epsilon
-    u_field = _CellField(primal, u)
-    prev_field = _CellField(primal, u_prev)
+    u = np.asarray(u, dtype=float)
+    u_prev = np.asarray(u_prev, dtype=float)
     w_tm = np.asarray(w_tm, dtype=float)
     w_tn = np.asarray(w_tn, dtype=float)
 
     ts, wts = slab.interval.gauss_points(_TIME_QUAD)
     theta = np.array([slab.interval.unit_coord(t) for t in ts])
-    w_at = [(1 - th) * w_tm + th * w_tn for th in theta]
-    w_fields = [_CellField(dual, w) for w in w_at]
-    w_tm_field = _CellField(dual, w_tm)
-
-    eta = {}
+    w_at = np.stack([(1 - th) * w_tm + th * w_tn for th in theta])  # (time, dof)
 
     # volume terms, batched over all cells
     quad = fem.gauss_quadrature(dual.degree + 1)
@@ -124,72 +131,68 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     # (exact on parallelogram cells, which is all the constructors build)
     H_phys = np.einsum("cqea,qief,cqfb->cqiab", invJ, H_ref, invJ)
     lap_basis = H_phys[..., 0, 0] + H_phys[..., 1, 1]
-    u_cells = u_field.coeffs[primal.cell_dofs]
+    u_cells = u[primal.cell_dofs]
     lap_u = np.einsum("cqi,ci->cq", lap_basis, u_cells)
-    du_jump = np.einsum("qi,ci->cq", N_primal, u_cells - prev_field.coeffs[primal.cell_dofs])
-    w_tm_cells = np.einsum("qi,ci->cq", N_dual, w_tm_field.coeffs[dual.cell_dofs])
+    du_jump = np.einsum("qi,ci->cq", N_primal, u_cells - u_prev[primal.cell_dofs])
+    w_tm_cells = np.einsum("qi,ci->cq", N_dual, w_tm[dual.cell_dofs])
 
-    cell_term = np.zeros(len(dual.active_ids))
-    for (t, wt, w_f) in zip(ts, wts, w_fields):
-        w_vals = np.einsum("qi,ci->cq", N_dual, w_f.coeffs[dual.cell_dofs])
+    eta = np.zeros(len(dual.active_ids))
+    for (t, wt, w) in zip(ts, wts, w_at):
+        w_vals = np.einsum("qi,ci->cq", N_dual, w[dual.cell_dofs])
         resid = data.rhs_f(phys, t) + eps * lap_u
-        cell_term += wt * np.einsum("cq,cq->c", quad.weights[None, :] * detJ, resid * w_vals)
-    cell_term -= coeff.rho * np.einsum(
+        eta += wt * np.einsum("cq,cq->c", quad.weights[None, :] * detJ, resid * w_vals)
+    eta -= coeff.rho * np.einsum(
         "cq,cq->c", quad.weights[None, :] * detJ, du_jump * w_tm_cells
     )
 
-    for k, cid in enumerate(dual.active_ids):
-        eta[cid] = float(cell_term[k])
+    # face terms, batched over all face pieces
+    own, nbr, face, seg_cell, seg_face, neumann = _face_pieces(mesh, dual)
+    if len(own):
+        s1, ws1 = fem.gauss_1d(dual.degree + 1)
+        ends = mesh.cell_corner_coords(dual.active_ids)[:, _FACE_VERTS]  # (c, face, end, 2)
+        a = ends[own, face, 0]
+        tangent = ends[own, face, 1] - a
+        length = np.hypot(tangent[:, 0], tangent[:, 1])
+        n_out = (
+            _NORMAL_SIGN[face][:, None]
+            * np.column_stack([-tangent[:, 1], tangent[:, 0]])
+            / length[:, None]
+        )
+        seg_a = ends[seg_cell, seg_face, 0]
+        seg_t = ends[seg_cell, seg_face, 1] - seg_a
+        seg_len = np.hypot(seg_t[:, 0], seg_t[:, 1])
+        pts = seg_a[:, None, :] + s1[None, :, None] * seg_t[:, None, :]  # (piece, q, 2)
 
-    # face terms
-    s1, ws1 = fem.gauss_1d(dual.degree + 1)
-    for cid in dual.active_ids:
-        cell = mesh.cells[cid]
-        for f in range(4):
-            a, b = (mesh.points[cell.vertices[s]] for s in FACE_VERTS[f])
-            tangent = b - a
-            length = float(np.hypot(tangent[0], tangent[1]))
-            n_out = _NORMAL_SIGN[f] * np.array([-tangent[1], tangent[0]]) / length
+        # project the points onto the owner's and the neighbor's face
+        n_pc, n_q = pts.shape[:2]
+        side_cell = np.concatenate([own, nbr])
+        side_face = np.concatenate([face, np.where(neumann, face, _OPPOSITE[face])])
+        A = ends[side_cell, side_face, 0]
+        span = ends[side_cell, side_face, 1] - A
+        s = np.einsum("pqd,pd->pq", np.concatenate([pts, pts]) - A[:, None, :], span)
+        s /= np.einsum("pd,pd->p", span, span)[:, None]
+        s[np.concatenate([neumann, neumann])] = s1
+        ref = _face_ref_points(side_face, s).reshape(-1, 2)
 
-            if mesh.is_boundary_face(cid, f):
-                if mesh.boundary_color.get((cid, f)) != NEUMANN:
-                    continue
-                ref = _face_ref_points(f, s1)
-                pts = a[None, :] + s1[:, None] * tangent[None, :]
-                flux = eps * (u_field.grad(cid, ref) @ n_out)
-                acc = 0.0
-                for (t, wt, w_f) in zip(ts, wts, w_fields):
-                    w_vals = w_f.value(cid, ref)
-                    acc += wt * float(
-                        np.sum(ws1 * length * (data.neumann_h(pts, t) - flux) * w_vals)
-                    )
-                eta[cid] += acc
-                continue
+        grads = fem.physical_gradients(
+            primal, u, np.repeat(side_cell, n_q), ref
+        ).reshape(2, n_pc, n_q, 2)
+        N_face = fem.tensor_shape(dual.degree, ref[: n_pc * n_q]).reshape(n_pc, n_q, -1)
+        w_face = np.einsum("pqi,tpi->tpq", N_face, w_at[:, dual.cell_dofs[own]])
 
-            for nb in mesh.active_across(cid, f):
-                nb_level = mesh.cells[nb].level
-                if nb_level > cell.level:
-                    # integrate over the finer neighbor's face piece
-                    g = OPPOSITE_FACE[f]
-                    na, nbb = (
-                        mesh.points[mesh.cells[nb].vertices[s]] for s in FACE_VERTS[g]
-                    )
-                    seg_a, seg_t = na, nbb - na
-                else:
-                    seg_a, seg_t = a, tangent
-                seg_len = float(np.hypot(seg_t[0], seg_t[1]))
-                pts = seg_a[None, :] + s1[:, None] * seg_t[None, :]
-                ref_own = _neighbor_ref_points(mesh, cid, f, pts)
-                ref_nb = _neighbor_ref_points(mesh, nb, OPPOSITE_FACE[f], pts)
-                jump = eps * (
-                    (u_field.grad(cid, ref_own) - u_field.grad(nb, ref_nb)) @ n_out
-                )
-                acc = 0.0
-                for (t, wt, w_f) in zip(ts, wts, w_fields):
-                    w_vals = w_f.value(cid, ref_own)
-                    acc += wt * float(np.sum(ws1 * seg_len * jump * w_vals))
-                eta[cid] -= 0.5 * acc
-    return eta
+        # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
+        resid = np.empty((len(ts), n_pc, n_q))
+        resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], n_out)
+        if neumann.any():
+            flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], n_out[neumann])
+            for k, t in enumerate(ts):
+                resid[k, neumann] = data.neumann_h(pts[neumann], t) - flux
+        inner = np.sum(ws1 * seg_len[:, None] * resid * w_face, axis=-1)  # (time, piece)
+        acc = sum(wt * row for wt, row in zip(wts, inner))
+        # np.add.at adds in piece order, the summation order of a per-cell face loop
+        np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
+
+    return dict(zip(dual.active_ids, eta.tolist()))
 
 
 def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,

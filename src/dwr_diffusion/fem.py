@@ -357,6 +357,12 @@ def _cell_geometry(space, ref_pts, cids=None):
     g1 = tensor_grad(1, ref_pts)
     phys = np.einsum("qv,cvd->cqd", n1, coords)
     J = np.einsum("cvd,qve->cqde", coords, g1)
+    detJ, invJ = _invert_jacobian(J)
+    return coords, phys, detJ, invJ
+
+
+def _invert_jacobian(J):
+    """Determinants and inverses of a stack of 2x2 Jacobians (..., 2, 2)."""
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     invJ = np.empty_like(J)
     invJ[..., 0, 0] = J[..., 1, 1]
@@ -364,7 +370,23 @@ def _cell_geometry(space, ref_pts, cids=None):
     invJ[..., 1, 0] = -J[..., 1, 0]
     invJ[..., 1, 1] = J[..., 0, 0]
     invJ /= detJ[..., None, None]
-    return coords, phys, detJ, invJ
+    return detJ, invJ
+
+
+def physical_gradients(space, coefficients, cells, ref_pts):
+    """Physical gradients of a coefficient vector at per-point reference coordinates.
+
+    ``cells`` (n,) holds positions in ``space.active_ids`` and ``ref_pts``
+    (n, 2) one reference point in each of those cells; returns (n, 2).
+    The Jacobian of the bilinear cell map is taken at every point.
+    """
+    space._check_current()
+    corners = space.mesh.cell_corner_coords(space.active_ids)
+    _, invJ = _invert_jacobian(
+        np.einsum("nvd,nve->nde", corners[cells], tensor_grad(1, ref_pts))
+    )
+    grad = np.einsum("ned,nie->nid", invJ, tensor_grad(space.degree, ref_pts))
+    return np.einsum("nid,ni->nd", grad, np.asarray(coefficients)[space.cell_dofs[cells]])
 
 
 def _as_coefficient(c):
@@ -491,14 +513,6 @@ class FeFunction:
             out[k] = self.evaluate(pts[k])
         return out
 
-    def gradient_in_cell(self, cid, ref_pts):
-        """Physical gradients at reference points of one cell, shape (q, 2)."""
-        ref_pts = np.atleast_2d(ref_pts)
-        g_ref = tensor_grad(self.space.degree, ref_pts)
-        _, _, _, invJ = _cell_geometry(self.space, ref_pts, cids=[cid])
-        grad = np.einsum("qed,qie->qid", invJ[0], g_ref)
-        return np.einsum("qid,i->qd", grad, self.coefficients[self.space.dofs_on_cell(cid)])
-
 
 def interpolate(space, g):
     """Nodal interpolation; hanging slaves are overwritten to satisfy the constraints."""
@@ -510,10 +524,14 @@ def interpolate_same_mesh(fn, space_to):
     """Nodal interpolation between spaces over the same mesh, without point location."""
     if space_to.mesh is not fn.space.mesh:
         raise ValueError("spaces live on different meshes")
-    lattice = _lattice_points(space_to.degree)
+    src = fn.space
+    src._check_current()
+    space_to._check_current()
+    N = tensor_shape(src.degree, _lattice_points(space_to.degree))
+    local = np.einsum("qi,ci->cq", N, fn.coefficients[src.cell_dofs])
     vals = np.empty(space_to.n_dofs)
-    for cid in space_to.active_ids:
-        vals[space_to.dofs_on_cell(cid)] = fn.evaluate_in_cell(cid, lattice)
+    # shared dofs take the last cell's value, in active-cell order
+    vals[space_to.cell_dofs] = local
     return FeFunction(space_to, space_to.constraints.distribute(vals))
 
 

@@ -1,0 +1,33 @@
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from dwr_diffusion import dwr_loop, parse_parameter_file
+
+PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
+
+# (loop, n_slabs, max_cells, goal_error, eta, i_eff) of the first three loops
+# of the shipped parameter file, frozen from the per-face estimator
+GOLDEN_TABLE = [
+    (1, 5, 3, 0.061643293643496154, 0.020509616585319457, 0.332714483167195),
+    (2, 8, 6, 0.03541557859203166, 0.015475061887917968, 0.4369563481139846),
+    (3, 12, 15, 0.018657745988944638, 0.008758273548796673, 0.46941755740410734),
+]
+
+
+def test_rotating_cone_three_loops_golden_table():
+    config = parse_parameter_file(PARAMETER_FILE)
+    config = dataclasses.replace(
+        config, adapt=dataclasses.replace(config.adapt, max_loops=3)
+    )
+    result = dwr_loop(config)
+    assert not result.converged
+    assert len(result.records) == len(GOLDEN_TABLE)
+    for record, (loop, n_slabs, max_cells, goal_error, eta, i_eff) in zip(
+        result.records, GOLDEN_TABLE
+    ):
+        assert (record.loop, record.n_slabs, record.max_cells) == (loop, n_slabs, max_cells)
+        assert record.goal_error == pytest.approx(goal_error, rel=1e-10, abs=0.0)
+        assert record.eta == pytest.approx(eta, rel=1e-10, abs=0.0)
+        assert record.i_eff == pytest.approx(i_eff, rel=1e-10, abs=0.0)

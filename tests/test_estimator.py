@@ -1,0 +1,116 @@
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from dwr_diffusion import estimator
+from dwr_diffusion.fem import interpolate
+from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh
+from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
+from dwr_diffusion.slabs import Slab, TimeInterval
+
+SHEAR = 0.25
+
+
+def sheared_irregular_lshape():
+    """The L-shape sheared to parallelograms, refined to a 1-irregular mesh.
+
+    The left boundary (x = SHEAR * y) is Neumann, the rest Dirichlet.  The
+    lower-left root is refined twice, so same-level, finer, coarser and
+    Neumann face pieces all occur, and no face normal is axis-aligned
+    except on the horizontal faces.
+    """
+    base = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
+            (0.0, 1.0), (0.5, 1.0)]
+    pts = [(x + SHEAR * y, y) for x, y in base]
+
+    def colorize(a, b):
+        on_left = all(abs(p[0] - SHEAR * p[1]) < 1e-12 for p in (a, b))
+        return NEUMANN if on_left else DIRICHLET
+
+    mesh = QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)], colorize)
+    mesh.refine({0})
+    mesh.refine({mesh.cells[0].children[0]})
+    return mesh
+
+
+@pytest.fixture
+def slab():
+    return Slab(TimeInterval(0.1, 0.35), sheared_irregular_lshape(), 1, 2)
+
+
+def cone_inputs(slab):
+    """Primal states from the rotating cone and smooth dual weights."""
+    sol = ConeSolution()
+    coeff = Coefficients()
+    data = ProblemData(solution=sol, coefficients=coeff)
+    u = interpolate(slab.primal, lambda x: sol.u(x, 0.35)).coefficients
+    u_prev = interpolate(slab.primal, lambda x: sol.u(x, 0.1)).coefficients
+    w_tm = interpolate(
+        slab.dual, lambda x: np.sin(3.0 * x[..., 0] + 1.0) * np.cos(2.0 * x[..., 1])
+    ).coefficients
+    w_tn = interpolate(
+        slab.dual, lambda x: np.cos(4.0 * x[..., 0] * x[..., 1] + 0.5)
+    ).coefficients
+    return u, u_prev, w_tm, w_tn, coeff, data
+
+
+# signed indicators of cone_inputs on the sheared irregular L-shape, recorded
+# from the per-face reference implementation
+GOLDEN = {
+    1: -0.0026038420915473716,
+    2: -0.07117263037874486,
+    4: -0.0034696566654809965,
+    5: -0.0073827772147177775,
+    6: -0.002975834598889356,
+    7: 0.0006167078930689338,
+    8: -0.0009714135851049305,
+    9: 0.0022878523591111496,
+    10: 0.0003385975249137799,
+}
+
+
+def test_mesh_has_every_face_piece_kind(slab):
+    kinds = {kind for kind, payload in slab.mesh.face_topology().values()}
+    colors = {
+        payload for kind, payload in slab.mesh.face_topology().values() if kind == "boundary"
+    }
+    assert kinds == {"same", "finer", "coarser", "boundary"}
+    assert colors == {NEUMANN, DIRICHLET}
+
+
+def test_golden_indicators(slab):
+    eta = estimator.indicator_terms(slab, *cone_inputs(slab))
+    assert sorted(eta) == sorted(GOLDEN)
+    for cid, ref in GOLDEN.items():
+        assert eta[cid] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_keys_are_active_ids_in_order(slab):
+    eta = estimator.indicator_terms(slab, *cone_inputs(slab))
+    assert list(eta) == slab.dual.active_ids
+    assert all(isinstance(v, float) for v in eta.values())
+
+
+def test_linear_solution_has_zero_indicators(slab, rng):
+    """A linear u_h with matching data leaves no residual anywhere.
+
+    u_prev = u_h removes the time jump, f = 0 matches the vanishing
+    Laplacian, h = eps dn u_h on the sheared Neumann face cancels the
+    boundary residual and the gradient is continuous across every
+    (hanging) face, so every indicator vanishes for any weight w.
+    """
+    coeff = Coefficients(rho=0.8, epsilon=1.2)
+    grad = np.array([1.7, -0.9])
+    u = interpolate(slab.primal, lambda x: 0.3 + x @ grad).coefficients
+    normal = np.array([-1.0, SHEAR]) / np.hypot(1.0, SHEAR)  # outward on x = SHEAR * y
+    flux = coeff.epsilon * float(grad @ normal)
+    data = SimpleNamespace(
+        rhs_f=lambda x, t: np.zeros(x.shape[:-1]),
+        neumann_h=lambda x, t: np.full(x.shape[:-1], flux),
+    )
+    w_tm = rng.standard_normal(slab.dual.n_dofs)
+    w_tn = rng.standard_normal(slab.dual.n_dofs)
+    eta = estimator.indicator_terms(slab, u, u, w_tm, w_tn, coeff, data)
+    assert len(eta) == slab.mesh.n_active_cells
+    assert max(abs(v) for v in eta.values()) <= 1e-14
