@@ -129,7 +129,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     _, phys, detJ, invJ = fem._cell_geometry(dual, quad.points)
     # physical Laplacian with a per-point constant-metric transform
     # (exact on parallelogram cells, which is all the constructors build)
-    H_phys = np.einsum("cqea,qief,cqfb->cqiab", invJ, H_ref, invJ)
+    H_phys = np.einsum("cqea,qief,cqfb->cqiab", invJ, H_ref, invJ, optimize=True)
     lap_basis = H_phys[..., 0, 0] + H_phys[..., 1, 1]
     u_cells = u[primal.cell_dofs]
     lap_u = np.einsum("cqi,ci->cq", lap_basis, u_cells)

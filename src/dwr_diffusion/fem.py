@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse_la
-from .mesh import FACE_VERTS, OPPOSITE_FACE, OutsideDomainError
+from .mesh import FACE_VERTS, OPPOSITE_FACE
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
 
@@ -506,13 +506,6 @@ class FeFunction:
         cid, ref = self.space.mesh.locate_point(p)
         return float(self.evaluate_in_cell(cid, ref[None, :])[0])
 
-    def evaluate_many(self, pts):
-        pts = np.atleast_2d(pts)
-        out = np.empty(pts.shape[0])
-        for k in range(pts.shape[0]):
-            out[k] = self.evaluate(pts[k])
-        return out
-
 
 def interpolate(space, g):
     """Nodal interpolation; hanging slaves are overwritten to satisfy the constraints."""
@@ -536,11 +529,15 @@ def interpolate_same_mesh(fn, space_to):
 
 
 def transfer(fn, space_to):
-    """Interpolate a function onto another space by point evaluation.
+    """Interpolate a function onto a space over another refinement of its coarse mesh.
 
-    Identical meshes and degrees short-circuit to a coefficient copy.
-    Raises :class:`OutsideDomainError` if a target support point falls
-    outside the source mesh.
+    Both meshes must refine the same coarse mesh (the same root cells with
+    the same corner coordinates), as every slab mesh does; otherwise a
+    :class:`ValueError` is raised.  The source cell of every target support
+    point follows from walking both refinement forests down from the
+    shared roots, and its reference coordinates are exact dyadic fractions,
+    so no point is located.  Identical meshes and degrees short-circuit to
+    a coefficient copy.
     """
     src = fn.space
     if space_to is src:
@@ -550,5 +547,46 @@ def transfer(fn, space_to):
             return FeFunction(space_to, fn.coefficients.copy())
         if space_to.mesh is src.mesh:
             return interpolate_same_mesh(fn, space_to)
-    vals = fn.evaluate_many(space_to.support_points)
+    src._check_current()
+    space_to._check_current()
+    n_roots = len(src.mesh._roots)
+    if len(space_to.mesh._roots) != n_roots or not np.array_equal(
+        src.mesh.cell_corner_coords(range(n_roots)),
+        space_to.mesh.cell_corner_coords(range(n_roots)),
+    ):
+        raise ValueError("transfer needs two refinements of the same coarse mesh")
+    fs, ft = src.mesh.forest(), space_to.mesh.forest()
+    cells = np.asarray(space_to.active_ids)
+    # source cell containing each target cell, or equal to it where the
+    # source is finer; cell centres never lie on a child boundary
+    centre = ft.origin[cells] + 0.5 * ft.scale[cells, None]
+    leaf = ft.root[cells]
+    while True:
+        go = (fs.children[leaf, 0] >= 0) & (fs.level[leaf] < ft.level[cells])
+        if not go.any():
+            break
+        leaf[go] = _child_containing(fs, leaf[go], centre[go])
+    # active source cell of every target lattice point
+    lattice = _lattice_points(space_to.degree)
+    X = (ft.origin[cells, None, :] + ft.scale[cells, None, None] * lattice).reshape(-1, 2)
+    leaf = np.repeat(leaf, len(lattice))
+    while True:
+        go = fs.children[leaf, 0] >= 0
+        if not go.any():
+            break
+        leaf[go] = _child_containing(fs, leaf[go], X[go])
+    ref = (X - fs.origin[leaf]) / fs.scale[leaf, None]
+    position = np.empty(len(src.mesh.cells), dtype=np.intp)
+    position[src.active_ids] = np.arange(len(src.active_ids))
+    coeffs = fn.coefficients[src.cell_dofs[position[leaf]]]
+    local = np.einsum("pi,pi->p", tensor_shape(src.degree, ref), coeffs)
+    vals = np.empty(space_to.n_dofs)
+    # shared dofs take the last cell's value, in active-cell order
+    vals[space_to.cell_dofs] = local.reshape(len(cells), len(lattice))
     return FeFunction(space_to, space_to.constraints.distribute(vals))
+
+
+def _child_containing(forest, cells, pts):
+    """Child of each refined cell whose box holds the point; ties go up and right."""
+    rel = (pts - forest.origin[cells]) / forest.scale[cells, None]
+    return forest.children[cells, (rel[:, 0] >= 0.5) + 2 * (rel[:, 1] >= 0.5)]

@@ -14,7 +14,8 @@ constructors here guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,22 @@ class Cell:
     @property
     def active(self):
         return self.children is None
+
+
+class Forest(NamedTuple):
+    """Per-cell arrays of the refinement forest, indexed by cell id.
+
+    A cell covers the box ``origin + scale * [0, 1]^2`` of its root's
+    reference square; child ``pos`` of a cell takes the quarter at
+    ``x = pos & 1``, ``y = pos >> 1`` (the convention of :meth:`QuadMesh._split`).
+    Boxes are dyadic, so they are exact in floating point.
+    """
+
+    children: np.ndarray  # (n, 4) child ids, -1 on active cells
+    origin: np.ndarray  # (n, 2) lower-left corner of the box
+    scale: np.ndarray  # (n,) edge length of the box
+    root: np.ndarray  # (n,) root cell id
+    level: np.ndarray  # (n,)
 
 
 class QuadMesh:
@@ -267,6 +284,32 @@ class QuadMesh:
                     topo[(cid, f)] = ("same", nbs[0])
         self._cache[("topo", self._version)] = topo
         return topo
+
+    def forest(self):
+        """Refinement-forest arrays (:class:`Forest`), cached per refinement state."""
+        cached = self._cache.get(("forest", self._version))
+        if cached is not None:
+            return cached
+        n = len(self.cells)
+        children = np.full((n, 4), -1, dtype=np.intp)
+        origin = np.zeros((n, 2))
+        scale = np.ones(n)
+        root = np.arange(n)
+        level = np.zeros(n, dtype=np.intp)
+        # parents precede their children in cell-id order
+        for cid, cell in enumerate(self.cells):
+            if cell.children is not None:
+                children[cid] = cell.children
+            if cell.parent is not None:
+                p, pos = cell.parent, cell.child_pos
+                scale[cid] = 0.5 * scale[p]
+                origin[cid, 0] = origin[p, 0] + scale[cid] * (pos & 1)
+                origin[cid, 1] = origin[p, 1] + scale[cid] * (pos >> 1)
+                root[cid] = root[p]
+                level[cid] = cell.level
+        cached = Forest(children, origin, scale, root, level)
+        self._cache[("forest", self._version)] = cached
+        return cached
 
     # -- refinement ----------------------------------------------------------
 

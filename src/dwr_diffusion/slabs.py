@@ -6,6 +6,10 @@ list partitions the whole time interval exactly; local time refinement
 replaces one slab by two halves carrying copies of its (already spatially
 refined) mesh.  Only the current adaptation loop's slabs exist; earlier
 loops are not kept.
+
+Every slab mesh is a ``copy()`` of one coarse mesh, refined on its own.
+:func:`fem.transfer` relies on this: it hands solutions between slabs by
+walking the refinement forests down from the shared root cells.
 """
 
 from __future__ import annotations

@@ -155,8 +155,10 @@ def apply_dirichlet(A, b, boundary_values):
     keep[idx] = 0.0
     pin = np.zeros(n)
     pin[idx] = 1.0
-    S = sp.diags(keep)
-    A_new = (S @ A @ S + sp.diags(pin)).tocsr()
+    A_new = sp.csr_matrix(A, copy=True)
+    rows = np.repeat(np.arange(n), np.diff(A_new.indptr))
+    A_new.data *= keep[rows] * keep[A_new.indices]
+    A_new = (A_new + sp.diags(pin)).tocsr()
     b_new *= keep
     b_new[idx] = vals
     return A_new, b_new

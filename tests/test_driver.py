@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dwr_diffusion import dwr_loop, parse_parameter_file
+from dwr_diffusion import QuadMesh, dwr_loop, parse_parameter_file
 
 PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
 
@@ -17,6 +17,20 @@ GOLDEN_TABLE = [
 
 
 def test_rotating_cone_three_loops_golden_table():
+    _check_three_loops_golden_table()
+
+
+def test_golden_table_without_point_location(monkeypatch):
+    """Slab-to-slab transfer must never fall back to locating points."""
+
+    def refuse(self, p, tol=1e-12):
+        raise AssertionError("point location during a solve")
+
+    monkeypatch.setattr(QuadMesh, "locate_point", refuse)
+    _check_three_loops_golden_table()
+
+
+def _check_three_loops_golden_table():
     config = parse_parameter_file(PARAMETER_FILE)
     config = dataclasses.replace(
         config, adapt=dataclasses.replace(config.adapt, max_loops=3)

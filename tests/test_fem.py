@@ -366,3 +366,35 @@ class TestTransfer:
         up = interpolate_same_mesh(f, s2)
         back = interpolate_same_mesh(up, s1)
         assert np.allclose(back.coefficients, f.coefficients, atol=1e-14)
+
+    @given(
+        st.sampled_from(["lshape", "unit_square"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**30),
+    )
+    def test_forest_walk_matches_point_evaluation(self, domain, rounds_from, rounds_to, seed):
+        rng = np.random.default_rng(seed)
+        coarse = make_lshape() if domain == "lshape" else make_unit_square()
+        meshes = []
+        for rounds in (rounds_from, rounds_to):
+            mesh = coarse.copy()
+            for _ in range(rounds):
+                mesh.refine({c for c in mesh.active_cells() if rng.random() < 0.4})
+            meshes.append(mesh)
+        for deg_from, deg_to in ((1, 1), (2, 2), (1, 2), (2, 1)):
+            s_from = FeSpace(meshes[0], deg_from)
+            s_to = FeSpace(meshes[1], deg_to)
+            f = FeFunction(
+                s_from, s_from.constraints.distribute(rng.standard_normal(s_from.n_dofs))
+            )
+            expected = s_to.constraints.distribute(
+                [f.evaluate(p) for p in s_to.support_points]
+            )
+            g = transfer(f, s_to)
+            assert np.max(np.abs(g.coefficients - expected)) <= 1e-13
+
+    def test_meshes_without_a_shared_coarse_mesh_raise(self, lshape, unit_square):
+        f = interpolate(FeSpace(lshape, 1), lambda x: x[..., 0])
+        with pytest.raises(ValueError, match="same coarse mesh"):
+            transfer(f, FeSpace(unit_square, 1))
