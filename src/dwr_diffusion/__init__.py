@@ -17,6 +17,7 @@ from .sparse_la import (
     spmv,
     cg_solve,
     apply_dirichlet,
+    ConstraintSet,
     condense_hanging,
     distribute_constraints,
 )
@@ -24,7 +25,6 @@ from .mesh import QuadMesh, Cell, make_lshape, make_unit_square, DIRICHLET, NEUM
 from .fem import (
     FeSpace,
     FeFunction,
-    ConstraintSet,
     Quadrature,
     gauss_quadrature,
     assemble_mass,

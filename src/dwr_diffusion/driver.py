@@ -22,6 +22,7 @@ from . import marking
 from .dual import GoalContext, march_backward
 from .mesh import make_lshape
 from .primal import goal_norm, march_forward
+from .problem import ProblemData
 from .slabs import init_slabs
 
 log = logging.getLogger(__name__)
@@ -68,9 +69,9 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     records = []
     tol_abs = adapt.tol if adapt.tol_mode == "absolute" else math.nan
     converged = False
+    data = ProblemData(solution=config.solution, coefficients=config.coefficients, t0=disc.t0)
 
     for loop in range(1, adapt.max_loops + 1):
-        data = _data(config)
         reports = march_forward(
             slabs,
             config.coefficients,
@@ -145,12 +146,3 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
 
     return DwrResult(records, converged, tol_abs, slabs)
 
-
-def _data(config):
-    from .problem import ProblemData
-
-    return ProblemData(
-        solution=config.solution,
-        coefficients=config.coefficients,
-        t0=config.discretization.t0,
-    )

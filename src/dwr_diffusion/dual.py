@@ -76,10 +76,8 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=5000)):
     """Solve the dual problem from the last slab to the first.
 
     Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``
-    (the successor trace used on the right endpoint) on every slab and
-    returns the list of left-endpoint vectors in slab order.
+    (the successor trace used on the right endpoint) on every slab.
     """
-    z_tm_vectors = [None] * len(slabs)
     for n, slab in slabs.iterate_backward():
         space = slab.dual
         if n == len(slabs) - 1:
@@ -105,5 +103,3 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=5000)):
             ) from err
         x = space.constraints.distribute(x)
         slab.attach_storage("z_tm", x)
-        z_tm_vectors[n] = x
-    return z_tm_vectors

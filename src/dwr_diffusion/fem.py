@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import sparse_la
 from .mesh import FACE_VERTS, OPPOSITE_FACE
+from .sparse_la import ConstraintSet
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
 
@@ -151,62 +151,6 @@ def _face_lattice(degree):
     )
 
 
-class ConstraintSet:
-    """Closed multi-point constraints: slave dof = weighted master combination."""
-
-    def __init__(self, n_dofs, rows, inhom=None):
-        self.n_dofs = n_dofs
-        self.rows, self.inhom = sparse_la._close_constraints(rows, inhom)
-        self._P = None
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __contains__(self, dof):
-        return dof in self.rows
-
-    @property
-    def slaves(self):
-        return sorted(self.rows.keys())
-
-    def weights(self, slave):
-        return self.rows[slave]
-
-    def _prolongation(self):
-        if self._P is None:
-            self._P = sparse_la.constraint_prolongation(self.n_dofs, self.rows, self.inhom)
-        return self._P
-
-    def condense_matrix(self, A):
-        """P^T A P; slave rows/columns end up empty (pin before solving)."""
-        if not self.rows:
-            return A
-        P, _, _ = self._prolongation()
-        return (P.T @ A @ P).tocsr()
-
-    def condense_vector(self, b):
-        if not self.rows:
-            return b
-        P, _, _ = self._prolongation()
-        return P.T @ b
-
-    def pin(self, A):
-        """Add unit diagonals on slave rows so condensed systems are definite."""
-        if not self.rows:
-            return A
-        _, _, slaves = self._prolongation()
-        pin = np.zeros(self.n_dofs)
-        pin[slaves] = 1.0
-        return (A + sp.diags(pin)).tocsr()
-
-    def distribute(self, x):
-        """Overwrite slave entries with their constraint values."""
-        if not self.rows:
-            return np.asarray(x, dtype=float).copy()
-        P, c, _ = self._prolongation()
-        return P @ np.asarray(x, dtype=float) + c
-
-
 class FeSpace:
     """Continuous Lagrange space of degree 1 or 2 over the active cells of a mesh."""
 
@@ -250,7 +194,6 @@ class FeSpace:
         self.n_dofs = len(support)
         self.support_points = np.array(support)
         self.cell_dofs = cell_dofs
-        self._dof_of_key = dof_of_key
         self._mesh_version = self.mesh._version
 
     def _check_current(self):
@@ -260,9 +203,6 @@ class FeSpace:
     def dofs_on_cell(self, cid):
         self._check_current()
         return self.cell_dofs[self.cell_index[cid]]
-
-    def dof_by_key(self, key):
-        return self._dof_of_key.get(key)
 
     # -- hanging-node constraints ---------------------------------------------
 
@@ -536,17 +476,16 @@ def transfer(fn, space_to):
     :class:`ValueError` is raised.  The source cell of every target support
     point follows from walking both refinement forests down from the
     shared roots, and its reference coordinates are exact dyadic fractions,
-    so no point is located.  Identical meshes and degrees short-circuit to
-    a coefficient copy.
+    so no point is located.  The same space short-circuits to a coefficient
+    copy and the same mesh to :func:`interpolate_same_mesh`.  Any other
+    mesh, even an equal one, takes the forest walk, which returns a
+    constraint-consistent vector unchanged on an equal mesh.
     """
     src = fn.space
     if space_to is src:
         return FeFunction(space_to, fn.coefficients.copy())
-    if space_to.mesh is src.mesh or space_to.mesh.fingerprint() == src.mesh.fingerprint():
-        if space_to.degree == src.degree:
-            return FeFunction(space_to, fn.coefficients.copy())
-        if space_to.mesh is src.mesh:
-            return interpolate_same_mesh(fn, space_to)
+    if space_to.mesh is src.mesh:
+        return interpolate_same_mesh(fn, space_to)
     src._check_current()
     space_to._check_current()
     n_roots = len(src.mesh._roots)

@@ -6,8 +6,8 @@ theta_h1 (slab not time-marked) or theta_h2 (time-marked) of largest
 absolute indicators are marked for spatial refinement.  Fractions are
 count-based (ceil of fraction times population) with stable index
 tie-breaking, so identical inputs always produce identical marks.
-Spatial refinement runs first, then the time splits, whose children
-inherit the refined meshes.
+Spatial refinement runs first, then the time splits, whose halves
+share the refined meshes.
 """
 
 from __future__ import annotations
@@ -70,20 +70,17 @@ def mark_space_cells(slab, indicators, time_marked, theta_h1, theta_h2,
 def execute_adaptation(slabs, time_marks, space_marks):
     """Refine slab meshes, then split the time-marked slabs.
 
-    ``space_marks`` maps slab index to a set of cell ids.  Meshes are
-    refined in place (with 1-irregularity closure), spaces rebuilt and
-    storage dropped; afterwards each time-marked slab is bisected, both
-    children carrying copies of the already-refined mesh.  Advances the
-    loop counter.
+    ``space_marks`` maps slab index to a set of cell ids.  A marked slab
+    is refined by :meth:`Slab.refine` (with 1-irregularity closure); every
+    slab drops its storage.  Afterwards each time-marked slab is bisected,
+    both halves sharing the already-refined mesh and spaces.
     """
     for k, slab in slabs.iterate_forward():
         marks = space_marks.get(k, set())
         if marks:
-            slab.mesh.refine(marks)
-            slab.rebuild_spaces()
+            slab.refine(marks)
         else:
             slab.clear_storage()
     for k in sorted(time_marks, reverse=True):
         slabs.split_slab_in_time(k)
-    slabs.loop += 1
     return slabs

@@ -1,19 +1,22 @@
 """Space-time slabs: one spatial mesh plus a time interval each.
 
-A slab owns its mesh, the primal and dual spatial discretizations on it,
+A slab holds a mesh, the primal and dual spatial discretizations on it,
 and a small dictionary of storage handles to solution vectors.  The slab
-list partitions the whole time interval exactly; local time refinement
-replaces one slab by two halves carrying copies of its (already spatially
-refined) mesh.  Only the current adaptation loop's slabs exist; earlier
-loops are not kept.
+list partitions the whole time interval exactly.  Only the current
+adaptation loop's slabs exist; earlier loops are not kept.
 
-Every slab mesh is a ``copy()`` of one coarse mesh, refined on its own.
-:func:`fem.transfer` relies on this: it hands solutions between slabs by
-walking the refinement forests down from the shared root cells.
+A mesh and its two spaces are one shared value: all initial slabs hold
+one copy of the coarse mesh and one space pair, and a time split hands
+both halves the parent's.  Only :meth:`Slab.refine` changes a slab's
+mesh, and it refines a fresh ``copy()``, so no refinement reaches another
+slab.  Every slab mesh thus refines one coarse mesh, which
+:func:`fem.transfer` relies on to walk the refinement forests down from
+the shared root cells.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +52,6 @@ _TAG_KIND = {
     "u_prev": "primal",
     "z_tm": "dual",
     "z_tn": "dual",
-    "eta_cells": "cells",
     "goal_contrib": "scalar",
 }
 
@@ -62,9 +64,8 @@ class Slab:
         self.mesh = mesh
         self.primal_degree = primal_degree
         self.dual_degree = dual_degree
-        self.primal = FeSpace(mesh, primal_degree)
-        self.dual = FeSpace(mesh, dual_degree)
         self._storage = {}
+        self.rebuild_spaces()
 
     @property
     def tau(self):
@@ -76,6 +77,22 @@ class Slab:
         self.dual = FeSpace(self.mesh, self.dual_degree)
         self._storage.clear()
 
+    def refine(self, marks):
+        """Refine the given cells on a private copy of the mesh, then rebuild the spaces.
+
+        Slabs sharing the old mesh keep it and their spaces unchanged.
+        """
+        self.mesh = self.mesh.copy()
+        self.mesh.refine(marks)
+        self.rebuild_spaces()
+
+    def _with_interval(self, interval):
+        """A slab over ``interval`` sharing this slab's mesh and spaces, with empty storage."""
+        other = copy.copy(self)
+        other.interval = interval
+        other._storage = {}
+        return other
+
     def _expected_length(self, tag):
         kind = _TAG_KIND.get(tag)
         if kind is None:
@@ -84,8 +101,6 @@ class Slab:
             return self.primal.n_dofs
         if kind == "dual":
             return self.dual.n_dofs
-        if kind == "cells":
-            return self.mesh.n_active_cells
         return 1
 
     def attach_storage(self, tag, vector):
@@ -110,11 +125,10 @@ class Slab:
 
 
 class SlabList:
-    """Ordered slabs partitioning (t0, T) exactly, plus the loop counter."""
+    """Ordered slabs partitioning (t0, T) exactly."""
 
-    def __init__(self, slabs, loop=1):
+    def __init__(self, slabs):
         self.slabs = list(slabs)
-        self.loop = loop
         self._check_partition()
 
     def _check_partition(self):
@@ -148,31 +162,23 @@ class SlabList:
         return ((k, self.slabs[k]) for k in range(len(self.slabs) - 1, -1, -1))
 
     def split_slab_in_time(self, k):
-        """Bisect slab k; both children carry deep copies of its mesh, storage cleared."""
+        """Bisect slab k; both halves share its mesh and spaces, with empty storage."""
         old = self.slabs[k]
         t_m, t_n = old.interval.t_m, old.interval.t_n
         t_mid = 0.5 * (t_m + t_n)
-        left = Slab(
-            TimeInterval(t_m, t_mid),
-            old.mesh.copy(),
-            old.primal_degree,
-            old.dual_degree,
-        )
-        right = Slab(
-            TimeInterval(t_mid, t_n),
-            old.mesh.copy(),
-            old.primal_degree,
-            old.dual_degree,
-        )
-        self.slabs[k : k + 1] = [left, right]
+        self.slabs[k : k + 1] = [
+            old._with_interval(TimeInterval(t_m, t_mid)),
+            old._with_interval(TimeInterval(t_mid, t_n)),
+        ]
         return self
 
 
 def init_slabs(coarse_mesh, t0, T, n_slabs, primal_degree=1, dual_degree=2):
-    """Uniform initial slab list; every slab gets an independent mesh copy.
+    """Uniform initial slab list sharing one copy of the coarse mesh and one space pair.
 
-    Interval endpoints are computed as ``t0 + k (T - t0) / n`` so that
-    consecutive slabs share endpoints exactly.
+    The caller's mesh is never refined.  Interval endpoints are computed as
+    ``t0 + k (T - t0) / n`` so that consecutive slabs share endpoints
+    exactly.
     """
     if n_slabs < 1:
         raise ValueError("need at least one slab")
@@ -180,8 +186,5 @@ def init_slabs(coarse_mesh, t0, T, n_slabs, primal_degree=1, dual_degree=2):
         raise ValueError("empty time interval")
     ends = [t0 + k * (T - t0) / n_slabs for k in range(n_slabs + 1)]
     ends[-1] = T
-    slabs = [
-        Slab(TimeInterval(a, b), coarse_mesh.copy(), primal_degree, dual_degree)
-        for a, b in zip(ends, ends[1:])
-    ]
-    return SlabList(slabs)
+    shared = Slab(TimeInterval(t0, T), coarse_mesh.copy(), primal_degree, dual_degree)
+    return SlabList(shared._with_interval(TimeInterval(a, b)) for a, b in zip(ends, ends[1:]))

@@ -200,28 +200,84 @@ def _close_constraints(rows, inhom=None):
     return closed_rows, closed_inhom
 
 
-def constraint_prolongation(n, rows, inhom=None):
-    """Square prolongation matrix P, offset vector c and slave index array.
+class ConstraintSet:
+    """Closed linear multi-point constraints: slave dof = weighted master combination.
 
-    A vector satisfies the constraints iff ``x = P x + c``; P is the
-    identity on unconstrained dofs and carries the master weights on slave
-    rows (zero slave diagonal).
+    ``rows`` maps slave dof -> sequence of (master, weight), ``inhom`` slave
+    dof -> offset.  Slave-of-slave chains are resolved once, on
+    construction, so every master is unconstrained; cycles raise
+    :class:`ConstraintCycleError`.  A vector satisfies the constraints iff
+    ``x = P x + c``, where the prolongation P is the identity on
+    unconstrained dofs and carries the master weights on slave rows (zero
+    slave diagonal).
     """
-    closed_rows, closed_inhom = _close_constraints(rows, inhom)
-    slaves = np.fromiter(sorted(closed_rows.keys()), dtype=int) if closed_rows else np.empty(0, dtype=int)
-    keep = np.ones(n)
-    keep[slaves] = 0.0
-    data, ri, ci = [], [], []
-    for s, masters in closed_rows.items():
-        for m, w in masters:
-            ri.append(s)
-            ci.append(m)
-            data.append(w)
-    P = (sp.diags(keep) + sp.coo_matrix((data, (ri, ci)), shape=(n, n))).tocsr()
-    c = np.zeros(n)
-    for s, val in closed_inhom.items():
-        c[s] = val
-    return P, c, slaves
+
+    def __init__(self, n_dofs, rows, inhom=None):
+        self.n_dofs = n_dofs
+        self.rows, self.inhom = _close_constraints(rows, inhom)
+        self._prolong = None
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __contains__(self, dof):
+        return dof in self.rows
+
+    @property
+    def slaves(self):
+        return sorted(self.rows.keys())
+
+    def weights(self, slave):
+        return self.rows[slave]
+
+    def _prolongation(self):
+        """(P, c, slave index array), built on first use."""
+        if self._prolong is None:
+            n = self.n_dofs
+            slaves = np.array(self.slaves, dtype=int)
+            keep = np.ones(n)
+            keep[slaves] = 0.0
+            data, ri, ci = [], [], []
+            for s, masters in self.rows.items():
+                for m, w in masters:
+                    ri.append(s)
+                    ci.append(m)
+                    data.append(w)
+            P = (sp.diags(keep) + sp.coo_matrix((data, (ri, ci)), shape=(n, n))).tocsr()
+            c = np.zeros(n)
+            for s, val in self.inhom.items():
+                c[s] = val
+            self._prolong = (P, c, slaves)
+        return self._prolong
+
+    def condense_matrix(self, A):
+        """P^T A P; slave rows/columns end up empty (pin before solving)."""
+        if not self.rows:
+            return A
+        P, _, _ = self._prolongation()
+        return (P.T @ A @ P).tocsr()
+
+    def condense_vector(self, b):
+        if not self.rows:
+            return b
+        P, _, _ = self._prolongation()
+        return P.T @ b
+
+    def pin(self, A):
+        """Add unit diagonals on slave rows so condensed systems are definite."""
+        if not self.rows:
+            return A
+        _, _, slaves = self._prolongation()
+        pin = np.zeros(self.n_dofs)
+        pin[slaves] = 1.0
+        return (A + sp.diags(pin)).tocsr()
+
+    def distribute(self, x):
+        """Overwrite slave entries with their constraint values."""
+        if not self.rows:
+            return np.asarray(x, dtype=float).copy()
+        P, c, _ = self._prolongation()
+        return P @ np.asarray(x, dtype=float) + c
 
 
 def condense_hanging(A, b, rows, inhom=None):
@@ -236,19 +292,12 @@ def condense_hanging(A, b, rows, inhom=None):
     b = np.asarray(b, dtype=float)
     if not rows:
         return A.copy(), b.copy()
-    n = A.shape[0]
-    P, c, slaves = constraint_prolongation(n, rows, inhom)
-    pin = np.zeros(n)
-    pin[slaves] = 1.0
-    A_new = (P.T @ A @ P + sp.diags(pin)).tocsr()
-    b_new = P.T @ (b - A @ c)
-    return A_new, b_new
+    cs = ConstraintSet(A.shape[0], rows, inhom)
+    _, c, _ = cs._prolongation()
+    return cs.pin(cs.condense_matrix(A)), cs.condense_vector(b - A @ c)
 
 
 def distribute_constraints(x, rows, inhom=None):
     """Overwrite slave entries with their weighted master combinations."""
     x = np.asarray(x, dtype=float)
-    if not rows:
-        return x.copy()
-    P, c, _ = constraint_prolongation(x.shape[0], rows, inhom)
-    return P @ x + c
+    return ConstraintSet(x.shape[0], rows, inhom).distribute(x)

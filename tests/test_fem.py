@@ -371,17 +371,27 @@ class TestTransfer:
         st.sampled_from(["lshape", "unit_square"]),
         st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=3),
+        st.booleans(),
         st.integers(min_value=0, max_value=2**30),
     )
-    def test_forest_walk_matches_point_evaluation(self, domain, rounds_from, rounds_to, seed):
+    def test_forest_walk_matches_point_evaluation(
+        self, domain, rounds_from, rounds_to, twin, seed
+    ):
+        """``twin`` makes the target a copy refined with the same marks as the source."""
         rng = np.random.default_rng(seed)
         coarse = make_lshape() if domain == "lshape" else make_unit_square()
         meshes = []
+        marks = []
         for rounds in (rounds_from, rounds_to):
             mesh = coarse.copy()
             for _ in range(rounds):
-                mesh.refine({c for c in mesh.active_cells() if rng.random() < 0.4})
+                marks.append({c for c in mesh.active_cells() if rng.random() < 0.4})
+                mesh.refine(marks[-1])
             meshes.append(mesh)
+        if twin:
+            meshes[1] = coarse.copy()
+            for m in marks[:rounds_from]:
+                meshes[1].refine(m)
         for deg_from, deg_to in ((1, 1), (2, 2), (1, 2), (2, 1)):
             s_from = FeSpace(meshes[0], deg_from)
             s_to = FeSpace(meshes[1], deg_to)
@@ -393,6 +403,8 @@ class TestTransfer:
             )
             g = transfer(f, s_to)
             assert np.max(np.abs(g.coefficients - expected)) <= 1e-13
+            if twin and deg_from == deg_to:
+                assert np.array_equal(g.coefficients, f.coefficients)
 
     def test_meshes_without_a_shared_coarse_mesh_raise(self, lshape, unit_square):
         f = interpolate(FeSpace(lshape, 1), lambda x: x[..., 0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwr_diffusion.marking import execute_adaptation
 from dwr_diffusion.mesh import make_lshape
 from dwr_diffusion.slabs import Slab, SlabList, TimeInterval, init_slabs
 
@@ -40,9 +41,15 @@ class TestInit:
         for a, b in zip(slabs, slabs[1:]):
             assert a.interval.t_n == b.interval.t_m
 
-    def test_meshes_are_independent_copies(self, lshape):
+    def test_slabs_share_one_copy_of_the_coarse_mesh(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 3)
-        slabs[0].mesh.refine({0})
+        first = slabs[0]
+        assert first.mesh is not lshape
+        for slab in slabs:
+            assert slab.mesh is first.mesh
+            assert slab.primal is first.primal and slab.dual is first.dual
+        slabs[0].refine({0})
+        assert slabs[0].mesh.n_active_cells == 6
         assert slabs[1].mesh.n_active_cells == 3
         assert lshape.n_active_cells == 3
 
@@ -61,14 +68,28 @@ class TestSplit:
         assert slabs[1].interval == TimeInterval(0.25, 0.375)
         assert slabs[2].interval == TimeInterval(0.375, 0.5)
 
-    def test_children_inherit_mesh_copy(self, lshape):
-        slabs = init_slabs(lshape, 0.0, 1.0, 2)
-        slabs[0].mesh.refine({0})
-        slabs[0].rebuild_spaces()
-        slabs.split_slab_in_time(0)
-        assert slabs[0].mesh.n_active_cells == 6
-        assert slabs[1].mesh.n_active_cells == 6
-        assert slabs[0].mesh is not slabs[1].mesh
+    def test_adaptation_shares_meshes_until_refined(self, lshape):
+        slabs = init_slabs(lshape, 0.0, 1.0, 3)
+        execute_adaptation(slabs, time_marks={2}, space_marks={0: {0}})
+        refined, shared, left, right = slabs
+        # the unmarked slab and both halves of the split one share everything
+        for slab in (left, right):
+            assert slab.mesh is shared.mesh
+            assert slab.primal is shared.primal and slab.dual is shared.dual
+        assert shared.mesh.n_active_cells == 3
+        # the refined slab has its own mesh and spaces
+        assert refined.mesh is not shared.mesh
+        assert refined.primal is not shared.primal and refined.dual is not shared.dual
+        assert refined.primal.mesh is refined.mesh and refined.dual.mesh is refined.mesh
+        assert refined.mesh.n_active_cells == 6
+        assert lshape.n_active_cells == 3
+        # refining a shared mesh behind the slabs' back invalidates every sibling's spaces
+        left.mesh.refine({0})
+        with pytest.raises(RuntimeError):
+            right.primal.dofs_on_cell(1)
+        with pytest.raises(RuntimeError):
+            shared.dual.dofs_on_cell(1)
+        refined.primal.dofs_on_cell(refined.primal.active_ids[0])
 
     def test_storage_cleared_on_split(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 2)
