@@ -53,22 +53,15 @@ def assemble_goal_rhs(slab, ctx):
     u = slab.fetch_storage("u")
     if u is None:
         raise ValueError("primal solution missing on slab; run march_forward first")
-    u_fn = FeFunction(slab.primal, u)
-    quad = fem.gauss_quadrature(space.degree + 1)
-    N_dual = fem.tensor_shape(space.degree, quad.points)
-    N_primal = fem.tensor_shape(slab.primal.degree, quad.points)
-    _, phys, detJ, _ = fem._cell_geometry(space, quad.points)
-    uh = np.einsum("qi,ci->cq", N_primal, u_fn.coefficients[slab.primal.cell_dofs])
+    rule = fem.cell_rule(space, space.degree + 1)
+    uh = rule.values(slab.primal, u)
     ts, ws = slab.interval.gauss_points(GOAL_TIME_QUAD)
-    b = np.zeros(space.n_dofs)
+    density = np.zeros_like(uh)
     for t, wt in zip(ts, ws):
-        mask = ctx.cv.contains(phys, t)
-        if not mask.any():
-            continue
-        diff = np.where(mask, ctx.solution.u(phys, t) - uh, 0.0)
-        local = np.einsum("cq,qi->ci", wt * quad.weights[None, :] * detJ * diff, N_dual)
-        np.add.at(b, space.cell_dofs, local)
-    b = space.constraints.condense_vector(b)
+        mask = ctx.cv.contains(rule.phys, t)
+        if mask.any():
+            density += wt * np.where(mask, ctx.solution.u(rule.phys, t) - uh, 0.0)
+    b = space.constraints.condense_vector(rule.load(space, density))
     return b / (slab.tau * ctx.norm)
 
 

@@ -18,17 +18,18 @@ Temporal integrals use a 2-point Gauss rule, cell integrals
 Signed indicators are stored; absolute values enter only the per-slab and
 global sums.
 
-Both terms are batched.  The face term runs over piece arrays built in one
-pass over ``mesh.face_topology()``: one entry per face piece of every
-non-Dirichlet face (a "finer" face contributes one piece per fine
-neighbor), holding the owner and neighbor cells, the owner's face and the
-edge that carries the Gauss points.  The pieces are listed in the order of
-a per-cell loop (cells in ``dual.active_ids`` order, faces 0..3, pieces
-ascending along the face) and scattered with ``np.add.at``, which adds in
-that order.  Each indicator is therefore summed in the same order as a
-per-face loop would sum it: marking sorts |eta| with an index tie-break,
-so a reordered sum that flips the last bit of two near-equal indicators
-could change which cells are refined.
+Both terms are batched.  The volume term reads the mesh state's cached
+:func:`fem.cell_rule`.  The face term runs over piece arrays built in one
+pass over ``mesh.face_topology()`` and cached per mesh state: one entry
+per face piece of every non-Dirichlet face (a "finer" face contributes one
+piece per fine neighbor), holding the owner and neighbor cells, the
+owner's face and the edge that carries the Gauss points.  The pieces are
+listed in the order of a per-cell loop (cells in ``dual.active_ids``
+order, faces 0..3, pieces ascending along the face) and scattered with
+``np.add.at``, which adds in that order.  Each indicator is therefore
+summed in the same order as a per-face loop would sum it: marking sorts
+|eta| with an index tie-break, so a reordered sum that flips the last bit
+of two near-equal indicators could change which cells are refined.
 """
 
 from __future__ import annotations
@@ -60,19 +61,21 @@ def _face_ref_points(faces, s):
     )
 
 
-def _face_pieces(mesh, dual):
-    """Integer arrays describing every non-Dirichlet face piece, in estimator order.
+def _face_pieces(mesh):
+    """Read-only integer arrays describing every non-Dirichlet face piece, in estimator order.
 
     Returns (own, nbr, face, seg_cell, seg_face, neumann): positions in
-    ``dual.active_ids`` of the owner and neighbor cells (the owner itself on
-    a Neumann face), the owner's face, the (cell, face) whose edge is the
-    integration segment (the finer neighbor's on a "finer" face) and a
-    Neumann flag.
+    ``mesh.active_cells()`` of the owner and neighbor cells (the owner
+    itself on a Neumann face), the owner's face, the (cell, face) whose edge
+    is the integration segment (the finer neighbor's on a "finer" face) and
+    a Neumann flag.  These are the ``active_ids`` positions of every space
+    on the mesh, so one set of arrays serves a whole mesh state.
     """
     topo = mesh.face_topology()
-    index = dual.cell_index
+    active = mesh.active_cells()
+    index = {cid: k for k, cid in enumerate(active)}
     rows = []
-    for k, cid in enumerate(dual.active_ids):
+    for k, cid in enumerate(active):
         for f in range(4):
             kind, payload = topo[(cid, f)]
             if kind == "boundary":
@@ -86,7 +89,7 @@ def _face_pieces(mesh, dual):
             else:
                 rows.append((k, index[payload], f, k, f, 0))
     cols = np.array(rows, dtype=int).reshape(-1, 6).T
-    return (*cols[:5], cols[5].astype(bool))
+    return fem._read_only(*cols[:5], cols[5].astype(bool))
 
 
 def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
@@ -122,31 +125,24 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     w_at = np.stack([(1 - th) * w_tm + th * w_tn for th in theta])  # (time, dof)
 
     # volume terms, batched over all cells
-    quad = fem.gauss_quadrature(dual.degree + 1)
-    N_dual = fem.tensor_shape(dual.degree, quad.points)
-    N_primal = fem.tensor_shape(primal.degree, quad.points)
-    H_ref = fem.tensor_hessian(primal.degree, quad.points)
-    _, phys, detJ, invJ = fem._cell_geometry(dual, quad.points)
+    rule = fem.cell_rule(dual, dual.degree + 1)
+    H_ref = rule.basis(primal.degree).hess
     # physical Laplacian with a per-point constant-metric transform
     # (exact on parallelogram cells, which is all the constructors build)
-    H_phys = np.einsum("cqea,qief,cqfb->cqiab", invJ, H_ref, invJ, optimize=True)
+    H_phys = np.einsum("cqea,qief,cqfb->cqiab", rule.invJ, H_ref, rule.invJ, optimize=True)
     lap_basis = H_phys[..., 0, 0] + H_phys[..., 1, 1]
-    u_cells = u[primal.cell_dofs]
-    lap_u = np.einsum("cqi,ci->cq", lap_basis, u_cells)
-    du_jump = np.einsum("qi,ci->cq", N_primal, u_cells - u_prev[primal.cell_dofs])
-    w_tm_cells = np.einsum("qi,ci->cq", N_dual, w_tm[dual.cell_dofs])
+    lap_u = np.einsum("cqi,ci->cq", lap_basis, u[primal.cell_dofs])
+    du_jump = rule.values(primal, u - u_prev)
 
     eta = np.zeros(len(dual.active_ids))
     for (t, wt, w) in zip(ts, wts, w_at):
-        w_vals = np.einsum("qi,ci->cq", N_dual, w[dual.cell_dofs])
-        resid = data.rhs_f(phys, t) + eps * lap_u
-        eta += wt * np.einsum("cq,cq->c", quad.weights[None, :] * detJ, resid * w_vals)
-    eta -= coeff.rho * np.einsum(
-        "cq,cq->c", quad.weights[None, :] * detJ, du_jump * w_tm_cells
-    )
+        resid = data.rhs_f(rule.phys, t) + eps * lap_u
+        eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
+    eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
     # face terms, batched over all face pieces
-    own, nbr, face, seg_cell, seg_face, neumann = _face_pieces(mesh, dual)
+    pieces = mesh.cached("face_pieces", lambda: _face_pieces(mesh))
+    own, nbr, face, seg_cell, seg_face, neumann = pieces
     if len(own):
         s1, ws1 = fem.gauss_1d(dual.degree + 1)
         ends = mesh.cell_corner_coords(dual.active_ids)[:, _FACE_VERTS]  # (c, face, end, 2)

@@ -14,7 +14,9 @@ slave diagonals with :meth:`ConstraintSet.pin` before solving and call
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,42 +52,29 @@ def shape_1d(degree, x, deriv=0):
     raise ValueError(f"unsupported degree {degree}")
 
 
+def _tensor(degree, pts, dx, dy):
+    """Tensor products of 1D basis derivatives of order dx in x and dy in y, shape (npts, nloc)."""
+    fx = shape_1d(degree, pts[:, 0], deriv=dx)
+    fy = shape_1d(degree, pts[:, 1], deriv=dy)
+    return np.einsum("pi,pj->pji", fx, fy).reshape(pts.shape[0], -1)
+
+
 def tensor_shape(degree, pts):
     """Tensor-product basis values at reference points, shape (npts, nloc)."""
-    fx = shape_1d(degree, pts[:, 0])
-    fy = shape_1d(degree, pts[:, 1])
-    return np.einsum("pi,pj->pji", fx, fy).reshape(pts.shape[0], -1)
+    return _tensor(degree, pts, 0, 0)
 
 
 def tensor_grad(degree, pts):
     """Reference gradients, shape (npts, nloc, 2)."""
-    fx = shape_1d(degree, pts[:, 0])
-    fy = shape_1d(degree, pts[:, 1])
-    dfx = shape_1d(degree, pts[:, 0], deriv=1)
-    dfy = shape_1d(degree, pts[:, 1], deriv=1)
-    gx = np.einsum("pi,pj->pji", dfx, fy).reshape(pts.shape[0], -1)
-    gy = np.einsum("pi,pj->pji", fx, dfy).reshape(pts.shape[0], -1)
-    return np.stack([gx, gy], axis=-1)
+    return np.stack([_tensor(degree, pts, 1, 0), _tensor(degree, pts, 0, 1)], axis=-1)
 
 
 def tensor_hessian(degree, pts):
     """Reference second derivatives, shape (npts, nloc, 2, 2)."""
-    fx = shape_1d(degree, pts[:, 0])
-    fy = shape_1d(degree, pts[:, 1])
-    dfx = shape_1d(degree, pts[:, 0], deriv=1)
-    dfy = shape_1d(degree, pts[:, 1], deriv=1)
-    ddfx = shape_1d(degree, pts[:, 0], deriv=2)
-    ddfy = shape_1d(degree, pts[:, 1], deriv=2)
-    n = pts.shape[0]
-    hxx = np.einsum("pi,pj->pji", ddfx, fy).reshape(n, -1)
-    hxy = np.einsum("pi,pj->pji", dfx, dfy).reshape(n, -1)
-    hyy = np.einsum("pi,pj->pji", fx, ddfy).reshape(n, -1)
-    H = np.empty((n, hxx.shape[1], 2, 2))
-    H[:, :, 0, 0] = hxx
-    H[:, :, 0, 1] = hxy
-    H[:, :, 1, 0] = hxy
-    H[:, :, 1, 1] = hyy
-    return H
+    hxx = _tensor(degree, pts, 2, 0)
+    hxy = _tensor(degree, pts, 1, 1)
+    hyy = _tensor(degree, pts, 0, 2)
+    return np.stack([np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -94,22 +83,30 @@ class Quadrature:
     weights: np.ndarray  # (k,), summing to 1
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.cache
 def gauss_1d(n):
-    """n-point Gauss-Legendre rule on [0, 1]."""
+    """n-point Gauss-Legendre rule on [0, 1] (read-only, shared)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _read_only((x + 1.0) / 2.0, w / 2.0)
 
 
+@functools.cache
 def gauss_quadrature(n):
-    """Tensor Gauss rule with n points per direction, exact to degree 2n-1."""
+    """Tensor Gauss rule with n points per direction, exact to degree 2n-1 (read-only, shared)."""
     if not 1 <= n <= 6:
         raise ValueError("points per direction must be in 1..6")
     x, w = gauss_1d(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    W = np.outer(w, w)
-    return Quadrature(
-        points=np.column_stack([X.ravel(), Y.ravel()]), weights=W.ravel()
+    points, weights = _read_only(
+        np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel()
     )
+    return Quadrature(points=points, weights=weights)
 
 
 # local lattice node -> owning mesh entity, per degree:
@@ -282,23 +279,70 @@ class FeSpace:
         return cached
 
 
-# -- geometry batching ---------------------------------------------------------
+# -- cell quadrature -------------------------------------------------------------
 
 
-def _cell_geometry(space, ref_pts, cids=None):
-    """Jacobians of the bilinear cell maps at the reference points.
+class BasisTables(NamedTuple):
+    """Reference basis tables at the points of one cell rule."""
 
-    Returns (coords, phys, detJ, invJ) with shapes (nc,4,2), (nc,q,2),
-    (nc,q), (nc,q,2,2).
+    N: np.ndarray  # (q, nloc) values
+    grad: np.ndarray  # (q, nloc, 2) gradients
+    hess: np.ndarray  # (q, nloc, 2, 2) second derivatives
+
+
+@functools.cache
+def _basis_tables(degree, n):
+    """Reference basis values, gradients and Hessians at the n-point tensor Gauss rule."""
+    pts = gauss_quadrature(n).points
+    tables = tensor_shape(degree, pts), tensor_grad(degree, pts), tensor_hessian(degree, pts)
+    return BasisTables(*_read_only(*tables))
+
+
+@dataclass(frozen=True)
+class CellRule:
+    """Tensor Gauss rule with ``n`` points per direction mapped onto every active cell.
+
+    Rows follow ``mesh.active_cells()``, the ``active_ids`` order of every
+    space on the mesh, so one rule serves all spaces of one mesh state.
     """
+
+    n: int
+    JxW: np.ndarray  # (c, q) weight * detJ
+    phys: np.ndarray  # (c, q, 2) physical points
+    invJ: np.ndarray  # (c, q, 2, 2) inverse Jacobians
+
+    def basis(self, degree):
+        """:class:`BasisTables` of the given degree at the rule's points, cached per (degree, n)."""
+        return _basis_tables(degree, self.n)
+
+    def values(self, space, coefficients):
+        """Values of a coefficient vector over ``space`` at the rule's points, shape (c, q)."""
+        return np.einsum(
+            "qi,ci->cq", self.basis(space.degree).N, np.asarray(coefficients)[space.cell_dofs]
+        )
+
+    def load(self, space, density):
+        """Unconstrained vector b_i = sum_K sum_q JxW density phi_i of a (c, q) density."""
+        local = np.einsum("cq,qi->ci", self.JxW * density, self.basis(space.degree).N)
+        b = np.zeros(space.n_dofs)
+        np.add.at(b, space.cell_dofs, local)
+        return b
+
+
+def cell_rule(space, n):
+    """The :class:`CellRule` of the space's mesh state, built once per (mesh state, n)."""
+    space._check_current()
     mesh = space.mesh
-    coords = mesh.cell_corner_coords(cids if cids is not None else space.active_ids)
-    n1 = tensor_shape(1, ref_pts)
-    g1 = tensor_grad(1, ref_pts)
-    phys = np.einsum("qv,cvd->cqd", n1, coords)
-    J = np.einsum("cvd,qve->cqde", coords, g1)
-    detJ, invJ = _invert_jacobian(J)
-    return coords, phys, detJ, invJ
+
+    def build():
+        quad = gauss_quadrature(n)
+        coords = mesh.cell_corner_coords(space.active_ids)
+        phys = np.einsum("qv,cvd->cqd", tensor_shape(1, quad.points), coords)
+        J = np.einsum("cvd,qve->cqde", coords, tensor_grad(1, quad.points))
+        detJ, invJ = _invert_jacobian(J)
+        return CellRule(n, *_read_only(quad.weights[None, :] * detJ, phys, invJ))
+
+    return mesh.cached(("cell_rule", n), build)
 
 
 def _invert_jacobian(J):
@@ -329,13 +373,6 @@ def physical_gradients(space, coefficients, cells, ref_pts):
     return np.einsum("nid,ni->nd", grad, np.asarray(coefficients)[space.cell_dofs[cells]])
 
 
-def _as_coefficient(c):
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda x: np.full(x.shape[:-1], value)
-
-
 def _scatter_local(space, local):
     """Sum local (nc, nloc, nloc) matrices into a raw CSR matrix."""
     nc, nloc, _ = local.shape
@@ -351,39 +388,27 @@ def _scatter_local(space, local):
 
 
 def assemble_mass(space, density=1.0, condense=True):
-    """Mass matrix with coefficient ``density``; (degree+1)^2 Gauss points per cell."""
-    quad = gauss_quadrature(space.degree + 1)
-    N = tensor_shape(space.degree, quad.points)
-    _, phys, detJ, _ = _cell_geometry(space, quad.points)
-    rho = _as_coefficient(density)(phys)
-    scale = quad.weights[None, :] * detJ * rho
-    local = np.einsum("cq,qi,qj->cij", scale, N, N)
+    """Mass matrix with constant coefficient ``density``; (degree+1)^2 Gauss points per cell."""
+    rule = cell_rule(space, space.degree + 1)
+    N = rule.basis(space.degree).N
+    local = np.einsum("cq,qi,qj->cij", rule.JxW * float(density), N, N)
     A = _scatter_local(space, local)
     return space.constraints.condense_matrix(A) if condense else A
 
 
 def assemble_stiffness(space, diffusivity=1.0, condense=True):
-    """Stiffness matrix with coefficient ``diffusivity``; same quadrature as the mass matrix."""
-    quad = gauss_quadrature(space.degree + 1)
-    g_ref = tensor_grad(space.degree, quad.points)
-    _, phys, detJ, invJ = _cell_geometry(space, quad.points)
-    grad = np.einsum("cqed,qie->cqid", invJ, g_ref)
-    eps = _as_coefficient(diffusivity)(phys)
-    scale = quad.weights[None, :] * detJ * eps
-    local = np.einsum("cq,cqid,cqjd->cij", scale, grad, grad)
+    """Stiffness matrix with constant coefficient ``diffusivity``; the mass matrix's quadrature."""
+    rule = cell_rule(space, space.degree + 1)
+    grad = np.einsum("cqed,qie->cqid", rule.invJ, rule.basis(space.degree).grad)
+    local = np.einsum("cq,cqid,cqjd->cij", rule.JxW * float(diffusivity), grad, grad)
     A = _scatter_local(space, local)
     return space.constraints.condense_matrix(A) if condense else A
 
 
 def assemble_load_volume(space, f, condense=True):
     """Load vector of a spatial density: b_i = sum_K int_K f phi_i."""
-    quad = gauss_quadrature(space.degree + 1)
-    N = tensor_shape(space.degree, quad.points)
-    _, phys, detJ, _ = _cell_geometry(space, quad.points)
-    vals = f(phys)
-    local = np.einsum("cq,qi->ci", quad.weights[None, :] * detJ * vals, N)
-    b = np.zeros(space.n_dofs)
-    np.add.at(b, space.cell_dofs, local)
+    rule = cell_rule(space, space.degree + 1)
+    b = rule.load(space, f(rule.phys))
     return space.constraints.condense_vector(b) if condense else b
 
 

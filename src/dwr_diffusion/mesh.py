@@ -146,13 +146,17 @@ class QuadMesh:
 
     # -- basic queries -------------------------------------------------------
 
+    def cached(self, name, build):
+        """``build()``, computed once per refinement state and kept with the mesh."""
+        key = (name, self._version)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
     @property
     def points(self):
-        cached = self._cache.get(("points", self._version))
-        if cached is None:
-            cached = np.array(self._points)
-            self._cache[("points", self._version)] = cached
-        return cached
+        return self.cached("points", lambda: np.array(self._points))
 
     @property
     def n_vertices(self):
@@ -160,11 +164,9 @@ class QuadMesh:
 
     def active_cells(self):
         """Active cell ids in creation order (deterministic across runs)."""
-        cached = self._cache.get(("active", self._version))
-        if cached is None:
-            cached = [i for i, c in enumerate(self.cells) if c.active]
-            self._cache[("active", self._version)] = cached
-        return list(cached)
+        return list(
+            self.cached("active", lambda: [i for i, c in enumerate(self.cells) if c.active])
+        )
 
     @property
     def n_active_cells(self):
@@ -194,18 +196,17 @@ class QuadMesh:
 
     def fingerprint(self):
         """Content hash; equal for structurally identical meshes (e.g. deep copies)."""
-        cached = self._cache.get(("fp", self._version))
-        if cached is None:
-            import hashlib
+        return self.cached("fp", self._fingerprint)
 
-            h = hashlib.sha1()
-            h.update(self.points.tobytes())
-            for c in self.cells:
-                h.update(repr((c.vertices, c.level, c.parent, c.children)).encode())
-            h.update(repr(sorted(self.boundary_color.items())).encode())
-            cached = h.hexdigest()
-            self._cache[("fp", self._version)] = cached
-        return cached
+    def _fingerprint(self):
+        import hashlib
+
+        h = hashlib.sha1()
+        h.update(self.points.tobytes())
+        for c in self.cells:
+            h.update(repr((c.vertices, c.level, c.parent, c.children)).encode())
+        h.update(repr(sorted(self.boundary_color.items())).encode())
+        return h.hexdigest()
 
     def copy(self):
         new = QuadMesh.__new__(QuadMesh)
@@ -266,9 +267,9 @@ class QuadMesh:
         Returns a dict (cid, face) -> ("boundary", color) | ("same", nb) |
         ("coarser", nb) | ("finer", (nb, nb)).
         """
-        cached = self._cache.get(("topo", self._version))
-        if cached is not None:
-            return cached
+        return self.cached("topo", self._face_topology)
+
+    def _face_topology(self):
         topo = {}
         for cid in self.active_cells():
             level = self.cells[cid].level
@@ -282,14 +283,13 @@ class QuadMesh:
                     topo[(cid, f)] = ("coarser", nbs[0])
                 else:
                     topo[(cid, f)] = ("same", nbs[0])
-        self._cache[("topo", self._version)] = topo
         return topo
 
     def forest(self):
         """Refinement-forest arrays (:class:`Forest`), cached per refinement state."""
-        cached = self._cache.get(("forest", self._version))
-        if cached is not None:
-            return cached
+        return self.cached("forest", self._forest)
+
+    def _forest(self):
         n = len(self.cells)
         children = np.full((n, 4), -1, dtype=np.intp)
         origin = np.zeros((n, 2))
@@ -307,9 +307,7 @@ class QuadMesh:
                 origin[cid, 1] = origin[p, 1] + scale[cid] * (pos >> 1)
                 root[cid] = root[p]
                 level[cid] = cell.level
-        cached = Forest(children, origin, scale, root, level)
-        self._cache[("forest", self._version)] = cached
-        return cached
+        return Forest(children, origin, scale, root, level)
 
     # -- refinement ----------------------------------------------------------
 

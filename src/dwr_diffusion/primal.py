@@ -87,40 +87,17 @@ def slab_goal_norm_sq(slab, u_fn, solution, cv):
     Gauss rule; points outside the moving control volume are masked out.
     """
     space = u_fn.space
-    quad = fem.gauss_quadrature(space.degree + GOAL_SPACE_QUAD_EXTRA)
-    N = fem.tensor_shape(space.degree, quad.points)
-    _, phys, detJ, _ = fem._cell_geometry(space, quad.points)
-    uh = np.einsum("qi,ci->cq", N, u_fn.coefficients[space.cell_dofs])
+    rule = fem.cell_rule(space, space.degree + GOAL_SPACE_QUAD_EXTRA)
+    uh = rule.values(space, u_fn.coefficients)
     ts, ws = slab.interval.gauss_points(GOAL_TIME_QUAD)
     total = 0.0
     for t, wt in zip(ts, ws):
-        mask = cv.contains(phys, t)
+        mask = cv.contains(rule.phys, t)
         if not mask.any():
             continue
-        diff = solution.u(phys, t) - uh
-        total += wt * float(
-            np.sum(quad.weights[None, :] * detJ * np.where(mask, diff * diff, 0.0))
-        )
+        diff = solution.u(rule.phys, t) - uh
+        total += wt * float(np.sum(rule.JxW * np.where(mask, diff * diff, 0.0)))
     return total
-
-
-def l2_q_error(slabs, solution):
-    """Space-time L2 error of the stored primal solution over all slabs."""
-    total = 0.0
-    for slab in slabs:
-        u = slab.fetch_storage("u")
-        if u is None:
-            raise ValueError("primal solution missing; run march_forward first")
-        space = slab.primal
-        quad = fem.gauss_quadrature(space.degree + GOAL_SPACE_QUAD_EXTRA)
-        N = fem.tensor_shape(space.degree, quad.points)
-        _, phys, detJ, _ = fem._cell_geometry(space, quad.points)
-        uh = np.einsum("qi,ci->cq", N, u[space.cell_dofs])
-        ts, ws = slab.interval.gauss_points(GOAL_TIME_QUAD)
-        for t, wt in zip(ts, ws):
-            diff = solution.u(phys, t) - uh
-            total += wt * float(np.sum(quad.weights[None, :] * detJ * diff * diff))
-    return np.sqrt(total)
 
 
 def march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=5000),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FeSpace
+from .fem import FeSpace, gauss_1d
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class TimeInterval:
 
     def gauss_points(self, n):
         """n-point Gauss rule mapped onto the interval; returns (points, weights)."""
-        x, w = np.polynomial.legendre.leggauss(n)
-        return self.t_m + (x + 1.0) / 2.0 * self.tau, w / 2.0 * self.tau
+        x, w = gauss_1d(n)
+        return self.t_m + x * self.tau, w * self.tau
 
     def unit_coord(self, t):
         return (t - self.t_m) / self.tau

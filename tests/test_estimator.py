@@ -5,38 +5,14 @@ import pytest
 
 from dwr_diffusion import estimator
 from dwr_diffusion.fem import interpolate
-from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh
+from dwr_diffusion.mesh import DIRICHLET, NEUMANN
 from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
 from dwr_diffusion.slabs import Slab, TimeInterval
 
-SHEAR = 0.25
-
-
-def sheared_irregular_lshape():
-    """The L-shape sheared to parallelograms, refined to a 1-irregular mesh.
-
-    The left boundary (x = SHEAR * y) is Neumann, the rest Dirichlet.  The
-    lower-left root is refined twice, so same-level, finer, coarser and
-    Neumann face pieces all occur, and no face normal is axis-aligned
-    except on the horizontal faces.
-    """
-    base = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
-            (0.0, 1.0), (0.5, 1.0)]
-    pts = [(x + SHEAR * y, y) for x, y in base]
-
-    def colorize(a, b):
-        on_left = all(abs(p[0] - SHEAR * p[1]) < 1e-12 for p in (a, b))
-        return NEUMANN if on_left else DIRICHLET
-
-    mesh = QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)], colorize)
-    mesh.refine({0})
-    mesh.refine({mesh.cells[0].children[0]})
-    return mesh
-
 
 @pytest.fixture
-def slab():
-    return Slab(TimeInterval(0.1, 0.35), sheared_irregular_lshape(), 1, 2)
+def slab(sheared_irregular_lshape):
+    return Slab(TimeInterval(0.1, 0.35), sheared_irregular_lshape, 1, 2)
 
 
 def cone_inputs(slab):
@@ -103,7 +79,8 @@ def test_linear_solution_has_zero_indicators(slab, rng):
     coeff = Coefficients(rho=0.8, epsilon=1.2)
     grad = np.array([1.7, -0.9])
     u = interpolate(slab.primal, lambda x: 0.3 + x @ grad).coefficients
-    normal = np.array([-1.0, SHEAR]) / np.hypot(1.0, SHEAR)  # outward on x = SHEAR * y
+    top = slab.mesh.points[6]  # the Neumann edge runs from the origin to (SHEAR, 1)
+    normal = np.array([-top[1], top[0]]) / np.hypot(*top)  # outward on x = SHEAR * y
     flux = coeff.epsilon * float(grad @ normal)
     data = SimpleNamespace(
         rhs_f=lambda x, t: np.zeros(x.shape[:-1]),
@@ -114,3 +91,15 @@ def test_linear_solution_has_zero_indicators(slab, rng):
     eta = estimator.indicator_terms(slab, u, u, w_tm, w_tn, coeff, data)
     assert len(eta) == slab.mesh.n_active_cells
     assert max(abs(v) for v in eta.values()) <= 1e-14
+
+
+def test_face_pieces_are_shared_and_read_only(slab):
+    data = cone_inputs(slab)
+    estimator.indicator_terms(slab, *data)
+    pieces = slab.mesh.cached("face_pieces", lambda: None)
+    assert pieces is not None and len(pieces[0]) > 0
+    for arr in pieces:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    estimator.indicator_terms(slab, *data)
+    assert slab.mesh.cached("face_pieces", lambda: None) is pieces

@@ -10,12 +10,14 @@ from dwr_diffusion.fem import (
     assemble_load_volume,
     assemble_mass,
     assemble_stiffness,
+    cell_rule,
     gauss_quadrature,
     interpolate,
     interpolate_same_mesh,
     transfer,
 )
 from dwr_diffusion.mesh import make_lshape, make_unit_square, QuadMesh
+from dwr_diffusion.slabs import Slab, TimeInterval
 
 
 def brute_force_local(integrand, n=6):
@@ -141,6 +143,57 @@ class TestQuadrature:
     def test_weights_sum_to_one(self):
         for n in range(1, 7):
             assert np.sum(gauss_quadrature(n).weights) == pytest.approx(1.0, abs=1e-14)
+
+    def test_rules_are_shared_and_read_only(self):
+        q = gauss_quadrature(3)
+        assert gauss_quadrature(3) is q
+        with pytest.raises(ValueError):
+            q.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            fem.gauss_1d(2)[0][0] = 0.0
+
+
+@pytest.fixture(params=["sheared", "hanging"])
+def rule_mesh(request, sheared_irregular_lshape, hanging_mesh):
+    return sheared_irregular_lshape if request.param == "sheared" else hanging_mesh
+
+
+class TestCellRule:
+    def test_weights_sum_to_area(self, rule_mesh):
+        for degree in (1, 2):
+            for n in (1, 2, 3, 4):
+                rule = cell_rule(FeSpace(rule_mesh, degree), n)
+                assert rule.JxW.sum() == pytest.approx(rule_mesh.total_area(), abs=1e-14)
+
+    def test_points_match_the_cell_maps(self, rule_mesh):
+        rule = cell_rule(FeSpace(rule_mesh, 2), 3)
+        ref = gauss_quadrature(3).points
+        for k, cid in enumerate(rule_mesh.active_cells()):
+            assert np.allclose(
+                rule.phys[k], rule_mesh.map_to_physical(cid, ref), rtol=0, atol=1e-15
+            )
+
+    def test_values_and_load(self, rule_mesh):
+        linear = lambda x: 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
+        for degree in (1, 2):
+            space = FeSpace(rule_mesh, degree)
+            rule = cell_rule(space, degree + 2)
+            u = interpolate(space, linear).coefficients
+            assert np.allclose(rule.values(space, u), linear(rule.phys), rtol=0, atol=1e-13)
+            b = rule.load(space, np.ones_like(rule.JxW))
+            assert b.sum() == pytest.approx(rule_mesh.total_area(), abs=1e-14)
+
+    def test_one_rule_per_mesh_state(self, rule_mesh):
+        slab = Slab(TimeInterval(0.0, 1.0), rule_mesh, 1, 2)
+        assert cell_rule(slab.primal, 3) is cell_rule(slab.dual, 3)
+        assert cell_rule(slab.primal, 2) is not cell_rule(slab.primal, 3)
+
+    def test_stale_space_raises(self, rule_mesh):
+        space = FeSpace(rule_mesh, 1)
+        cell_rule(space, 2)
+        rule_mesh.refine({rule_mesh.active_cells()[0]})
+        with pytest.raises(RuntimeError):
+            cell_rule(space, 2)
 
 
 class TestAssembly:
