@@ -19,17 +19,13 @@ Signed indicators are stored; absolute values enter only the per-slab and
 global sums.
 
 Both terms are batched.  The volume term reads the mesh state's cached
-:func:`fem.cell_rule`.  The face term runs over piece arrays built in one
-pass over ``mesh.face_topology()`` and cached per mesh state: one entry
-per face piece of every non-Dirichlet face (a "finer" face contributes one
-piece per fine neighbor), holding the owner and neighbor cells, the
-owner's face and the edge that carries the Gauss points.  The pieces are
-listed in the order of a per-cell loop (cells in ``dual.active_ids``
-order, faces 0..3, pieces ascending along the face) and scattered with
-``np.add.at``, which adds in that order.  Each indicator is therefore
-summed in the same order as a per-face loop would sum it: marking sorts
-|eta| with an index tie-break, so a reordered sum that flips the last bit
-of two near-equal indicators could change which cells are refined.
+:func:`fem.cell_rule`.  The face term runs over the non-Dirichlet rows of
+the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
+piece, in table order: cells in ``dual.active_ids`` order, faces 0..3,
+pieces ascending along the face.  ``np.add.at`` scatters the pieces in
+that order, the summation order of a per-face loop: marking sorts |eta|
+with an index tie-break, so a reordered sum that flips the last bit of two
+near-equal indicators could change which cells are refined.
 """
 
 from __future__ import annotations
@@ -40,14 +36,12 @@ import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .mesh import NEUMANN, FACE_VERTS, OPPOSITE_FACE
+from .mesh import DIRICHLET, NEUMANN, FACE_VERTS, OPPOSITE_FACE
 
 _TIME_QUAD = 2
 
 # outward normal = rotate the canonical face tangent; sign pattern per face
 _NORMAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # ccw for left/top, cw for right/bottom
-_FACE_VERTS = np.array(FACE_VERTS)
-_OPPOSITE = np.array(OPPOSITE_FACE)
 # reference coordinate held fixed on each face (x on left/right, y on bottom/top)
 _FACE_FIXED = np.array([0.0, 1.0, 0.0, 1.0])
 
@@ -61,35 +55,20 @@ def _face_ref_points(faces, s):
     )
 
 
-def _face_pieces(mesh):
-    """Read-only integer arrays describing every non-Dirichlet face piece, in estimator order.
+def face_pieces(mesh):
+    """The non-Dirichlet rows of the mesh's face table, in table order.
 
     Returns (own, nbr, face, seg_cell, seg_face, neumann): positions in
     ``mesh.active_cells()`` of the owner and neighbor cells (the owner
     itself on a Neumann face), the owner's face, the (cell, face) whose edge
-    is the integration segment (the finer neighbor's on a "finer" face) and
-    a Neumann flag.  These are the ``active_ids`` positions of every space
-    on the mesh, so one set of arrays serves a whole mesh state.
+    is the integration segment and a Neumann flag.
     """
-    topo = mesh.face_topology()
-    active = mesh.active_cells()
-    index = {cid: k for k, cid in enumerate(active)}
-    rows = []
-    for k, cid in enumerate(active):
-        for f in range(4):
-            kind, payload = topo[(cid, f)]
-            if kind == "boundary":
-                if payload == NEUMANN:
-                    rows.append((k, k, f, k, f, 1))
-            elif kind == "finer":
-                g = OPPOSITE_FACE[f]
-                for nb in payload:
-                    j = index[nb]
-                    rows.append((k, j, f, j, g, 0))
-            else:
-                rows.append((k, index[payload], f, k, f, 0))
-    cols = np.array(rows, dtype=int).reshape(-1, 6).T
-    return fem._read_only(*cols[:5], cols[5].astype(bool))
+    table = mesh.face_topology()
+    keep = ~table.on_boundary(DIRICHLET)
+    neumann = table.on_boundary(NEUMANN)[keep]
+    own = table.owner[keep]
+    nbr = np.where(neumann, own, table.neighbor[keep])
+    return own, nbr, table.face[keep], table.edge_cell[keep], table.edge_face[keep], neumann
 
 
 def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
@@ -141,11 +120,10 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
     # face terms, batched over all face pieces
-    pieces = mesh.cached("face_pieces", lambda: _face_pieces(mesh))
-    own, nbr, face, seg_cell, seg_face, neumann = pieces
+    own, nbr, face, seg_cell, seg_face, neumann = face_pieces(mesh)
     if len(own):
         s1, ws1 = fem.gauss_1d(dual.degree + 1)
-        ends = mesh.cell_corner_coords(dual.active_ids)[:, _FACE_VERTS]  # (c, face, end, 2)
+        ends = mesh.cell_corner_coords(dual.active_ids)[:, FACE_VERTS]  # (c, face, end, 2)
         a = ends[own, face, 0]
         tangent = ends[own, face, 1] - a
         length = np.hypot(tangent[:, 0], tangent[:, 1])
@@ -162,7 +140,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
         # project the points onto the owner's and the neighbor's face
         n_pc, n_q = pts.shape[:2]
         side_cell = np.concatenate([own, nbr])
-        side_face = np.concatenate([face, np.where(neumann, face, _OPPOSITE[face])])
+        side_face = np.concatenate([face, np.where(neumann, face, OPPOSITE_FACE[face])])
         A = ends[side_cell, side_face, 0]
         span = ends[side_cell, side_face, 1] - A
         s = np.einsum("pqd,pd->pq", np.concatenate([pts, pts]) - A[:, None, :], span)

@@ -1,10 +1,11 @@
 """Continuous Lagrange spaces of degree 1 and 2 on quadrilateral meshes.
 
-Degrees of freedom are enumerated by walking the active cells in creation
-order and identifying shared entities topologically (vertex, edge and cell
-keys), which gives C0 continuity between equal-level neighbors and a
-deterministic global numbering.  Hanging entities on 1-irregular faces are
-constrained to the coarse-side trace.
+Every dof belongs to a vertex, an edge (its sorted vertex pair) or a cell
+interior.  The dofs are numbered by the first appearance of these keys in
+active-cell order, found for all cells at once with ``np.unique``, which
+gives C0 continuity between equal-level neighbors and a deterministic
+global numbering.  Hanging entities on 1-irregular faces, the "coarser"
+rows of the mesh's face table, are constrained to the coarse-side trace.
 
 Assembled matrices have the hanging constraints condensed into them
 (master rows carry the slave contributions, slave rows are empty); pin the
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FACE_VERTS, OPPOSITE_FACE
+from .mesh import COARSER, FACE_VERTS, NEUMANN, OPPOSITE_FACE, read_only
 from .sparse_la import ConstraintSet
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
@@ -83,17 +84,11 @@ class Quadrature:
     weights: np.ndarray  # (k,), summing to 1
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @functools.cache
 def gauss_1d(n):
     """n-point Gauss-Legendre rule on [0, 1] (read-only, shared)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return _read_only((x + 1.0) / 2.0, w / 2.0)
+    return read_only(((x + 1.0) / 2.0, w / 2.0))
 
 
 @functools.cache
@@ -103,31 +98,8 @@ def gauss_quadrature(n):
         raise ValueError("points per direction must be in 1..6")
     x, w = gauss_1d(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    points, weights = _read_only(
-        np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel()
-    )
+    points, weights = read_only((np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel()))
     return Quadrature(points=points, weights=weights)
-
-
-# local lattice node -> owning mesh entity, per degree:
-#   ("v", corner slot) / ("e", face index) / ("c",)
-def _classify_lattice(degree):
-    nodes = _NODES_1D[degree]
-    out = []
-    for j, y in enumerate(nodes):
-        for i, x in enumerate(nodes):
-            on_x = i in (0, len(nodes) - 1)
-            on_y = j in (0, len(nodes) - 1)
-            if on_x and on_y:
-                corner = (0 if i == 0 else 1) + (0 if j == 0 else 2)
-                out.append(("v", corner))
-            elif on_y:
-                out.append(("e", 2 if j == 0 else 3))
-            elif on_x:
-                out.append(("e", 0 if i == 0 else 1))
-            else:
-                out.append(("c",))
-    return tuple(out)
 
 
 def _lattice_points(degree):
@@ -136,16 +108,11 @@ def _lattice_points(degree):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-# local lattice indices lying on each face, ascending along the face
+@functools.cache
 def _face_lattice(degree):
-    k = degree + 1
-    idx = np.arange(k * k).reshape(k, k)  # [j, i]
-    return (
-        tuple(idx[:, 0]),   # left
-        tuple(idx[:, -1]),  # right
-        tuple(idx[0, :]),   # bottom
-        tuple(idx[-1, :]),  # top
-    )
+    """Local lattice indices on each face, ascending along the face: (4, degree + 1)."""
+    idx = np.arange((degree + 1) ** 2).reshape(degree + 1, degree + 1)  # [j, i]
+    return np.stack([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])  # left, right, bottom, top
 
 
 class FeSpace:
@@ -158,40 +125,40 @@ class FeSpace:
         self.degree = degree
         self._build()
         self._constraints = None
-        self._boundary_faces = {}
         self._boundary_dofs = {}
 
     def _build(self):
-        degree = self.degree
-        classes = _classify_lattice(degree)
-        lattice = _lattice_points(degree)
-        self.active_ids = self.mesh.active_cells()
-        self.cell_index = {cid: k for k, cid in enumerate(self.active_ids)}
-        n_loc = (degree + 1) ** 2
-        dof_of_key = {}
-        support = []
-        cell_dofs = np.empty((len(self.active_ids), n_loc), dtype=int)
-        for k, cid in enumerate(self.active_ids):
-            cell = self.mesh.cells[cid]
-            phys = self.mesh.map_to_physical(cid, lattice)
-            for loc, cls in enumerate(classes):
-                if cls[0] == "v":
-                    key = ("v", cell.vertices[cls[1]])
-                elif cls[0] == "e":
-                    a, b = (cell.vertices[s] for s in FACE_VERTS[cls[1]])
-                    key = ("e", (a, b) if a < b else (b, a))
-                else:
-                    key = ("c", cid)
-                dof = dof_of_key.get(key)
-                if dof is None:
-                    dof = len(support)
-                    dof_of_key[key] = dof
-                    support.append(phys[loc])
-                cell_dofs[k, loc] = dof
-        self.n_dofs = len(support)
-        self.support_points = np.array(support)
-        self.cell_dofs = cell_dofs
-        self._mesh_version = self.mesh._version
+        """Number the dofs by first appearance of their entity keys in active-cell order."""
+        mesh, degree = self.mesh, self.degree
+        self.active_ids = mesh.active_cells()
+        self.cell_index = dict(zip(self.active_ids, range(len(self.active_ids))))
+        cells = np.asarray(self.active_ids, dtype=np.intp)
+        verts = mesh.forest().vertices[cells]
+        # the corners where a lattice node's bilinear weights are nonzero span
+        # its entity: one integer key per vertex, per (sorted) vertex pair, per cell
+        shape = tensor_shape(1, _lattice_points(degree))
+        nv = np.int64(mesh.n_vertices)
+        keys = np.empty((len(cells), len(shape)), dtype=np.int64)
+        for loc, corners in enumerate(shape != 0.0):
+            ids = verts[:, corners]
+            if ids.shape[1] == 1:
+                keys[:, loc] = ids[:, 0]
+            elif ids.shape[1] == 2:
+                keys[:, loc] = nv + ids.min(axis=1) * nv + ids.max(axis=1)
+            else:
+                keys[:, loc] = nv + nv * nv + cells
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.cell_dofs = rank[inverse.reshape(keys.shape)]
+        self.n_dofs = len(order)
+        # support point of every dof: its first lattice node, through the bilinear cell map
+        cell, loc = np.divmod(first[order], keys.shape[1])
+        self.support_points = np.einsum(
+            "nv,nvd->nd", shape[loc], mesh.cell_corner_coords(cells[cell])
+        )
+        self._mesh_version = mesh._version
 
     def _check_current(self):
         if self.mesh._version != self._mesh_version:
@@ -201,80 +168,65 @@ class FeSpace:
         self._check_current()
         return self.cell_dofs[self.cell_index[cid]]
 
+    def _dofs_on_faces(self, cells, faces):
+        """Dofs on ``faces`` of the cells at positions ``cells``, ascending along each face."""
+        return self.cell_dofs[cells[:, None], _face_lattice(self.degree)[faces]]
+
     # -- hanging-node constraints ---------------------------------------------
 
     @property
     def constraints(self):
+        self._check_current()
         if self._constraints is None:
             self._constraints = self.hanging_constraints()
         return self._constraints
 
     def hanging_constraints(self):
-        """Constraints tying fine-side dofs on 1-irregular faces to the coarse trace."""
-        self._check_current()
-        mesh = self.mesh
-        degree = self.degree
-        nodes = _NODES_1D[degree]
-        rows = {}
-        topo = mesh.face_topology()
-        for cid in self.active_ids:
-            cell = mesh.cells[cid]
-            for f in range(4):
-                kind, payload = topo[(cid, f)]
-                if kind != "coarser":
-                    continue
-                coarse = payload
-                g = OPPOSITE_FACE[f]
-                masters = self._face_dofs(coarse, g)
-                A, B = (
-                    mesh.points[mesh.cells[coarse].vertices[s]] for s in FACE_VERTS[g]
-                )
-                span = B - A
-                denom = float(span @ span)
-                fine_dofs = self._face_dofs(cid, f)
-                a, b = (mesh.points[cell.vertices[s]] for s in FACE_VERTS[f])
-                s_a = float((a - A) @ span) / denom
-                s_b = float((b - A) @ span) / denom
-                for local, dof in enumerate(fine_dofs):
-                    if dof in masters:
-                        continue
-                    s = s_a + nodes[local] * (s_b - s_a)
-                    w = shape_1d(degree, np.array([s]))[0]
-                    entry = tuple(
-                        (m, float(wi)) for m, wi in zip(masters, w) if wi != 0.0
-                    )
-                    prev = rows.get(dof)
-                    if prev is None:
-                        rows[dof] = entry
-        return ConstraintSet(self.n_dofs, rows)
+        """Constraints tying fine-side dofs on 1-irregular faces to the coarse trace.
 
-    def _face_dofs(self, cid, face):
-        idx = _face_lattice(self.degree)[face]
-        return [int(d) for d in self.dofs_on_cell(cid)[list(idx)]]
+        Every "coarser" row of the face table is one fine face covering half
+        of a coarse face; its dofs that are not coarse-face dofs follow the
+        coarse trace.  A dof on several such faces keeps its first row.
+        """
+        self._check_current()
+        table = self.mesh.face_topology()
+        forest = self.mesh.forest()
+        hanging = table.kind == COARSER
+        fine, face, coarse = table.owner[hanging], table.face[hanging], table.neighbor[hanging]
+        slaves = self._dofs_on_faces(fine, face)
+        masters = self._dofs_on_faces(coarse, OPPOSITE_FACE[face])
+        # the fine face starts at 0 or 1/2 of the coarse face, exactly, in the forest boxes
+        along = np.where(face < 2, 1, 0)
+        fine_cell, coarse_cell = table.cells[fine], table.cells[coarse]
+        start = (
+            forest.origin[fine_cell, along] - forest.origin[coarse_cell, along]
+        ) / forest.scale[coarse_cell]
+        s = start[:, None] + _NODES_1D[self.degree] * 0.5
+        weights = shape_1d(self.degree, s.ravel())
+        free = ~(slaves[:, :, None] == masters[:, None, :]).any(axis=-1).ravel()
+        candidates = np.flatnonzero(free)
+        _, first = np.unique(slaves.ravel()[candidates], return_index=True)
+        picked = candidates[np.sort(first)]
+        rows = {
+            dof: tuple((m, w) for m, w in zip(ms, ws) if w != 0.0)
+            for dof, ms, ws in zip(
+                slaves.ravel()[picked].tolist(),
+                masters[picked // slaves.shape[1]].tolist(),
+                weights[picked].tolist(),
+            )
+        }
+        return ConstraintSet(self.n_dofs, rows)
 
     # -- boundary dofs ---------------------------------------------------------
 
-    def boundary_faces(self, color):
-        """Active (cell, face) pairs on the boundary with the given color."""
-        self._check_current()
-        cached = self._boundary_faces.get(color)
-        if cached is None:
-            cached = [
-                (cid, f)
-                for (cid, f), (kind, payload) in sorted(self.mesh.face_topology().items())
-                if kind == "boundary" and payload == color
-            ]
-            self._boundary_faces[color] = cached
-        return cached
-
     def boundary_dofs(self, color):
         """Sorted dof indices on boundary faces of the given color."""
+        self._check_current()
         cached = self._boundary_dofs.get(color)
         if cached is None:
-            dofs = set()
-            for cid, f in self.boundary_faces(color):
-                dofs.update(self._face_dofs(cid, f))
-            cached = np.fromiter(sorted(dofs), dtype=int)
+            table = self.mesh.face_topology()
+            on = table.on_boundary(color)
+            cached = np.unique(self._dofs_on_faces(table.owner[on], table.face[on]))
             self._boundary_dofs[color] = cached
         return cached
 
@@ -295,7 +247,7 @@ def _basis_tables(degree, n):
     """Reference basis values, gradients and Hessians at the n-point tensor Gauss rule."""
     pts = gauss_quadrature(n).points
     tables = tensor_shape(degree, pts), tensor_grad(degree, pts), tensor_hessian(degree, pts)
-    return BasisTables(*_read_only(*tables))
+    return read_only(BasisTables(*tables))
 
 
 @dataclass(frozen=True)
@@ -340,7 +292,7 @@ def cell_rule(space, n):
         phys = np.einsum("qv,cvd->cqd", tensor_shape(1, quad.points), coords)
         J = np.einsum("cvd,qve->cqde", coords, tensor_grad(1, quad.points))
         detJ, invJ = _invert_jacobian(J)
-        return CellRule(n, *_read_only(quad.weights[None, :] * detJ, phys, invJ))
+        return CellRule(n, *read_only((quad.weights[None, :] * detJ, phys, invJ)))
 
     return mesh.cached(("cell_rule", n), build)
 
@@ -414,30 +366,22 @@ def assemble_load_volume(space, f, condense=True):
 
 def assemble_load_neumann(space, h, condense=True):
     """Boundary load over Neumann-colored faces: b_i = int_{Gamma_N} h phi_i."""
-    from .mesh import NEUMANN
-
+    space._check_current()
     b = np.zeros(space.n_dofs)
-    faces = space.boundary_faces(NEUMANN)
-    if not faces:
+    table = space.mesh.face_topology()
+    on = table.on_boundary(NEUMANN)
+    if not on.any():
         return b
+    cells, faces = table.owner[on], table.face[on]
     s, w = gauss_1d(space.degree + 1)
     trace = shape_1d(space.degree, s)
-    mesh = space.mesh
-    pts_mesh = mesh.points
-    ends = np.array(
-        [
-            [pts_mesh[mesh.cells[cid].vertices[FACE_VERTS[f][0]]],
-             pts_mesh[mesh.cells[cid].vertices[FACE_VERTS[f][1]]]]
-            for cid, f in faces
-        ]
-    )  # (nf, 2, 2)
+    ends = space.mesh.cell_corner_coords(space.active_ids)[cells[:, None], FACE_VERTS[faces]]
     seg = ends[:, 1] - ends[:, 0]
     length = np.hypot(seg[:, 0], seg[:, 1])
     pts = ends[:, None, 0, :] + s[None, :, None] * seg[:, None, :]  # (nf, q, 2)
     hv = h(pts)
     contrib = np.einsum("fq,qi->fi", w[None, :] * length[:, None] * hv, trace)
-    dofs = np.array([space._face_dofs(cid, f) for cid, f in faces])
-    np.add.at(b, dofs, contrib)
+    np.add.at(b, space._dofs_on_faces(cells, faces), contrib)
     return space.constraints.condense_vector(b) if condense else b
 
 

@@ -1,10 +1,17 @@
 """Hierarchical 2D quadrilateral meshes with hanging-node refinement.
 
-Cells are stored as a forest: refinement replaces an active cell by four
-children (isotropic bisection) and keeps the parent for neighbor lookups.
-Meshes stay 1-irregular (adjacent active cells differ by at most one
-level); closure refinements are applied automatically.  Boundary faces
-carry a color (Dirichlet or Neumann) which children inherit.
+The mesh state is a forest of cells held as per-cell arrays
+(:class:`Forest`): refinement replaces an active cell by four children
+(isotropic bisection) and keeps the parent.  Meshes stay 1-irregular
+(adjacent active cells differ by at most one level); closure refinements
+are applied automatically.  Boundary faces carry a color (Dirichlet or
+Neumann) which children inherit.
+
+Adjacency is one array, ``Forest.neighbor``: the equal-or-coarser cell
+across each face of every cell (-1 on the boundary), built level by level
+from the parents' entries.  Refinement reads its closure from that array,
+and every consumer of adjacency reads the mesh state's :class:`FaceTable`,
+built from it with one row per face piece of every active cell.
 
 Vertex order within a cell is lower-left, lower-right, upper-left,
 upper-right; faces are numbered left, right, bottom, top.  Root cells must
@@ -14,6 +21,7 @@ constructors here guarantee.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,36 +29,45 @@ import numpy as np
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+BOUNDARY_COLORS = (DIRICHLET, NEUMANN)  # a face's color code indexes this tuple
+
+# face kinds of a face-table row, seen from the owning cell
+BOUNDARY, SAME, COARSER, FINER = range(4)
+
+
+def read_only(arrays):
+    """``arrays`` (any iterable of arrays, e.g. a :class:`Forest`), each made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 # face -> canonical (ascending-parameter) endpoint slots in the cell
-FACE_VERTS = ((0, 2), (1, 3), (0, 1), (2, 3))
-OPPOSITE_FACE = (1, 0, 3, 2)
+FACE_VERTS = np.array([[0, 2], [1, 3], [0, 1], [2, 3]])
+OPPOSITE_FACE = np.array([1, 0, 3, 2])
 # child position within parent: 0 lower-left, 1 lower-right, 2 upper-left, 3 upper-right
-_SIBLING_ACROSS = (
-    {1: 0, 3: 2},  # left
-    {0: 1, 2: 3},  # right
-    {2: 0, 3: 1},  # bottom
-    {0: 2, 1: 3},  # top
-)
-# child of the neighbor touching my child position across the face
-_MIRROR_CHILD = (
-    {0: 1, 2: 3},  # left neighbor: its right-side children
-    {1: 0, 3: 2},
-    {0: 2, 1: 3},
-    {2: 0, 3: 1},
-)
+# [face, position]: sibling across the face, -1 where the face lies on the parent's face
+_SIBLING_ACROSS = np.array([[-1, 0, -1, 2], [1, -1, 3, -1], [-1, -1, 0, 1], [2, 3, -1, -1]])
+# [face, position]: child of the neighbor touching that position across the face
+_MIRROR_CHILD = _SIBLING_ACROSS[OPPOSITE_FACE]
 # children of a cell adjacent to one of its own faces, ascending along the face
-FACE_CHILDREN = ((0, 2), (1, 3), (0, 1), (2, 3))
+FACE_CHILDREN = np.array([[0, 2], [1, 3], [0, 1], [2, 3]])
+# vertices of the four children as slots of (corners 0-3, bottom, top, left, right, centre)
+_CHILD_VERTS = np.array([[0, 4, 6, 8], [4, 1, 8, 7], [6, 8, 2, 5], [8, 7, 5, 3]])
+read_only((FACE_VERTS, OPPOSITE_FACE, _SIBLING_ACROSS, _MIRROR_CHILD, FACE_CHILDREN, _CHILD_VERTS))
 
 _KEY_SCALE = 1e10  # vertex dedup grid; far below any attainable cell size
+_MAX_COORD = 2.0**62 / _KEY_SCALE  # keeps the grid's integer keys inside int64
 
 
 class OutsideDomainError(ValueError):
     """Queried point lies outside the meshed domain."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
+    """Read-only view of one cell of the forest."""
+
     vertices: tuple  # 4 vertex ids (LL, LR, UL, UR)
     level: int
     parent: int | None = None
@@ -67,8 +84,9 @@ class Forest(NamedTuple):
 
     A cell covers the box ``origin + scale * [0, 1]^2`` of its root's
     reference square; child ``pos`` of a cell takes the quarter at
-    ``x = pos & 1``, ``y = pos >> 1`` (the convention of :meth:`QuadMesh._split`).
-    Boxes are dyadic, so they are exact in floating point.
+    ``x = pos & 1``, ``y = pos >> 1``.  Boxes are dyadic, so they are exact
+    in floating point.  Arrays are never written after construction:
+    refinement builds a new forest.
     """
 
     children: np.ndarray  # (n, 4) child ids, -1 on active cells
@@ -76,6 +94,53 @@ class Forest(NamedTuple):
     scale: np.ndarray  # (n,) edge length of the box
     root: np.ndarray  # (n,) root cell id
     level: np.ndarray  # (n,)
+    parent: np.ndarray  # (n,) parent id, -1 on roots
+    position: np.ndarray  # (n,) child position within the parent, -1 on roots
+    vertices: np.ndarray  # (n, 4) vertex ids
+    neighbor: np.ndarray  # (n, 4) equal-or-coarser cell across each face, -1 on the boundary
+    color: np.ndarray  # (n, 4) boundary color code per face, -1 off the boundary
+
+
+class FaceTable(NamedTuple):
+    """One row per face piece of every active cell, cached per refinement state.
+
+    Rows are ordered by (owner position, face 0..3, piece ascending along
+    the face); a face with two finer neighbors has two pieces, every other
+    face one.  Cells are given as positions in ``cells`` (the ids of
+    ``mesh.active_cells()``, which every space on the mesh shares).  All
+    arrays are read-only.
+    """
+
+    cells: np.ndarray  # (m,) active cell ids
+    owner: np.ndarray  # position of the cell owning the face
+    face: np.ndarray  # the owner's face
+    neighbor: np.ndarray  # position of the active cell across the piece, -1 on the boundary
+    kind: np.ndarray  # BOUNDARY, SAME, COARSER or FINER, seen from the owner
+    color: np.ndarray  # boundary color code (index into BOUNDARY_COLORS), -1 inside
+    edge_cell: np.ndarray  # (position, face) whose edge is the piece: the finer
+    edge_face: np.ndarray  # neighbor's on a FINER row, the owner's otherwise
+
+    def on_boundary(self, color):
+        """Rows on boundary faces of the given color."""
+        return self.color == BOUNDARY_COLORS.index(color)
+
+
+def _neighbors(forest, first_level=1):
+    """Equal-or-coarser neighbor array, recomputed level by level from ``first_level`` on.
+
+    Rows of lower levels are taken from ``forest.neighbor``.
+    """
+    nb = forest.neighbor.copy()
+    children, parent, pos, level = forest.children, forest.parent, forest.position, forest.level
+    for lev in range(first_level, int(level.max()) + 1):
+        cells = np.flatnonzero(level == lev)
+        p = parent[cells, None]
+        sib = _SIBLING_ACROSS[:, pos[cells]].T  # (m, 4)
+        up = nb[p[:, 0]]
+        across = np.where(children[up, 0] < 0, up, children[up, _MIRROR_CHILD[:, pos[cells]].T])
+        across[up < 0] = -1
+        nb[cells] = np.where(sib >= 0, children[p, sib], across)
+    return nb
 
 
 class QuadMesh:
@@ -89,60 +154,64 @@ class QuadMesh:
         points : (n, 2) array of vertex coordinates.
         cell_vertices : sequence of 4-tuples in (LL, LR, UL, UR) order.
         colorizer : callable mapping two face endpoint coordinates to a
-            boundary color; defaults to all-Dirichlet.
+            boundary color in ``BOUNDARY_COLORS``; defaults to all-Dirichlet.
         """
-        points = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(points)):
-            raise ValueError("vertex coordinates must be finite")
-        self._points = [points[i].copy() for i in range(points.shape[0])]
-        self._vertex_key = {self._key(p): i for i, p in enumerate(self._points)}
-        if len(self._vertex_key) != len(self._points):
+        points = np.array(points, dtype=float).reshape(-1, 2)
+        if not np.all(np.abs(points) < _MAX_COORD):
+            raise ValueError(f"vertex coordinates must be finite and below {_MAX_COORD:g}")
+        self._points = points
+        self._points.setflags(write=False)
+        self._vertex_key = {key: i for i, key in enumerate(self._keys(points))}
+        if len(self._vertex_key) != len(points):
             raise ValueError("duplicate vertices in root mesh")
-        self.cells = [Cell(tuple(v), level=0) for v in cell_vertices]
-        self._roots = list(range(len(self.cells)))
-        self._root_neighbors = self._match_root_faces()
-        self.boundary_color = {}
+        vertices = np.array(cell_vertices, dtype=np.intp).reshape(-1, 4)
+        n = len(vertices)
+        self._roots = range(n)
+        neighbor = self._match_root_faces(vertices)
         colorizer = colorizer or (lambda a, b: DIRICHLET)
-        for cid in self._roots:
-            for f in range(4):
-                if self._root_neighbors[cid][f] is None:
-                    a, b = (self._points[self.cells[cid].vertices[s]] for s in FACE_VERTS[f])
-                    self.boundary_color[(cid, f)] = colorizer(a, b)
+        color = np.full((n, 4), -1, dtype=np.intp)
+        for cid, f in zip(*np.nonzero(neighbor < 0)):
+            a, b = points[vertices[cid, FACE_VERTS[f]]]
+            c = colorizer(a, b)
+            if c not in BOUNDARY_COLORS:
+                raise ValueError(f"boundary color must be one of {BOUNDARY_COLORS}, got {c!r}")
+            color[cid, f] = BOUNDARY_COLORS.index(c)
+        self._forest = read_only(Forest(
+            children=np.full((n, 4), -1, dtype=np.intp),
+            origin=np.zeros((n, 2)),
+            scale=np.ones(n),
+            root=np.arange(n),
+            level=np.zeros(n, dtype=np.intp),
+            parent=np.full(n, -1, dtype=np.intp),
+            position=np.full(n, -1, dtype=np.intp),
+            vertices=vertices,
+            neighbor=neighbor,
+            color=color,
+        ))
         self._version = 0
         self._cache = {}
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _key(p):
-        return (int(round(p[0] * _KEY_SCALE)), int(round(p[1] * _KEY_SCALE)))
+    def _keys(points):
+        """Dedup keys of (n, 2) coordinates: the coordinates on a fine integer grid."""
+        return list(map(tuple, np.rint(points * _KEY_SCALE).astype(np.int64).tolist()))
 
-    def _vertex_at(self, p):
-        key = self._key(p)
-        vid = self._vertex_key.get(key)
-        if vid is None:
-            vid = len(self._points)
-            self._points.append(np.asarray(p, dtype=float))
-            self._vertex_key[key] = vid
-        return vid
-
-    def _match_root_faces(self):
-        by_face = {}
-        for cid in self._roots:
-            for f in range(4):
-                a, b = (self.cells[cid].vertices[s] for s in FACE_VERTS[f])
-                by_face.setdefault(frozenset((a, b)), []).append((cid, f))
-        neighbors = [[None] * 4 for _ in self._roots]
-        for entries in by_face.values():
-            if len(entries) > 2:
-                raise ValueError("face shared by more than two root cells")
-            if len(entries) == 2:
-                (c0, f0), (c1, f1) = entries
-                if f1 != OPPOSITE_FACE[f0]:
-                    raise ValueError("root cells are not consistently oriented")
-                neighbors[c0][f0] = c1
-                neighbors[c1][f1] = c0
-        return neighbors
+    @staticmethod
+    def _match_root_faces(vertices):
+        """Root neighbor array from the faces' vertex pairs; row 4 * cell + face per face."""
+        pairs = np.sort(vertices[:, FACE_VERTS], axis=-1).reshape(-1, 2)
+        _, edge, count = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+        if count.max() > 2:
+            raise ValueError("face shared by more than two root cells")
+        shared = np.flatnonzero(count[edge] == 2)
+        a, b = shared[np.argsort(edge[shared], kind="stable")].reshape(-1, 2).T
+        if np.any(b % 4 != OPPOSITE_FACE[a % 4]):
+            raise ValueError("root cells are not consistently oriented")
+        neighbors = np.full(len(pairs), -1, dtype=np.intp)
+        neighbors[a], neighbors[b] = b // 4, a // 4
+        return neighbors.reshape(-1, 4)
 
     # -- basic queries -------------------------------------------------------
 
@@ -156,17 +225,46 @@ class QuadMesh:
 
     @property
     def points(self):
-        return self.cached("points", lambda: np.array(self._points))
+        """Vertex coordinates, (n_vertices, 2), read-only."""
+        return self._points
 
     @property
     def n_vertices(self):
         return len(self._points)
 
+    def forest(self):
+        """The refinement-forest arrays (:class:`Forest`) of the current state."""
+        return self._forest
+
+    @property
+    def cells(self):
+        """All cells ever created, as read-only :class:`Cell` views indexed by id."""
+        return self.cached("cells", self._cell_views)
+
+    def _cell_views(self):
+        f = self._forest
+        return [
+            Cell(tuple(v), lev, None if p < 0 else p, None if ch[0] < 0 else tuple(ch),
+                 None if p < 0 else pos)
+            for v, lev, p, ch, pos in zip(
+                f.vertices.tolist(), f.level.tolist(), f.parent.tolist(),
+                f.children.tolist(), f.position.tolist(),
+            )
+        ]
+
+    @property
+    def boundary_color(self):
+        """(cell id, face) -> color of every boundary face of every cell."""
+        return self.cached("colors", lambda: {
+            (cid, f): BOUNDARY_COLORS[self._forest.color[cid, f]]
+            for cid, f in zip(*(a.tolist() for a in np.nonzero(self._forest.color >= 0)))
+        })
+
     def active_cells(self):
         """Active cell ids in creation order (deterministic across runs)."""
-        return list(
-            self.cached("active", lambda: [i for i, c in enumerate(self.cells) if c.active])
-        )
+        return list(self.cached(
+            "active", lambda: np.flatnonzero(self._forest.children[:, 0] < 0).tolist()
+        ))
 
     @property
     def n_active_cells(self):
@@ -176,16 +274,10 @@ class QuadMesh:
         """Corner coordinates, shape (n_cells, 4, 2)."""
         if cids is None:
             cids = self.active_cells()
-        pts = self.points
-        idx = np.array([self.cells[c].vertices for c in cids], dtype=int)
-        return pts[idx]
-
-    def cell_bbox(self, cid):
-        pts = self.points[np.array(self.cells[cid].vertices)]
-        return pts.min(axis=0), pts.max(axis=0)
+        return self._points[self._forest.vertices[np.asarray(cids, dtype=np.intp)]]
 
     def cell_area(self, cid):
-        v = self.points[np.array(self.cells[cid].vertices)]
+        v = self.cell_corner_coords([cid])[0]
         # shoelace over the polygon LL -> LR -> UR -> UL
         x = v[[0, 1, 3, 2], 0]
         y = v[[0, 1, 3, 2], 1]
@@ -199,174 +291,135 @@ class QuadMesh:
         return self.cached("fp", self._fingerprint)
 
     def _fingerprint(self):
-        import hashlib
-
-        h = hashlib.sha1()
-        h.update(self.points.tobytes())
-        for c in self.cells:
-            h.update(repr((c.vertices, c.level, c.parent, c.children)).encode())
-        h.update(repr(sorted(self.boundary_color.items())).encode())
+        h = hashlib.sha1(self._points.tobytes())
+        f = self._forest
+        for arr in (f.vertices, f.level, f.parent, f.children, f.color):
+            h.update(arr.tobytes())
         return h.hexdigest()
 
     def copy(self):
+        """An independent mesh in the same state; the immutable forest arrays are shared."""
         new = QuadMesh.__new__(QuadMesh)
-        new._points = [p.copy() for p in self._points]
+        new._points = self._points
         new._vertex_key = dict(self._vertex_key)
-        new.cells = [
-            Cell(c.vertices, c.level, c.parent, c.children, c.child_pos) for c in self.cells
-        ]
-        new._roots = list(self._roots)
-        new._root_neighbors = [list(r) for r in self._root_neighbors]
-        new.boundary_color = dict(self.boundary_color)
+        new._roots = self._roots
+        new._forest = self._forest
         new._version = self._version
         new._cache = {}
         return new
 
-    # -- neighbor lookup -----------------------------------------------------
-
-    def neighbor_ge(self, cid, face):
-        """Neighbor of equal or coarser level across ``face`` (None at the boundary)."""
-        cell = self.cells[cid]
-        if cell.parent is None:
-            return self._root_neighbors[cid][face]
-        sib = _SIBLING_ACROSS[face].get(cell.child_pos)
-        if sib is not None:
-            return self.cells[cell.parent].children[sib]
-        up = self.neighbor_ge(cell.parent, face)
-        if up is None:
-            return None
-        up_cell = self.cells[up]
-        if up_cell.children is None:
-            return up
-        return up_cell.children[_MIRROR_CHILD[face][cell.child_pos]]
-
-    def active_across(self, cid, face):
-        """Active cells sharing ``face`` of ``cid``, ascending along the face."""
-        nb = self.neighbor_ge(cid, face)
-        if nb is None:
-            return []
-        out = []
-
-        def collect(c, g):
-            cell = self.cells[c]
-            if cell.active:
-                out.append(c)
-            else:
-                for pos in FACE_CHILDREN[g]:
-                    collect(cell.children[pos], g)
-
-        collect(nb, OPPOSITE_FACE[face])
-        return out
-
-    def is_boundary_face(self, cid, face):
-        return self.neighbor_ge(cid, face) is None
+    # -- adjacency -------------------------------------------------------------
 
     def face_topology(self):
-        """Classified faces of all active cells, cached per refinement state.
+        """The :class:`FaceTable` of the active cells, cached per refinement state."""
+        return self.cached("faces", self._face_table)
 
-        Returns a dict (cid, face) -> ("boundary", color) | ("same", nb) |
-        ("coarser", nb) | ("finer", (nb, nb)).
-        """
-        return self.cached("topo", self._face_topology)
+    def _face_table(self):
+        f = self._forest
+        cells = np.flatnonzero(f.children[:, 0] < 0)
+        position = np.full(len(f.level), -1, dtype=np.intp)
+        position[cells] = np.arange(len(cells))
+        nb = f.neighbor[cells]  # (m, 4)
+        finer = (nb >= 0) & (f.children[nb, 0] >= 0)
+        kind = np.where(nb < 0, BOUNDARY, np.where(
+            finer, FINER, np.where(f.level[nb] < f.level[cells, None], COARSER, SAME)
+        ))
+        # a finer neighbor's two children touching the face, ascending along it
+        touch = f.children[nb[..., None], FACE_CHILDREN[OPPOSITE_FACE]]
+        piece = np.where(finer[..., None], touch, nb[..., None])  # (m, 4, 2)
+        rows = np.ones(piece.shape, dtype=bool)
+        rows[..., 1] = finer
+        owner, face, _ = np.nonzero(rows)
+        neighbor = np.where(piece[rows] >= 0, position[piece[rows]], -1)
+        kind = kind[owner, face]
+        is_finer = kind == FINER
+        return read_only(FaceTable(
+            cells=cells,
+            owner=owner,
+            face=face,
+            neighbor=neighbor,
+            kind=kind,
+            color=f.color[cells[owner], face],
+            edge_cell=np.where(is_finer, neighbor, owner),
+            edge_face=np.where(is_finer, OPPOSITE_FACE[face], face),
+        ))
 
-    def _face_topology(self):
-        topo = {}
-        for cid in self.active_cells():
-            level = self.cells[cid].level
-            for f in range(4):
-                nbs = self.active_across(cid, f)
-                if not nbs:
-                    topo[(cid, f)] = ("boundary", self.boundary_color[(cid, f)])
-                elif len(nbs) > 1:
-                    topo[(cid, f)] = ("finer", tuple(nbs))
-                elif self.cells[nbs[0]].level < level:
-                    topo[(cid, f)] = ("coarser", nbs[0])
-                else:
-                    topo[(cid, f)] = ("same", nbs[0])
-        return topo
+    def active_across(self, cid, face):
+        """Active cells sharing ``face`` of the active cell ``cid``, ascending along the face."""
+        table = self.face_topology()
+        k = np.searchsorted(table.cells, cid)
+        if k == len(table.cells) or table.cells[k] != cid:
+            raise ValueError(f"cell {cid} is not active")
+        rows = (table.owner == k) & (table.face == face) & (table.kind != BOUNDARY)
+        return table.cells[table.neighbor[rows]].tolist()
 
-    def forest(self):
-        """Refinement-forest arrays (:class:`Forest`), cached per refinement state."""
-        return self.cached("forest", self._forest)
-
-    def _forest(self):
-        n = len(self.cells)
-        children = np.full((n, 4), -1, dtype=np.intp)
-        origin = np.zeros((n, 2))
-        scale = np.ones(n)
-        root = np.arange(n)
-        level = np.zeros(n, dtype=np.intp)
-        # parents precede their children in cell-id order
-        for cid, cell in enumerate(self.cells):
-            if cell.children is not None:
-                children[cid] = cell.children
-            if cell.parent is not None:
-                p, pos = cell.parent, cell.child_pos
-                scale[cid] = 0.5 * scale[p]
-                origin[cid, 0] = origin[p, 0] + scale[cid] * (pos & 1)
-                origin[cid, 1] = origin[p, 1] + scale[cid] * (pos >> 1)
-                root[cid] = root[p]
-                level[cid] = cell.level
-        return Forest(children, origin, scale, root, level)
+    def is_boundary_face(self, cid, face):
+        return bool(self._forest.neighbor[cid, face] < 0)
 
     # -- refinement ----------------------------------------------------------
 
     def refine(self, marked_cells):
-        """Isotropically refine the marked active cells (plus 1-irregularity closure)."""
-        active = set(self.active_cells())
-        marked = set(marked_cells)
-        if not marked <= active:
+        """Isotropically refine the marked active cells (plus 1-irregularity closure).
+
+        Each round splits its cells in ascending id order; the next round
+        holds the active cells that the new neighbor array shows more than
+        one level coarser than a cell split in this round.
+        """
+        f = self._forest
+        queue = np.unique(np.fromiter(marked_cells, dtype=np.intp))
+        if queue.size and (
+            queue[0] < 0 or queue[-1] >= len(f.level) or np.any(f.children[queue, 0] >= 0)
+        ):
             raise ValueError("marked ids must refer to active cells")
-        queue = sorted(marked)
-        while queue:
-            next_round = set()
-            for cid in queue:
-                if not self.cells[cid].active:
-                    continue
-                next_round.update(self._split(cid))
-            queue = sorted(next_round)
+        while queue.size:
+            f = self._split(f, queue)
+            nb = f.neighbor[queue]
+            coarse = (nb >= 0) & (f.children[nb, 0] < 0) & (f.level[nb] < f.level[queue, None])
+            queue = np.unique(nb[coarse])
+        self._forest = f
         self._version += 1
+        self._cache = {}
         return self
 
-    def _split(self, cid):
-        """Split one active cell; returns coarser neighbors that now violate 1-irregularity."""
-        cell = self.cells[cid]
-        pts = [self._points[v] for v in cell.vertices]
-        v0, v1, v2, v3 = cell.vertices
-        mb = self._vertex_at((pts[0] + pts[1]) / 2.0)
-        mt = self._vertex_at((pts[2] + pts[3]) / 2.0)
-        ml = self._vertex_at((pts[0] + pts[2]) / 2.0)
-        mr = self._vertex_at((pts[1] + pts[3]) / 2.0)
-        cc = self._vertex_at((pts[0] + pts[1] + pts[2] + pts[3]) / 4.0)
-        child_verts = (
-            (v0, mb, ml, cc),
-            (mb, v1, cc, mr),
-            (ml, cc, v2, mt),
-            (cc, mr, mt, v3),
+    def _split(self, f, cells):
+        """The forest after splitting the active ``cells`` (ascending ids) into four children."""
+        k, n = len(cells), len(f.level)
+        p0, p1, p2, p3 = np.moveaxis(self._points[f.vertices[cells]], 1, 0)
+        # bottom, top, left and right midpoints and the centre of every cell
+        mids = np.stack(
+            [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
+             (p0 + p1 + p2 + p3) / 4.0], axis=1,
+        ).reshape(-1, 2)
+        n_points = len(self._points)
+        ids = np.array([
+            self._vertex_key.setdefault(key, len(self._vertex_key)) for key in self._keys(mids)
+        ], dtype=np.intp)
+        _, first = np.unique(ids, return_index=True)
+        self._points = np.concatenate([self._points, mids[first[ids[first] >= n_points]]])
+        self._points.setflags(write=False)
+        parent = np.repeat(cells, 4)
+        position = np.tile(np.arange(4), k)
+        scale = 0.5 * f.scale[parent]
+        quarter = np.column_stack([position & 1, position >> 1])
+        corners_and_mids = np.concatenate([f.vertices[cells], ids.reshape(k, 5)], axis=1)
+        # children inherit the colors of the parent faces they cover
+        inherit = _SIBLING_ACROSS[:, position].T < 0
+        rows = Forest(
+            children=np.full((4 * k, 4), -1, dtype=np.intp),
+            origin=f.origin[parent] + scale[:, None] * quarter,
+            scale=scale,
+            root=f.root[parent],
+            level=f.level[parent] + 1,
+            parent=parent,
+            position=position,
+            vertices=corners_and_mids[:, _CHILD_VERTS].reshape(-1, 4),
+            neighbor=np.full((4 * k, 4), -1, dtype=np.intp),
+            color=np.where(inherit, f.color[parent], -1),
         )
-        base = len(self.cells)
-        ids = tuple(range(base, base + 4))
-        for pos, verts in enumerate(child_verts):
-            self.cells.append(
-                Cell(verts, level=cell.level + 1, parent=cid, child_pos=pos)
-            )
-        cell.children = ids
-        # inherit boundary colors onto the child faces covering each colored face
-        for f in range(4):
-            color = self.boundary_color.get((cid, f))
-            if color is not None:
-                for pos in FACE_CHILDREN[f]:
-                    self.boundary_color[(ids[pos], f)] = color
-        # closure: any active face neighbor coarser than this cell now differs
-        # from the new children by two levels and must split as well
-        violated = set()
-        for f in range(4):
-            nb = self.neighbor_ge(cid, f)
-            if nb is not None:
-                nb_cell = self.cells[nb]
-                if nb_cell.active and nb_cell.level < cell.level:
-                    violated.add(nb)
-        return violated
+        grown = Forest(*map(np.concatenate, zip(f, rows)))
+        grown.children[cells] = n + np.arange(4 * k).reshape(k, 4)
+        # only cells finer than the coarsest split cell can see a new neighbor
+        return read_only(grown._replace(neighbor=_neighbors(grown, int(f.level[cells].min()) + 1)))
 
     # -- point location ------------------------------------------------------
 
@@ -375,7 +428,7 @@ class QuadMesh:
         ref = np.asarray(ref, dtype=float)
         xi = ref[..., 0]
         eta = ref[..., 1]
-        v = self.points[np.array(self.cells[cid].vertices)]
+        v = self.cell_corner_coords([cid])[0]
         w = np.stack(
             [(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta], axis=-1
         )
@@ -383,7 +436,7 @@ class QuadMesh:
 
     def invert_map(self, cid, p, tol=1e-12, max_iter=20):
         """Newton inversion of the bilinear map; returns (ref_coords, converged)."""
-        v = self.points[np.array(self.cells[cid].vertices)]
+        v = self.cell_corner_coords([cid])[0]
         p = np.asarray(p, dtype=float)
         xi, eta = 0.5, 0.5
         for _ in range(max_iter):
@@ -414,19 +467,19 @@ class QuadMesh:
         p = np.asarray(p, dtype=float)
         pad = max(tol, 1e-12)
         ref_slack = 1e-9
+        children = self._forest.children
         candidates = []
 
         def descend(cid):
-            lo, hi = self.cell_bbox(cid)
-            if np.any(p < lo - pad) or np.any(p > hi + pad):
+            corners = self.cell_corner_coords([cid])[0]
+            if np.any(p < corners.min(axis=0) - pad) or np.any(p > corners.max(axis=0) + pad):
                 return
-            cell = self.cells[cid]
-            if cell.active:
+            if children[cid, 0] < 0:
                 ref, ok = self.invert_map(cid, p)
                 if ok and np.all(ref >= -ref_slack) and np.all(ref <= 1 + ref_slack):
                     candidates.append((cid, ref))
             else:
-                for child in cell.children:
+                for child in children[cid].tolist():
                     descend(child)
 
         for rid in self._roots:

@@ -36,32 +36,18 @@ def hanging_mesh():
     return mesh
 
 
-SHEAR = 0.25
-
-
 @pytest.fixture
 def sheared_irregular_lshape():
     """The L-shape sheared to parallelograms, refined to a 1-irregular mesh.
 
-    The left boundary (x = SHEAR * y) is Neumann, the rest Dirichlet.  The
+    The left boundary (x = y / 4) is Neumann, the rest Dirichlet.  The
     lower-left root is refined twice, so same-level, finer, coarser and
     Neumann face pieces all occur, and no face normal is axis-aligned
     except on the horizontal faces.
     """
-    from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh
+    from mesh_state_cases import build
 
-    base = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
-            (0.0, 1.0), (0.5, 1.0)]
-    pts = [(x + SHEAR * y, y) for x, y in base]
-
-    def colorize(a, b):
-        on_left = all(abs(p[0] - SHEAR * p[1]) < 1e-12 for p in (a, b))
-        return NEUMANN if on_left else DIRICHLET
-
-    mesh = QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)], colorize)
-    mesh.refine({0})
-    mesh.refine({mesh.cells[0].children[0]})
-    return mesh
+    return build("sheared")
 
 
 @pytest.fixture

@@ -1,0 +1,120 @@
+"""Recorded mesh states: the meshes, what is observed on them, and the recorder.
+
+Each case is a mesh built from a fixed sequence of refinement marks.  On
+every case :func:`observe` records the refined cell lists, the estimator's
+face-piece arrays and, for the Q1 and Q2 spaces, the dof numbering,
+support points, constraint rows, boundary dofs and a Neumann load.
+``tests/data/mesh_state.npz`` holds these observations; ``test_mesh_state``
+requires the current code to reproduce them.  Re-record with::
+
+    PYTHONPATH=src python tests/mesh_state_cases.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from dwr_diffusion import estimator, fem
+from dwr_diffusion.fem import FeSpace
+from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh, make_lshape
+
+FIXTURE_FILE = Path(__file__).resolve().parent / "data" / "mesh_state.npz"
+
+SHEAR = 0.25
+RANDOM_SEEDS = (11, 12, 13)
+COLOR_CODES = {DIRICHLET: 0, NEUMANN: 1}
+
+
+def sheared_lshape():
+    """The L-shape sheared to parallelograms; the left boundary x = SHEAR * y is Neumann."""
+    base = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
+            (0.0, 1.0), (0.5, 1.0)]
+    pts = [(x + SHEAR * y, y) for x, y in base]
+
+    def colorize(a, b):
+        on_left = all(abs(p[0] - SHEAR * p[1]) < 1e-12 for p in (a, b))
+        return NEUMANN if on_left else DIRICHLET
+
+    return QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)], colorize)
+
+
+def random_marks(seed, rounds=4, fraction=0.35):
+    """Mark sequence of a random refinement of the L-shape: one sorted id list per round."""
+    rng = np.random.default_rng(seed)
+    mesh = make_lshape()
+    marks = []
+    for _ in range(rounds):
+        picked = sorted(c for c in mesh.active_cells() if rng.random() < fraction)
+        marks.append(picked)
+        mesh.refine(picked)
+    return marks
+
+
+def cases():
+    """Case name -> (coarse mesh factory, mark sequence)."""
+    out = {"sheared": (sheared_lshape, [[0], [3]])}
+    for seed in RANDOM_SEEDS:
+        out[f"lshape{seed}"] = (make_lshape, random_marks(seed))
+    return out
+
+
+def build(name, marks=None):
+    factory, default = cases()[name]
+    mesh = factory()
+    for picked in default if marks is None else marks:
+        mesh.refine(picked)
+    return mesh
+
+
+def neumann_data(x):
+    return np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2
+
+
+def observe(mesh):
+    """Everything recorded on one mesh state, as a dict of arrays."""
+    n = len(mesh.cells)
+    colors = np.full((n, 4), -1)
+    for (cid, f), color in mesh.boundary_color.items():
+        colors[cid, f] = COLOR_CODES[color]
+    out = {
+        "points": mesh.points,
+        "vertices": np.array([c.vertices for c in mesh.cells]),
+        "parent": np.array([-1 if c.parent is None else c.parent for c in mesh.cells]),
+        "children": np.array([c.children or (-1,) * 4 for c in mesh.cells]),
+        "level": np.array([c.level for c in mesh.cells]),
+        "boundary_color": colors,
+    }
+    for key, arr in zip(
+        ("own", "nbr", "face", "seg_cell", "seg_face", "neumann"), estimator.face_pieces(mesh)
+    ):
+        out[f"pieces_{key}"] = np.asarray(arr)
+    for degree in (1, 2):
+        space = FeSpace(mesh, degree)
+        cs = space.constraints
+        rows = [cs.weights(s) for s in cs.slaves]
+        q = f"q{degree}_"
+        out[q + "cell_dofs"] = space.cell_dofs
+        out[q + "support_points"] = space.support_points
+        out[q + "slaves"] = np.array(cs.slaves, dtype=int)
+        out[q + "row_length"] = np.array([len(r) for r in rows], dtype=int)
+        out[q + "masters"] = np.array([m for r in rows for m, _ in r], dtype=int)
+        out[q + "weights"] = np.array([w for r in rows for _, w in r], dtype=float)
+        out[q + "dirichlet_dofs"] = space.boundary_dofs(DIRICHLET)
+        out[q + "neumann_dofs"] = space.boundary_dofs(NEUMANN)
+        out[q + "neumann_load"] = fem.assemble_load_neumann(space, neumann_data, condense=False)
+    return out
+
+
+def record(path=FIXTURE_FILE):
+    arrays = {}
+    for name, (_, marks) in cases().items():
+        for k, picked in enumerate(marks):
+            arrays[f"{name}/marks{k}"] = np.array(picked, dtype=int)
+        for key, value in observe(build(name, marks)).items():
+            arrays[f"{name}/{key}"] = value
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(path, **arrays)
+
+
+if __name__ == "__main__":
+    record()

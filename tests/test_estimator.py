@@ -5,7 +5,9 @@ import pytest
 
 from dwr_diffusion import estimator
 from dwr_diffusion.fem import interpolate
-from dwr_diffusion.mesh import DIRICHLET, NEUMANN
+from dwr_diffusion.mesh import (
+    BOUNDARY, BOUNDARY_COLORS, COARSER, DIRICHLET, FINER, NEUMANN, SAME,
+)
 from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
 from dwr_diffusion.slabs import Slab, TimeInterval
 
@@ -47,11 +49,10 @@ GOLDEN = {
 
 
 def test_mesh_has_every_face_piece_kind(slab):
-    kinds = {kind for kind, payload in slab.mesh.face_topology().values()}
-    colors = {
-        payload for kind, payload in slab.mesh.face_topology().values() if kind == "boundary"
-    }
-    assert kinds == {"same", "finer", "coarser", "boundary"}
+    table = slab.mesh.face_topology()
+    kinds = set(table.kind.tolist())
+    colors = {BOUNDARY_COLORS[c] for c in table.color[table.kind == BOUNDARY].tolist()}
+    assert kinds == {SAME, FINER, COARSER, BOUNDARY}
     assert colors == {NEUMANN, DIRICHLET}
 
 
@@ -96,10 +97,10 @@ def test_linear_solution_has_zero_indicators(slab, rng):
 def test_face_pieces_are_shared_and_read_only(slab):
     data = cone_inputs(slab)
     estimator.indicator_terms(slab, *data)
-    pieces = slab.mesh.cached("face_pieces", lambda: None)
-    assert pieces is not None and len(pieces[0]) > 0
-    for arr in pieces:
+    table = slab.mesh.face_topology()
+    assert len(estimator.face_pieces(slab.mesh)[0]) > 0
+    for arr in table:
         with pytest.raises(ValueError):
             arr[0] = 0
     estimator.indicator_terms(slab, *data)
-    assert slab.mesh.cached("face_pieces", lambda: None) is pieces
+    assert slab.mesh.face_topology() is table

@@ -16,7 +16,7 @@ from dwr_diffusion.fem import (
     interpolate_same_mesh,
     transfer,
 )
-from dwr_diffusion.mesh import make_lshape, make_unit_square, QuadMesh
+from dwr_diffusion.mesh import DIRICHLET, NEUMANN, make_lshape, make_unit_square, QuadMesh
 from dwr_diffusion.slabs import Slab, TimeInterval
 
 
@@ -79,6 +79,30 @@ class TestDofs:
         d0 = set(space.dofs_on_cell(0))
         d1 = set(space.dofs_on_cell(1))
         assert len(d0 & d1) == 2  # shared edge vertices
+
+
+class TestStaleSpace:
+    """Every entry point of a space refuses a mesh refined after the space was built."""
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda space: space.constraints,
+            lambda space: space.boundary_dofs(DIRICHLET),
+            lambda space: space.boundary_dofs(NEUMANN),
+            lambda space: interpolate(space, lambda x: x[..., 0]),
+            lambda space: space.dofs_on_cell(space.active_ids[-1]),
+            lambda space: assemble_load_neumann(space, lambda x: x[..., 1], condense=False),
+        ],
+        ids=["constraints", "dirichlet_dofs", "neumann_dofs", "interpolate", "dofs_on_cell",
+             "neumann_load"],
+    )
+    def test_stale_space_raises(self, lshape, use):
+        space = FeSpace(lshape, 2)
+        use(space)  # results cached before the refinement must not be served after it
+        lshape.refine({0})
+        with pytest.raises(RuntimeError, match="refined"):
+            use(space)
 
 
 class TestHangingConstraints:

@@ -1,0 +1,101 @@
+import numpy as np
+import pytest
+
+from dwr_diffusion import marking
+from dwr_diffusion.dual import GoalContext, march_backward
+from dwr_diffusion.estimator import ErrorEstimate, accumulate
+from dwr_diffusion.mesh import make_lshape
+from dwr_diffusion.primal import goal_norm, march_forward
+from dwr_diffusion.problem import Coefficients, ConeSolution, ControlVolume, ProblemData
+from dwr_diffusion.slabs import init_slabs
+from dwr_diffusion.sparse_la import SolverControl, SolverError
+
+
+def estimate_of(eta_slabs):
+    return ErrorEstimate([{} for _ in eta_slabs], list(eta_slabs), float(sum(eta_slabs)))
+
+
+@pytest.fixture
+def slab(lshape):
+    return init_slabs(lshape, 0.0, 1.0, 1)[0]
+
+
+class TestFractions:
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_theta_zero_marks_nothing(self, slab, skip):
+        assert marking.mark_time_slabs(estimate_of([1.0, 2.0, 3.0]), 0.0, skip) == set()
+        indicators = {0: 1.0, 1: -2.0, 2: 0.5}
+        assert marking.mark_space_cells(slab, indicators, False, 0.0, 0.0, skip) == set()
+
+    def test_theta_one_marks_everything(self, slab):
+        assert marking.mark_time_slabs(estimate_of([1.0, 0.0, 3.0]), 1.0) == {0, 1, 2}
+        indicators = {0: 1.0, 1: -2.0, 2: 0.0}
+        assert marking.mark_space_cells(slab, indicators, False, 1.0, 0.5) == {0, 1, 2}
+
+    def test_time_marked_slab_uses_the_smaller_fraction(self, slab):
+        indicators = {0: 1.0, 1: -2.0, 2: 0.5}
+        assert marking.mark_space_cells(slab, indicators, False, 1.0, 0.3) == {0, 1, 2}
+        assert marking.mark_space_cells(slab, indicators, True, 1.0, 0.3) == {1}
+
+    def test_equal_values_break_ties_by_index(self, slab):
+        # ceil(0.5 * 4) = 2 of three equal slab sums: the two lowest indices
+        assert marking.mark_time_slabs(estimate_of([1.0, 2.0, 2.0, 2.0]), 0.5) == {1, 2}
+        # |eta| ties between signs: ids ascending, whatever the sign
+        indicators = {7: 0.5, 3: -0.5, 5: 0.5, 9: 0.1}
+        assert marking.mark_space_cells(slab, indicators, False, 0.5, 0.5) == {3, 5}
+
+    def test_skip_zero_with_all_zero_indicators(self, slab):
+        zeros = {0: 0.0, 1: -0.0, 2: 0.0}
+        assert marking.mark_space_cells(slab, zeros, False, 1.0, 1.0, skip_zero=True) == set()
+        assert marking.mark_space_cells(slab, zeros, False, 1.0, 1.0) == {0, 1, 2}
+        estimate = accumulate([zeros, zeros])
+        assert marking.mark_time_slabs(estimate, 1.0, skip_zero=True) == set()
+        assert marking.mark_time_slabs(estimate, 1.0) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "field,value", [("theta_tau", 1.5), ("theta_h1", -0.1), ("theta_h2", 0.5)]
+    )
+    def test_fractions_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            marking.AdaptParams(**{field: value})
+
+
+def test_single_slab_adaptation(lshape):
+    slabs = init_slabs(lshape, 0.0, 1.0, 1)
+    marks = marking.mark_space_cells(slabs[0], {0: 3.0, 1: 1.0, 2: 2.0}, True, 0.5, 0.3)
+    assert marks == {0}
+    assert marking.mark_time_slabs(estimate_of([0.2]), 0.5) == {0}
+    marking.execute_adaptation(slabs, {0}, {0: marks})
+    assert len(slabs) == 2
+    assert [(s.interval.t_m, s.interval.t_n) for s in slabs] == [(0.0, 0.5), (0.5, 1.0)]
+    first, second = slabs
+    assert first.mesh is second.mesh and first.primal is second.primal
+    assert first.mesh.n_active_cells == 6
+    assert lshape.n_active_cells == 3
+
+
+class TestSolverFailures:
+    """A solver that stops after one CG iteration fails loudly, naming the march and the slab."""
+
+    @pytest.fixture
+    def setup(self):
+        mesh = make_lshape()
+        mesh.refine(set(mesh.active_cells()))
+        mesh.refine(set(mesh.active_cells()))
+        slabs = init_slabs(mesh, 0.0, 1.0, 5)  # the goal window (0.25, 1) reaches the last slab
+        coeff = Coefficients()
+        data = ProblemData(solution=ConeSolution(), coefficients=coeff)
+        return slabs, coeff, data, ControlVolume()
+
+    def test_primal(self, setup):
+        slabs, coeff, data, cv = setup
+        with pytest.raises(SolverError, match="primal solve failed on slab 0"):
+            march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=1), cv=cv)
+
+    def test_dual(self, setup):
+        slabs, coeff, data, cv = setup
+        err = goal_norm(march_forward(slabs, coeff, data, cv=cv))
+        ctx = GoalContext(norm=err, cv=cv, solution=data.solution)
+        with pytest.raises(SolverError, match="dual solve failed on slab 4") as info:
+            march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=1))
+        assert info.value.iterations == 1 and np.isfinite(info.value.residual)

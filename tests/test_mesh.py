@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwr_diffusion.mesh import (
+    BOUNDARY,
+    BOUNDARY_COLORS,
+    COARSER,
     DIRICHLET,
+    FACE_VERTS,
+    FINER,
     NEUMANN,
+    OPPOSITE_FACE,
+    SAME,
     OutsideDomainError,
     QuadMesh,
     make_lshape,
@@ -13,8 +20,6 @@ from dwr_diffusion.mesh import (
 
 
 def face_midpoint(mesh, cid, face):
-    from dwr_diffusion.mesh import FACE_VERTS
-
     a, b = (mesh.points[mesh.cells[cid].vertices[s]] for s in FACE_VERTS[face])
     return 0.5 * (a + b)
 
@@ -205,7 +210,94 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadMesh([(0, 0), (1, 0), (0, 1), (np.nan, 1)], [(0, 1, 2, 3)])
 
+    def test_rejects_vertex_beyond_the_dedup_key_range(self):
+        with pytest.raises(ValueError):
+            QuadMesh([(0, 0), (1e9, 0), (0, 1), (1e9, 1)], [(0, 1, 2, 3)])
+
+    def test_rejects_unknown_boundary_color(self):
+        with pytest.raises(ValueError):
+            make_unit_square(lambda a, b: "robin")
+
     def test_unit_square_defaults(self, unit_square):
         assert unit_square.n_active_cells == 1
         for f in range(4):
             assert unit_square.boundary_color[(0, f)] == DIRICHLET
+
+
+def on_segment(p, a, b, tol=1e-12):
+    """Whether points ``p`` lie on the segments ``a``-``b`` (broadcasting over leading axes)."""
+    t = b - a
+    rel = p - a
+    length_sq = np.sum(t * t, axis=-1)
+    cross = t[..., 0] * rel[..., 1] - t[..., 1] * rel[..., 0]
+    s = np.sum(rel * t, axis=-1) / length_sq
+    return (np.abs(cross) <= tol * np.sqrt(length_sq)) & (s >= -tol) & (s <= 1 + tol)
+
+
+class TestFaceTable:
+    """Every face-table row checked against the cell geometry alone."""
+
+    @given(st.integers(min_value=0, max_value=2**30), st.sampled_from(["lshape", "square"]))
+    @settings(max_examples=20)
+    def test_rows_match_brute_force_geometry(self, seed, domain):
+        rng = np.random.default_rng(seed)
+        mesh = make_lshape() if domain == "lshape" else make_unit_square()
+        for _ in range(3):
+            mesh.refine({c for c in mesh.active_cells() if rng.random() < 0.35})
+        table = mesh.face_topology()
+        assert table.cells.tolist() == mesh.active_cells()
+        m = len(table.cells)
+        edges = mesh.cell_corner_coords(table.cells)[:, np.array(FACE_VERTS)]  # (m, 4, 2, 2)
+        level = np.array([mesh.cells[c].level for c in table.cells.tolist()])
+
+        # rows run over (owner, face) in order, with one or two pieces per face
+        key = 4 * table.owner + table.face
+        assert np.all(np.diff(key) >= 0)
+        assert set(np.bincount(key, minlength=4 * m).tolist()) <= {1, 2}
+
+        own = edges[table.owner, table.face]
+        piece = edges[table.edge_cell, table.edge_face]
+        length = np.linalg.norm(piece[:, 1] - piece[:, 0], axis=-1)
+        # the pieces lie on the owner's edge, cover it and ascend along it
+        assert np.all(on_segment(piece, own[:, None, 0], own[:, None, 1]))
+        covered = np.bincount(key, weights=length, minlength=4 * m)
+        full = np.linalg.norm(edges[:, :, 1] - edges[:, :, 0], axis=-1).ravel()
+        assert np.allclose(covered, full, rtol=0, atol=1e-14)
+        first = np.r_[True, np.diff(key) > 0]
+        assert np.array_equal(piece[first, 0], own[first, 0])
+
+        # interior pieces: the neighbor's edge, or half of it on a coarser neighbor
+        inner = table.kind != BOUNDARY
+        assert np.array_equal(inner, table.neighbor >= 0)
+        nb = table.neighbor[inner]
+        nb_edge = edges[nb, np.array(OPPOSITE_FACE)[table.face[inner]]]
+        kind = table.kind[inner]
+        whole = kind != COARSER
+        assert np.array_equal(piece[inner][whole], nb_edge[whole])
+        assert np.all(on_segment(piece[inner][~whole], nb_edge[~whole, None, 0],
+                                 nb_edge[~whole, None, 1]))
+        nb_length = np.linalg.norm(nb_edge[:, 1] - nb_edge[:, 0], axis=-1)
+        assert np.allclose(length[inner][~whole], 0.5 * nb_length[~whole], rtol=1e-14)
+        jump = level[nb] - level[table.owner[inner]]
+        assert np.array_equal(jump, np.select([kind == SAME, kind == FINER], [0, 1], -1))
+        assert set(kind.tolist()) <= {SAME, COARSER, FINER}
+        assert np.all(table.color[inner] == -1)
+
+        # boundary pieces lie on no other cell's edge and carry the domain's color
+        bnd = ~inner
+        mid = 0.5 * (own[bnd, 0] + own[bnd, 1])
+        touching = on_segment(mid[:, None, None], edges[None, :, :, 0], edges[None, :, :, 1])
+        touching[np.arange(bnd.sum()), table.owner[bnd]] = False
+        assert not touching.any()
+        on_left = (domain == "lshape") & (np.abs(mid[:, 0]) < 1e-12)
+        colors = np.array(BOUNDARY_COLORS)[table.color[bnd]]
+        assert np.array_equal(colors, np.where(on_left, NEUMANN, DIRICHLET))
+
+    def test_is_boundary_face_and_active_across_read_the_table(self, lshape):
+        lshape.refine({0})
+        for cid in lshape.active_cells():
+            for f in range(4):
+                across = lshape.active_across(cid, f)
+                assert lshape.is_boundary_face(cid, f) == (across == [])
+        with pytest.raises(ValueError):
+            lshape.active_across(0, 1)  # cell 0 is refined
