@@ -9,7 +9,8 @@ value at the shared time (zero on the last slab), J is the normalized goal
 density assembled in the dual space, and homogeneous Dirichlet values are
 eliminated strongly on the Dirichlet-colored boundary regardless of the
 primal boundary data.  Each slab stores the value at its left endpoint and
-the transferred right-endpoint trace for later use by the estimator.
+the transferred right-endpoint trace for later use by the estimator.  The
+step is solved by :class:`primal.ImplicitStep` with mass factor 2.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, sparse_la
+from . import fem
 from .fem import FeFunction
-from .mesh import DIRICHLET
-from .primal import GOAL_TIME_QUAD
+from .primal import GOAL_TIME_QUAD, ImplicitStep
 from .sparse_la import SolverControl
 
 
@@ -71,6 +71,7 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=5000)):
     Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``
     (the successor trace used on the right endpoint) on every slab.
     """
+    step = ImplicitStep(coeff, 2.0, "dual")
     for n, slab in slabs.iterate_backward():
         space = slab.dual
         if n == len(slabs) - 1:
@@ -81,18 +82,6 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=5000)):
                 FeFunction(succ.dual, succ.fetch_storage("z_tm")), space
             ).coefficients
         slab.attach_storage("z_tn", z_tn)
-        tau = slab.tau
-        M = fem.assemble_mass(space, coeff.rho)
-        A = fem.assemble_stiffness(space, coeff.epsilon)
-        system = space.constraints.pin(2.0 * M + tau * A)
-        rhs = tau * assemble_goal_rhs(slab, ctx) + 2.0 * (M @ z_tn)
-        bc = {int(dof): 0.0 for dof in space.boundary_dofs(DIRICHLET)}
-        system, rhs = sparse_la.apply_dirichlet(system, rhs, bc)
-        try:
-            x, _ = sparse_la.cg_solve(system, rhs, ctrl)
-        except sparse_la.SolverError as err:
-            raise sparse_la.SolverError(
-                f"dual solve failed on slab {n}: {err}", err.iterations, err.residual
-            ) from err
-        x = space.constraints.distribute(x)
+        load = assemble_goal_rhs(slab, ctx)
+        x, _, _ = step.solve(n, space, slab.tau, load, z_tn, 0.0, ctrl)
         slab.attach_storage("z_tm", x)

@@ -10,7 +10,8 @@ rows of the mesh's face table, are constrained to the coarse-side trace.
 Assembled matrices have the hanging constraints condensed into them
 (master rows carry the slave contributions, slave rows are empty); pin the
 slave diagonals with :meth:`ConstraintSet.pin` before solving and call
-:meth:`ConstraintSet.distribute` on the solution.
+:meth:`ConstraintSet.distribute` on the solution.  Both marches do this
+through one step solver, :class:`primal.ImplicitStep`.
 """
 
 from __future__ import annotations

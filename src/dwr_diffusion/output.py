@@ -10,8 +10,6 @@ import math
 import os
 import tempfile
 
-import numpy as np
-
 from . import fem
 from .fem import FeFunction, FeSpace
 
@@ -75,9 +73,12 @@ def vtk_text(slab, u=None, z=None):
     """
     mesh = slab.mesh
     export = slab.primal if slab.primal.degree == 1 else FeSpace(mesh, 1)
+    export._check_current()
     pts = export.support_points
     n_pts = pts.shape[0]
-    cells = [export.dofs_on_cell(cid) for cid in export.active_ids]
+    # local corner order LL LR UL UR -> VTK quad LL LR UR UL
+    cells = export.cell_dofs[:, [0, 1, 3, 2]]
+    n_cells = cells.shape[0]
 
     lines = [
         "# vtk DataFile Version 3.0",
@@ -86,15 +87,12 @@ def vtk_text(slab, u=None, z=None):
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",
+        "\n".join(f"{x:.12g} {y:.12g} 0" for x, y in pts.tolist()),
+        f"CELLS {n_cells} {5 * n_cells}",
+        "\n".join(f"4 {a} {b} {c} {d}" for a, b, c, d in cells.tolist()),
+        f"CELL_TYPES {n_cells}",
+        "\n".join(["9"] * n_cells),
     ]
-    for p in pts:
-        lines.append(f"{p[0]:.12g} {p[1]:.12g} 0")
-    lines.append(f"CELLS {len(cells)} {5 * len(cells)}")
-    for dofs in cells:
-        # local corner order LL LR UL UR -> VTK quad LL LR UR UL
-        lines.append(f"4 {dofs[0]} {dofs[1]} {dofs[3]} {dofs[2]}")
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend(["9"] * len(cells))
 
     fields = []
     if u is not None:
@@ -113,7 +111,7 @@ def vtk_text(slab, u=None, z=None):
         for name, vals in fields:
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.12g}" for v in vals)
+            lines.append("\n".join(f"{v:.12g}" for v in vals.tolist()))
     return "\n".join(lines) + "\n"
 
 

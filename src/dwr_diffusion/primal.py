@@ -11,6 +11,11 @@ the previous slab's solution interpolated onto the current primal space
 (the initial value on the first slab), and Dirichlet values at the right
 endpoint are eliminated strongly.  The scheme is algebraically a backward
 Euler step with averaged loads.
+
+:class:`ImplicitStep` solves the step of both marches (the dual one with
+2 M): condensed M and A, slave diagonals pinned, Dirichlet rows
+eliminated, CG, constraints distributed.  Consecutive slabs with one
+space object and a bit-equal tau reuse its matrices.
 """
 
 from __future__ import annotations
@@ -59,25 +64,53 @@ def _averaged_load(slab, data, time_rule):
     return b
 
 
-def assemble_primal_system(slab, coeff, data, u_prev, time_rule="gauss"):
-    """System matrix, right-hand side and Dirichlet values for one slab.
+class ImplicitStep:
+    """Solver of (c M + tau A) x = tau load + c M x_prev, one slab at a time.
 
-    ``u_prev`` is a coefficient vector on this slab's primal space.
-    Hanging constraints are condensed and the slave rows pinned; Dirichlet
-    elimination is symmetric.  Returns ``(A, b, bc)`` ready for CG.
+    ``c`` is the mass factor; M and A carry the coefficients ``coeff`` and
+    are condensed; Dirichlet values are eliminated strongly.  ``march``
+    names the march in solver errors.
     """
-    space = slab.primal
-    tau = slab.tau
-    M = fem.assemble_mass(space, coeff.rho)
-    A = fem.assemble_stiffness(space, coeff.epsilon)
-    system = space.constraints.pin(M + tau * A)
-    rhs = tau * _averaged_load(slab, data, time_rule) + M @ u_prev
-    t_bc = slab.interval.t_n
-    dofs = space.boundary_dofs(DIRICHLET)
-    values = np.atleast_1d(data.dirichlet_g(space.support_points[dofs], t_bc))
-    bc = dict(zip(dofs.tolist(), values.tolist()))
-    system, rhs = sparse_la.apply_dirichlet(system, rhs, bc)
-    return system, rhs, bc
+
+    def __init__(self, coeff, mass_factor, march):
+        self.coeff = coeff
+        self.mass_factor = mass_factor
+        self.march = march
+        self._space = self._tau = self._matrices = None
+
+    def matrices(self, space, tau):
+        """M, the pinned c M + tau A, its Dirichlet-eliminated form and the Dirichlet dofs.
+
+        Only the last set is held; it is reused while the space object is
+        the same and tau is bit-equal.
+        """
+        if space is not self._space or tau != self._tau:
+            M = fem.assemble_mass(space, self.coeff.rho)
+            A = fem.assemble_stiffness(space, self.coeff.epsilon)
+            pinned = space.constraints.pin(self.mass_factor * M + tau * A)
+            dofs = space.boundary_dofs(DIRICHLET)
+            self._space, self._tau = space, tau
+            self._matrices = M, pinned, sparse_la.eliminate_dirichlet(pinned, dofs), dofs
+        return self._matrices
+
+    def solve(self, n, space, tau, load, x_prev, dirichlet_values, ctrl):
+        """Solution on slab ``n`` with its CG iterations and the residual before distribution.
+
+        ``dirichlet_values`` belong to ``space.boundary_dofs(DIRICHLET)``.
+        """
+        M, pinned, system, dofs = self.matrices(space, tau)
+        rhs = tau * load + self.mass_factor * (M @ x_prev)
+        rhs = sparse_la.lift_dirichlet(pinned, rhs, dofs, dirichlet_values)
+        x0 = np.zeros(space.n_dofs)
+        x0[dofs] = dirichlet_values
+        try:
+            x, iters = sparse_la.cg_solve(system, rhs, ctrl, x0=x0)
+        except sparse_la.SolverError as err:
+            raise sparse_la.SolverError(
+                f"{self.march} solve failed on slab {n}: {err}", err.iterations, err.residual
+            ) from err
+        residual = float(np.linalg.norm(rhs - system @ x))
+        return space.constraints.distribute(x), iters, residual
 
 
 def slab_goal_norm_sq(slab, u_fn, solution, cv):
@@ -109,6 +142,7 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=5000),
     control volume is given, each report carries the slab's goal-norm
     contribution.  Solver failures abort with the slab index attached.
     """
+    step = ImplicitStep(coeff, 1.0, "primal")
     reports = []
     for n, slab in slabs.iterate_forward():
         space = slab.primal
@@ -121,18 +155,10 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=5000),
                 FeFunction(prev.primal, prev_u), space
             ).coefficients
         slab.attach_storage("u_prev", u_prev)
-        system, rhs, bc = assemble_primal_system(slab, coeff, data, u_prev, time_rule)
-        x0 = np.zeros(space.n_dofs)
-        for dof, val in bc.items():
-            x0[dof] = val
-        try:
-            x, iters = sparse_la.cg_solve(system, rhs, ctrl, x0=x0)
-        except sparse_la.SolverError as err:
-            raise sparse_la.SolverError(
-                f"primal solve failed on slab {n}: {err}", err.iterations, err.residual
-            ) from err
-        x = space.constraints.distribute(x)
-        residual = float(np.linalg.norm(rhs - system @ x))
+        load = _averaged_load(slab, data, time_rule)
+        points = space.support_points[space.boundary_dofs(DIRICHLET)]
+        g = data.dirichlet_g(points, slab.interval.t_n)
+        x, iters, residual = step.solve(n, space, slab.tau, load, u_prev, g, ctrl)
         slab.attach_storage("u", x)
         contrib = 0.0
         if cv is not None:

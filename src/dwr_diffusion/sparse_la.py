@@ -11,7 +11,6 @@ the unconstrained subspace; coefficients are 64-bit floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,67 +136,72 @@ def apply_dirichlet(A, b, boundary_values):
     Constrained rows and columns are zeroed except for a unit diagonal,
     the right-hand side is adjusted so the remaining equations see the
     boundary values, and ``b`` carries the values on the constrained rows.
-    Returns new ``(A, b)``; the inputs are left untouched.
+    Returns new ``(A, b)``; the inputs are left untouched.  A caller that
+    keeps the matrix for several right-hand sides calls the two halves.
     """
-    b = np.asarray(b, dtype=float)
-    if not boundary_values:
-        return A.copy(), b.copy()
-    idx = np.fromiter(boundary_values.keys(), dtype=int)
-    vals = np.fromiter(boundary_values.values(), dtype=float)
-    n = A.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError("constrained dof out of range")
+    dofs = np.fromiter(boundary_values.keys(), dtype=int, count=len(boundary_values))
+    values = np.fromiter(boundary_values.values(), dtype=float, count=len(boundary_values))
+    return eliminate_dirichlet(A, dofs), lift_dirichlet(A, b, dofs, values)
 
-    g = np.zeros(n)
-    g[idx] = vals
-    b_new = b - A @ g
+
+def eliminate_dirichlet(A, dofs):
+    """Copy of ``A`` with the rows and columns of ``dofs`` zeroed but for a unit diagonal."""
+    n = A.shape[0]
+    if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
+        raise ValueError("constrained dof out of range")
     keep = np.ones(n)
-    keep[idx] = 0.0
-    pin = np.zeros(n)
-    pin[idx] = 1.0
+    keep[dofs] = 0.0
     A_new = sp.csr_matrix(A, copy=True)
     rows = np.repeat(np.arange(n), np.diff(A_new.indptr))
     A_new.data *= keep[rows] * keep[A_new.indices]
-    A_new = (A_new + sp.diags(pin)).tocsr()
-    b_new *= keep
-    b_new[idx] = vals
-    return A_new, b_new
+    return (A_new + sp.diags(1.0 - keep)).tocsr()
 
 
-def _close_constraints(rows, inhom=None):
-    """Resolve slave-of-slave chains so every master is unconstrained.
+def lift_dirichlet(A, b, dofs, values):
+    """``b - A g`` off ``dofs`` and ``values`` on them, for g = ``values`` on ``dofs``.
 
-    ``rows`` maps slave dof -> sequence of (master, weight).  Returns the
-    closed rows plus inhomogeneities.  Cycles raise
-    :class:`ConstraintCycleError`.
+    ``A`` is the matrix before :func:`eliminate_dirichlet`.
     """
-    inhom = dict(inhom or {})
-    closed = {}
+    b = np.asarray(b, dtype=float)
+    g = np.zeros(b.shape[0])
+    g[dofs] = values
+    b_new = b - A @ g
+    b_new[dofs] = values
+    return b_new
 
-    def resolve(s, stack):
-        if s in closed:
-            return closed[s]
-        if s in stack:
-            raise ConstraintCycleError(f"cyclic constraint through dof {s}")
-        stack = stack | {s}
-        out = {}
-        c = inhom.get(s, 0.0)
-        for m, w in rows[s]:
-            if m in rows:
-                sub, sub_c = resolve(m, stack)
-                for mm, ww in sub.items():
-                    out[mm] = out.get(mm, 0.0) + w * ww
-                c += w * sub_c
-            else:
-                out[m] = out.get(m, 0.0) + w
-        closed[s] = (out, c)
-        return closed[s]
 
-    for s in rows:
-        resolve(s, frozenset())
-    closed_rows = {s: tuple(sorted(v[0].items())) for s, v in closed.items()}
-    closed_inhom = {s: v[1] for s, v in closed.items()}
-    return closed_rows, closed_inhom
+def _closure(n, rows, inhom):
+    """Prolongation P, offsets c and sorted slave array of the closed constraints.
+
+    Q = diag(free) + W substitutes each slave by its raw row W, so P = Q^k
+    and c = sum_{j<k} Q^j g once Q^k has no slave column left.  A cycle
+    among the slaves raises :class:`ConstraintCycleError` first.
+    """
+    slaves = np.array(sorted(rows), dtype=int)
+    entries = [entry for s in slaves.tolist() for entry in rows[s]]
+    owner = np.repeat(slaves, [len(rows[s]) for s in slaves.tolist()])
+    masters = np.array([m for m, _ in entries], dtype=int)
+    weights = np.array([w for _, w in entries], dtype=float)
+    is_slave = np.zeros(n, dtype=bool)
+    is_slave[slaves] = True
+    # peel off the slaves whose masters are all settled; one that never settles reaches a cycle
+    pending = is_slave.copy()
+    while pending.any():
+        blocked = np.zeros(n, dtype=bool)
+        blocked[owner[pending[masters]]] = True
+        if not (pending & ~blocked).any():
+            raise ConstraintCycleError(f"cyclic constraint through dof {pending.argmax()}")
+        pending &= blocked
+    W = sp.csr_matrix((weights, (owner, masters)), shape=(n, n))
+    Q = (sp.diags((~is_slave).astype(float)) + W).tocsr()
+    g = np.zeros(n)
+    if inhom:
+        g[slaves] = [inhom.get(s, 0.0) for s in slaves.tolist()]
+    P, c = Q, g
+    while is_slave[P.indices].any():
+        P, c = P @ Q, Q @ c + g
+    P.sort_indices()
+    return P, c, slaves
 
 
 class ConstraintSet:
@@ -214,70 +218,50 @@ class ConstraintSet:
 
     def __init__(self, n_dofs, rows, inhom=None):
         self.n_dofs = n_dofs
-        self.rows, self.inhom = _close_constraints(rows, inhom)
-        self._prolong = None
+        self._P, self._c, self._slaves = _closure(n_dofs, rows, inhom)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._slaves)
 
     def __contains__(self, dof):
-        return dof in self.rows
+        k = np.searchsorted(self._slaves, dof)
+        return bool(k < len(self._slaves) and self._slaves[k] == dof)
 
     @property
     def slaves(self):
-        return sorted(self.rows.keys())
+        return self._slaves.tolist()
 
     def weights(self, slave):
-        return self.rows[slave]
-
-    def _prolongation(self):
-        """(P, c, slave index array), built on first use."""
-        if self._prolong is None:
-            n = self.n_dofs
-            slaves = np.array(self.slaves, dtype=int)
-            keep = np.ones(n)
-            keep[slaves] = 0.0
-            data, ri, ci = [], [], []
-            for s, masters in self.rows.items():
-                for m, w in masters:
-                    ri.append(s)
-                    ci.append(m)
-                    data.append(w)
-            P = (sp.diags(keep) + sp.coo_matrix((data, (ri, ci)), shape=(n, n))).tocsr()
-            c = np.zeros(n)
-            for s, val in self.inhom.items():
-                c[s] = val
-            self._prolong = (P, c, slaves)
-        return self._prolong
+        """The closed row of ``slave``: (master, weight) pairs by ascending master."""
+        if slave not in self:
+            raise KeyError(slave)
+        lo, hi = self._P.indptr[slave], self._P.indptr[slave + 1]
+        return tuple(zip(self._P.indices[lo:hi].tolist(), self._P.data[lo:hi].tolist()))
 
     def condense_matrix(self, A):
         """P^T A P; slave rows/columns end up empty (pin before solving)."""
-        if not self.rows:
+        if not len(self):
             return A
-        P, _, _ = self._prolongation()
-        return (P.T @ A @ P).tocsr()
+        return (self._P.T @ A @ self._P).tocsr()
 
     def condense_vector(self, b):
-        if not self.rows:
+        if not len(self):
             return b
-        P, _, _ = self._prolongation()
-        return P.T @ b
+        return self._P.T @ b
 
     def pin(self, A):
         """Add unit diagonals on slave rows so condensed systems are definite."""
-        if not self.rows:
+        if not len(self):
             return A
-        _, _, slaves = self._prolongation()
         pin = np.zeros(self.n_dofs)
-        pin[slaves] = 1.0
+        pin[self._slaves] = 1.0
         return (A + sp.diags(pin)).tocsr()
 
     def distribute(self, x):
         """Overwrite slave entries with their constraint values."""
-        if not self.rows:
+        if not len(self):
             return np.asarray(x, dtype=float).copy()
-        P, c, _ = self._prolongation()
-        return P @ np.asarray(x, dtype=float) + c
+        return self._P @ np.asarray(x, dtype=float) + self._c
 
 
 def condense_hanging(A, b, rows, inhom=None):
@@ -293,8 +277,7 @@ def condense_hanging(A, b, rows, inhom=None):
     if not rows:
         return A.copy(), b.copy()
     cs = ConstraintSet(A.shape[0], rows, inhom)
-    _, c, _ = cs._prolongation()
-    return cs.pin(cs.condense_matrix(A)), cs.condense_vector(b - A @ c)
+    return cs.pin(cs.condense_matrix(A)), cs.condense_vector(b - A @ cs._c)
 
 
 def distribute_constraints(x, rows, inhom=None):

@@ -3,9 +3,11 @@
 Each case is a mesh built from a fixed sequence of refinement marks.  On
 every case :func:`observe` records the refined cell lists, the estimator's
 face-piece arrays and, for the Q1 and Q2 spaces, the dof numbering,
-support points, constraint rows, boundary dofs and a Neumann load.
+support points, constraint rows, boundary dofs, a Neumann load and the
+bytes of the VTK file of a slab with that primal degree.
 ``tests/data/mesh_state.npz`` holds these observations; ``test_mesh_state``
-requires the current code to reproduce them.  Re-record with::
+requires the current code to reproduce them.  Every recorded fixture of the
+tests is written by this script; re-record with::
 
     PYTHONPATH=src python tests/mesh_state_cases.py
 """
@@ -17,6 +19,8 @@ import numpy as np
 from dwr_diffusion import estimator, fem
 from dwr_diffusion.fem import FeSpace
 from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh, make_lshape
+from dwr_diffusion.output import vtk_text
+from dwr_diffusion.slabs import Slab, TimeInterval
 
 FIXTURE_FILE = Path(__file__).resolve().parent / "data" / "mesh_state.npz"
 
@@ -70,6 +74,18 @@ def neumann_data(x):
     return np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2
 
 
+def dual_data(x):
+    return np.cos(2.0 * x[..., 0] * x[..., 1]) - x[..., 0]
+
+
+def vtk_bytes(mesh, primal_degree):
+    """The VTK file of a slab on ``mesh`` carrying interpolated u and z, as uint8."""
+    slab = Slab(TimeInterval(0.25, 0.5), mesh, primal_degree, 2)
+    u = fem.interpolate(slab.primal, neumann_data).coefficients
+    z = fem.interpolate(slab.dual, dual_data).coefficients
+    return np.frombuffer(vtk_text(slab, u=u, z=z).encode(), dtype=np.uint8)
+
+
 def observe(mesh):
     """Everything recorded on one mesh state, as a dict of arrays."""
     n = len(mesh.cells)
@@ -102,6 +118,7 @@ def observe(mesh):
         out[q + "dirichlet_dofs"] = space.boundary_dofs(DIRICHLET)
         out[q + "neumann_dofs"] = space.boundary_dofs(NEUMANN)
         out[q + "neumann_load"] = fem.assemble_load_neumann(space, neumann_data, condense=False)
+        out[q + "vtk"] = vtk_bytes(mesh, degree)
     return out
 
 

@@ -3,9 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dwr_diffusion import dual, fem, primal
+from dwr_diffusion.dual import GoalContext, march_backward
 from dwr_diffusion.fem import FeFunction, interpolate
-from dwr_diffusion.primal import slab_goal_norm_sq
+from dwr_diffusion.primal import goal_norm, march_forward, slab_goal_norm_sq
+from dwr_diffusion.problem import Coefficients, ConeSolution, ControlVolume, ProblemData
 from dwr_diffusion.slabs import init_slabs
+from dwr_diffusion.sparse_la import SolverControl
 
 LSHAPE_AREA = 0.75
 
@@ -61,3 +65,74 @@ def test_goal_norm_masks_points_outside_the_control_volume(slabs):
         4.0 * 0.5 * slab.tau, rel=1e-14
     )
     assert slab_goal_norm_sq(slab, u_fn, constant(2.0), nowhere) == 0.0
+
+
+CONE = ProblemData(solution=ConeSolution(), coefficients=Coefficients())
+
+
+def test_primal_residual_is_that_of_the_solved_system(slabs):
+    """The reported residual is taken before the hanging slaves are distributed."""
+    assert len(slabs[1].primal.constraints) > 0
+    ctrl = SolverControl(max_iterations=5000, relative_tolerance=1e-300, absolute_tolerance=1e-10)
+    reports = march_forward(slabs, CONE.coefficients, CONE, ctrl=ctrl)
+    # the CG target is the absolute tolerance, as the relative one is negligible
+    assert max(r.residual for r in reports) <= 10 * ctrl.absolute_tolerance
+
+
+@pytest.fixture
+def runs(lshape):
+    """Five slabs on one coarse space, the second one split in time and the last one refined.
+
+    Forward and backward, the runs of equal (space, tau) are [0], [1, 2],
+    [3] and [4]: slabs 0 and 3 have equal spaces and taus but are not
+    consecutive.
+    """
+    slabs = init_slabs(lshape, 0.0, 1.0, 4).split_slab_in_time(1)
+    slabs[4].refine({0})
+    assert [s.tau for s in slabs] == [0.25, 0.125, 0.125, 0.25, 0.25]
+    assert slabs[3].primal is slabs[0].primal is not slabs[4].primal
+    return slabs
+
+
+def solve_both(slabs):
+    cv = ControlVolume()
+    err = goal_norm(march_forward(slabs, CONE.coefficients, CONE, cv=cv))
+    march_backward(slabs, CONE.coefficients, GoalContext(norm=err, cv=cv, solution=CONE.solution))
+    return [s.fetch_storage("u") for s in slabs], [s.fetch_storage("z_tm") for s in slabs]
+
+
+def count_assemblies(monkeypatch):
+    calls = {"mass": 0, "stiffness": 0}
+    for name in calls:
+        original = getattr(fem, f"assemble_{name}")
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fem, f"assemble_{name}", counted)
+    return calls
+
+
+def test_one_assembly_per_run_of_equal_space_and_tau(runs, monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    solve_both(runs)
+    # four runs in each march
+    assert calls == {"mass": 8, "stiffness": 8}
+
+
+class RebuildEverySlab(primal.ImplicitStep):
+    def matrices(self, space, tau):
+        self._space = None
+        return super().matrices(space, tau)
+
+
+def test_reused_system_gives_the_rebuilt_solutions(runs, monkeypatch):
+    u, z = solve_both(runs)
+    monkeypatch.setattr(primal, "ImplicitStep", RebuildEverySlab)
+    monkeypatch.setattr(dual, "ImplicitStep", RebuildEverySlab)
+    calls = count_assemblies(monkeypatch)
+    u_ref, z_ref = solve_both(runs)
+    assert calls["stiffness"] == 2 * len(runs)
+    assert all(np.array_equal(a, b) for a, b in zip(u, u_ref))
+    assert all(np.array_equal(a, b) for a, b in zip(z, z_ref))

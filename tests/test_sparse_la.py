@@ -219,7 +219,18 @@ class TestCondenseHanging:
         assert x[1] == x[0]
         assert x[2] == x[0]
 
+    def test_chained_offsets_are_closed(self):
+        rows = {1: [(0, 1.0)], 2: [(1, 0.5), (0, 0.5)]}
+        x = distribute_constraints(np.array([1.0, 0.0, 0.0]), rows, {1: 2.0, 2: 1.0})
+        # x1 = x0 + 2, x2 = (x1 + x0) / 2 + 1
+        np.testing.assert_array_equal(x, [1.0, 3.0, 3.0])
+
     def test_cycle_detected(self):
         A = csr_from_triplets(2, 2, [(i, i, 1.0) for i in range(2)])
         with pytest.raises(ConstraintCycleError):
             condense_hanging(A, np.zeros(2), {0: [(1, 1.0)], 1: [(0, 1.0)]})
+
+    def test_self_reference_detected(self):
+        A = csr_from_triplets(2, 2, [(i, i, 1.0) for i in range(2)])
+        with pytest.raises(ConstraintCycleError, match="dof 0"):
+            condense_hanging(A, np.zeros(2), {0: [(0, 1.0)], 1: [(0, 0.5)]})
