@@ -59,7 +59,7 @@ def face_pieces(mesh):
     """The non-Dirichlet rows of the mesh's face table, in table order.
 
     Returns (own, nbr, face, seg_cell, seg_face, neumann): positions in
-    ``mesh.active_cells()`` of the owner and neighbor cells (the owner
+    ``mesh.active_ids()`` of the owner and neighbor cells (the owner
     itself on a Neumann face), the owner's face, the (cell, face) whose edge
     is the integration segment and a Neumann flag.
     """
@@ -166,7 +166,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
         # np.add.at adds in piece order, the summation order of a per-cell face loop
         np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
 
-    return dict(zip(dual.active_ids, eta.tolist()))
+    return dict(zip(dual.active_ids.tolist(), eta.tolist()))
 
 
 def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,

@@ -7,6 +7,10 @@ gives C0 continuity between equal-level neighbors and a deterministic
 global numbering.  Hanging entities on 1-irregular faces, the "coarser"
 rows of the mesh's face table, are constrained to the coarse-side trace.
 
+Per-cell arrays have one row per entry of the mesh state's active-cell
+array, :meth:`QuadMesh.active_ids`; its inverse, ``active_position``, maps
+a cell id to its row.
+
 Assembled matrices have the hanging constraints condensed into them
 (master rows carry the slave contributions, slave rows are empty); pin the
 slave diagonals with :meth:`ConstraintSet.pin` before solving and call
@@ -125,15 +129,11 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         self._build()
-        self._constraints = None
-        self._boundary_dofs = {}
 
     def _build(self):
         """Number the dofs by first appearance of their entity keys in active-cell order."""
         mesh, degree = self.mesh, self.degree
-        self.active_ids = mesh.active_cells()
-        self.cell_index = dict(zip(self.active_ids, range(len(self.active_ids))))
-        cells = np.asarray(self.active_ids, dtype=np.intp)
+        self.active_ids = cells = mesh.active_ids()
         verts = mesh.forest().vertices[cells]
         # the corners where a lattice node's bilinear weights are nonzero span
         # its entity: one integer key per vertex, per (sorted) vertex pair, per cell
@@ -166,8 +166,12 @@ class FeSpace:
             raise RuntimeError("mesh was refined after this space was built")
 
     def dofs_on_cell(self, cid):
+        """Dofs of the active cell ``cid``; :class:`KeyError` for any other id."""
         self._check_current()
-        return self.cell_dofs[self.cell_index[cid]]
+        position = self.mesh.active_position()
+        if not 0 <= cid < len(position) or position[cid] < 0:
+            raise KeyError(cid)
+        return self.cell_dofs[position[cid]]
 
     def _dofs_on_faces(self, cells, faces):
         """Dofs on ``faces`` of the cells at positions ``cells``, ascending along each face."""
@@ -177,10 +181,9 @@ class FeSpace:
 
     @property
     def constraints(self):
+        """:meth:`hanging_constraints`, built once per (mesh state, degree)."""
         self._check_current()
-        if self._constraints is None:
-            self._constraints = self.hanging_constraints()
-        return self._constraints
+        return self.mesh.cached(("constraints", self.degree), self.hanging_constraints)
 
     def hanging_constraints(self):
         """Constraints tying fine-side dofs on 1-irregular faces to the coarse trace.
@@ -208,28 +211,23 @@ class FeSpace:
         candidates = np.flatnonzero(free)
         _, first = np.unique(slaves.ravel()[candidates], return_index=True)
         picked = candidates[np.sort(first)]
-        rows = {
-            dof: tuple((m, w) for m, w in zip(ms, ws) if w != 0.0)
-            for dof, ms, ws in zip(
-                slaves.ravel()[picked].tolist(),
-                masters[picked // slaves.shape[1]].tolist(),
-                weights[picked].tolist(),
-            )
-        }
-        return ConstraintSet(self.n_dofs, rows)
+        ms, ws = masters[picked // slaves.shape[1]], weights[picked]
+        nonzero = ws != 0.0
+        owner = np.broadcast_to(slaves.ravel()[picked, None], ms.shape)
+        return ConstraintSet(self.n_dofs, owner[nonzero], ms[nonzero], ws[nonzero])
 
     # -- boundary dofs ---------------------------------------------------------
 
     def boundary_dofs(self, color):
         """Sorted dof indices on boundary faces of the given color."""
         self._check_current()
-        cached = self._boundary_dofs.get(color)
-        if cached is None:
+
+        def build():
             table = self.mesh.face_topology()
             on = table.on_boundary(color)
-            cached = np.unique(self._dofs_on_faces(table.owner[on], table.face[on]))
-            self._boundary_dofs[color] = cached
-        return cached
+            return np.unique(self._dofs_on_faces(table.owner[on], table.face[on]))
+
+        return self.mesh.cached(("boundary_dofs", self.degree, color), build)
 
 
 # -- cell quadrature -------------------------------------------------------------
@@ -255,8 +253,8 @@ def _basis_tables(degree, n):
 class CellRule:
     """Tensor Gauss rule with ``n`` points per direction mapped onto every active cell.
 
-    Rows follow ``mesh.active_cells()``, the ``active_ids`` order of every
-    space on the mesh, so one rule serves all spaces of one mesh state.
+    Rows follow ``mesh.active_ids()``, the ``active_ids`` of every space on
+    the mesh, so one rule serves all spaces of one mesh state.
     """
 
     n: int
@@ -458,14 +456,13 @@ def transfer(fn, space_to):
         return interpolate_same_mesh(fn, space_to)
     src._check_current()
     space_to._check_current()
-    n_roots = len(src.mesh._roots)
-    if len(space_to.mesh._roots) != n_roots or not np.array_equal(
-        src.mesh.cell_corner_coords(range(n_roots)),
-        space_to.mesh.cell_corner_coords(range(n_roots)),
+    fs, ft = src.mesh.forest(), space_to.mesh.forest()
+    roots = np.flatnonzero(fs.parent < 0)
+    if not np.array_equal(roots, np.flatnonzero(ft.parent < 0)) or not np.array_equal(
+        src.mesh.cell_corner_coords(roots), space_to.mesh.cell_corner_coords(roots)
     ):
         raise ValueError("transfer needs two refinements of the same coarse mesh")
-    fs, ft = src.mesh.forest(), space_to.mesh.forest()
-    cells = np.asarray(space_to.active_ids)
+    cells = space_to.active_ids
     # source cell containing each target cell, or equal to it where the
     # source is finer; cell centres never lie on a child boundary
     centre = ft.origin[cells] + 0.5 * ft.scale[cells, None]
@@ -485,9 +482,7 @@ def transfer(fn, space_to):
             break
         leaf[go] = _child_containing(fs, leaf[go], X[go])
     ref = (X - fs.origin[leaf]) / fs.scale[leaf, None]
-    position = np.empty(len(src.mesh.cells), dtype=np.intp)
-    position[src.active_ids] = np.arange(len(src.active_ids))
-    coeffs = fn.coefficients[src.cell_dofs[position[leaf]]]
+    coeffs = fn.coefficients[src.cell_dofs[src.mesh.active_position()[leaf]]]
     local = np.einsum("pi,pi->p", tensor_shape(src.degree, ref), coeffs)
     vals = np.empty(space_to.n_dofs)
     # shared dofs take the last cell's value, in active-cell order

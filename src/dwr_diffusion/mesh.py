@@ -9,9 +9,10 @@ Neumann) which children inherit.
 
 Adjacency is one array, ``Forest.neighbor``: the equal-or-coarser cell
 across each face of every cell (-1 on the boundary), built level by level
-from the parents' entries.  Refinement reads its closure from that array,
-and every consumer of adjacency reads the mesh state's :class:`FaceTable`,
-built from it with one row per face piece of every active cell.
+from the parents' entries.  Refinement reads its closure and the face
+midpoints it shares from that array, never from coordinates; every consumer
+of adjacency reads the mesh state's :class:`FaceTable`, built from it with
+one row per face piece of every active cell.
 
 Vertex order within a cell is lower-left, lower-right, upper-left,
 upper-right; faces are numbered left, right, bottom, top.  Root cells must
@@ -21,6 +22,7 @@ constructors here guarantee.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,10 +56,12 @@ _MIRROR_CHILD = _SIBLING_ACROSS[OPPOSITE_FACE]
 FACE_CHILDREN = np.array([[0, 2], [1, 3], [0, 1], [2, 3]])
 # vertices of the four children as slots of (corners 0-3, bottom, top, left, right, centre)
 _CHILD_VERTS = np.array([[0, 4, 6, 8], [4, 1, 8, 7], [6, 8, 2, 5], [8, 7, 5, 3]])
-read_only((FACE_VERTS, OPPOSITE_FACE, _SIBLING_ACROSS, _MIRROR_CHILD, FACE_CHILDREN, _CHILD_VERTS))
-
-_KEY_SCALE = 1e10  # vertex dedup grid; far below any attainable cell size
-_MAX_COORD = 2.0**62 / _KEY_SCALE  # keeps the grid's integer keys inside int64
+# face of each edge-midpoint slot (bottom, top, left, right); slot ^ 1 is the opposite slot
+_MID_FACE = np.array([2, 3, 0, 1])
+# (child, corner) of a split cell that holds each edge-midpoint slot
+_MID_CORNER = np.array([[0, 2, 0, 1], [1, 3, 2, 3]])
+read_only((FACE_VERTS, OPPOSITE_FACE, _SIBLING_ACROSS, _MIRROR_CHILD, FACE_CHILDREN,
+           _CHILD_VERTS, _MID_FACE, _MID_CORNER))
 
 
 class OutsideDomainError(ValueError):
@@ -106,8 +110,8 @@ class FaceTable(NamedTuple):
 
     Rows are ordered by (owner position, face 0..3, piece ascending along
     the face); a face with two finer neighbors has two pieces, every other
-    face one.  Cells are given as positions in ``cells`` (the ids of
-    ``mesh.active_cells()``, which every space on the mesh shares).  All
+    face one.  Cells are given as positions in ``cells`` (the mesh state's
+    :meth:`QuadMesh.active_ids`, which every space on the mesh shares).  All
     arrays are read-only.
     """
 
@@ -157,16 +161,14 @@ class QuadMesh:
             boundary color in ``BOUNDARY_COLORS``; defaults to all-Dirichlet.
         """
         points = np.array(points, dtype=float).reshape(-1, 2)
-        if not np.all(np.abs(points) < _MAX_COORD):
-            raise ValueError(f"vertex coordinates must be finite and below {_MAX_COORD:g}")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("vertex coordinates must be finite")
+        if len(np.unique(points, axis=0)) != len(points):
+            raise ValueError("duplicate vertices in root mesh")
         self._points = points
         self._points.setflags(write=False)
-        self._vertex_key = {key: i for i, key in enumerate(self._keys(points))}
-        if len(self._vertex_key) != len(points):
-            raise ValueError("duplicate vertices in root mesh")
         vertices = np.array(cell_vertices, dtype=np.intp).reshape(-1, 4)
         n = len(vertices)
-        self._roots = range(n)
         neighbor = self._match_root_faces(vertices)
         colorizer = colorizer or (lambda a, b: DIRICHLET)
         color = np.full((n, 4), -1, dtype=np.intp)
@@ -192,11 +194,6 @@ class QuadMesh:
         self._cache = {}
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _keys(points):
-        """Dedup keys of (n, 2) coordinates: the coordinates on a fine integer grid."""
-        return list(map(tuple, np.rint(points * _KEY_SCALE).astype(np.int64).tolist()))
 
     @staticmethod
     def _match_root_faces(vertices):
@@ -260,27 +257,35 @@ class QuadMesh:
             for cid, f in zip(*(a.tolist() for a in np.nonzero(self._forest.color >= 0)))
         })
 
+    def active_ids(self):
+        """Active cell ids in creation order: one read-only array per refinement state."""
+        return self.cached("active", self._active)[0]
+
+    def active_position(self):
+        """Position of every cell id in :meth:`active_ids`, -1 off the active set (read-only)."""
+        return self.cached("active", self._active)[1]
+
+    def _active(self):
+        active = self._forest.children[:, 0] < 0
+        return read_only((np.flatnonzero(active), np.where(active, np.cumsum(active) - 1, -1)))
+
     def active_cells(self):
-        """Active cell ids in creation order (deterministic across runs)."""
-        return list(self.cached(
-            "active", lambda: np.flatnonzero(self._forest.children[:, 0] < 0).tolist()
-        ))
+        """Active cell ids in creation order (deterministic across runs), as a list."""
+        return self.active_ids().tolist()
 
     @property
     def n_active_cells(self):
-        return len(self.active_cells())
+        return len(self.active_ids())
 
     def cell_corner_coords(self, cids=None):
         """Corner coordinates, shape (n_cells, 4, 2)."""
         if cids is None:
-            cids = self.active_cells()
+            cids = self.active_ids()
         return self._points[self._forest.vertices[np.asarray(cids, dtype=np.intp)]]
 
     def cell_area(self, cid):
-        v = self.cell_corner_coords([cid])[0]
         # shoelace over the polygon LL -> LR -> UR -> UL
-        x = v[[0, 1, 3, 2], 0]
-        y = v[[0, 1, 3, 2], 1]
+        x, y = self.cell_corner_coords([cid])[0, [0, 1, 3, 2]].T
         return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
     def total_area(self):
@@ -299,12 +304,7 @@ class QuadMesh:
 
     def copy(self):
         """An independent mesh in the same state; the immutable forest arrays are shared."""
-        new = QuadMesh.__new__(QuadMesh)
-        new._points = self._points
-        new._vertex_key = dict(self._vertex_key)
-        new._roots = self._roots
-        new._forest = self._forest
-        new._version = self._version
+        new = copy.copy(self)
         new._cache = {}
         return new
 
@@ -316,9 +316,7 @@ class QuadMesh:
 
     def _face_table(self):
         f = self._forest
-        cells = np.flatnonzero(f.children[:, 0] < 0)
-        position = np.full(len(f.level), -1, dtype=np.intp)
-        position[cells] = np.arange(len(cells))
+        cells, position = self.active_ids(), self.active_position()
         nb = f.neighbor[cells]  # (m, 4)
         finer = (nb >= 0) & (f.children[nb, 0] >= 0)
         kind = np.where(nb < 0, BOUNDARY, np.where(
@@ -347,10 +345,10 @@ class QuadMesh:
     def active_across(self, cid, face):
         """Active cells sharing ``face`` of the active cell ``cid``, ascending along the face."""
         table = self.face_topology()
-        k = np.searchsorted(table.cells, cid)
-        if k == len(table.cells) or table.cells[k] != cid:
+        position = self.active_position()
+        if not 0 <= cid < len(position) or position[cid] < 0:
             raise ValueError(f"cell {cid} is not active")
-        rows = (table.owner == k) & (table.face == face) & (table.kind != BOUNDARY)
+        rows = (table.owner == position[cid]) & (table.face == face) & (table.kind != BOUNDARY)
         return table.cells[table.neighbor[rows]].tolist()
 
     def is_boundary_face(self, cid, face):
@@ -382,26 +380,39 @@ class QuadMesh:
         return self
 
     def _split(self, f, cells):
-        """The forest after splitting the active ``cells`` (ascending ids) into four children."""
+        """The forest after splitting the active ``cells`` (ascending ids) into four children.
+
+        A face midpoint exists on a refined same-level neighbor, or is shared
+        with one split along (the lower id creates it); other midpoints and
+        the centres are new vertices, numbered in (cell, slot) order.
+        """
         k, n = len(cells), len(f.level)
         p0, p1, p2, p3 = np.moveaxis(self._points[f.vertices[cells]], 1, 0)
         # bottom, top, left and right midpoints and the centre of every cell
         mids = np.stack(
             [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
              (p0 + p1 + p2 + p3) / 4.0], axis=1,
-        ).reshape(-1, 2)
-        n_points = len(self._points)
-        ids = np.array([
-            self._vertex_key.setdefault(key, len(self._vertex_key)) for key in self._keys(mids)
-        ], dtype=np.intp)
-        _, first = np.unique(ids, return_index=True)
-        self._points = np.concatenate([self._points, mids[first[ids[first] >= n_points]]])
+        )
+        nb = f.neighbor[cells][:, _MID_FACE]  # (k, 4) across each midpoint
+        same = (nb >= 0) & (f.level[nb] == f.level[cells, None])
+        refined = same & (f.children[nb, 0] >= 0)
+        later = same & (nb < cells[:, None]) & np.isin(nb, cells)  # split along, lower id
+        fresh = np.column_stack([~(refined | later), np.ones(k, dtype=bool)])
+        ids = np.empty((k, 5), dtype=np.intp)
+        ids[fresh] = len(self._points) + np.arange(np.count_nonzero(fresh))
+        # the neighbor holds the midpoint in its opposite slot
+        i, slot = np.nonzero(refined)
+        child, corner = _MID_CORNER[:, slot ^ 1]
+        ids[i, slot] = f.vertices[f.children[nb[i, slot], child], corner]
+        i, slot = np.nonzero(later)
+        ids[i, slot] = ids[np.searchsorted(cells, nb[i, slot]), slot ^ 1]
+        self._points = np.concatenate([self._points, mids[fresh]])
         self._points.setflags(write=False)
         parent = np.repeat(cells, 4)
         position = np.tile(np.arange(4), k)
         scale = 0.5 * f.scale[parent]
         quarter = np.column_stack([position & 1, position >> 1])
-        corners_and_mids = np.concatenate([f.vertices[cells], ids.reshape(k, 5)], axis=1)
+        corners_and_mids = np.concatenate([f.vertices[cells], ids], axis=1)
         # children inherit the colors of the parent faces they cover
         inherit = _SIBLING_ACROSS[:, position].T < 0
         rows = Forest(
@@ -425,25 +436,21 @@ class QuadMesh:
 
     def map_to_physical(self, cid, ref):
         """Bilinear map of reference coordinates (on the unit square) into cell ``cid``."""
-        ref = np.asarray(ref, dtype=float)
-        xi = ref[..., 0]
-        eta = ref[..., 1]
-        v = self.cell_corner_coords([cid])[0]
-        w = np.stack(
-            [(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta], axis=-1
-        )
-        return w @ v
+        xi, eta = np.moveaxis(np.asarray(ref, dtype=float), -1, 0)
+        w = np.stack([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta], axis=-1)
+        return w @ self.cell_corner_coords([cid])[0]
 
     def invert_map(self, cid, p, tol=1e-12, max_iter=20):
         """Newton inversion of the bilinear map; returns (ref_coords, converged)."""
         v = self.cell_corner_coords([cid])[0]
         p = np.asarray(p, dtype=float)
         xi, eta = 0.5, 0.5
-        for _ in range(max_iter):
+        for it in range(max_iter + 1):
             w = np.array([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta])
             res = w @ v - p
-            if abs(res[0]) <= tol and abs(res[1]) <= tol:
-                return np.array([xi, eta]), True
+            converged = bool(abs(res[0]) <= tol and abs(res[1]) <= tol)
+            if converged or it == max_iter:
+                return np.array([xi, eta]), converged
             dxi = np.array([-(1 - eta), (1 - eta), -eta, eta])
             deta = np.array([-(1 - xi), -xi, (1 - xi), xi])
             j00, j01 = dxi @ v[:, 0], deta @ v[:, 0]
@@ -453,9 +460,6 @@ class QuadMesh:
                 return np.array([xi, eta]), False
             xi -= (j11 * res[0] - j01 * res[1]) / det
             eta -= (-j10 * res[0] + j00 * res[1]) / det
-        w = np.array([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta])
-        res = w @ v - p
-        return np.array([xi, eta]), bool(abs(res[0]) <= tol and abs(res[1]) <= tol)
 
     def locate_point(self, p, tol=1e-12):
         """Find the active cell containing ``p`` and its reference coordinates.
@@ -466,28 +470,13 @@ class QuadMesh:
         """
         p = np.asarray(p, dtype=float)
         pad = max(tol, 1e-12)
-        ref_slack = 1e-9
-        children = self._forest.children
-        candidates = []
-
-        def descend(cid):
-            corners = self.cell_corner_coords([cid])[0]
-            if np.any(p < corners.min(axis=0) - pad) or np.any(p > corners.max(axis=0) + pad):
-                return
-            if children[cid, 0] < 0:
-                ref, ok = self.invert_map(cid, p)
-                if ok and np.all(ref >= -ref_slack) and np.all(ref <= 1 + ref_slack):
-                    candidates.append((cid, ref))
-            else:
-                for child in children[cid].tolist():
-                    descend(child)
-
-        for rid in self._roots:
-            descend(rid)
-        if not candidates:
-            raise OutsideDomainError(f"point {p} is outside the meshed domain")
-        cid, ref = min(candidates, key=lambda t: t[0])
-        return cid, np.clip(ref, 0.0, 1.0)
+        corners = self.cell_corner_coords()
+        near = np.all((corners.min(axis=1) - pad <= p) & (p <= corners.max(axis=1) + pad), axis=1)
+        for cid in self.active_ids()[near].tolist():  # ascending ids
+            ref, ok = self.invert_map(cid, p)
+            if ok and np.all(ref >= -1e-9) and np.all(ref <= 1 + 1e-9):
+                return cid, np.clip(ref, 0.0, 1.0)
+        raise OutsideDomainError(f"point {p} is outside the meshed domain")
 
 
 def make_lshape():

@@ -63,51 +63,51 @@ def write_eta_tsv(slabs, eta_slabs, path):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def vtk_text(slab, u=None, z=None):
+def _mesh_block(primal):
+    """(export space, POINTS/CELLS/CELL_TYPES text) of a primal space; Q1 exports itself."""
+    export = primal if primal.degree == 1 else FeSpace(primal.mesh, 1)
+    export._check_current()
+    pts = export.support_points
+    # local corner order LL LR UL UR -> VTK quad LL LR UR UL
+    cells = export.cell_dofs[:, [0, 1, 3, 2]]
+    n_cells = cells.shape[0]
+    return export, "\n".join([
+        f"POINTS {pts.shape[0]} double",
+        "\n".join(f"{x:.12g} {y:.12g} 0" for x, y in pts.tolist()),
+        f"CELLS {n_cells} {5 * n_cells}",
+        "\n".join(f"4 {a} {b} {c} {d}" for a, b, c, d in cells.tolist()),
+        f"CELL_TYPES {n_cells}",
+        "\n".join(["9"] * n_cells),
+    ])
+
+
+def vtk_text(slab, u=None, z=None, block=None):
     """Legacy ASCII VTK unstructured grid of one slab's mesh.
 
     Points are the nodes of a bilinear space on the slab mesh; the primal
     value on the interval and, when available, the dual value at the left
     endpoint are attached as point scalars.  Cells are emitted as VTK
-    quads (type 9, counterclockwise corner order).
+    quads (type 9, counterclockwise corner order).  ``block`` is
+    ``_mesh_block(slab.primal)`` when the caller holds it already.
     """
-    mesh = slab.mesh
-    export = slab.primal if slab.primal.degree == 1 else FeSpace(mesh, 1)
-    export._check_current()
-    pts = export.support_points
-    n_pts = pts.shape[0]
-    # local corner order LL LR UL UR -> VTK quad LL LR UR UL
-    cells = export.cell_dofs[:, [0, 1, 3, 2]]
-    n_cells = cells.shape[0]
-
+    export, mesh_text = block or _mesh_block(slab.primal)
     lines = [
         "# vtk DataFile Version 3.0",
         "space-time slab t in "
         f"({slab.interval.t_m:.12g}, {slab.interval.t_n:.12g})",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n_pts} double",
-        "\n".join(f"{x:.12g} {y:.12g} 0" for x, y in pts.tolist()),
-        f"CELLS {n_cells} {5 * n_cells}",
-        "\n".join(f"4 {a} {b} {c} {d}" for a, b, c, d in cells.tolist()),
-        f"CELL_TYPES {n_cells}",
-        "\n".join(["9"] * n_cells),
+        mesh_text,
     ]
 
     fields = []
-    if u is not None:
-        u_fn = FeFunction(slab.primal, u)
-        vals = (
-            u_fn.coefficients
-            if export is slab.primal
-            else fem.interpolate_same_mesh(u_fn, export).coefficients
-        )
-        fields.append(("u", vals))
-    if z is not None:
-        z_fn = FeFunction(slab.dual, z)
-        fields.append(("z", fem.interpolate_same_mesh(z_fn, export).coefficients))
+    for name, space, x in (("u", slab.primal, u), ("z", slab.dual, z)):
+        if x is not None:
+            fn = FeFunction(space, x)
+            fn = fn if space is export else fem.interpolate_same_mesh(fn, export)
+            fields.append((name, fn.coefficients))
     if fields:
-        lines.append(f"POINT_DATA {n_pts}")
+        lines.append(f"POINT_DATA {export.n_dofs}")
         for name, vals in fields:
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
@@ -116,8 +116,12 @@ def vtk_text(slab, u=None, z=None):
 
 
 def write_vtk_slabs(slabs, out_dir, loop):
+    """One VTK file per slab; consecutive slabs on one primal space format its mesh once."""
+    primal = block = None
     for k, slab in enumerate(slabs):
-        text = vtk_text(slab, u=slab.fetch_storage("u"), z=slab.fetch_storage("z_tm"))
+        if slab.primal is not primal:
+            primal, block = slab.primal, _mesh_block(slab.primal)
+        text = vtk_text(slab, u=slab.fetch_storage("u"), z=slab.fetch_storage("z_tm"), block=block)
         atomic_write(os.path.join(out_dir, f"solution_l{loop:02d}_n{k:04d}.vtk"), text)
 
 

@@ -170,18 +170,15 @@ def lift_dirichlet(A, b, dofs, values):
     return b_new
 
 
-def _closure(n, rows, inhom):
+def _closure(n, owner, masters, weights, offsets):
     """Prolongation P, offsets c and sorted slave array of the closed constraints.
 
-    Q = diag(free) + W substitutes each slave by its raw row W, so P = Q^k
-    and c = sum_{j<k} Q^j g once Q^k has no slave column left.  A cycle
-    among the slaves raises :class:`ConstraintCycleError` first.
+    Q = diag(free) + W substitutes each slave by its raw row W, the entries
+    (``owner``, ``masters``, ``weights``), so P = Q^k and c = sum_{j<k} Q^j g
+    once Q^k has no slave column left, g being the slaves' ``offsets``.  A
+    cycle among the slaves raises :class:`ConstraintCycleError` first.
     """
-    slaves = np.array(sorted(rows), dtype=int)
-    entries = [entry for s in slaves.tolist() for entry in rows[s]]
-    owner = np.repeat(slaves, [len(rows[s]) for s in slaves.tolist()])
-    masters = np.array([m for m, _ in entries], dtype=int)
-    weights = np.array([w for _, w in entries], dtype=float)
+    slaves = np.unique(owner)
     is_slave = np.zeros(n, dtype=bool)
     is_slave[slaves] = True
     # peel off the slaves whose masters are all settled; one that never settles reaches a cycle
@@ -195,8 +192,8 @@ def _closure(n, rows, inhom):
     W = sp.csr_matrix((weights, (owner, masters)), shape=(n, n))
     Q = (sp.diags((~is_slave).astype(float)) + W).tocsr()
     g = np.zeros(n)
-    if inhom:
-        g[slaves] = [inhom.get(s, 0.0) for s in slaves.tolist()]
+    if offsets is not None:
+        g[slaves] = offsets[slaves]
     P, c = Q, g
     while is_slave[P.indices].any():
         P, c = P @ Q, Q @ c + g
@@ -207,18 +204,19 @@ def _closure(n, rows, inhom):
 class ConstraintSet:
     """Closed linear multi-point constraints: slave dof = weighted master combination.
 
-    ``rows`` maps slave dof -> sequence of (master, weight), ``inhom`` slave
-    dof -> offset.  Slave-of-slave chains are resolved once, on
-    construction, so every master is unconstrained; cycles raise
-    :class:`ConstraintCycleError`.  A vector satisfies the constraints iff
-    ``x = P x + c``, where the prolongation P is the identity on
-    unconstrained dofs and carries the master weights on slave rows (zero
-    slave diagonal).
+    The raw rows are given as entry arrays: slave ``slaves[k]`` takes
+    ``weights[k]`` times master ``masters[k]``; ``offsets`` (n_dofs,), if
+    given, adds ``offsets[s]`` to slave ``s`` and is ignored off the slaves.
+    Slave-of-slave chains are resolved once, on construction, so every
+    master is unconstrained; cycles raise :class:`ConstraintCycleError`.  A
+    vector satisfies the constraints iff ``x = P x + c``, where the
+    prolongation P is the identity on unconstrained dofs and carries the
+    master weights on slave rows (zero slave diagonal).
     """
 
-    def __init__(self, n_dofs, rows, inhom=None):
+    def __init__(self, n_dofs, slaves, masters, weights, offsets=None):
         self.n_dofs = n_dofs
-        self._P, self._c, self._slaves = _closure(n_dofs, rows, inhom)
+        self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
 
     def __len__(self):
         return len(self._slaves)
@@ -276,11 +274,21 @@ def condense_hanging(A, b, rows, inhom=None):
     b = np.asarray(b, dtype=float)
     if not rows:
         return A.copy(), b.copy()
-    cs = ConstraintSet(A.shape[0], rows, inhom)
+    cs = _constraints_of_rows(A.shape[0], rows, inhom)
     return cs.pin(cs.condense_matrix(A)), cs.condense_vector(b - A @ cs._c)
 
 
 def distribute_constraints(x, rows, inhom=None):
     """Overwrite slave entries with their weighted master combinations."""
     x = np.asarray(x, dtype=float)
-    return ConstraintSet(x.shape[0], rows, inhom).distribute(x)
+    return _constraints_of_rows(x.shape[0], rows, inhom).distribute(x)
+
+
+def _constraints_of_rows(n, rows, inhom):
+    """:class:`ConstraintSet` of ``rows`` slave -> (master, weight) pairs and ``inhom``."""
+    if not all(len(row) for row in rows.values()):
+        raise ValueError("every constraint row needs at least one master")
+    entries = np.array([(s, m, w) for s, row in rows.items() for m, w in row]).reshape(-1, 3)
+    offsets = np.zeros(n)
+    offsets[list(inhom or ())] = list((inhom or {}).values())
+    return ConstraintSet(n, *entries[:, :2].T.astype(int), entries[:, 2], offsets)

@@ -12,6 +12,7 @@ tests is written by this script; re-record with::
     PYTHONPATH=src python tests/mesh_state_cases.py
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ FIXTURE_FILE = Path(__file__).resolve().parent / "data" / "mesh_state.npz"
 
 SHEAR = 0.25
 RANDOM_SEEDS = (11, 12, 13)
+COPY_SEEDS = (14, 15, 16)  # the trunk, then the original and the copied branch
 COLOR_CODES = {DIRICHLET: 0, NEUMANN: 1}
 
 
@@ -42,10 +44,9 @@ def sheared_lshape():
     return QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)], colorize)
 
 
-def random_marks(seed, rounds=4, fraction=0.35):
-    """Mark sequence of a random refinement of the L-shape: one sorted id list per round."""
+def random_refine(mesh, seed, rounds=4, fraction=0.35):
+    """Refine ``mesh`` at random; returns the marks, one sorted id list per round."""
     rng = np.random.default_rng(seed)
-    mesh = make_lshape()
     marks = []
     for _ in range(rounds):
         picked = sorted(c for c in mesh.active_cells() if rng.random() < fraction)
@@ -54,11 +55,42 @@ def random_marks(seed, rounds=4, fraction=0.35):
     return marks
 
 
+def random_marks(seed, rounds=4, fraction=0.35):
+    """Mark sequence of a random refinement of the L-shape."""
+    return random_refine(make_lshape(), seed, rounds, fraction)
+
+
+def copy_trunk():
+    """The L-shape after two random rounds, the state that the copy cases copy."""
+    mesh = make_lshape()
+    random_refine(mesh, COPY_SEEDS[0], rounds=2)
+    return mesh
+
+
+def copied(branch):
+    """Factory of one branch of the copied trunk: 0 the original, 1 the copy.
+
+    The other branch is refined first, with its own random marks, so the
+    vertex numbering of the observed branch must not see its refinements.
+    """
+
+    def factory():
+        branches = [copy_trunk()]
+        branches.append(branches[0].copy())
+        random_refine(branches[1 - branch], COPY_SEEDS[2 - branch], rounds=3)
+        return branches[branch]
+
+    return factory
+
+
 def cases():
     """Case name -> (coarse mesh factory, mark sequence)."""
     out = {"sheared": (sheared_lshape, [[0], [3]])}
     for seed in RANDOM_SEEDS:
         out[f"lshape{seed}"] = (make_lshape, random_marks(seed))
+    for branch in (0, 1):
+        marks = random_refine(copy_trunk(), COPY_SEEDS[1 + branch], rounds=3)
+        out[f"copy{branch}"] = (copied(branch), marks)
     return out
 
 
@@ -122,9 +154,16 @@ def observe(mesh):
     return out
 
 
-def record(path=FIXTURE_FILE):
+def record(names=None, path=FIXTURE_FILE):
+    """Record the named cases (default: all); the file keeps every other case."""
+    names = set(cases() if not names else names)
     arrays = {}
+    if path.exists():
+        with np.load(path) as old:
+            arrays = {k: old[k] for k in old.files if k.split("/", 1)[0] not in names}
     for name, (_, marks) in cases().items():
+        if name not in names:
+            continue
         for k, picked in enumerate(marks):
             arrays[f"{name}/marks{k}"] = np.array(picked, dtype=int)
         for key, value in observe(build(name, marks)).items():
@@ -134,4 +173,4 @@ def record(path=FIXTURE_FILE):
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

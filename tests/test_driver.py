@@ -20,13 +20,17 @@ def test_rotating_cone_three_loops_golden_table():
     _check_three_loops_golden_table()
 
 
-def test_golden_table_without_point_location(monkeypatch):
-    """Slab-to-slab transfer must never fall back to locating points."""
+@pytest.mark.parametrize("method", ["locate_point", "_cell_views", "boundary_color"])
+def test_golden_table_without_point_location(monkeypatch, method):
+    """A solve never locates points nor builds the per-cell and per-face dict views."""
 
-    def refuse(self, p, tol=1e-12):
-        raise AssertionError("point location during a solve")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"QuadMesh.{method} called during a solve")
 
-    monkeypatch.setattr(QuadMesh, "locate_point", refuse)
+    original = QuadMesh.__dict__[method]
+    monkeypatch.setattr(
+        QuadMesh, method, property(refuse) if isinstance(original, property) else refuse
+    )
     _check_three_loops_golden_table()
 
 

@@ -65,7 +65,7 @@ def test_golden_indicators(slab):
 
 def test_keys_are_active_ids_in_order(slab):
     eta = estimator.indicator_terms(slab, *cone_inputs(slab))
-    assert list(eta) == slab.dual.active_ids
+    assert list(eta) == slab.dual.active_ids.tolist()
     assert all(isinstance(v, float) for v in eta.values())
 
 

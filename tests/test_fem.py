@@ -74,6 +74,15 @@ class TestDofs:
         with pytest.raises(ValueError):
             FeSpace(lshape, 3)
 
+    def test_dofs_on_cell_rejects_ids_of_no_active_cell(self, lshape):
+        lshape.refine({0})
+        space = FeSpace(lshape, 2)
+        n_cells = len(lshape.forest().level)
+        for cid in (0, -1, n_cells, 10**9):  # refined, negative, out of range
+            with pytest.raises(KeyError):
+                space.dofs_on_cell(cid)
+        assert space.dofs_on_cell(n_cells - 1).shape == (9,)
+
     def test_shared_entities_shared_dofs(self, lshape):
         space = FeSpace(lshape, 1)
         d0 = set(space.dofs_on_cell(0))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from dwr_diffusion.mesh import (
     NEUMANN,
     OPPOSITE_FACE,
     SAME,
+    _CHILD_VERTS,
     OutsideDomainError,
     QuadMesh,
     make_lshape,
@@ -210,9 +213,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadMesh([(0, 0), (1, 0), (0, 1), (np.nan, 1)], [(0, 1, 2, 3)])
 
-    def test_rejects_vertex_beyond_the_dedup_key_range(self):
-        with pytest.raises(ValueError):
-            QuadMesh([(0, 0), (1e9, 0), (0, 1), (1e9, 1)], [(0, 1, 2, 3)])
+    def test_rejects_duplicate_root_vertex(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            QuadMesh([(0, 0), (1, 0), (0, 1), (1, 1), (-0.0, 0)], [(0, 1, 2, 3)])
+
+    def test_refines_far_from_the_origin_with_exact_midpoints(self):
+        x0 = 1e9
+        mesh = QuadMesh([(x0, 0), (x0 + 1, 0), (x0, 1), (x0 + 1, 1)], [(0, 1, 2, 3)])
+        mesh.refine({0})
+        mesh.refine({1})  # the lower-left child
+        assert mesh.n_vertices == 14
+        f = mesh.forest()
+        corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+        boxes = f.origin[:, None, :] + f.scale[:, None, None] * corners
+        np.testing.assert_array_equal(mesh.points[f.vertices], boxes + [x0, 0.0])
 
     def test_rejects_unknown_boundary_color(self):
         with pytest.raises(ValueError):
@@ -232,6 +246,66 @@ def on_segment(p, a, b, tol=1e-12):
     cross = t[..., 0] * rel[..., 1] - t[..., 1] * rel[..., 0]
     s = np.sum(rel * t, axis=-1) / length_sq
     return (np.abs(cross) <= tol * np.sqrt(length_sq)) & (s >= -tol) & (s <= 1 + tol)
+
+
+def skewed_square():
+    """Four cells around an off-centre interior vertex, so midpoints are not dyadic."""
+    pts = [(0, 0), (0.5, 0), (1, 0), (0, 0.5), (0.6, 0.45), (1, 0.5), (0, 1), (0.5, 1), (1, 1)]
+    return QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)])
+
+
+class CoordinateNumbering:
+    """Reference vertex numbering: a dict keyed by the coordinates, extended per split.
+
+    The children of one split are four consecutive cell ids, so replaying the
+    splits in id order meets every new vertex in the order the mesh creates it.
+    """
+
+    def __init__(self, mesh):
+        self.points = [tuple(p) for p in mesh.points.tolist()]
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.vertices = mesh.forest().vertices.tolist()
+
+    def follow(self, mesh):
+        """Number the vertices of the cells that ``mesh`` created since the last call."""
+        parents = mesh.forest().parent[len(self.vertices)::4].tolist()
+        for parent in parents:
+            p0, p1, p2, p3 = (np.array(self.points[v]) for v in self.vertices[parent])
+            mids = [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
+                    (p0 + p1 + p2 + p3) / 4.0]
+            slots = list(self.vertices[parent])
+            for m in mids:
+                key = tuple(m.tolist())
+                if key not in self.index:
+                    self.index[key] = len(self.points)
+                    self.points.append(key)
+                slots.append(self.index[key])
+            self.vertices += [[slots[k] for k in child] for child in _CHILD_VERTS.tolist()]
+
+    def assert_matches(self, mesh):
+        np.testing.assert_array_equal(mesh.points, np.array(self.points))
+        np.testing.assert_array_equal(mesh.forest().vertices, np.array(self.vertices))
+
+
+class TestVertexNumbering:
+    @given(st.integers(min_value=0, max_value=2**30),
+           st.sampled_from(["lshape", "square", "skewed"]))
+    @settings(max_examples=30)
+    def test_topology_midpoints_match_a_coordinate_dedup(self, seed, domain):
+        """Random refinements, with copies branching off, number vertices as a coordinate dict."""
+        rng = np.random.default_rng(seed)
+        factory = {"lshape": make_lshape, "square": make_unit_square, "skewed": skewed_square}
+        mesh = factory[domain]()
+        branches = [(mesh, CoordinateNumbering(mesh))]
+        for _ in range(6):
+            mesh, ref = branches[rng.integers(len(branches))]
+            if rng.random() < 0.3:
+                branches.append((mesh.copy(), copy.deepcopy(ref)))
+                continue
+            mesh.refine({c for c in mesh.active_cells() if rng.random() < 0.4})
+            ref.follow(mesh)
+        for mesh, ref in branches:
+            ref.assert_matches(mesh)
 
 
 class TestFaceTable:

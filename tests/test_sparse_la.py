@@ -230,6 +230,11 @@ class TestCondenseHanging:
         with pytest.raises(ConstraintCycleError):
             condense_hanging(A, np.zeros(2), {0: [(1, 1.0)], 1: [(0, 1.0)]})
 
+    def test_row_without_masters_is_rejected(self):
+        A = csr_from_triplets(2, 2, [(i, i, 1.0) for i in range(2)])
+        with pytest.raises(ValueError, match="master"):
+            condense_hanging(A, np.zeros(2), {1: []})
+
     def test_self_reference_detected(self):
         A = csr_from_triplets(2, 2, [(i, i, 1.0) for i in range(2)])
         with pytest.raises(ConstraintCycleError, match="dof 0"):
