@@ -6,9 +6,10 @@ without a dual solve or adaptation.  Otherwise the dual problem is solved
 backward, cell indicators are computed and accumulated, slabs and cells
 are marked by the two-fraction strategy and the space-time meshes are
 refined.  The relative tolerance baseline is the first loop's error norm,
-captured once and frozen.  When the loop budget is exhausted the last
-record is flagged as not converged (the dual and the estimate are still
-computed on that final loop for reporting).
+captured once and frozen; a baseline of 0, whose target no loop can meet,
+is rejected.  When the loop budget is exhausted the last record is flagged
+as not converged (the dual and the estimate are still computed on that
+final loop for reporting).
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         )
         err = goal_norm(reports)
         if loop == 1 and adapt.tol_mode == "relative":
+            if err == 0.0:
+                cv = config.control_volume
+                raise ValueError(
+                    f"loop 1: goal error 0 over the control-volume time window ({cv.t_start:g}, "
+                    f"{cv.t_end:g}) sets a relative target of 0 that no loop can meet"
+                )
             tol_abs = adapt.tol * err
         record = LoopRecord(
             loop=loop,

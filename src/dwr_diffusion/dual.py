@@ -65,7 +65,7 @@ def assemble_goal_rhs(slab, ctx):
     return b / (slab.tau * ctx.norm)
 
 
-def march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=5000)):
+def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
     """Solve the dual problem from the last slab to the first.
 
     Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``

@@ -22,10 +22,14 @@ Both terms are batched.  The volume term reads the mesh state's cached
 :func:`fem.cell_rule`.  The face term runs over the non-Dirichlet rows of
 the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
 piece, in table order: cells in ``dual.active_ids`` order, faces 0..3,
-pieces ascending along the face.  ``np.add.at`` scatters the pieces in
-that order, the summation order of a per-face loop: marking sorts |eta|
-with an index tie-break, so a reordered sum that flips the last bit of two
-near-equal indicators could change which cells are refined.
+pieces ascending along the face.  :func:`fem.face_quadrature`, built per
+call (the ``fem`` module says why), gives each piece's Gauss points with
+their exact reference coordinates on both sides (s where a cell owns the
+whole piece, ``0.5 * half + 0.5 * s`` on the coarser side), where grad u_h
+is evaluated on both sides and w on the owner.  ``np.add.at`` scatters the
+pieces in table order, the summation order of a per-face loop: marking
+sorts |eta| with an index tie-break, so a reordered sum that flips the last
+bit of two near-equal indicators could change which cells are refined.
 """
 
 from __future__ import annotations
@@ -36,39 +40,9 @@ import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .mesh import DIRICHLET, NEUMANN, FACE_VERTS, OPPOSITE_FACE
+from .mesh import DIRICHLET, NEUMANN
 
 _TIME_QUAD = 2
-
-# outward normal = rotate the canonical face tangent; sign pattern per face
-_NORMAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # ccw for left/top, cw for right/bottom
-# reference coordinate held fixed on each face (x on left/right, y on bottom/top)
-_FACE_FIXED = np.array([0.0, 1.0, 0.0, 1.0])
-
-
-def _face_ref_points(faces, s):
-    """Reference coordinates of face parameters ``s`` (n, q) on ``faces`` (n,): (n, q, 2)."""
-    fixed = np.broadcast_to(_FACE_FIXED[faces][:, None], s.shape)
-    along_x = (faces >= 2)[:, None]  # bottom/top faces run along the x axis
-    return np.stack(
-        [np.where(along_x, s, fixed), np.where(along_x, fixed, s)], axis=-1
-    )
-
-
-def face_pieces(mesh):
-    """The non-Dirichlet rows of the mesh's face table, in table order.
-
-    Returns (own, nbr, face, seg_cell, seg_face, neumann): positions in
-    ``mesh.active_ids()`` of the owner and neighbor cells (the owner
-    itself on a Neumann face), the owner's face, the (cell, face) whose edge
-    is the integration segment and a Neumann flag.
-    """
-    table = mesh.face_topology()
-    keep = ~table.on_boundary(DIRICHLET)
-    neumann = table.on_boundary(NEUMANN)[keep]
-    own = table.owner[keep]
-    nbr = np.where(neumann, own, table.neighbor[keep])
-    return own, nbr, table.face[keep], table.edge_cell[keep], table.edge_face[keep], neumann
 
 
 def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
@@ -91,7 +65,6 @@ def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
 
 def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     """Signed indicator per active cell for explicitly given weight vectors."""
-    mesh = slab.mesh
     primal, dual = slab.primal, slab.dual
     eps = coeff.epsilon
     u = np.asarray(u, dtype=float)
@@ -119,49 +92,26 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
         eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
-    # face terms, batched over all face pieces
-    own, nbr, face, seg_cell, seg_face, neumann = face_pieces(mesh)
-    if len(own):
-        s1, ws1 = fem.gauss_1d(dual.degree + 1)
-        ends = mesh.cell_corner_coords(dual.active_ids)[:, FACE_VERTS]  # (c, face, end, 2)
-        a = ends[own, face, 0]
-        tangent = ends[own, face, 1] - a
-        length = np.hypot(tangent[:, 0], tangent[:, 1])
-        n_out = (
-            _NORMAL_SIGN[face][:, None]
-            * np.column_stack([-tangent[:, 1], tangent[:, 0]])
-            / length[:, None]
-        )
-        seg_a = ends[seg_cell, seg_face, 0]
-        seg_t = ends[seg_cell, seg_face, 1] - seg_a
-        seg_len = np.hypot(seg_t[:, 0], seg_t[:, 1])
-        pts = seg_a[:, None, :] + s1[None, :, None] * seg_t[:, None, :]  # (piece, q, 2)
-
-        # project the points onto the owner's and the neighbor's face
-        n_pc, n_q = pts.shape[:2]
-        side_cell = np.concatenate([own, nbr])
-        side_face = np.concatenate([face, np.where(neumann, face, OPPOSITE_FACE[face])])
-        A = ends[side_cell, side_face, 0]
-        span = ends[side_cell, side_face, 1] - A
-        s = np.einsum("pqd,pd->pq", np.concatenate([pts, pts]) - A[:, None, :], span)
-        s /= np.einsum("pd,pd->p", span, span)[:, None]
-        s[np.concatenate([neumann, neumann])] = s1
-        ref = _face_ref_points(side_face, s).reshape(-1, 2)
-
+    # face terms, batched over the non-Dirichlet face pieces
+    table = slab.mesh.face_topology()
+    rows = ~table.on_boundary(DIRICHLET)
+    if rows.any():
+        quad = fem.face_quadrature(dual, dual.degree + 1, rows)
+        own, neumann = quad.cells[0], table.on_boundary(NEUMANN)[rows]
+        n_pc, n_q = quad.JxW.shape
         grads = fem.physical_gradients(
-            primal, u, np.repeat(side_cell, n_q), ref
+            primal, u, np.repeat(quad.cells.ravel(), n_q), quad.ref.reshape(-1, 2)
         ).reshape(2, n_pc, n_q, 2)
-        N_face = fem.tensor_shape(dual.degree, ref[: n_pc * n_q]).reshape(n_pc, n_q, -1)
-        w_face = np.einsum("pqi,tpi->tpq", N_face, w_at[:, dual.cell_dofs[own]])
+        w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
 
         # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
         resid = np.empty((len(ts), n_pc, n_q))
-        resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], n_out)
+        resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
         if neumann.any():
-            flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], n_out[neumann])
+            flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
             for k, t in enumerate(ts):
-                resid[k, neumann] = data.neumann_h(pts[neumann], t) - flux
-        inner = np.sum(ws1 * seg_len[:, None] * resid * w_face, axis=-1)  # (time, piece)
+                resid[k, neumann] = data.neumann_h(quad.phys[neumann], t) - flux
+        inner = np.sum(quad.JxW * resid * w_face, axis=-1)  # (time, piece)
         acc = sum(wt * row for wt, row in zip(wts, inner))
         # np.add.at adds in piece order, the summation order of a per-cell face loop
         np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))

@@ -113,6 +113,11 @@ class FaceTable(NamedTuple):
     face one.  Cells are given as positions in ``cells`` (the mesh state's
     :meth:`QuadMesh.active_ids`, which every space on the mesh shares).  All
     arrays are read-only.
+
+    On COARSER and FINER rows, ``half`` is the half of the coarser side's
+    face that the piece covers (0 lower, 1 upper), from the piece index or
+    the owner's child position; -1 elsewhere.  Columns of small codes are
+    int8, as every live mesh state keeps its table.
     """
 
     cells: np.ndarray  # (m,) active cell ids
@@ -123,6 +128,7 @@ class FaceTable(NamedTuple):
     color: np.ndarray  # boundary color code (index into BOUNDARY_COLORS), -1 inside
     edge_cell: np.ndarray  # (position, face) whose edge is the piece: the finer
     edge_face: np.ndarray  # neighbor's on a FINER row, the owner's otherwise
+    half: np.ndarray  # half of the coarser side's face covered by the piece, -1 if none
 
     def on_boundary(self, color):
         """Rows on boundary faces of the given color."""
@@ -327,19 +333,23 @@ class QuadMesh:
         piece = np.where(finer[..., None], touch, nb[..., None])  # (m, 4, 2)
         rows = np.ones(piece.shape, dtype=bool)
         rows[..., 1] = finer
-        owner, face, _ = np.nonzero(rows)
+        owner, face, index = np.nonzero(rows)
         neighbor = np.where(piece[rows] >= 0, position[piece[rows]], -1)
         kind = kind[owner, face]
         is_finer = kind == FINER
+        # the owner's child position bit along the face: y on faces 0/1, x on faces 2/3
+        along = (f.position[cells[owner]] >> (face < 2)) & 1
+        code = np.int8
         return read_only(FaceTable(
             cells=cells,
             owner=owner,
-            face=face,
+            face=face.astype(code),
             neighbor=neighbor,
-            kind=kind,
-            color=f.color[cells[owner], face],
+            kind=kind.astype(code),
+            color=f.color[cells[owner], face].astype(code),
             edge_cell=np.where(is_finer, neighbor, owner),
-            edge_face=np.where(is_finer, OPPOSITE_FACE[face], face),
+            edge_face=np.where(is_finer, OPPOSITE_FACE[face], face).astype(code),
+            half=np.where(is_finer, index, np.where(kind == COARSER, along, -1)).astype(code),
         ))
 
     def active_across(self, cid, face):

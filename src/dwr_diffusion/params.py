@@ -7,10 +7,11 @@ The file format is line oriented:
       set rho = 0.8
     end
 
-Unknown sections or keys, malformed lines, type mismatches and values
-outside their documented ranges are rejected with the offending line
-number.  An empty file yields the default configuration, which is the
-rotating-cone benchmark setup.
+Unknown sections or keys, malformed lines, type mismatches and non-finite
+floats are rejected with the offending line number; values outside their
+documented ranges with the ``set`` lines of the keys that feed the config
+object rejecting them.  An empty file yields the default configuration,
+which is the rotating-cone benchmark setup.
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ class RunConfig:
     control_volume: ControlVolume = field(default_factory=ControlVolume)
     discretization: DiscretizationConfig = field(default_factory=DiscretizationConfig)
     adapt: AdaptParams = field(default_factory=AdaptParams)
-    solver: SolverControl = field(
-        default_factory=lambda: SolverControl(max_iterations=5000)
-    )
+    solver: SolverControl = field(default_factory=SolverControl)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -92,6 +91,13 @@ def _parse_bool(raw):
     if low in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 # section -> key -> (type tag, default)
@@ -142,11 +148,15 @@ _SCHEMA = {
     },
 }
 
-_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
+_PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str}
 
 
 def parse_parameter_lines(lines, source="<string>"):
+    def error(at, message):
+        return ParameterFileError(f"{source}:{at}: {message}")
+
     values = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in _SCHEMA.items()}
+    set_at = {}  # (section, key) -> line of its last 'set'
     section = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,99 +164,75 @@ def parse_parameter_lines(lines, source="<string>"):
             continue
         if line.lower().startswith("subsection"):
             if section is not None:
-                raise ParameterFileError(
-                    f"{source}:{lineno}: nested subsections are not supported"
-                )
+                raise error(lineno, "nested subsections are not supported")
             name = line[len("subsection"):].strip()
             if name not in _SCHEMA:
-                raise ParameterFileError(f"{source}:{lineno}: unknown subsection {name!r}")
-            section = name
+                raise error(lineno, f"unknown subsection {name!r}")
+            section, opened = name, lineno
             continue
         if line.lower() == "end":
             if section is None:
-                raise ParameterFileError(f"{source}:{lineno}: 'end' without subsection")
+                raise error(lineno, "'end' without subsection")
             section = None
             continue
         if line.lower().startswith("set "):
             if section is None:
-                raise ParameterFileError(
-                    f"{source}:{lineno}: 'set' outside of a subsection"
-                )
+                raise error(lineno, "'set' outside of a subsection")
             body = line[4:]
             if "=" not in body:
-                raise ParameterFileError(f"{source}:{lineno}: expected 'set key = value'")
+                raise error(lineno, "expected 'set key = value'")
             key, _, raw_val = body.partition("=")
             key = key.strip()
             raw_val = raw_val.strip()
             if key not in _SCHEMA[section]:
-                raise ParameterFileError(
-                    f"{source}:{lineno}: unknown key {key!r} in subsection {section!r}"
-                )
+                raise error(lineno, f"unknown key {key!r} in subsection {section!r}")
             type_tag, _ = _SCHEMA[section][key]
             try:
                 values[section][key] = _PARSERS[type_tag](raw_val)
             except ValueError as err:
-                raise ParameterFileError(
-                    f"{source}:{lineno}: bad value for {key!r}: {err}"
-                ) from None
+                raise error(lineno, f"bad value for {key!r}: {err}") from None
+            set_at[section, key] = lineno
             continue
-        raise ParameterFileError(f"{source}:{lineno}: cannot parse line {raw.strip()!r}")
+        raise error(lineno, f"cannot parse line {raw.strip()!r}")
     if section is not None:
-        raise ParameterFileError(f"{source}: unterminated subsection {section!r}")
-    return _build_config(values, source)
+        raise error(opened, f"unterminated subsection {section!r}")
+    return _build_config(values, set_at, error)
 
 
-def _build_config(values, source):
-    try:
-        coeff = Coefficients(rho=values["problem"]["rho"], epsilon=values["problem"]["epsilon"])
-        solution = ConeSolution(a=values["problem"]["a"], s=values["problem"]["s"])
-        cvv = values["control_volume"]
-        cv = ControlVolume(
-            box=(cvv["x_min"], cvv["x_max"], cvv["y_min"], cvv["y_max"]),
-            r1=cvv["r1"],
-            omega=cvv["omega"],
-            t_start=cvv["t_start"],
-            t_end=cvv["t_end"],
-        )
-        dv = values["discretization"]
-        disc = DiscretizationConfig(
-            t0=dv["t0"],
-            T=dv["T"],
-            n_slabs=dv["n_slabs"],
-            primal_degree=dv["primal_degree"],
-            dual_degree=dv["dual_degree"],
-            load_quadrature=dv["load_quadrature"],
-        )
-        av = values["adaptivity"]
-        adapt = AdaptParams(
-            theta_tau=av["theta_tau"],
-            theta_h1=av["theta_h1"],
-            theta_h2=av["theta_h2"],
-            tol_mode=av["tol_mode"],
-            tol=av["tol"],
-            max_loops=av["max_loops"],
-            skip_zero_indicators=av["skip_zero_indicators"],
-        )
-        sv = values["solver"]
-        solver = SolverControl(
-            max_iterations=sv["max_iterations"],
-            relative_tolerance=sv["relative_tolerance"],
-            absolute_tolerance=sv["absolute_tolerance"],
-        )
-        est = EstimatorConfig(time_restriction=values["estimator"]["time_restriction"])
-        out = OutputConfig(vtk_every=values["output"]["vtk_every"])
-        return RunConfig(
-            coefficients=coeff,
-            solution=solution,
-            control_volume=cv,
-            discretization=disc,
-            adapt=adapt,
-            solver=solver,
-            estimator=est,
-            output=out,
-        )
-    except ValueError as err:
-        raise ParameterFileError(f"{source}: {err}") from None
+def _build_config(values, set_at, error):
+    """The :class:`RunConfig`, built one config object at a time.
+
+    A value-range error names the ``set`` lines of the keys that feed the
+    object that rejected it; the defaults are valid, so one of them is set.
+    """
+
+    def build(make, *feeds):
+        try:
+            return make()
+        except ValueError as err:
+            raise error(",".join(map(str, sorted(set_at[f] for f in feeds if f in set_at))),
+                        err) from None
+
+    def section(name, cls):
+        return build(lambda: cls(**values[name]), *((name, key) for key in _SCHEMA[name]))
+
+    p, cv = values["problem"], values["control_volume"]
+    config = dict(
+        coefficients=build(lambda: Coefficients(rho=p["rho"], epsilon=p["epsilon"]),
+                           ("problem", "rho"), ("problem", "epsilon")),
+        solution=build(lambda: ConeSolution(p["a"], p["s"]), ("problem", "a"), ("problem", "s")),
+        control_volume=build(lambda: ControlVolume(
+            box=(cv["x_min"], cv["x_max"], cv["y_min"], cv["y_max"]),
+            r1=cv["r1"], omega=cv["omega"], t_start=cv["t_start"], t_end=cv["t_end"],
+        ), *(("control_volume", key) for key in cv)),
+        discretization=section("discretization", DiscretizationConfig),
+        adapt=section("adaptivity", AdaptParams),
+        solver=section("solver", SolverControl),
+        estimator=section("estimator", EstimatorConfig),
+        output=section("output", OutputConfig),
+    )
+    return build(lambda: RunConfig(**config), ("control_volume", "t_start"),
+                 ("control_volume", "t_end"), ("discretization", "t0"), ("discretization", "T"))
 
 
 def parse_parameter_file(path):

@@ -133,8 +133,7 @@ def slab_goal_norm_sq(slab, u_fn, solution, cv):
     return total
 
 
-def march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=5000),
-                  cv=None, time_rule="gauss"):
+def march_forward(slabs, coeff, data, ctrl=SolverControl(), cv=None, time_rule="gauss"):
     """Solve the primal problem slab by slab, storing u and the incoming trace.
 
     The first slab starts from the nodal interpolation of the initial

@@ -37,7 +37,7 @@ class SolverControl:
     ||b||, absolute_tolerance)`` in the Euclidean norm.
     """
 
-    max_iterations: int = 1000
+    max_iterations: int = 5000
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-14
 

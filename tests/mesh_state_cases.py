@@ -1,10 +1,11 @@
 """Recorded mesh states: the meshes, what is observed on them, and the recorder.
 
 Each case is a mesh built from a fixed sequence of refinement marks.  On
-every case :func:`observe` records the refined cell lists, the estimator's
-face-piece arrays and, for the Q1 and Q2 spaces, the dof numbering,
-support points, constraint rows, boundary dofs, a Neumann load and the
-bytes of the VTK file of a slab with that primal degree.
+every case :func:`observe` records the refined cell lists, the face-table
+rows off the Dirichlet boundary (the estimator's face pieces) and, for the
+Q1 and Q2 spaces, the dof numbering, support points, constraint rows,
+boundary dofs, a Neumann load and the bytes of the VTK file of a slab with
+that primal degree.
 ``tests/data/mesh_state.npz`` holds these observations; ``test_mesh_state``
 requires the current code to reproduce them.  Every recorded fixture of the
 tests is written by this script; re-record with::
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dwr_diffusion import estimator, fem
+from dwr_diffusion import fem
 from dwr_diffusion.fem import FeSpace
 from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh, make_lshape
 from dwr_diffusion.output import vtk_text
@@ -132,10 +133,15 @@ def observe(mesh):
         "level": np.array([c.level for c in mesh.cells]),
         "boundary_color": colors,
     }
-    for key, arr in zip(
-        ("own", "nbr", "face", "seg_cell", "seg_face", "neumann"), estimator.face_pieces(mesh)
-    ):
-        out[f"pieces_{key}"] = np.asarray(arr)
+    table = mesh.face_topology()
+    keep = ~table.on_boundary(DIRICHLET)
+    neumann = table.on_boundary(NEUMANN)[keep]
+    out["pieces_own"] = table.owner[keep]
+    out["pieces_nbr"] = np.where(neumann, table.owner[keep], table.neighbor[keep])
+    out["pieces_face"] = table.face[keep]
+    out["pieces_seg_cell"] = table.edge_cell[keep]
+    out["pieces_seg_face"] = table.edge_face[keep]
+    out["pieces_neumann"] = neumann
     for degree in (1, 2):
         space = FeSpace(mesh, degree)
         cs = space.constraints

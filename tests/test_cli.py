@@ -52,3 +52,14 @@ def test_unknown_key_exits_one_naming_file_and_line(tmp_path, capsys):
     assert f"{prm}:{line}:" in err
     assert "unknown key 'rhoo'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_first_goal_error_exits_one_naming_loop_and_window(tmp_path, capsys):
+    """No time-quadrature point of any slab lies in (0.251, 0.26): the relative target is 0."""
+    prm = write_variant(
+        tmp_path,
+        {"set t_start = 0.25": "set t_start = 0.251", "set t_end = 1.0": "set t_end = 0.26"},
+    )
+    assert main([str(prm), "--out", str(tmp_path / "out"), "-q"]) == 1
+    err = capsys.readouterr().err
+    assert "loop 1: goal error 0 over the control-volume time window (0.251, 0.26)" in err

@@ -16,7 +16,11 @@ from dwr_diffusion.fem import (
     interpolate_same_mesh,
     transfer,
 )
-from dwr_diffusion.mesh import DIRICHLET, NEUMANN, make_lshape, make_unit_square, QuadMesh
+from dwr_diffusion.mesh import (
+    BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, NEUMANN, SAME, QuadMesh, make_lshape,
+    make_unit_square,
+)
+from mesh_state_cases import random_refine, sheared_lshape
 from dwr_diffusion.slabs import Slab, TimeInterval
 
 
@@ -189,6 +193,41 @@ class TestQuadrature:
 @pytest.fixture(params=["sheared", "hanging"])
 def rule_mesh(request, sheared_irregular_lshape, hanging_mesh):
     return sheared_irregular_lshape if request.param == "sheared" else hanging_mesh
+
+
+class TestFaceQuadrature:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("refine", [None, (sheared_lshape, 21), (sheared_lshape, 22),
+                                        (make_lshape, 23)])
+    def test_both_sides_map_their_reference_points_to_the_physical_points(
+        self, sheared_irregular_lshape, refine, degree
+    ):
+        """On every row kind, each side's bilinear cell map meets the points on the piece."""
+        if refine is None:
+            mesh = sheared_irregular_lshape
+        else:
+            mesh = refine[0]()
+            random_refine(mesh, refine[1])
+        table = mesh.face_topology()
+        assert set(table.kind.tolist()) == {BOUNDARY, SAME, COARSER, FINER}
+        space = FeSpace(mesh, degree)
+        quad = fem.face_quadrature(space, degree + 1, np.arange(len(table.kind)))
+        assert np.array_equal(quad.cells[0], table.owner)
+        assert np.array_equal(quad.cells[1], np.where(table.kind == BOUNDARY, table.owner,
+                                                      table.neighbor))
+        for side in (0, 1):
+            for cell, ref, phys in zip(quad.cells[side], quad.ref[side], quad.phys):
+                mapped = mesh.map_to_physical(int(table.cells[cell]), ref)
+                assert np.all(np.abs(mapped - phys) <= 1e-15)
+        # weights sum to each owner face's length; normals are outward unit vectors
+        corners = mesh.cell_corner_coords(table.cells)
+        ends = corners[table.owner[:, None], np.array(FACE_VERTS)[table.face]]
+        face_length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
+        covered = np.bincount(4 * table.owner + table.face, weights=quad.JxW.sum(axis=1))
+        assert np.allclose(covered[4 * table.owner + table.face], face_length, rtol=1e-14)
+        assert np.allclose(np.linalg.norm(quad.normal, axis=1), 1.0, rtol=0, atol=1e-15)
+        outward = quad.phys[:, 0] - corners[table.owner].mean(axis=1)
+        assert np.all(np.einsum("rd,rd->r", outward, quad.normal) > 0)
 
 
 class TestCellRule:

@@ -357,6 +357,20 @@ class TestFaceTable:
         assert set(kind.tolist()) <= {SAME, COARSER, FINER}
         assert np.all(table.color[inner] == -1)
 
+        # ``half``: the half of the coarser side's edge that the piece covers
+        def half_of(edge, half):
+            a, b = edge[:, None, 0], edge[:, None, 1]
+            return a + 0.5 * (half[:, None, None] + np.array([0, 1])[:, None]) * (b - a)
+
+        coarser, finer = table.kind == COARSER, table.kind == FINER
+        coarse_edge = edges[table.neighbor[coarser], np.array(OPPOSITE_FACE)[table.face[coarser]]]
+        assert np.allclose(piece[coarser], half_of(coarse_edge, table.half[coarser]),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(piece[finer], half_of(own[finer], table.half[finer]),
+                           rtol=0, atol=1e-14)
+        assert set(table.half[coarser | finer].tolist()) <= {0, 1}
+        assert np.all(table.half[~(coarser | finer)] == -1)
+
         # boundary pieces lie on no other cell's edge and carry the domain's color
         bnd = ~inner
         mid = 0.5 * (own[bnd, 0] + own[bnd, 1])

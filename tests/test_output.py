@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dwr_diffusion import fem
+from dwr_diffusion.cli import main
 from dwr_diffusion.mesh import make_lshape
-from dwr_diffusion.output import vtk_text, write_vtk_slabs
+from dwr_diffusion.output import atomic_write, vtk_text, write_vtk_slabs
 from dwr_diffusion.slabs import init_slabs
+
+PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
 
 
 @pytest.mark.parametrize("primal_degree", [1, 2])
@@ -21,3 +26,23 @@ def test_vtk_files_of_slabs_sharing_a_space_equal_single_slab_exports(tmp_path, 
     for k, slab in enumerate(slabs):
         expected = vtk_text(slab, u=slab.fetch_storage("u"), z=slab.fetch_storage("z_tm"))
         assert (tmp_path / f"solution_l03_n{k:04d}.vtk").read_text() == expected
+
+
+def test_failed_atomic_write_keeps_the_old_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "convergence.csv"
+    atomic_write(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(target, "new \ud800\n")  # a lone surrogate has no UTF-8 encoding
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["convergence.csv"]
+
+
+def test_two_runs_write_byte_identical_outputs(tmp_path):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for out in dirs:
+        assert main([str(PARAMETER_FILE), "--max-loops", "2", "--out", str(out), "-q"]) == 2
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert "convergence.csv" in names and any(n.endswith(".vtk") for n in names)
+    assert sorted(p.name for p in dirs[1].iterdir()) == names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
