@@ -7,6 +7,9 @@ The file format is line oriented:
       set rho = 0.8
     end
 
+The config dataclasses define every key: a key is named as the field it
+sets and takes that field's type (float, int, bool or str) and default.
+The four keys x_min, x_max, y_min and y_max set the control-volume box.
 Unknown sections or keys, malformed lines, type mismatches and non-finite
 floats are rejected with the offending line number; values outside their
 documented ranges with the ``set`` lines of the keys that feed the config
@@ -17,7 +20,8 @@ which is the rotating-cone benchmark setup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .marking import AdaptParams
 from .problem import Coefficients, ConeSolution, ControlVolume
@@ -100,55 +104,38 @@ def _parse_float(raw):
     return value
 
 
-# section -> key -> (type tag, default)
-_SCHEMA = {
-    "problem": {
-        "rho": ("float", 0.8),
-        "epsilon": ("float", 1.2),
-        "a": ("float", 50.0),
-        "s": ("float", -0.3333),
-    },
-    "discretization": {
-        "t0": ("float", 0.0),
-        "T": ("float", 1.25),
-        "n_slabs": ("int", 5),
-        "primal_degree": ("int", 1),
-        "dual_degree": ("int", 2),
-        "load_quadrature": ("str", "gauss"),
-    },
-    "control_volume": {
-        "x_min": ("float", -0.1),
-        "x_max": ("float", 0.1),
-        "y_min": ("float", -0.1),
-        "y_max": ("float", 0.1),
-        "r1": ("float", 0.25),
-        "omega": ("float", 2.0 * math.pi),
-        "t_start": ("float", 0.25),
-        "t_end": ("float", 1.0),
-    },
-    "adaptivity": {
-        "theta_tau": ("float", 0.5),
-        "theta_h1": ("float", 0.3),
-        "theta_h2": ("float", 0.15),
-        "tol_mode": ("str", "relative"),
-        "tol": ("float", 1e-2),
-        "max_loops": ("int", 25),
-        "skip_zero_indicators": ("bool", True),
-    },
-    "solver": {
-        "max_iterations": ("int", 5000),
-        "relative_tolerance": ("float", 1e-10),
-        "absolute_tolerance": ("float", 1e-14),
-    },
-    "estimator": {
-        "time_restriction": ("str", "mean"),
-    },
-    "output": {
-        "vtk_every": ("int", 0),
-    },
-}
+_PARSERS = {float: _parse_float, int: int, bool: _parse_bool, str: str}
 
-_PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str}
+# subsection -> the RunConfig fields its keys set.  A range error names the
+# set lines of the rejecting object's keys; RunConfig's cross-check lists its
+# feeds by hand, as no dataclass says which fields its __post_init__ reads.
+_SECTIONS = {"problem": ("coefficients", "solution"), "discretization": ("discretization",),
+             "control_volume": ("control_volume",), "adaptivity": ("adapt",),
+             "solver": ("solver",), "estimator": ("estimator",), "output": ("output",)}
+_RUN_FEEDS = (("control_volume", "t_start"), ("control_volume", "t_end"),
+              ("discretization", "t0"), ("discretization", "T"))
+# tuple field -> the float keys setting its components; other tuple fields are no keys
+_TUPLE_KEYS = {"box": ("x_min", "x_max", "y_min", "y_max")}
+
+
+def _keys(cls):
+    """(field, key, parser, default) of each key that sets a field of ``cls``, in field order."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in _TUPLE_KEYS:
+            for key, default in zip(_TUPLE_KEYS[f.name], f.default):
+                yield f.name, key, _parse_float, default
+        elif hints[f.name] is not tuple:
+            yield f.name, f.name, _PARSERS[hints[f.name]], f.default
+
+
+_CLASSES = {f.name: f.default_factory for f in fields(RunConfig)}
+# RunConfig field -> (subsection, the _keys of its class)
+_OBJECTS = {name: (section, list(_keys(_CLASSES[name])))
+            for section, names in _SECTIONS.items() for name in names}
+# subsection -> key -> (parser, default)
+_SCHEMA = {section: {k: (parse, d) for name in names for _, k, parse, d in _OBJECTS[name][1]}
+           for section, names in _SECTIONS.items()}
 
 
 def parse_parameter_lines(lines, source="<string>"):
@@ -186,9 +173,9 @@ def parse_parameter_lines(lines, source="<string>"):
             raw_val = raw_val.strip()
             if key not in _SCHEMA[section]:
                 raise error(lineno, f"unknown key {key!r} in subsection {section!r}")
-            type_tag, _ = _SCHEMA[section][key]
+            parse, _ = _SCHEMA[section][key]
             try:
-                values[section][key] = _PARSERS[type_tag](raw_val)
+                values[section][key] = parse(raw_val)
             except ValueError as err:
                 raise error(lineno, f"bad value for {key!r}: {err}") from None
             set_at[section, key] = lineno
@@ -202,37 +189,25 @@ def parse_parameter_lines(lines, source="<string>"):
 def _build_config(values, set_at, error):
     """The :class:`RunConfig`, built one config object at a time.
 
-    A value-range error names the ``set`` lines of the keys that feed the
-    object that rejected it; the defaults are valid, so one of them is set.
+    The defaults are valid, so a range error names at least one ``set`` line.
     """
 
-    def build(make, *feeds):
+    def build(make, feeds):
         try:
             return make()
         except ValueError as err:
             raise error(",".join(map(str, sorted(set_at[f] for f in feeds if f in set_at))),
                         err) from None
 
-    def section(name, cls):
-        return build(lambda: cls(**values[name]), *((name, key) for key in _SCHEMA[name]))
+    def build_object(name):
+        section, keys = _OBJECTS[name]
+        kwargs, got = {}, values[section]
+        for f, key, _, _ in keys:
+            kwargs[f] = kwargs.get(f, ()) + (got[key],) if f in _TUPLE_KEYS else got[key]
+        return build(lambda: _CLASSES[name](**kwargs), [(section, k) for _, k, _, _ in keys])
 
-    p, cv = values["problem"], values["control_volume"]
-    config = dict(
-        coefficients=build(lambda: Coefficients(rho=p["rho"], epsilon=p["epsilon"]),
-                           ("problem", "rho"), ("problem", "epsilon")),
-        solution=build(lambda: ConeSolution(p["a"], p["s"]), ("problem", "a"), ("problem", "s")),
-        control_volume=build(lambda: ControlVolume(
-            box=(cv["x_min"], cv["x_max"], cv["y_min"], cv["y_max"]),
-            r1=cv["r1"], omega=cv["omega"], t_start=cv["t_start"], t_end=cv["t_end"],
-        ), *(("control_volume", key) for key in cv)),
-        discretization=section("discretization", DiscretizationConfig),
-        adapt=section("adaptivity", AdaptParams),
-        solver=section("solver", SolverControl),
-        estimator=section("estimator", EstimatorConfig),
-        output=section("output", OutputConfig),
-    )
-    return build(lambda: RunConfig(**config), ("control_volume", "t_start"),
-                 ("control_volume", "t_end"), ("discretization", "t0"), ("discretization", "T"))
+    config = {name: build_object(name) for name in _CLASSES}
+    return build(lambda: RunConfig(**config), _RUN_FEEDS)
 
 
 def parse_parameter_file(path):

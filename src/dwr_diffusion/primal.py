@@ -162,7 +162,6 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(), cv=None, time_rule="
         contrib = 0.0
         if cv is not None:
             contrib = slab_goal_norm_sq(slab, FeFunction(space, x), data.solution, cv)
-            slab.attach_storage("goal_contrib", np.array([contrib]))
         reports.append(PrimalStepReport(n, iters, residual, contrib))
     return reports
 

@@ -52,7 +52,6 @@ _TAG_KIND = {
     "u_prev": "primal",
     "z_tm": "dual",
     "z_tn": "dual",
-    "goal_contrib": "scalar",
 }
 
 
@@ -97,11 +96,7 @@ class Slab:
         kind = _TAG_KIND.get(tag)
         if kind is None:
             raise KeyError(f"unknown storage tag {tag!r}")
-        if kind == "primal":
-            return self.primal.n_dofs
-        if kind == "dual":
-            return self.dual.n_dofs
-        return 1
+        return self.primal.n_dofs if kind == "primal" else self.dual.n_dofs
 
     def attach_storage(self, tag, vector):
         """Register a shared handle; the data itself is not copied."""

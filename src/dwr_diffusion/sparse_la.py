@@ -10,6 +10,7 @@ the unconstrained subspace; coefficients are 64-bit floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,8 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns ``(x, iterations)``.  Raises :class:`SolverError` if the
-    residual target is not met within ``ctrl.max_iterations``.
+    residual target is not met within ``ctrl.max_iterations``, or at once
+    when ``||b||`` or a residual is not finite.
 
     Rows that are fully decoupled (unit diagonal, zero off-diagonals, as
     produced by :func:`apply_dirichlet`) are reproduced bit-exactly when
@@ -105,6 +107,9 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
 
     r = b - A @ x
     res = np.linalg.norm(r)
+    if not (math.isfinite(b_norm) and math.isfinite(res)):
+        raise SolverError("CG got a non-finite right-hand side or initial residual "
+                          f"(|b| {b_norm:.3e}, residual {res:.3e})", iterations=0, residual=res)
     if res <= target:
         return x, 0
     z = inv_diag * r
@@ -118,6 +123,9 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
         res = np.linalg.norm(r)
         if res <= target:
             return x, k
+        if not math.isfinite(res):
+            raise SolverError(f"CG residual is not finite at iteration {k}",
+                              iterations=k, residual=res)
         z = inv_diag * r
         rz_new = r @ z
         p = z + (rz_new / rz) * p

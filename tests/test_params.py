@@ -1,7 +1,9 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from dwr_diffusion import params
 from dwr_diffusion.params import (
     ParameterFileError,
     RunConfig,
@@ -98,3 +100,58 @@ def test_range_errors_name_the_set_lines_that_feed_the_rejecting_object(text, li
     err = error_of(text)
     assert err.startswith(f"{SOURCE}:{lines}: ")
     assert message in err
+
+
+# The parameter file is an external interface: a config field added, renamed
+# or dropped changes this list.
+FILE_KEYS = [
+    ("problem", ["rho", "epsilon", "a", "s"]),
+    ("discretization", ["t0", "T", "n_slabs", "primal_degree", "dual_degree", "load_quadrature"]),
+    ("control_volume", ["x_min", "x_max", "y_min", "y_max", "r1", "omega", "t_start", "t_end"]),
+    ("adaptivity", ["theta_tau", "theta_h1", "theta_h2", "tol_mode", "tol", "max_loops",
+                    "skip_zero_indicators"]),
+    ("solver", ["max_iterations", "relative_tolerance", "absolute_tolerance"]),
+    ("estimator", ["time_restriction"]),
+    ("output", ["vtk_every"]),
+]
+
+
+def test_file_keys_are_the_config_fields_in_order():
+    assert [(section, list(keys)) for section, keys in params._SCHEMA.items()] == FILE_KEYS
+
+
+def test_shipped_file_sets_every_key_in_order():
+    sections, section = [], None
+    for raw in PARAMETER_FILE.read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("subsection "):
+            section = (line.split()[1], [])
+            sections.append(section)
+        elif line.startswith("set "):
+            section[1].append(line[4:].partition("=")[0].strip())
+    assert sections == FILE_KEYS
+
+
+def test_one_key_per_subsection_replaces_exactly_its_field():
+    config = parse(
+        "subsection problem\n  set epsilon = 2.5\nend\n"
+        "subsection discretization\n  set n_slabs = 7\nend\n"
+        "subsection control_volume\n  set y_max = 0.05\nend\n"
+        "subsection adaptivity\n  set skip_zero_indicators = off\nend\n"
+        "subsection solver\n  set relative_tolerance = 1e-8\nend\n"
+        "subsection estimator\n  set time_restriction = right\nend\n"
+        "subsection output\n  set vtk_every = 3\nend\n"
+    )
+    default = RunConfig()
+    assert config == replace(
+        default,
+        coefficients=replace(default.coefficients, epsilon=2.5),
+        discretization=replace(default.discretization, n_slabs=7),
+        control_volume=replace(default.control_volume, box=(-0.1, 0.1, -0.1, 0.05)),
+        adapt=replace(default.adapt, skip_zero_indicators=False),
+        solver=replace(default.solver, relative_tolerance=1e-8),
+        estimator=replace(default.estimator, time_restriction="right"),
+        output=replace(default.output, vtk_every=3),
+    )
+    assert type(config.discretization.n_slabs) is int
+    assert config.adapt.skip_zero_indicators is False

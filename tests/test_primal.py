@@ -6,10 +6,11 @@ import pytest
 from dwr_diffusion import dual, fem, primal
 from dwr_diffusion.dual import GoalContext, march_backward
 from dwr_diffusion.fem import FeFunction, interpolate
+from dwr_diffusion.mesh import make_lshape
 from dwr_diffusion.primal import goal_norm, march_forward, slab_goal_norm_sq
 from dwr_diffusion.problem import Coefficients, ConeSolution, ControlVolume, ProblemData
 from dwr_diffusion.slabs import init_slabs
-from dwr_diffusion.sparse_la import SolverControl
+from dwr_diffusion.sparse_la import SolverControl, SolverError
 
 LSHAPE_AREA = 0.75
 
@@ -136,3 +137,66 @@ def test_reused_system_gives_the_rebuilt_solutions(runs, monkeypatch):
     assert calls["stiffness"] == 2 * len(runs)
     assert all(np.array_equal(a, b) for a, b in zip(u, u_ref))
     assert all(np.array_equal(a, b) for a, b in zip(z, z_ref))
+
+
+def zero(x, t=None):
+    return np.zeros(x.shape[:-1])
+
+
+def test_data_turning_nan_on_a_later_slab_fails_at_once(lshape):
+    data = SimpleNamespace(
+        rhs_f=lambda x, t: np.full(x.shape[:-1], np.nan if t > 0.5 else 0.0),
+        neumann_h=zero, dirichlet_g=zero, initial=zero,
+    )
+    slabs = init_slabs(lshape, 0.0, 1.0, 4)
+    with pytest.raises(SolverError) as exc:
+        march_forward(slabs, CONE.coefficients, data)
+    assert str(exc.value).startswith("primal solve failed on slab 2: ")
+    assert exc.value.iterations == 0
+    assert [s.fetch_storage("u") is not None for s in slabs] == [True, True, False, False]
+
+
+def closed_form(u, dt, grad, laplacian):
+    """``ProblemData`` derived from an analytic solution given by its derivatives."""
+    return ProblemData(solution=SimpleNamespace(u=u, dt=dt, grad=grad, laplacian=laplacian),
+                       coefficients=CONE.coefficients)
+
+
+def goal_error(levels, n_slabs, data, time_rule):
+    mesh = make_lshape()
+    for _ in range(levels):
+        mesh.refine(mesh.active_ids())
+    slabs = init_slabs(mesh, 0.0, 1.0, n_slabs)
+    reports = march_forward(slabs, CONE.coefficients, data, cv=EVERYWHERE, time_rule=time_rule)
+    return goal_norm(reports)
+
+
+def orders(errors):
+    return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("time_rule", ["gauss", "right"])
+def test_time_error_is_first_order(time_rule):
+    # linear in space, so Q1 is exact there and only the time error remains
+    data = closed_form(
+        u=lambda x, t: np.exp(-t) * (1.0 + x[..., 0] + 2.0 * x[..., 1]),
+        dt=lambda x, t: -np.exp(-t) * (1.0 + x[..., 0] + 2.0 * x[..., 1]),
+        grad=lambda x, t: np.exp(-t) * np.broadcast_to([1.0, 2.0], x.shape),
+        laplacian=zero,
+    )
+    errors = [goal_error(1, n, data, time_rule) for n in (4, 8, 16, 32)]
+    assert all(0.95 <= p <= 1.05 for p in orders(errors)), orders(errors)
+
+
+def test_space_error_is_second_order():
+    # constant in time, so only the space error remains and both load time rules agree
+    sx, cx = (lambda x: np.sin(2.0 * x[..., 0] + 1.0)), (lambda x: np.cos(2.0 * x[..., 0] + 1.0))
+    sy, cy = (lambda x: np.sin(3.0 * x[..., 1])), (lambda x: np.cos(3.0 * x[..., 1]))
+    data = closed_form(
+        u=lambda x, t: sx(x) * cy(x),
+        dt=zero,
+        grad=lambda x, t: np.stack([2.0 * cx(x) * cy(x), -3.0 * sx(x) * sy(x)], axis=-1),
+        laplacian=lambda x, t: -13.0 * sx(x) * cy(x),
+    )
+    errors = [goal_error(levels, 2, data, "gauss") for levels in (1, 2, 3, 4)]
+    assert all(1.95 <= p <= 2.05 for p in orders(errors)), orders(errors)

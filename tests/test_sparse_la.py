@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from dwr_diffusion.sparse_la import (
@@ -15,6 +16,11 @@ from dwr_diffusion.sparse_la import (
 )
 
 TIGHT = SolverControl(max_iterations=500, relative_tolerance=1e-13, absolute_tolerance=1e-16)
+
+
+def tridiagonal(n):
+    """The SPD 1D Laplacian stencil (-1, 2, -1)."""
+    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
 
 
 def spd_random(n, seed):
@@ -112,6 +118,39 @@ class TestCg:
                                          absolute_tolerance=1e-16))
         assert exc.value.residual > 0.0
         assert exc.value.iterations == 1
+
+    @pytest.mark.parametrize("bad", ["rhs", "x0"])
+    def test_non_finite_input_fails_before_the_first_iteration(self, bad):
+        A = tridiagonal(2000)
+        b, x0 = np.ones(2000), np.zeros(2000)
+        if bad == "rhs":
+            b[5] = np.nan
+        else:
+            x0[5] = np.inf
+        with pytest.raises(SolverError) as exc:
+            cg_solve(A, b, SolverControl(max_iterations=5000), x0=x0)
+        assert exc.value.iterations == 0
+        assert not np.isfinite(exc.value.residual)
+
+    def test_non_finite_residual_fails_at_its_iteration(self):
+        class NanAfter:
+            """``A`` whose products turn NaN after the first ``good`` ones."""
+
+            def __init__(self, A, good):
+                self.A, self.shape, self.good = A, A.shape, good
+
+            def diagonal(self):
+                return self.A.diagonal()
+
+            def __matmul__(self, v):
+                self.good -= 1
+                return self.A @ v if self.good >= 0 else np.full(len(v), np.nan)
+
+        # one product for the initial residual, one per iteration
+        with pytest.raises(SolverError) as exc:
+            cg_solve(NanAfter(tridiagonal(50), good=3), np.ones(50), TIGHT)
+        assert exc.value.iterations == 3
+        assert "not finite at iteration 3" in str(exc.value)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**30))
     def test_small_spd_matches_dense_elimination(self, n, seed):
