@@ -37,7 +37,7 @@ from .fem import (
 )
 from .slabs import TimeInterval, Slab, SlabList, init_slabs
 from .problem import Coefficients, ConeSolution, ControlVolume, ProblemData
-from .primal import ImplicitStep, PrimalStepReport, march_forward
+from .primal import ImplicitStep, StepReport, march_forward
 from .dual import GoalContext, assemble_goal_rhs, march_backward
 from .estimator import ErrorEstimate, compute_cell_indicators, accumulate, effectivity
 from .marking import AdaptParams, mark_time_slabs, mark_space_cells, execute_adaptation

@@ -81,6 +81,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             cv=config.control_volume,
             time_rule=disc.load_quadrature,
         )
+        log.debug("loop %d: primal CG iterations %d", loop, sum(r.cg_iterations for r in reports))
         err = goal_norm(reports)
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
@@ -110,7 +111,8 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             break
 
         ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
-        march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
+        dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
+        log.debug("loop %d: dual CG iterations %d", loop, sum(r.cg_iterations for r in dual_steps))
         per_slab = []
         for _, slab in slabs.iterate_forward():
             per_slab.append(

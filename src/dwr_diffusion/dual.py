@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .primal import GOAL_TIME_QUAD, ImplicitStep
+from .primal import GOAL_TIME_QUAD, ImplicitStep, StepReport
 from .sparse_la import SolverControl
 
 
@@ -69,9 +69,11 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
     """Solve the dual problem from the last slab to the first.
 
     Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``
-    (the successor trace used on the right endpoint) on every slab.
+    (the successor trace used on the right endpoint) on every slab, and
+    returns one :class:`StepReport` per slab, in slab order.
     """
     step = ImplicitStep(coeff, 2.0, "dual")
+    reports = []
     for n, slab in slabs.iterate_backward():
         space = slab.dual
         if n == len(slabs) - 1:
@@ -83,5 +85,7 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
             ).coefficients
         slab.attach_storage("z_tn", z_tn)
         load = assemble_goal_rhs(slab, ctx)
-        x, _, _ = step.solve(n, space, slab.tau, load, z_tn, 0.0, ctrl)
+        x, iters, residual = step.solve(n, space, slab.tau, load, z_tn, 0.0, ctrl)
         slab.attach_storage("z_tm", x)
+        reports.append(StepReport(n, iters, residual))
+    return reports[::-1]

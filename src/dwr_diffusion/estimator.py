@@ -19,8 +19,9 @@ Signed indicators are stored; absolute values enter only the per-slab and
 global sums.
 
 Both terms are batched.  The volume term reads the mesh state's cached
-:func:`fem.cell_rule`.  The face term runs over the non-Dirichlet rows of
-the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
+:func:`fem.cell_rule`, whose one inverse Jacobian per parallelogram cell
+gives the exact Laplacian.  The face term runs over the non-Dirichlet rows
+of the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
 piece, in table order: cells in ``dual.active_ids`` order, faces 0..3,
 pieces ascending along the face.  :func:`fem.face_quadrature`, built per
 call (the ``fem`` module says why), gives each piece's Gauss points with
@@ -78,12 +79,9 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
 
     # volume terms, batched over all cells
     rule = fem.cell_rule(dual, dual.degree + 1)
-    H_ref = rule.basis(primal.degree).hess
-    # physical Laplacian with a per-point constant-metric transform
-    # (exact on parallelogram cells, which is all the constructors build)
-    H_phys = np.einsum("cqea,qief,cqfb->cqiab", rule.invJ, H_ref, rule.invJ, optimize=True)
-    lap_basis = H_phys[..., 0, 0] + H_phys[..., 1, 1]
-    lap_u = np.einsum("cqi,ci->cq", lap_basis, u[primal.cell_dofs])
+    # physical Laplacian: the reference Hessian traced against the cell's invJ invJ^T
+    ref_hess = np.einsum("qief,ci->cqef", rule.basis(primal.degree).hess, u[primal.cell_dofs])
+    lap_u = np.einsum("cqef,cef->cq", ref_hess, rule.invJ @ rule.invJ.transpose(0, 2, 1))
     du_jump = rule.values(primal, u - u_prev)
 
     eta = np.zeros(len(dual.active_ids))

@@ -11,6 +11,14 @@ Per-cell arrays have one row per entry of the mesh state's active-cell
 array, :meth:`QuadMesh.active_ids`; its inverse, ``active_position``, maps
 a cell id to its row.
 
+Every active cell of a space is a parallelogram listed counter-clockwise:
+building a space raises :class:`ValueError`, naming the cell, where
+|x_LL + x_UR - x_LR - x_UL| exceeds 1e-12 times the longer diagonal or
+det J <= 0.  So the cell map is affine, with one Jacobian
+J = [x_LR - x_LL, x_UL - x_LL] per cell, kept with the mesh state as det J
+and J^-1.  The mesh, :meth:`FeFunction.evaluate` included, keeps the
+bilinear map.
+
 Face integrals use :func:`face_quadrature`: Gauss points on face pieces
 (face-table rows) with exact reference coordinates on both sides, s where
 a cell owns the whole piece, ``0.5 * half + 0.5 * s`` on the coarser side
@@ -140,6 +148,7 @@ class FeSpace:
     def _build(self):
         """Number the dofs by first appearance of their entity keys in active-cell order."""
         mesh, degree = self.mesh, self.degree
+        _cell_geometry(mesh)  # refuses cells that are not parallelograms
         self.active_ids = cells = mesh.active_ids()
         verts = mesh.forest().vertices[cells]
         # the corners where a lattice node's bilinear weights are nonzero span
@@ -261,7 +270,8 @@ class CellRule:
     n: int
     JxW: np.ndarray  # (c, q) weight * detJ
     phys: np.ndarray  # (c, q, 2) physical points
-    invJ: np.ndarray  # (c, q, 2, 2) inverse Jacobians
+    detJ: np.ndarray  # (c,) Jacobian determinants
+    invJ: np.ndarray  # (c, 2, 2) inverse Jacobians, [reference, physical]
 
     def basis(self, degree):
         """:class:`BasisTables` of the given degree at the rule's points, cached per (degree, n)."""
@@ -288,25 +298,35 @@ def cell_rule(space, n):
 
     def build():
         quad = gauss_quadrature(n)
+        detJ, invJ = _cell_geometry(mesh)
         coords = mesh.cell_corner_coords(space.active_ids)
         phys = np.einsum("qv,cvd->cqd", tensor_shape(1, quad.points), coords)
-        J = np.einsum("cvd,qve->cqde", coords, tensor_grad(1, quad.points))
-        detJ, invJ = _invert_jacobian(J)
-        return CellRule(n, *read_only((quad.weights[None, :] * detJ, phys, invJ)))
+        return CellRule(n, *read_only((quad.weights[None, :] * detJ[:, None], phys)), detJ, invJ)
 
     return mesh.cached(("cell_rule", n), build)
 
 
-def _invert_jacobian(J):
-    """Determinants and inverses of a stack of 2x2 Jacobians (..., 2, 2)."""
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    invJ = np.empty_like(J)
-    invJ[..., 0, 0] = J[..., 1, 1]
-    invJ[..., 0, 1] = -J[..., 0, 1]
-    invJ[..., 1, 0] = -J[..., 1, 0]
-    invJ[..., 1, 1] = J[..., 0, 0]
-    invJ /= detJ[..., None, None]
-    return detJ, invJ
+def _cell_geometry(mesh):
+    """det J (c,) and J^-1 (c, 2, 2) of the active cells, checked as the module says."""
+
+    def build():
+        cells = mesh.active_ids()
+        ll, lr, ul, ur = np.moveaxis(mesh.cell_corner_coords(cells), 1, 0)
+        ex, ey = lr - ll, ul - ll  # the columns of J
+        detJ = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
+        defect = np.hypot(*(ll + ur - lr - ul).T)
+        diagonal = np.maximum(np.hypot(*(ur - ll).T), np.hypot(*(ul - lr).T))
+        bad = np.flatnonzero((defect > 1e-12 * diagonal) | ~(detJ > 0.0))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"active cell {cells[k]} is not a parallelogram listed counter-clockwise: "
+                f"|x_LL + x_UR - x_LR - x_UL| = {defect[k]:.3e}, diagonal {diagonal[k]:.3e}, "
+                f"det J = {detJ[k]:.3e}")
+        invJ = np.stack([ey[:, 1], -ey[:, 0], -ex[:, 1], ex[:, 0]], axis=-1).reshape(-1, 2, 2)
+        return read_only((detJ, invJ / detJ[:, None, None]))
+
+    return mesh.cached("cell_geometry", build)
 
 
 def physical_gradients(space, coefficients, cells, ref_pts):
@@ -314,15 +334,12 @@ def physical_gradients(space, coefficients, cells, ref_pts):
 
     ``cells`` (n,) holds positions in ``space.active_ids`` and ``ref_pts``
     (n, 2) one reference point in each of those cells; returns (n, 2).
-    The Jacobian of the bilinear cell map is taken at every point.
     """
     space._check_current()
-    corners = space.mesh.cell_corner_coords(space.active_ids)
-    _, invJ = _invert_jacobian(
-        np.einsum("nvd,nve->nde", corners[cells], tensor_grad(1, ref_pts))
-    )
-    grad = np.einsum("ned,nie->nid", invJ, tensor_grad(space.degree, ref_pts))
-    return np.einsum("nid,ni->nd", grad, np.asarray(coefficients)[space.cell_dofs[cells]])
+    _, invJ = _cell_geometry(space.mesh)
+    coeffs = np.asarray(coefficients)[space.cell_dofs[cells]]
+    ref_grad = np.einsum("nie,ni->ne", tensor_grad(space.degree, ref_pts), coeffs)
+    return np.einsum("ned,ne->nd", invJ[cells], ref_grad)
 
 
 def _scatter_local(space, local):
@@ -343,17 +360,19 @@ def assemble_mass(space, density=1.0, condense=True):
     """Mass matrix with constant coefficient ``density``; (degree+1)^2 Gauss points per cell."""
     rule = cell_rule(space, space.degree + 1)
     N = rule.basis(space.degree).N
-    local = np.einsum("cq,qi,qj->cij", rule.JxW * float(density), N, N)
-    A = _scatter_local(space, local)
+    M_ref = np.einsum("q,qi,qj->ij", gauss_quadrature(rule.n).weights, N, N)
+    A = _scatter_local(space, (float(density) * rule.detJ)[:, None, None] * M_ref)
     return space.constraints.condense_matrix(A) if condense else A
 
 
 def assemble_stiffness(space, diffusivity=1.0, condense=True):
     """Stiffness matrix with constant coefficient ``diffusivity``; the mass matrix's quadrature."""
     rule = cell_rule(space, space.degree + 1)
-    grad = np.einsum("cqed,qie->cqid", rule.invJ, rule.basis(space.degree).grad)
-    local = np.einsum("cq,cqid,cqjd->cij", rule.JxW * float(diffusivity), grad, grad)
-    A = _scatter_local(space, local)
+    grad = rule.basis(space.degree).grad
+    # local matrix sum_ef G_ef K_ef: G = det J J^-1 J^-T, K_ef the unit cell's d_e phi_i d_f phi_j
+    K = np.einsum("q,qie,qjf->efij", gauss_quadrature(rule.n).weights, grad, grad)
+    G = (float(diffusivity) * rule.detJ)[:, None, None] * (rule.invJ @ rule.invJ.transpose(0, 2, 1))
+    A = _scatter_local(space, (G.reshape(-1, 4) @ K.reshape(4, -1)).reshape(-1, *K.shape[2:]))
     return space.constraints.condense_matrix(A) if condense else A
 
 

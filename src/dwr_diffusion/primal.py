@@ -35,8 +35,8 @@ LOAD_TIME_QUAD = 2
 
 
 @dataclass
-class PrimalStepReport:
-    """Per-slab solve diagnostics and the slab's share of the goal norm."""
+class StepReport:
+    """Per-slab solve diagnostics of either march; forward, the slab's share of the goal norm."""
 
     slab_index: int
     cg_iterations: int
@@ -162,7 +162,7 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(), cv=None, time_rule="
         contrib = 0.0
         if cv is not None:
             contrib = slab_goal_norm_sq(slab, FeFunction(space, x), data.solution, cv)
-        reports.append(PrimalStepReport(n, iters, residual, contrib))
+        reports.append(StepReport(n, iters, residual, contrib))
     return reports
 
 

@@ -225,6 +225,7 @@ class ConstraintSet:
     def __init__(self, n_dofs, slaves, masters, weights, offsets=None):
         self.n_dofs = n_dofs
         self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
+        self._PT = self._P.T  # a CSC view on the arrays of P, built once
 
     def __len__(self):
         return len(self._slaves)
@@ -248,12 +249,12 @@ class ConstraintSet:
         """P^T A P; slave rows/columns end up empty (pin before solving)."""
         if not len(self):
             return A
-        return (self._P.T @ A @ self._P).tocsr()
+        return (self._PT @ A @ self._P).tocsr()
 
     def condense_vector(self, b):
         if not len(self):
             return b
-        return self._P.T @ b
+        return self._PT @ b
 
     def pin(self, A):
         """Add unit diagonals on slave rows so condensed systems are definite."""

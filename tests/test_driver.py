@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,15 @@ def _check_three_loops_golden_table():
         assert record.goal_error == pytest.approx(goal_error, rel=1e-10, abs=0.0)
         assert record.eta == pytest.approx(eta, rel=1e-10, abs=0.0)
         assert record.i_eff == pytest.approx(i_eff, rel=1e-10, abs=0.0)
+
+
+def test_each_march_logs_its_cg_iterations_per_loop(caplog):
+    config = parse_parameter_file(PARAMETER_FILE)
+    config = dataclasses.replace(config, adapt=dataclasses.replace(config.adapt, max_loops=2))
+    with caplog.at_level(logging.DEBUG, logger="dwr_diffusion.driver"):
+        dwr_loop(config)
+    found = [re.fullmatch(r"loop (\d): (primal|dual) CG iterations (\d+)", r.getMessage())
+             for r in caplog.records]
+    counts = [(int(m[1]), m[2], int(m[3])) for m in found if m]
+    assert [c[:2] for c in counts] == [(1, "primal"), (1, "dual"), (2, "primal"), (2, "dual")]
+    assert all(c[2] > 0 for c in counts)

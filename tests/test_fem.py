@@ -14,13 +14,17 @@ from dwr_diffusion.fem import (
     gauss_quadrature,
     interpolate,
     interpolate_same_mesh,
+    physical_gradients,
+    tensor_grad,
+    tensor_shape,
     transfer,
 )
 from dwr_diffusion.mesh import (
     BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, NEUMANN, SAME, QuadMesh, make_lshape,
     make_unit_square,
 )
-from mesh_state_cases import random_refine, sheared_lshape
+from mesh_state_cases import build, cases, random_refine, sheared_lshape
+from test_mesh import skewed_square
 from dwr_diffusion.slabs import Slab, TimeInterval
 
 
@@ -266,6 +270,179 @@ class TestCellRule:
         rule_mesh.refine({rule_mesh.active_cells()[0]})
         with pytest.raises(RuntimeError):
             cell_rule(space, 2)
+
+
+def bilinear_geometry(mesh, ref):
+    """Points (c, k, 2), det J (c, k) and J^-1 (c, k, 2, 2) of the active cells' bilinear maps.
+
+    Taken at the reference points ``ref`` (k, 2) from the corner coordinates
+    alone, one Jacobian per point, independently of the per-cell geometry.
+    The basis gradients sum to zero, so J is taken from the corners relative
+    to the lower-left one, which keeps the rounding of cells far from the
+    origin out of it.
+    """
+    corners = mesh.cell_corner_coords(mesh.active_ids())
+    points = np.einsum("kv,cvd->ckd", tensor_shape(1, ref), corners)
+    J = np.einsum("cvd,kve->ckde", corners - corners[:, :1], tensor_grad(1, ref))
+    (a, b), (c, d) = np.moveaxis(J, (-2, -1), (0, 1))
+    det = a * d - b * c
+    inverse = np.stack([np.stack([d, -b], -1), np.stack([-c, a], -1)], -2) / det[..., None, None]
+    return points, det, inverse
+
+
+def assert_close(actual, expected, rel):
+    """Agreement to ``rel`` times the largest entry of ``expected``."""
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestAffineGeometry:
+    """The per-cell affine geometry reproduces the per-point bilinear map on parallelograms."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_cell_rule_matches_the_bilinear_map(self, name, degree):
+        mesh = build(name)
+        rule = cell_rule(FeSpace(mesh, degree), degree + 1)
+        quad = gauss_quadrature(degree + 1)
+        points, det, invJ = bilinear_geometry(mesh, quad.points)
+        assert rule.detJ.shape == (len(points),) and rule.invJ.shape == (len(points), 2, 2)
+        assert_close(rule.phys, points, 1e-15)
+        assert_close(rule.JxW, quad.weights * det, 1e-15)
+        assert_close(np.broadcast_to(rule.detJ[:, None], det.shape), det, 1e-15)
+        assert_close(np.broadcast_to(rule.invJ[:, None], invJ.shape), invJ, 1e-15)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_physical_gradients_match_the_bilinear_map(self, name, degree, rng):
+        mesh = build(name)
+        space = FeSpace(mesh, degree)
+        coefficients = rng.standard_normal(space.n_dofs)
+        cells = rng.integers(len(space.active_ids), size=300)
+        ref = rng.random((300, 2))
+        corners = mesh.cell_corner_coords(space.active_ids)[cells]
+        J = np.einsum("nvd,nve->nde", corners - corners[:, :1], tensor_grad(1, ref))
+        ref_grad = np.einsum(
+            "nie,ni->ne", tensor_grad(degree, ref), coefficients[space.cell_dofs[cells]]
+        )
+        # the reference gradient is J^T times the physical one
+        expected = np.linalg.solve(np.swapaxes(J, 1, 2), ref_grad[..., None])[..., 0]
+        assert_close(physical_gradients(space, coefficients, cells, ref), expected, 1e-14)
+
+
+def conforming_basis(space):
+    """Dense prolongation: column i is the conforming basis function of dof i in the raw basis."""
+    cs = space.constraints
+    P = np.eye(space.n_dofs)
+    for slave in cs.slaves:
+        P[slave] = 0.0
+        for master, weight in cs.weights(slave):
+            P[slave, master] = weight
+    return P
+
+
+def mixed_lshape():
+    """An L-shape of three parallelograms with three different Jacobians, refined 1-irregularly.
+
+    Horizontal neighbours share their slanted side, vertical ones their
+    bottom and top, so the roots' Jacobians are [ex0, ey0], [ex1, ey0] and
+    [ex0, ey2] with ex0 = (1/2, 0), ex1 = (1/2, 1/8), ey0 = (1/8, 1/2) and
+    ey2 = (-1/8, 1/2).
+    """
+    pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.125), (0.125, 0.5), (0.625, 0.5), (1.125, 0.625),
+           (0.0, 1.0), (0.5, 1.0)]
+    mesh = QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7)])
+    mesh.refine({0})
+    mesh.refine({3})
+    # so that rows off the boundary sit on the sides between the roots
+    mesh.refine(mesh.active_cells())
+    return mesh
+
+
+class TestStiffnessPatch:
+    """The stiffness matrix on sheared, 1-irregular cells, tested with u = 1 + 2x - 3y.
+
+    The inverse Jacobians there are not diagonal, so a transposed invJ (a
+    metric invJ^T invJ) changes the energy, and on cells of differing shape
+    the rows as well; a metric without det J changes both wherever cells
+    differ in area.
+    """
+
+    @pytest.fixture(params=["sheared", "mixed"])
+    def mesh(self, request, sheared_irregular_lshape):
+        mesh = sheared_irregular_lshape if request.param == "sheared" else mixed_lshape()
+        # one uniform round keeps every face kind and leaves Q1 rows off the boundary
+        mesh.refine(mesh.active_cells())
+        return mesh
+
+    @staticmethod
+    def linear(space):
+        return interpolate(space, lambda x: 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]).coefficients
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_energy_is_the_exact_integral(self, mesh, degree):
+        space = FeSpace(mesh, degree)
+        u = self.linear(space)
+        exact = 13.0 * mesh.total_area()  # |grad u|^2 = 2^2 + 3^2
+        assert abs(u @ (assemble_stiffness(space) @ u) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_rows_off_the_boundary_vanish(self, mesh, degree):
+        """int grad psi_i . grad u = 0 for each conforming basis function off the boundary."""
+        space = FeSpace(mesh, degree)
+        table = mesh.face_topology()
+        boundary_cells = np.unique(table.owner[table.kind == BOUNDARY])
+        P = conforming_basis(space)
+        touches = (P[space.cell_dofs[boundary_cells].ravel()] != 0.0).any(axis=0)
+        slaves = space.constraints.slaves
+        touches[slaves] = True
+        rows = np.flatnonzero(~touches)
+        masters = {m for s in slaves for m, _ in space.constraints.weights(s)}
+        assert masters & set(rows.tolist())  # some tested rows span a hanging face
+        residual = assemble_stiffness(space) @ self.linear(space)
+        assert np.max(np.abs(residual[rows])) <= 1e-12
+
+
+class TestParallelogramGuard:
+    """A space is built only on parallelograms listed counter-clockwise."""
+
+    def test_skewed_cells_raise_naming_the_cell(self):
+        with pytest.raises(ValueError, match="active cell 0 is not a parallelogram"):
+            FeSpace(skewed_square(), 1)
+
+    def test_trapezoid_raises_naming_the_cell(self):
+        pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1.5, 1)]
+        mesh = QuadMesh(pts, [(0, 1, 3, 4), (1, 2, 4, 5)])
+        with pytest.raises(ValueError, match="active cell 1 is not a parallelogram"):
+            FeSpace(mesh, 2)
+        # the mesh itself stays usable, and its refined trapezoid is still refused
+        mesh.refine({1})
+        assert mesh.locate_point((1.25, 0.25))[0] == 2
+        with pytest.raises(ValueError, match="active cell 2 is not a parallelogram"):
+            FeSpace(mesh, 1)
+
+    def test_clockwise_cell_raises_naming_the_cell(self):
+        mesh = QuadMesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 2, 1, 3)])
+        with pytest.raises(ValueError, match="active cell 0 is not a parallelogram listed "
+                                             "counter-clockwise: .* det J = -1"):
+            FeSpace(mesh, 1)
+
+    def test_far_from_the_origin_builds(self):
+        x0 = 1e9
+        mesh = QuadMesh([(x0, 0), (x0 + 1, 0), (x0, 1), (x0 + 1, 1)], [(0, 1, 2, 3)])
+        mesh.refine({0})
+        mesh.refine({1})
+        assert FeSpace(mesh, 2).n_dofs == 43
+
+    def test_tolerance_is_relative_to_the_cell_size(self):
+        """Rounded corners of a large sheared cell far out leave a defect that passes."""
+        pts = [(1e9 + 0.1, 0.3), (1e9 + 2e6 + 0.3, 0.1), (1e9 + 0.2, 1e6 + 0.7),
+               (1e9 + 2e6 + 0.4, 1e6 + 0.5)]
+        mesh = QuadMesh(pts, [(0, 1, 2, 3)])
+        mesh.refine({0})
+        mesh.refine({1})
+        ll, lr, ul, ur = np.moveaxis(mesh.cell_corner_coords(), 1, 0)
+        assert np.max(np.abs(ll + ur - lr - ul)) > 1e-12  # an absolute tolerance would refuse
+        assert cell_rule(FeSpace(mesh, 1), 2).JxW.sum() == pytest.approx(mesh.total_area())
 
 
 class TestAssembly:

@@ -102,6 +102,17 @@ def solve_both(slabs):
     return [s.fetch_storage("u") for s in slabs], [s.fetch_storage("z_tm") for s in slabs]
 
 
+def test_dual_march_reports_every_slab_in_slab_order(runs):
+    cv = ControlVolume()
+    err = goal_norm(march_forward(runs, CONE.coefficients, CONE, cv=cv))
+    ctx = GoalContext(norm=err, cv=cv, solution=CONE.solution)
+    reports = march_backward(runs, CONE.coefficients, ctx)
+    assert len(reports) == len(runs)
+    assert [r.slab_index for r in reports] == list(range(len(runs)))
+    assert all(r.cg_iterations > 0 for r in reports)
+    assert all(r.goal_norm_sq_contrib == 0.0 for r in reports)
+
+
 def count_assemblies(monkeypatch):
     calls = {"mass": 0, "stiffness": 0}
     for name in calls:
