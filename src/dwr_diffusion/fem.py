@@ -13,7 +13,8 @@ a cell id to its row.
 
 Every active cell of a space is a parallelogram listed counter-clockwise:
 building a space raises :class:`ValueError`, naming the cell, where
-|x_LL + x_UR - x_LR - x_UL| exceeds 1e-12 times the longer diagonal or
+|x_LL + x_UR - x_LR - x_UL| exceeds 1e-12 times the longer diagonal plus
+16 eps times the largest |corner coordinate| (the corners' rounding), or
 det J <= 0.  So the cell map is affine, with one Jacobian
 J = [x_LR - x_LL, x_UL - x_LL] per cell, kept with the mesh state as det J
 and J^-1.  The mesh, :meth:`FeFunction.evaluate` included, keeps the
@@ -26,11 +27,10 @@ a cell owns the whole piece, ``0.5 * half + 0.5 * s`` on the coarser side
 is kept with the mesh state, per degree: caching every row's holds it for
 every live slab mesh and raised the shipped run's peak RSS 401 -> 593 MB.
 
-Assembled matrices have the hanging constraints condensed into them
-(master rows carry the slave contributions, slave rows are empty); pin the
-slave diagonals with :meth:`ConstraintSet.pin` before solving and call
-:meth:`ConstraintSet.distribute` on the solution.  Both marches do this
-through one step solver, :class:`primal.ImplicitStep`.
+The assemblers condense the hanging constraints unless ``condense=False``
+(master rows carry the slave contributions, slave rows are empty).  The
+solve path assembles unconstrained: its one step solver,
+:class:`primal.ImplicitStep`, condenses each system and right-hand side.
 """
 
 from __future__ import annotations
@@ -268,10 +268,14 @@ class CellRule:
     """
 
     n: int
-    JxW: np.ndarray  # (c, q) weight * detJ
     phys: np.ndarray  # (c, q, 2) physical points
     detJ: np.ndarray  # (c,) Jacobian determinants
     invJ: np.ndarray  # (c, 2, 2) inverse Jacobians, [reference, physical]
+
+    @property
+    def JxW(self):
+        """(c, q) weight * det J, formed on use rather than kept with the mesh state."""
+        return gauss_quadrature(self.n).weights[None, :] * self.detJ[:, None]
 
     def basis(self, degree):
         """:class:`BasisTables` of the given degree at the rule's points, cached per (degree, n)."""
@@ -297,11 +301,10 @@ def cell_rule(space, n):
     mesh = space.mesh
 
     def build():
-        quad = gauss_quadrature(n)
-        detJ, invJ = _cell_geometry(mesh)
         coords = mesh.cell_corner_coords(space.active_ids)
-        phys = np.einsum("qv,cvd->cqd", tensor_shape(1, quad.points), coords)
-        return CellRule(n, *read_only((quad.weights[None, :] * detJ[:, None], phys)), detJ, invJ)
+        phys = np.einsum("qv,cvd->cqd", tensor_shape(1, gauss_quadrature(n).points), coords)
+        phys.setflags(write=False)
+        return CellRule(n, phys, *_cell_geometry(mesh))
 
     return mesh.cached(("cell_rule", n), build)
 
@@ -316,7 +319,8 @@ def _cell_geometry(mesh):
         detJ = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
         defect = np.hypot(*(ll + ur - lr - ul).T)
         diagonal = np.maximum(np.hypot(*(ur - ll).T), np.hypot(*(ul - lr).T))
-        bad = np.flatnonzero((defect > 1e-12 * diagonal) | ~(detJ > 0.0))
+        rounding = 16 * np.finfo(float).eps * np.abs([ll, lr, ul, ur]).max(axis=(0, 2))
+        bad = np.flatnonzero((defect > 1e-12 * diagonal + rounding) | ~(detJ > 0.0))
         if len(bad):
             k = bad[0]
             raise ValueError(

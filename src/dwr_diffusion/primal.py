@@ -13,9 +13,10 @@ endpoint are eliminated strongly.  The scheme is algebraically a backward
 Euler step with averaged loads.
 
 :class:`ImplicitStep` solves the step of both marches (the dual one with
-2 M): condensed M and A, slave diagonals pinned, Dirichlet rows
-eliminated, CG, constraints distributed.  Consecutive slabs with one
-space object and a bit-equal tau reuse its matrices.
+2 M) from unconstrained loads: c M + tau A and the right-hand side each
+condensed once, slave and Dirichlet rows eliminated, CG, constraints
+distributed.  Consecutive slabs with one space object and a bit-equal tau
+reuse its matrices.
 """
 
 from __future__ import annotations
@@ -45,30 +46,29 @@ class StepReport:
 
 
 def _averaged_load(slab, data, time_rule):
-    """Interval average of the volume + Neumann loads on the primal space."""
+    """Interval average of the volume + Neumann loads on the primal space, unconstrained."""
     space = slab.primal
     if time_rule == "right":
-        t = slab.interval.t_n
-        b = fem.assemble_load_volume(space, lambda x: data.rhs_f(x, t))
-        b += fem.assemble_load_neumann(space, lambda x: data.neumann_h(x, t))
-        return b
-    if time_rule != "gauss":
+        ts, ws = [slab.interval.t_n], [slab.tau]
+    elif time_rule == "gauss":
+        ts, ws = slab.interval.gauss_points(LOAD_TIME_QUAD)
+    else:
         raise ValueError(f"unknown load time rule {time_rule!r}")
-    ts, ws = slab.interval.gauss_points(LOAD_TIME_QUAD)
     b = np.zeros(space.n_dofs)
     for t, w in zip(ts, ws):
-        b += (w / slab.tau) * fem.assemble_load_volume(space, lambda x: data.rhs_f(x, t))
+        b += (w / slab.tau) * fem.assemble_load_volume(
+            space, lambda x: data.rhs_f(x, t), condense=False)
         b += (w / slab.tau) * fem.assemble_load_neumann(
-            space, lambda x: data.neumann_h(x, t)
-        )
+            space, lambda x: data.neumann_h(x, t), condense=False)
     return b
 
 
 class ImplicitStep:
     """Solver of (c M + tau A) x = tau load + c M x_prev, one slab at a time.
 
-    ``c`` is the mass factor; M and A carry the coefficients ``coeff`` and
-    are condensed; Dirichlet values are eliminated strongly.  ``march``
+    ``c`` is the mass factor and M and A carry the coefficients ``coeff``.
+    Only the step applies the hanging constraints, to its system and its
+    unconstrained load; Dirichlet values are eliminated strongly.  ``march``
     names the march in solver errors.
     """
 
@@ -79,28 +79,31 @@ class ImplicitStep:
         self._space = self._tau = self._matrices = None
 
     def matrices(self, space, tau):
-        """M, the pinned c M + tau A, its Dirichlet-eliminated form and the Dirichlet dofs.
+        """Raw M, the condensed K = P^T (c M + tau A) P, the system and the Dirichlet dofs.
 
-        Only the last set is held; it is reused while the space object is
-        the same and tau is bit-equal.
+        The system is K with unit Dirichlet and slave rows.  Only the last
+        set is held; it is reused while the space object is the same and tau
+        is bit-equal.
         """
         if space is not self._space or tau != self._tau:
-            M = fem.assemble_mass(space, self.coeff.rho)
-            A = fem.assemble_stiffness(space, self.coeff.epsilon)
-            pinned = space.constraints.pin(self.mass_factor * M + tau * A)
+            M = fem.assemble_mass(space, self.coeff.rho, condense=False)
+            A = fem.assemble_stiffness(space, self.coeff.epsilon, condense=False)
+            K = space.constraints.condense_matrix(self.mass_factor * M + tau * A)
             dofs = space.boundary_dofs(DIRICHLET)
+            fixed = np.union1d(dofs, space.constraints.slaves)
             self._space, self._tau = space, tau
-            self._matrices = M, pinned, sparse_la.eliminate_dirichlet(pinned, dofs), dofs
+            self._matrices = M, K, sparse_la.eliminate_dirichlet(K, fixed), dofs
         return self._matrices
 
     def solve(self, n, space, tau, load, x_prev, dirichlet_values, ctrl):
         """Solution on slab ``n`` with its CG iterations and the residual before distribution.
 
-        ``dirichlet_values`` belong to ``space.boundary_dofs(DIRICHLET)``.
+        ``load`` is unconstrained; ``dirichlet_values`` belong to the Dirichlet dofs.
         """
-        M, pinned, system, dofs = self.matrices(space, tau)
-        rhs = tau * load + self.mass_factor * (M @ x_prev)
-        rhs = sparse_la.lift_dirichlet(pinned, rhs, dofs, dirichlet_values)
+        M, K, system, dofs = self.matrices(space, tau)
+        cs = space.constraints
+        rhs = cs.condense_vector(tau * load + self.mass_factor * (M @ cs.distribute(x_prev)))
+        rhs = sparse_la.lift_dirichlet(K, rhs, dofs, dirichlet_values)
         x0 = np.zeros(space.n_dofs)
         x0[dofs] = dirichlet_values
         try:
@@ -110,7 +113,7 @@ class ImplicitStep:
                 f"{self.march} solve failed on slab {n}: {err}", err.iterations, err.residual
             ) from err
         residual = float(np.linalg.norm(rhs - system @ x))
-        return space.constraints.distribute(x), iters, residual
+        return cs.distribute(x), iters, residual
 
 
 def slab_goal_norm_sq(slab, u_fn, solution, cv):

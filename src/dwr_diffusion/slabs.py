@@ -140,14 +140,6 @@ class SlabList:
     def __iter__(self):
         return iter(self.slabs)
 
-    @property
-    def t0(self):
-        return self.slabs[0].interval.t_m
-
-    @property
-    def T(self):
-        return self.slabs[-1].interval.t_n
-
     def iterate_forward(self):
         """Yield (index, slab) by ascending t_m."""
         return enumerate(self.slabs)

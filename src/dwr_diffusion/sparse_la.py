@@ -88,7 +88,7 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
     when ``||b||`` or a residual is not finite.
 
     Rows that are fully decoupled (unit diagonal, zero off-diagonals, as
-    produced by :func:`apply_dirichlet`) are reproduced bit-exactly when
+    produced by :func:`eliminate_dirichlet`) are reproduced bit-exactly when
     ``x0`` already carries their values: their residual starts at zero and
     every CG update leaves them untouched.
     """
@@ -226,6 +226,7 @@ class ConstraintSet:
         self.n_dofs = n_dofs
         self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
         self._PT = self._P.T  # a CSC view on the arrays of P, built once
+        self._slaves.flags.writeable = False
 
     def __len__(self):
         return len(self._slaves)
@@ -236,7 +237,8 @@ class ConstraintSet:
 
     @property
     def slaves(self):
-        return self._slaves.tolist()
+        """The sorted slave dofs, a read-only array."""
+        return self._slaves
 
     def weights(self, slave):
         """The closed row of ``slave``: (master, weight) pairs by ascending master."""
@@ -246,7 +248,7 @@ class ConstraintSet:
         return tuple(zip(self._P.indices[lo:hi].tolist(), self._P.data[lo:hi].tolist()))
 
     def condense_matrix(self, A):
-        """P^T A P; slave rows/columns end up empty (pin before solving)."""
+        """P^T A P; slave rows/columns end up empty (give them unit rows before solving)."""
         if not len(self):
             return A
         return (self._PT @ A @ self._P).tocsr()

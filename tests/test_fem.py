@@ -444,6 +444,17 @@ class TestParallelogramGuard:
         assert np.max(np.abs(ll + ur - lr - ul)) > 1e-12  # an absolute tolerance would refuse
         assert cell_rule(FeSpace(mesh, 1), 2).JxW.sum() == pytest.approx(mesh.total_area())
 
+    def test_tolerance_covers_the_rounding_of_far_coordinates(self):
+        """Midpoints of a smaller sheared cell far out are rounded beyond 1e-12 of its size."""
+        pts = [(1e9 + 0.1, 0.3), (1e9 + 2e5 + 0.3, 0.1), (1e9 + 0.2, 1e5 + 0.7),
+               (1e9 + 2e5 + 0.4, 1e5 + 0.5)]
+        mesh = QuadMesh(pts, [(0, 1, 2, 3)])
+        mesh.refine({0})
+        ll, lr, ul, ur = np.moveaxis(mesh.cell_corner_coords(), 1, 0)
+        defect = np.hypot(*(ll + ur - lr - ul).T)
+        assert np.max(defect / np.hypot(*(ur - ll).T)) > 1e-12  # a size-relative tolerance refuses
+        assert cell_rule(FeSpace(mesh, 2), 3).JxW.sum() == pytest.approx(mesh.total_area())
+
 
 class TestAssembly:
     def test_q1_unit_mass_matrix(self, unit_square):

@@ -3,14 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dwr_diffusion import dual, fem, primal
+from dwr_diffusion import dual, fem, primal, sparse_la
 from dwr_diffusion.dual import GoalContext, march_backward
-from dwr_diffusion.fem import FeFunction, interpolate
-from dwr_diffusion.mesh import make_lshape
-from dwr_diffusion.primal import goal_norm, march_forward, slab_goal_norm_sq
+from dwr_diffusion.fem import FeFunction, FeSpace, interpolate
+from dwr_diffusion.mesh import DIRICHLET, make_lshape
+from dwr_diffusion.primal import ImplicitStep, goal_norm, march_forward, slab_goal_norm_sq
 from dwr_diffusion.problem import Coefficients, ConeSolution, ControlVolume, ProblemData
 from dwr_diffusion.slabs import init_slabs
-from dwr_diffusion.sparse_la import SolverControl, SolverError
+from dwr_diffusion.sparse_la import ConstraintSet, SolverControl, SolverError
 
 LSHAPE_AREA = 0.75
 
@@ -114,23 +114,27 @@ def test_dual_march_reports_every_slab_in_slab_order(runs):
 
 
 def count_assemblies(monkeypatch):
-    calls = {"mass": 0, "stiffness": 0}
-    for name in calls:
-        original = getattr(fem, f"assemble_{name}")
+    """Count the step assemblies and the constraint condensations and pins of the marches."""
+    targets = {"mass": (fem, "assemble_mass"), "stiffness": (fem, "assemble_stiffness"),
+               "condense_matrix": (ConstraintSet, "condense_matrix"),
+               "pin": (ConstraintSet, "pin")}
+    calls = dict.fromkeys(targets, 0)
+    for name, (owner, attr) in targets.items():
+        original = getattr(owner, attr)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(fem, f"assemble_{name}", counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
 def test_one_assembly_per_run_of_equal_space_and_tau(runs, monkeypatch):
     calls = count_assemblies(monkeypatch)
     solve_both(runs)
-    # four runs in each march
-    assert calls == {"mass": 8, "stiffness": 8}
+    # four runs in each march, each system condensed once and no slave pinned
+    assert calls == {"mass": 8, "stiffness": 8, "condense_matrix": 8, "pin": 0}
 
 
 class RebuildEverySlab(primal.ImplicitStep):
@@ -145,9 +149,53 @@ def test_reused_system_gives_the_rebuilt_solutions(runs, monkeypatch):
     monkeypatch.setattr(dual, "ImplicitStep", RebuildEverySlab)
     calls = count_assemblies(monkeypatch)
     u_ref, z_ref = solve_both(runs)
-    assert calls["stiffness"] == 2 * len(runs)
+    assert calls["stiffness"] == calls["condense_matrix"] == 2 * len(runs)
+    assert calls["pin"] == 0
     assert all(np.array_equal(a, b) for a, b in zip(u, u_ref))
     assert all(np.array_equal(a, b) for a, b in zip(z, z_ref))
+
+
+def reference_step(space, coeff, c, tau, load, x_prev, g, ctrl):
+    """The step solved from condensed assemblies, pinned slaves and a condensed load."""
+    cs = space.constraints
+    M = fem.assemble_mass(space, coeff.rho)
+    pinned = cs.pin(c * M + tau * fem.assemble_stiffness(space, coeff.epsilon))
+    dofs = space.boundary_dofs(DIRICHLET)
+    rhs = tau * cs.condense_vector(load) + c * (M @ x_prev)
+    rhs = sparse_la.lift_dirichlet(pinned, rhs, dofs, g)
+    x0 = np.zeros(space.n_dofs)
+    x0[dofs] = g
+    x, _ = sparse_la.cg_solve(sparse_la.eliminate_dirichlet(pinned, dofs), rhs, ctrl, x0=x0)
+    return cs.distribute(x)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_step_matches_the_pinned_condensed_reference(sheared_irregular_lshape, degree, c, rng):
+    """One condensation of the summed system and load solves the step of the condensed parts.
+
+    ``x_prev`` is random, so it does not satisfy the hanging constraints.
+    """
+    space = FeSpace(sheared_irregular_lshape, degree)
+    cs, dofs = space.constraints, space.boundary_dofs(DIRICHLET)
+    assert len(cs) and len(dofs)
+    tau, coeff = 0.1, Coefficients(epsilon=0.3, rho=1.5)
+    load = fem.assemble_load_volume(space, lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1],
+                                    condense=False)
+    x_prev = rng.standard_normal(space.n_dofs)
+    g = 1.0 + space.support_points[dofs, 0] - 0.5 * space.support_points[dofs, 1]
+    ctrl = SolverControl(relative_tolerance=1e-14)
+
+    step = ImplicitStep(coeff, c, "primal")
+    x, _, _ = step.solve(0, space, tau, load, x_prev, g, ctrl)
+    x_ref = reference_step(space, coeff, c, tau, load, x_prev, g, ctrl)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    # the slave and Dirichlet rows and columns of the system are unit ones
+    system = step.matrices(space, tau)[2].toarray()
+    fixed = np.union1d(dofs, cs.slaves)
+    unit = np.eye(space.n_dofs)[fixed]
+    assert np.array_equal(system[fixed], unit) and np.array_equal(system[:, fixed], unit.T)
 
 
 def zero(x, t=None):
