@@ -31,7 +31,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class LoopRecord:
-    """One convergence-table row: loop index, sizes, error, estimate, effectivity."""
+    """One convergence-table row: loop index, sizes, error, estimate, effectivity.
+
+    The solver fields, not in the table, sum each march's CG iterations and
+    take the largest final residual of its slabs; the dual ones stay 0 and
+    NaN on a loop whose goal is met before the dual runs.
+    """
 
     loop: int
     n_slabs: int
@@ -40,6 +45,10 @@ class LoopRecord:
     eta: float = math.nan
     i_eff: float = math.nan
     goal_met: bool = False
+    primal_cg_iterations: int = 0
+    primal_max_residual: float = math.nan
+    dual_cg_iterations: int = 0
+    dual_max_residual: float = math.nan
 
 
 @dataclass
@@ -81,7 +90,6 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             cv=config.control_volume,
             time_rule=disc.load_quadrature,
         )
-        log.debug("loop %d: primal CG iterations %d", loop, sum(r.cg_iterations for r in reports))
         err = goal_norm(reports)
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
@@ -98,6 +106,9 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             goal_error=err,
             goal_met=err < tol_abs,
         )
+        record.primal_cg_iterations, record.primal_max_residual = _solver_totals(reports)
+        log.debug("loop %d: primal CG iterations %d, largest final residual %.3e",
+                  loop, record.primal_cg_iterations, record.primal_max_residual)
         records.append(record)
         log.info(
             "loop %d: %d slabs, %d cells max, goal error %.6e (target %.6e)",
@@ -112,7 +123,9 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
 
         ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
         dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
-        log.debug("loop %d: dual CG iterations %d", loop, sum(r.cg_iterations for r in dual_steps))
+        record.dual_cg_iterations, record.dual_max_residual = _solver_totals(dual_steps)
+        log.debug("loop %d: dual CG iterations %d, largest final residual %.3e",
+                  loop, record.dual_cg_iterations, record.dual_max_residual)
         per_slab = []
         for _, slab in slabs.iterate_forward():
             per_slab.append(
@@ -155,3 +168,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
 
     return DwrResult(records, converged, tol_abs, slabs)
 
+
+def _solver_totals(reports):
+    """Summed CG iterations and largest final residual of one march's step reports."""
+    return sum(r.cg_iterations for r in reports), max(r.residual for r in reports)

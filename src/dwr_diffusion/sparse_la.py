@@ -6,6 +6,13 @@ solver, the symmetric Dirichlet elimination and the hanging-node
 condensation are implemented here so that their exact behaviour is under
 our control.  All systems handled here are symmetric positive definite on
 the unconstrained subspace; coefficients are 64-bit floats.
+
+:func:`cg_solve` takes CSR input only and allocates no work vector per
+iteration: its products call ``scipy.sparse._sparsetools.csr_matvec``
+directly, writing into one preallocated vector.  That private routine is
+the kernel ``A @ v`` ends in for a CSR matrix, so the iterates are the ones
+the operator would give; a test pins the two bitwise, and a scipy that
+drops the routine fails at package import, not inside a solve.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
 class SolverError(RuntimeError):
@@ -81,32 +89,53 @@ def spmv(A, x):
 
 
 def cg_solve(A, b, ctrl=SolverControl(), x0=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+    """Jacobi-preconditioned conjugate gradients for SPD systems in CSR format.
 
     Returns ``(x, iterations)``.  Raises :class:`SolverError` if the
     residual target is not met within ``ctrl.max_iterations``, or at once
-    when ``||b||`` or a residual is not finite.
+    when ``||b||`` or a residual is not finite.  ``A`` must be a scipy CSR
+    matrix (any other format raises ``TypeError``; CSC would apply A^T);
+    ``b`` and ``x0`` are checked against its shape before the first
+    product and never written to.
+
+    Each product is the raw CSR kernel into one preallocated vector, and
+    x, r, z and p are updated in place, so an iteration allocates no work
+    vector; non-float64 data is converted once per solve.  The operations
+    and their order are those of the same loop on ``A @ p`` with fresh
+    vectors, so every iterate is bit-identical to that loop's.
 
     Rows that are fully decoupled (unit diagonal, zero off-diagonals, as
     produced by :func:`eliminate_dirichlet`) are reproduced bit-exactly when
     ``x0`` already carries their values: their residual starts at zero and
     every CG update leaves them untouched.
     """
+    if not (sp.issparse(A) and A.format == "csr"):
+        got = A.format if sp.issparse(A) else type(A).__name__
+        raise TypeError(f"cg_solve needs a CSR matrix, got {got}")
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
+    n = b.shape[0] if b.ndim == 1 else -1
     if A.shape != (n, n):
-        raise ValueError(f"system shape mismatch: {A.shape} vs rhs {n}")
+        raise ValueError(f"system shape mismatch: {A.shape} vs rhs {b.shape}")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"initial guess shape {x.shape} does not match rhs {b.shape}")
+    data = A.data.astype(float, copy=False)
+
+    def matvec(v, out):
+        out.fill(0.0)  # the kernel accumulates: out += A v
+        _csr_matvec(n, n, A.indptr, A.indices, data, v, out)
 
     diag = A.diagonal().copy()
     diag[diag == 0.0] = 1.0
     inv_diag = 1.0 / diag
 
-    b_norm = np.linalg.norm(b)
+    b_norm = math.sqrt(b.dot(b))
     target = max(ctrl.relative_tolerance * b_norm, ctrl.absolute_tolerance)
 
-    r = b - A @ x
-    res = np.linalg.norm(r)
+    Ap, w = np.empty(n), np.empty(n)
+    matvec(x, Ap)
+    r = b - Ap
+    res = math.sqrt(r.dot(r))
     if not (math.isfinite(b_norm) and math.isfinite(res)):
         raise SolverError("CG got a non-finite right-hand side or initial residual "
                           f"(|b| {b_norm:.3e}, residual {res:.3e})", iterations=0, residual=res)
@@ -114,21 +143,22 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
         return x, 0
     z = inv_diag * r
     p = z.copy()
-    rz = r @ z
+    rz = r.dot(z)
     for k in range(1, ctrl.max_iterations + 1):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        res = np.linalg.norm(r)
+        matvec(p, Ap)
+        alpha = rz / p.dot(Ap)
+        x += np.multiply(alpha, p, out=w)
+        r -= np.multiply(alpha, Ap, out=w)
+        res = math.sqrt(r.dot(r))
         if res <= target:
             return x, k
         if not math.isfinite(res):
             raise SolverError(f"CG residual is not finite at iteration {k}",
                               iterations=k, residual=res)
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        np.multiply(inv_diag, r, out=z)
+        rz_new = r.dot(z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"CG did not converge in {ctrl.max_iterations} iterations "

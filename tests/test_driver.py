@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -57,9 +58,25 @@ def test_each_march_logs_its_cg_iterations_per_loop(caplog):
     config = parse_parameter_file(PARAMETER_FILE)
     config = dataclasses.replace(config, adapt=dataclasses.replace(config.adapt, max_loops=2))
     with caplog.at_level(logging.DEBUG, logger="dwr_diffusion.driver"):
-        dwr_loop(config)
-    found = [re.fullmatch(r"loop (\d): (primal|dual) CG iterations (\d+)", r.getMessage())
+        result = dwr_loop(config)
+    found = [re.fullmatch(r"loop (\d): (primal|dual) CG iterations (\d+), "
+                          r"largest final residual (\S+)", r.getMessage())
              for r in caplog.records]
-    counts = [(int(m[1]), m[2], int(m[3])) for m in found if m]
+    counts = [(int(m[1]), m[2], int(m[3]), m[4]) for m in found if m]
     assert [c[:2] for c in counts] == [(1, "primal"), (1, "dual"), (2, "primal"), (2, "dual")]
     assert all(c[2] > 0 for c in counts)
+    # the log lines print the loop records' solver fields
+    for loop, march, iterations, residual in counts:
+        record = result.records[loop - 1]
+        assert getattr(record, f"{march}_cg_iterations") == iterations
+        max_residual = getattr(record, f"{march}_max_residual")
+        assert f"{max_residual:.3e}" == residual and 0.0 <= max_residual < math.inf
+
+
+def test_a_met_goal_leaves_the_dual_solver_fields_empty():
+    config = parse_parameter_file(PARAMETER_FILE)
+    config = dataclasses.replace(config, adapt=dataclasses.replace(
+        config.adapt, max_loops=2, tol_mode="absolute", tol=1.0))
+    (record,) = dwr_loop(config).records
+    assert record.goal_met and record.primal_cg_iterations > 0
+    assert record.dual_cg_iterations == 0 and math.isnan(record.dual_max_residual)

@@ -1,8 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from dwr_diffusion import sparse_la
+from dwr_diffusion.fem import FeSpace
+from dwr_diffusion.primal import ImplicitStep
+from dwr_diffusion.problem import Coefficients
 from dwr_diffusion.sparse_la import (
     SolverControl,
     SolverError,
@@ -132,23 +139,22 @@ class TestCg:
         assert exc.value.iterations == 0
         assert not np.isfinite(exc.value.residual)
 
-    def test_non_finite_residual_fails_at_its_iteration(self):
-        class NanAfter:
-            """``A`` whose products turn NaN after the first ``good`` ones."""
+    def test_non_finite_residual_fails_at_its_iteration(self, monkeypatch):
+        kernel, good = sparse_la._csr_matvec, 3
 
-            def __init__(self, A, good):
-                self.A, self.shape, self.good = A, A.shape, good
+        def nan_after(n_row, n_col, indptr, indices, data, v, out):
+            """The kernel, writing NaN from the ``good + 1``-th product on."""
+            nonlocal good
+            good -= 1
+            if good >= 0:
+                kernel(n_row, n_col, indptr, indices, data, v, out)
+            else:
+                out[:] = np.nan
 
-            def diagonal(self):
-                return self.A.diagonal()
-
-            def __matmul__(self, v):
-                self.good -= 1
-                return self.A @ v if self.good >= 0 else np.full(len(v), np.nan)
-
+        monkeypatch.setattr(sparse_la, "_csr_matvec", nan_after)
         # one product for the initial residual, one per iteration
         with pytest.raises(SolverError) as exc:
-            cg_solve(NanAfter(tridiagonal(50), good=3), np.ones(50), TIGHT)
+            cg_solve(tridiagonal(50), np.ones(50), TIGHT)
         assert exc.value.iterations == 3
         assert "not finite at iteration 3" in str(exc.value)
 
@@ -167,6 +173,153 @@ class TestCg:
             SolverControl(max_iterations=0)
         with pytest.raises(ValueError):
             SolverControl(relative_tolerance=0.0)
+
+
+def reference_cg(A, b, ctrl=SolverControl(), x0=None):
+    """Jacobi-PCG on ``A @ p`` with fresh vectors per update: :func:`cg_solve`'s reference."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"system shape mismatch: {A.shape} vs rhs {n}")
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+
+    diag = A.diagonal().copy()
+    diag[diag == 0.0] = 1.0
+    inv_diag = 1.0 / diag
+
+    b_norm = np.linalg.norm(b)
+    target = max(ctrl.relative_tolerance * b_norm, ctrl.absolute_tolerance)
+
+    r = b - A @ x
+    res = np.linalg.norm(r)
+    if not (math.isfinite(b_norm) and math.isfinite(res)):
+        raise SolverError("CG got a non-finite right-hand side or initial residual "
+                          f"(|b| {b_norm:.3e}, residual {res:.3e})", iterations=0, residual=res)
+    if res <= target:
+        return x, 0
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for k in range(1, ctrl.max_iterations + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        res = np.linalg.norm(r)
+        if res <= target:
+            return x, k
+        if not math.isfinite(res):
+            raise SolverError(f"CG residual is not finite at iteration {k}",
+                              iterations=k, residual=res)
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise SolverError(
+        f"CG did not converge in {ctrl.max_iterations} iterations "
+        f"(residual {res:.3e}, target {target:.3e})",
+        iterations=ctrl.max_iterations,
+        residual=res,
+    )
+
+
+def step_system(mesh, degree, c, rng):
+    """A step system of the solver with a random lifted load and Dirichlet values in ``x0``."""
+    space = FeSpace(mesh, degree)
+    _, K, system, dofs = ImplicitStep(Coefficients(rho=1.5, epsilon=0.3), c, "primal").matrices(
+        space, 0.1)
+    assert len(space.constraints) and len(dofs)
+    g = rng.standard_normal(dofs.size)
+    b = sparse_la.lift_dirichlet(
+        K, space.constraints.condense_vector(rng.standard_normal(space.n_dofs)), dofs, g)
+    x0 = np.zeros(space.n_dofs)
+    x0[dofs] = g
+    return system, b, x0
+
+
+class TestCgBitIdentity:
+    """:func:`cg_solve` performs the reference loop's operations exactly, in place."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_step_systems_match_the_reference_loop(self, sheared_irregular_lshape, rng,
+                                                   degree, c):
+        A, b, x0 = step_system(sheared_irregular_lshape, degree, c, rng)
+        for ctrl in (SolverControl(), TIGHT):
+            x, iters = cg_solve(A, b, ctrl, x0=x0)
+            x_ref, iters_ref = reference_cg(A, b, ctrl, x0=x0)
+            assert iters == iters_ref > 0
+            assert np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_early_stop_reports_the_reference_residual(self, sheared_irregular_lshape, rng,
+                                                       degree, c):
+        A, b, x0 = step_system(sheared_irregular_lshape, degree, c, rng)
+        stop = reference_cg(A, b, TIGHT, x0=x0)[1] // 2
+        ctrl = dataclasses.replace(TIGHT, max_iterations=stop)
+        with pytest.raises(SolverError) as exc:
+            cg_solve(A, b, ctrl, x0=x0)
+        with pytest.raises(SolverError) as ref:
+            reference_cg(A, b, ctrl, x0=x0)
+        assert exc.value.iterations == ref.value.iterations == stop
+        assert exc.value.residual == ref.value.residual
+        assert str(exc.value) == str(ref.value)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_raw_kernel_is_the_scipy_product(self, rng, index_dtype):
+        dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
+        A = sp.csr_matrix(dense)
+        A.indptr, A.indices = A.indptr.astype(index_dtype), A.indices.astype(index_dtype)
+        v = rng.standard_normal(40)
+        out = np.zeros(40)
+        sparse_la._csr_matvec(40, 40, A.indptr, A.indices, A.data, v, out)
+        assert A.indices.dtype == A.indptr.dtype == index_dtype
+        assert np.array_equal(out, A @ v)
+
+
+class TestCgInputs:
+    """Checks made before the raw kernel, which does no bounds checks, runs."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        kernel = sparse_la._csr_matvec
+
+        def counted(*args):
+            calls.append(args)
+            kernel(*args)
+
+        monkeypatch.setattr(sparse_la, "_csr_matvec", counted)
+        return calls
+
+    @pytest.mark.parametrize("bad", ["rhs", "x0"])
+    def test_wrong_length_is_refused_before_any_product(self, spy, bad):
+        b, x0 = np.ones(10), np.zeros(10)
+        if bad == "rhs":
+            b = np.ones(11)
+        else:
+            x0 = np.zeros(9)
+        with pytest.raises(ValueError):
+            cg_solve(tridiagonal(10), b, TIGHT, x0=x0)
+        assert spy == []
+
+    @pytest.mark.parametrize("fmt", ["csc", "coo", "ndarray"])
+    def test_other_formats_are_refused(self, spy, fmt):
+        A = tridiagonal(10)
+        A = A.toarray() if fmt == "ndarray" else A.asformat(fmt)
+        with pytest.raises(TypeError, match=fmt):
+            cg_solve(A, np.ones(10), TIGHT)
+        assert spy == []
+
+    def test_inputs_are_left_untouched(self, sheared_irregular_lshape, rng, spy):
+        A, b, x0 = step_system(sheared_irregular_lshape, 1, 1.0, rng)
+        saved = b.copy(), x0.copy(), A.data.copy()
+        x, iters = cg_solve(A, b, SolverControl(), x0=x0)
+        assert len(spy) == iters + 1
+        for array, before in zip((b, x0, A.data), saved):
+            assert np.array_equal(array, before)
+            assert not np.shares_memory(x, array)
 
 
 class TestApplyDirichlet:
