@@ -33,9 +33,10 @@ log = logging.getLogger(__name__)
 class LoopRecord:
     """One convergence-table row: loop index, sizes, error, estimate, effectivity.
 
-    The solver fields, not in the table, sum each march's CG iterations and
-    take the largest final residual of its slabs; the dual ones stay 0 and
-    NaN on a loop whose goal is met before the dual runs.
+    The fields after the table's sum each march's space-time dofs (n_dofs
+    over the slabs) and CG iterations and take the largest final residual
+    of its slabs; the dual ones stay 0, 0 and NaN on a loop whose goal is
+    met before the dual runs.
     """
 
     loop: int
@@ -45,6 +46,8 @@ class LoopRecord:
     eta: float = math.nan
     i_eff: float = math.nan
     goal_met: bool = False
+    primal_dofs: int = 0
+    dual_dofs: int = 0
     primal_cg_iterations: int = 0
     primal_max_residual: float = math.nan
     dual_cg_iterations: int = 0
@@ -105,10 +108,12 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             max_cells=max(s.mesh.n_active_cells for s in slabs),
             goal_error=err,
             goal_met=err < tol_abs,
+            primal_dofs=sum(s.primal.n_dofs for s in slabs),
         )
         record.primal_cg_iterations, record.primal_max_residual = _solver_totals(reports)
         log.debug("loop %d: primal CG iterations %d, largest final residual %.3e",
                   loop, record.primal_cg_iterations, record.primal_max_residual)
+        log.debug("loop %d: primal space-time dofs %d", loop, record.primal_dofs)
         records.append(record)
         log.info(
             "loop %d: %d slabs, %d cells max, goal error %.6e (target %.6e)",
@@ -124,8 +129,10 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
         dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
         record.dual_cg_iterations, record.dual_max_residual = _solver_totals(dual_steps)
+        record.dual_dofs = sum(s.dual.n_dofs for s in slabs)
         log.debug("loop %d: dual CG iterations %d, largest final residual %.3e",
                   loop, record.dual_cg_iterations, record.dual_max_residual)
+        log.debug("loop %d: dual space-time dofs %d", loop, record.dual_dofs)
         per_slab = []
         for _, slab in slabs.iterate_forward():
             per_slab.append(

@@ -27,10 +27,12 @@ a cell owns the whole piece, ``0.5 * half + 0.5 * s`` on the coarser side
 is kept with the mesh state, per degree: caching every row's holds it for
 every live slab mesh and raised the shipped run's peak RSS 401 -> 593 MB.
 
-The assemblers condense the hanging constraints unless ``condense=False``
-(master rows carry the slave contributions, slave rows are empty).  The
-solve path assembles unconstrained: its one step solver,
-:class:`primal.ImplicitStep`, condenses each system and right-hand side.
+Matrices are one scatter, :func:`assemble_system`, of cell matrices whose
+local dofs are replaced by their closed constraint rows unless
+``condense=False`` (deal.II's ``distribute_local_to_global``): master rows
+carry the slave contributions, slave rows are empty.  The solve path also
+applies M cell by cell, :func:`mass_product`, and condenses its loads in
+:class:`primal.ImplicitStep`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from . import sparse_la
 from .mesh import BOUNDARY, COARSER, FACE_VERTS, FINER, NEUMANN, OPPOSITE_FACE, read_only
 from .sparse_la import ConstraintSet
 
@@ -346,38 +349,67 @@ def physical_gradients(space, coefficients, cells, ref_pts):
     return np.einsum("ned,ne->nd", invJ[cells], ref_grad)
 
 
-def _scatter_local(space, local):
-    """Sum local (nc, nloc, nloc) matrices into a raw CSR matrix."""
-    nc, nloc, _ = local.shape
-    rows = np.repeat(space.cell_dofs[:, :, None], nloc, axis=2)
-    cols = np.repeat(space.cell_dofs[:, None, :], nloc, axis=1)
-    A = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(space.n_dofs, space.n_dofs),
-    ).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+@functools.cache
+def _reference_matrices(degree):
+    """Unit-cell mass M_ref (nloc, nloc) and stiffness parts K_ref (4, nloc^2), read-only.
+
+    K_ref[2 e + f] holds d_e phi_i d_f phi_j; (degree + 1)^2 Gauss points.
+    """
+    n = degree + 1
+    w = gauss_quadrature(n).weights
+    N, grad, _ = _basis_tables(degree, n)
+    K = np.einsum("q,qie,qjf->efij", w, grad, grad)
+    return read_only((np.einsum("q,qi,qj->ij", w, N, N), K.reshape(4, -1)))
+
+
+def assemble_system(space, mass=0.0, stiffness=0.0, condense=True):
+    """CSR mass M + stiffness A (unit coefficients), P^T (...) P if ``condense``, in one scatter.
+
+    Cell matrices are mass det J M_ref + stiffness G : K_ref with
+    G = det J J^-1 J^-T; the pattern stores the whole diagonal, explicitly
+    zero where no cell reaches it.
+    """
+    space._check_current()
+    detJ, invJ = _cell_geometry(space.mesh)
+    M_ref, K_ref = _reference_matrices(space.degree)
+    G = (stiffness * detJ)[:, None, None] * (invJ @ invJ.transpose(0, 2, 1))
+    local = (mass * detJ)[:, None] * M_ref.ravel() + G.reshape(-1, 4) @ K_ref  # (c, nloc^2)
+    n, nloc = space.n_dofs, M_ref.shape[0]
+    dofs = space.cell_dofs.ravel()
+    if condense:
+        at, masters, weights = space.constraints.expand(dofs)
+    else:
+        at, masters, weights = np.arange(dofs.size), dofs, np.ones(dofs.size)
+    # pair every expanded entry with every expanded entry of its cell
+    cell = at // nloc
+    per_cell = np.bincount(cell, minlength=len(local))
+    count = per_cell[cell]
+    left = np.repeat(np.arange(len(at)), count)
+    right = sparse_la.concat_ranges((np.cumsum(per_cell) - per_cell)[cell], count)
+    row_base, col = at * nloc, at % nloc  # entry (a, b) of a cell is local.flat[row_base + b]
+    vals = local.ravel()[row_base[left] + col[right]] * (weights[left] * weights[right])
+    diagonal = np.arange(n)
+    rows, cols = (np.concatenate([masters[side], diagonal]) for side in (left, right))
+    return sp.csr_matrix((np.concatenate([vals, np.zeros(n)]), (rows, cols)), shape=(n, n))
+
+
+def mass_product(space, density, x):
+    """M x for the unconstrained mass matrix of ``density``, applied cell by cell."""
+    space._check_current()
+    detJ, _ = _cell_geometry(space.mesh)
+    M_ref, _ = _reference_matrices(space.degree)
+    local = (density * detJ)[:, None] * (x[space.cell_dofs] @ M_ref.T)
+    return np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.n_dofs)
 
 
 def assemble_mass(space, density=1.0, condense=True):
-    """Mass matrix with constant coefficient ``density``; (degree+1)^2 Gauss points per cell."""
-    rule = cell_rule(space, space.degree + 1)
-    N = rule.basis(space.degree).N
-    M_ref = np.einsum("q,qi,qj->ij", gauss_quadrature(rule.n).weights, N, N)
-    A = _scatter_local(space, (float(density) * rule.detJ)[:, None, None] * M_ref)
-    return space.constraints.condense_matrix(A) if condense else A
+    """Mass matrix with constant coefficient ``density``; see :func:`assemble_system`."""
+    return assemble_system(space, mass=float(density), condense=condense)
 
 
 def assemble_stiffness(space, diffusivity=1.0, condense=True):
-    """Stiffness matrix with constant coefficient ``diffusivity``; the mass matrix's quadrature."""
-    rule = cell_rule(space, space.degree + 1)
-    grad = rule.basis(space.degree).grad
-    # local matrix sum_ef G_ef K_ef: G = det J J^-1 J^-T, K_ef the unit cell's d_e phi_i d_f phi_j
-    K = np.einsum("q,qie,qjf->efij", gauss_quadrature(rule.n).weights, grad, grad)
-    G = (float(diffusivity) * rule.detJ)[:, None, None] * (rule.invJ @ rule.invJ.transpose(0, 2, 1))
-    A = _scatter_local(space, (G.reshape(-1, 4) @ K.reshape(4, -1)).reshape(-1, *K.shape[2:]))
-    return space.constraints.condense_matrix(A) if condense else A
+    """Stiffness matrix with constant coefficient ``diffusivity``; see :func:`assemble_system`."""
+    return assemble_system(space, stiffness=float(diffusivity), condense=condense)
 
 
 def assemble_load_volume(space, f, condense=True):

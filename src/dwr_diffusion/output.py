@@ -73,12 +73,17 @@ def _mesh_block(primal):
     n_cells = cells.shape[0]
     return export, "\n".join([
         f"POINTS {pts.shape[0]} double",
-        "\n".join(f"{x:.12g} {y:.12g} 0" for x, y in pts.tolist()),
+        _lines("%.12g %.12g 0", pts),
         f"CELLS {n_cells} {5 * n_cells}",
-        "\n".join(f"4 {a} {b} {c} {d}" for a, b, c, d in cells.tolist()),
+        _lines("4 %d %d %d %d", cells),
         f"CELL_TYPES {n_cells}",
         "\n".join(["9"] * n_cells),
     ])
+
+
+def _lines(fmt, rows):
+    """One ``fmt`` line per row of a 1-D or 2-D array, all formatted by one ``%`` operation."""
+    return ((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))[:-1]
 
 
 def vtk_text(slab, u=None, z=None, block=None):
@@ -111,7 +116,7 @@ def vtk_text(slab, u=None, z=None, block=None):
         for name, vals in fields:
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.append("\n".join(f"{v:.12g}" for v in vals.tolist()))
+            lines.append(_lines("%.12g", vals))
     return "\n".join(lines) + "\n"
 
 

@@ -13,10 +13,11 @@ endpoint are eliminated strongly.  The scheme is algebraically a backward
 Euler step with averaged loads.
 
 :class:`ImplicitStep` solves the step of both marches (the dual one with
-2 M) from unconstrained loads: c M + tau A and the right-hand side each
-condensed once, slave and Dirichlet rows eliminated, CG, constraints
-distributed.  Consecutive slabs with one space object and a bit-equal tau
-reuse its matrices.
+2 M) from unconstrained loads: c M + tau A condensed in one scatter, slave
+and Dirichlet rows eliminated on its pattern, c M applied cell by cell and
+the right-hand side condensed once, CG, constraints distributed.
+Consecutive slabs with one space object and a bit-equal tau reuse the
+matrices.
 """
 
 from __future__ import annotations
@@ -79,20 +80,19 @@ class ImplicitStep:
         self._space = self._tau = self._matrices = None
 
     def matrices(self, space, tau):
-        """Raw M, the condensed K = P^T (c M + tau A) P, the system and the Dirichlet dofs.
+        """The condensed K = P^T (c M + tau A) P, the system and the Dirichlet dofs.
 
-        The system is K with unit Dirichlet and slave rows.  Only the last
-        set is held; it is reused while the space object is the same and tau
-        is bit-equal.
+        The system is K on K's pattern with unit Dirichlet and slave rows.
+        Only the last set is held; it is reused while the space object is
+        the same and tau is bit-equal.
         """
         if space is not self._space or tau != self._tau:
-            M = fem.assemble_mass(space, self.coeff.rho, condense=False)
-            A = fem.assemble_stiffness(space, self.coeff.epsilon, condense=False)
-            K = space.constraints.condense_matrix(self.mass_factor * M + tau * A)
+            K = fem.assemble_system(space, self.mass_factor * self.coeff.rho,
+                                    tau * self.coeff.epsilon)
             dofs = space.boundary_dofs(DIRICHLET)
             fixed = np.union1d(dofs, space.constraints.slaves)
             self._space, self._tau = space, tau
-            self._matrices = M, K, sparse_la.eliminate_dirichlet(K, fixed), dofs
+            self._matrices = K, sparse_la.eliminate_on_pattern(K, fixed), dofs
         return self._matrices
 
     def solve(self, n, space, tau, load, x_prev, dirichlet_values, ctrl):
@@ -100,9 +100,10 @@ class ImplicitStep:
 
         ``load`` is unconstrained; ``dirichlet_values`` belong to the Dirichlet dofs.
         """
-        M, K, system, dofs = self.matrices(space, tau)
+        K, system, dofs = self.matrices(space, tau)
         cs = space.constraints
-        rhs = cs.condense_vector(tau * load + self.mass_factor * (M @ cs.distribute(x_prev)))
+        mass = fem.mass_product(space, self.mass_factor * self.coeff.rho, cs.distribute(x_prev))
+        rhs = cs.condense_vector(tau * load + mass)
         rhs = sparse_la.lift_dirichlet(K, rhs, dofs, dirichlet_values)
         x0 = np.zeros(space.n_dofs)
         x0[dofs] = dirichlet_values

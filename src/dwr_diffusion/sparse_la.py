@@ -7,6 +7,11 @@ condensation are implemented here so that their exact behaviour is under
 our control.  All systems handled here are symmetric positive definite on
 the unconstrained subspace; coefficients are 64-bit floats.
 
+Constraints are closed on entry arrays into one CSR prolongation P, whose
+rows :meth:`ConstraintSet.expand` hands to the assembler to condense while
+it scatters; ``condense_matrix``, ``pin`` and :func:`eliminate_dirichlet`
+serve the public helpers, not the solve path.
+
 :func:`cg_solve` takes CSR input only and allocates no work vector per
 iteration: its products call ``scipy.sparse._sparsetools.csr_matvec``
 directly, writing into one preallocated vector.  That private routine is
@@ -78,6 +83,12 @@ def csr_from_triplets(n_rows, n_cols, triplets):
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
+
+
+def concat_ranges(starts, counts):
+    """The index ranges ``starts[k] + arange(counts[k])``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
 def spmv(A, x):
@@ -195,6 +206,21 @@ def eliminate_dirichlet(A, dofs):
     return (A_new + sp.diags(1.0 - keep)).tocsr()
 
 
+def eliminate_on_pattern(A, dofs):
+    """:func:`eliminate_dirichlet` on the pattern of a CSR ``A`` that stores its whole diagonal.
+
+    The result shares A's index arrays; explicit zeros stay.
+    """
+    n = A.shape[0]
+    keep = np.ones(n)
+    keep[dofs] = 0.0
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    data = A.data * (keep[rows] * keep[A.indices])
+    diagonal = rows == A.indices
+    data[diagonal] += 1.0 - keep[rows[diagonal]]
+    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
 def lift_dirichlet(A, b, dofs, values):
     """``b - A g`` off ``dofs`` and ``values`` on them, for g = ``values`` on ``dofs``.
 
@@ -211,10 +237,12 @@ def lift_dirichlet(A, b, dofs, values):
 def _closure(n, owner, masters, weights, offsets):
     """Prolongation P, offsets c and sorted slave array of the closed constraints.
 
-    Q = diag(free) + W substitutes each slave by its raw row W, the entries
-    (``owner``, ``masters``, ``weights``), so P = Q^k and c = sum_{j<k} Q^j g
-    once Q^k has no slave column left, g being the slaves' ``offsets``.  A
-    cycle among the slaves raises :class:`ConstraintCycleError` first.
+    Each entry (``owner``, ``masters``, ``weights``) whose master is a slave
+    is replaced by that master's raw row, weights multiplied, until no master
+    is a slave: P = Q^k for Q = diag(free) + W, and every round adds its
+    replaced entries' share to c = sum_{j<k} Q^j g, g being the slaves'
+    ``offsets``.  A cycle among the slaves raises
+    :class:`ConstraintCycleError` first.
     """
     slaves = np.unique(owner)
     is_slave = np.zeros(n, dtype=bool)
@@ -227,15 +255,27 @@ def _closure(n, owner, masters, weights, offsets):
         if not (pending & ~blocked).any():
             raise ConstraintCycleError(f"cyclic constraint through dof {pending.argmax()}")
         pending &= blocked
-    W = sp.csr_matrix((weights, (owner, masters)), shape=(n, n))
-    Q = (sp.diags((~is_slave).astype(float)) + W).tocsr()
+    order = np.argsort(owner, kind="stable")
+    raw_count = np.bincount(owner, minlength=n)
+    raw_start = np.cumsum(raw_count) - raw_count
+    raw_masters, raw_weights = masters[order], weights[order]
     g = np.zeros(n)
     if offsets is not None:
         g[slaves] = offsets[slaves]
-    P, c = Q, g
-    while is_slave[P.indices].any():
-        P, c = P @ Q, Q @ c + g
-    P.sort_indices()
+    c = g.copy()
+    while (chained := is_slave[masters]).any():
+        via, scale = masters[chained], weights[chained]
+        count = raw_count[via]
+        c += np.bincount(owner[chained], scale * g[via], minlength=n)
+        at = concat_ranges(raw_start[via], count)
+        owner = np.concatenate([owner[~chained], np.repeat(owner[chained], count)])
+        masters = np.concatenate([masters[~chained], raw_masters[at]])
+        weights = np.concatenate([weights[~chained], np.repeat(scale, count) * raw_weights[at]])
+    free = np.flatnonzero(~is_slave)
+    entries = np.concatenate([weights, np.ones(free.size)])
+    P = sp.csr_matrix((entries, (np.concatenate([owner, free]), np.concatenate([masters, free]))),
+                      shape=(n, n))
+    P.eliminate_zeros()
     return P, c, slaves
 
 
@@ -276,6 +316,16 @@ class ConstraintSet:
             raise KeyError(slave)
         lo, hi = self._P.indptr[slave], self._P.indptr[slave + 1]
         return tuple(zip(self._P.indices[lo:hi].tolist(), self._P.data[lo:hi].tolist()))
+
+    def expand(self, dofs):
+        """Closed rows of ``dofs`` as entries (position in ``dofs``, master, weight).
+
+        A dof that is no slave is its own master with weight 1.
+        """
+        indptr = self._P.indptr
+        count = indptr[dofs + 1] - indptr[dofs]
+        at = concat_ranges(indptr[dofs], count)
+        return np.repeat(np.arange(len(dofs)), count), self._P.indices[at], self._P.data[at]
 
     def condense_matrix(self, A):
         """P^T A P; slave rows/columns end up empty (give them unit rows before solving)."""

@@ -80,3 +80,25 @@ def test_a_met_goal_leaves_the_dual_solver_fields_empty():
     (record,) = dwr_loop(config).records
     assert record.goal_met and record.primal_cg_iterations > 0
     assert record.dual_cg_iterations == 0 and math.isnan(record.dual_max_residual)
+
+
+@pytest.mark.parametrize("goal_met", [False, True])
+def test_loop_records_count_the_space_time_dofs(caplog, goal_met):
+    """Two slabs on the coarse L-shape: three cells with 8 vertices, 10 edges and 3 centres.
+
+    Q1 has a dof per vertex, 8 per slab; Q2 one per vertex, edge and cell,
+    21 per slab.  A goal met at loop 1 runs no dual and counts no dual dofs.
+    """
+    config = parse_parameter_file(PARAMETER_FILE)
+    adapt = dataclasses.replace(config.adapt, max_loops=1)
+    if goal_met:
+        adapt = dataclasses.replace(adapt, tol_mode="absolute", tol=1.0)
+    disc = dataclasses.replace(config.discretization, n_slabs=2, primal_degree=1, dual_degree=2)
+    config = dataclasses.replace(config, adapt=adapt, discretization=disc)
+    with caplog.at_level(logging.DEBUG, logger="dwr_diffusion.driver"):
+        (record,) = dwr_loop(config).records
+    assert record.goal_met == goal_met
+    assert (record.primal_dofs, record.dual_dofs) == (2 * 8, 0 if goal_met else 2 * 21)
+    logged = [r.getMessage() for r in caplog.records if "space-time dofs" in r.getMessage()]
+    assert logged == ["loop 1: primal space-time dofs 16"] + (
+        [] if goal_met else ["loop 1: dual space-time dofs 42"])

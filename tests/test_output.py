@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwr_diffusion import fem
+from dwr_diffusion import fem, output
 from dwr_diffusion.cli import main
 from dwr_diffusion.mesh import make_lshape
 from dwr_diffusion.output import atomic_write, vtk_text, write_vtk_slabs
@@ -46,3 +46,47 @@ def test_two_runs_write_byte_identical_outputs(tmp_path):
     assert sorted(p.name for p in dirs[1].iterdir()) == names
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+# signed zeros, non-finite values, subnormals and values that need 12 significant digits
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-310,
+                    2.2250738585072014e-308, 1.0 / 3.0, -123456789.123456789, 1e16, 1e-5, 0.1])
+
+
+def genexpr_vtk_text(slab, u, z):
+    """A Q1 slab's VTK file formatted with one f-string per line, the reference byte layout."""
+    export = slab.primal
+    pts, cells = export.support_points, export.cell_dofs[:, [0, 1, 3, 2]]
+    z = fem.interpolate_same_mesh(fem.FeFunction(slab.dual, z), export).coefficients
+    return "\n".join([
+        "# vtk DataFile Version 3.0",
+        f"space-time slab t in ({slab.interval.t_m:.12g}, {slab.interval.t_n:.12g})",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {pts.shape[0]} double",
+        "\n".join(f"{x:.12g} {y:.12g} 0" for x, y in pts.tolist()),
+        f"CELLS {len(cells)} {5 * len(cells)}",
+        "\n".join(f"4 {a} {b} {c} {d}" for a, b, c, d in cells.tolist()),
+        f"CELL_TYPES {len(cells)}",
+        "\n".join(["9"] * len(cells)),
+        f"POINT_DATA {export.n_dofs}",
+        "SCALARS u double 1",
+        "LOOKUP_TABLE default",
+        "\n".join(f"{v:.12g}" for v in u.tolist()),
+        "SCALARS z double 1",
+        "LOOKUP_TABLE default",
+        "\n".join(f"{v:.12g}" for v in z.tolist()),
+    ]) + "\n"
+
+
+def test_vtk_blocks_are_byte_identical_to_per_value_formatting():
+    slab = init_slabs(make_lshape(), 0.0, 1.0, 1)[0]
+    slab.refine({0})
+    u = np.resize(SPECIAL, slab.primal.n_dofs)
+    z = np.resize(SPECIAL[::-1], slab.dual.n_dofs)
+    assert vtk_text(slab, u=u, z=z) == genexpr_vtk_text(slab, u, z)
+    # the point block's format on the special values too
+    pairs = np.resize(SPECIAL, (len(SPECIAL) + 1, 2))
+    assert output._lines("%.12g %.12g 0", pairs) == "\n".join(
+        f"{x:.12g} {y:.12g} 0" for x, y in pairs.tolist())
+    assert output._lines("%.12g", SPECIAL[:0]) == ""

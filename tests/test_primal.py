@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dwr_diffusion import dual, fem, primal, sparse_la
 from dwr_diffusion.dual import GoalContext, march_backward
@@ -115,7 +116,7 @@ def test_dual_march_reports_every_slab_in_slab_order(runs):
 
 def count_assemblies(monkeypatch):
     """Count the step assemblies and the constraint condensations and pins of the marches."""
-    targets = {"mass": (fem, "assemble_mass"), "stiffness": (fem, "assemble_stiffness"),
+    targets = {"system": (fem, "assemble_system"),
                "condense_matrix": (ConstraintSet, "condense_matrix"),
                "pin": (ConstraintSet, "pin")}
     calls = dict.fromkeys(targets, 0)
@@ -133,8 +134,8 @@ def count_assemblies(monkeypatch):
 def test_one_assembly_per_run_of_equal_space_and_tau(runs, monkeypatch):
     calls = count_assemblies(monkeypatch)
     solve_both(runs)
-    # four runs in each march, each system condensed once and no slave pinned
-    assert calls == {"mass": 8, "stiffness": 8, "condense_matrix": 8, "pin": 0}
+    # four runs in each march, each system scattered once, condensed on the way
+    assert calls == {"system": 8, "condense_matrix": 0, "pin": 0}
 
 
 class RebuildEverySlab(primal.ImplicitStep):
@@ -149,8 +150,7 @@ def test_reused_system_gives_the_rebuilt_solutions(runs, monkeypatch):
     monkeypatch.setattr(dual, "ImplicitStep", RebuildEverySlab)
     calls = count_assemblies(monkeypatch)
     u_ref, z_ref = solve_both(runs)
-    assert calls["stiffness"] == calls["condense_matrix"] == 2 * len(runs)
-    assert calls["pin"] == 0
+    assert calls == {"system": 2 * len(runs), "condense_matrix": 0, "pin": 0}
     assert all(np.array_equal(a, b) for a, b in zip(u, u_ref))
     assert all(np.array_equal(a, b) for a, b in zip(z, z_ref))
 
@@ -192,7 +192,7 @@ def test_step_matches_the_pinned_condensed_reference(sheared_irregular_lshape, d
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     # the slave and Dirichlet rows and columns of the system are unit ones
-    system = step.matrices(space, tau)[2].toarray()
+    system = step.matrices(space, tau)[1].toarray()
     fixed = np.union1d(dofs, cs.slaves)
     unit = np.eye(space.n_dofs)[fixed]
     assert np.array_equal(system[fixed], unit) and np.array_equal(system[:, fixed], unit.T)
@@ -259,3 +259,42 @@ def test_space_error_is_second_order():
     )
     errors = [goal_error(levels, 2, data, "gauss") for levels in (1, 2, 3, 4)]
     assert all(1.95 <= p <= 2.05 for p in orders(errors)), orders(errors)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_fused_system_matches_the_condensation_chain(sheared_irregular_lshape, degree, c):
+    """One scatter of constraint-expanded cell matrices gives P^T (c M + tau A) P and its system.
+
+    The reference is the chain of sparse operations: a raw scatter of each
+    matrix, their sum, the triple product and the elimination copy.
+    """
+    space = FeSpace(sheared_irregular_lshape, degree)
+    cs, dofs = space.constraints, space.boundary_dofs(DIRICHLET)
+    assert len(cs) and len(dofs)
+    tau, coeff = 0.1, Coefficients(epsilon=0.3, rho=1.5)
+    K, system, _ = ImplicitStep(coeff, c, "primal").matrices(space, tau)
+    M = fem.assemble_mass(space, coeff.rho, condense=False)
+    K_ref = cs.condense_matrix(c * M + tau * fem.assemble_stiffness(space, coeff.epsilon,
+                                                                     condense=False))
+    system_ref = sparse_la.eliminate_dirichlet(K_ref, np.union1d(dofs, cs.slaves))
+    tol = 1e-14 * np.max(np.abs(K_ref.data))
+    for new, ref in ((K, K_ref), (system, system_ref)):
+        assert np.max(np.abs((new - ref).toarray())) <= tol
+        # equal patterns but for entries that cancel to zero in one sum and to roundoff in the
+        # other (c = 2, Q2: exactly 0 against 1.7e-18)
+        new, ref = (sp.csr_matrix(m.multiply(abs(m) > tol)) for m in (new, ref))
+        assert np.array_equal(new.indptr, ref.indptr) and np.array_equal(new.indices, ref.indices)
+    # the system is K's pattern with the whole diagonal stored
+    assert np.shares_memory(system.indices, K.indices)
+    assert np.shares_memory(system.indptr, K.indptr)
+    assert np.all(np.diff(K.indptr) > 0) and np.count_nonzero(K.diagonal() == 0) == len(cs)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cellwise_mass_product_is_the_assembled_product(sheared_irregular_lshape, degree, rng):
+    space = FeSpace(sheared_irregular_lshape, degree)
+    x = rng.standard_normal(space.n_dofs)
+    expected = fem.assemble_mass(space, 1.5, condense=False) @ x
+    got = fem.mass_product(space, 1.5, x)
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)

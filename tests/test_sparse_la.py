@@ -226,7 +226,7 @@ def reference_cg(A, b, ctrl=SolverControl(), x0=None):
 def step_system(mesh, degree, c, rng):
     """A step system of the solver with a random lifted load and Dirichlet values in ``x0``."""
     space = FeSpace(mesh, degree)
-    _, K, system, dofs = ImplicitStep(Coefficients(rho=1.5, epsilon=0.3), c, "primal").matrices(
+    K, system, dofs = ImplicitStep(Coefficients(rho=1.5, epsilon=0.3), c, "primal").matrices(
         space, 0.1)
     assert len(space.constraints) and len(dofs)
     g = rng.standard_normal(dofs.size)
@@ -431,3 +431,91 @@ class TestCondenseHanging:
         A = csr_from_triplets(2, 2, [(i, i, 1.0) for i in range(2)])
         with pytest.raises(ConstraintCycleError, match="dof 0"):
             condense_hanging(A, np.zeros(2), {0: [(0, 1.0)], 1: [(0, 0.5)]})
+
+
+def spgemm_closure(n, owner, masters, weights, offsets):
+    """The closure as a power of a CSR matrix, kept as the oracle of :func:`sparse_la._closure`.
+
+    Q = diag(free) + W substitutes each slave by its raw row W, the entries
+    (``owner``, ``masters``, ``weights``), so P = Q^k and c = sum_{j<k} Q^j g
+    once Q^k has no slave column left, g being the slaves' ``offsets``.  A
+    cycle among the slaves raises :class:`ConstraintCycleError` first.
+    """
+    slaves = np.unique(owner)
+    is_slave = np.zeros(n, dtype=bool)
+    is_slave[slaves] = True
+    # peel off the slaves whose masters are all settled; one that never settles reaches a cycle
+    pending = is_slave.copy()
+    while pending.any():
+        blocked = np.zeros(n, dtype=bool)
+        blocked[owner[pending[masters]]] = True
+        if not (pending & ~blocked).any():
+            raise ConstraintCycleError(f"cyclic constraint through dof {pending.argmax()}")
+        pending &= blocked
+    W = sp.csr_matrix((weights, (owner, masters)), shape=(n, n))
+    Q = (sp.diags((~is_slave).astype(float)) + W).tocsr()
+    g = np.zeros(n)
+    if offsets is not None:
+        g[slaves] = offsets[slaves]
+    P, c = Q, g
+    while is_slave[P.indices].any():
+        P, c = P @ Q, Q @ c + g
+    P.sort_indices()
+    return P, c, slaves
+
+
+def layered_constraints(rng, n=40, depth=3):
+    """Raw constraint entries whose chains reach ``depth``, in shuffled order, with offsets.
+
+    Level-k slaves take 1-3 distinct masters among the dofs of lower
+    levels, level 0 being the free dofs, and at least one of level k - 1.
+    """
+    levels = np.array_split(rng.permutation(n), depth + 1)
+    owner, masters = [], []
+    for k in range(1, depth + 1):
+        lower = np.concatenate(levels[:k])
+        for s in levels[k]:
+            picked = {rng.choice(levels[k - 1])}
+            picked |= set(rng.choice(lower, rng.integers(0, 3)).tolist())
+            owner += [s] * len(picked)
+            masters += sorted(picked)
+    order = rng.permutation(len(owner))
+    return (np.array(owner)[order], np.array(masters)[order],
+            rng.uniform(-1.0, 1.0, len(owner)), rng.standard_normal(n))
+
+
+class TestClosureOracle:
+    """The entry-array closure gives the SpGEMM power's P, c and slaves."""
+
+    @staticmethod
+    def check(n, owner, masters, weights, offsets):
+        P, c, slaves = sparse_la._closure(n, owner, masters, weights, offsets)
+        P_ref, c_ref, slaves_ref = spgemm_closure(n, owner, masters, weights, offsets)
+        assert P.format == "csr" and P.has_sorted_indices
+        assert np.array_equal(slaves, slaves_ref)
+        assert np.max(np.abs(P.toarray() - P_ref.toarray())) <= 1e-15
+        assert np.max(np.abs(c - c_ref)) <= 1e-15 * max(1.0, np.max(np.abs(c_ref)))
+        return P, c
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("with_offsets", [True, False])
+    def test_random_chains_up_to_depth_three(self, seed, with_offsets):
+        rng = np.random.default_rng(seed)
+        owner, masters, weights, offsets = layered_constraints(rng)
+        self.check(40, owner, masters, weights, offsets if with_offsets else None)
+
+    def test_two_paths_to_one_master_are_summed(self):
+        # 3 -> {1, 2}, 1 -> 0, 2 -> 0: dof 3 reaches dof 0 twice
+        owner, masters = np.array([3, 3, 1, 2]), np.array([1, 2, 0, 0])
+        weights, offsets = np.array([0.25, 0.75, 0.5, 2.0]), np.array([0.0, 1.0, -1.0, 0.5])
+        P, c = self.check(4, owner, masters, weights, offsets)
+        assert P[3].toarray().tolist() == [[0.25 * 0.5 + 0.75 * 2.0, 0.0, 0.0, 0.0]]
+        assert c[3] == 0.5 + 0.25 * 1.0 + 0.75 * -1.0
+
+    def test_cycle_names_a_dof(self):
+        # 4 -> 2 -> 3 -> 2 never settles; 1 -> 0 does
+        owner, masters = np.array([1, 4, 2, 3]), np.array([0, 2, 3, 2])
+        weights = np.ones(4)
+        for closure in (sparse_la._closure, spgemm_closure):
+            with pytest.raises(ConstraintCycleError, match=r"cyclic constraint through dof \d"):
+                closure(5, owner, masters, weights, None)
