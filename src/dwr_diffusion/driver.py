@@ -9,13 +9,18 @@ refined.  The relative tolerance baseline is the first loop's error norm,
 captured once and frozen; a baseline of 0, whose target no loop can meet,
 is rejected.  When the loop budget is exhausted the last record is flagged
 as not converged (the dual and the estimate are still computed on that
-final loop for reporting).
+final loop for reporting).  A loop that marks no slab and no cell would
+repeat itself, so it raises :class:`ValueError` naming the loop and the
+marking parameters.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import resource
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import estimator as est_mod
@@ -36,7 +41,15 @@ class LoopRecord:
     The fields after the table's sum each march's space-time dofs (n_dofs
     over the slabs) and CG iterations and take the largest final residual
     of its slabs; the dual ones stay 0, 0 and NaN on a loop whose goal is
-    met before the dual runs.
+    met before the dual runs.  ``eta_signed`` is the signed sum of the
+    indicators, NaN on such a loop.
+
+    The ``*_s`` fields are the wall seconds of the loop's phases: primal
+    march, dual march, estimate, marking and adaptation, and the
+    ``on_loop`` callback; a phase that does not run reads 0.  The callback
+    sees ``on_loop_s``, ``adapt_s`` and ``peak_rss_mb`` still 0.
+    ``peak_rss_mb`` is the process's peak resident set size at the loop's
+    end (``ru_maxrss``, kilobytes on Linux, / 1024).
     """
 
     loop: int
@@ -52,6 +65,13 @@ class LoopRecord:
     primal_max_residual: float = math.nan
     dual_cg_iterations: int = 0
     dual_max_residual: float = math.nan
+    eta_signed: float = math.nan
+    primal_s: float = 0.0
+    dual_s: float = 0.0
+    estimate_s: float = 0.0
+    adapt_s: float = 0.0
+    on_loop_s: float = 0.0
+    peak_rss_mb: float = 0.0
 
 
 @dataclass
@@ -85,6 +105,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     data = ProblemData(solution=config.solution, coefficients=config.coefficients, t0=disc.t0)
 
     for loop in range(1, adapt.max_loops + 1):
+        start = time.perf_counter()
         reports = march_forward(
             slabs,
             config.coefficients,
@@ -93,6 +114,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             cv=config.control_volume,
             time_rule=disc.load_quadrature,
         )
+        primal_s = time.perf_counter() - start
         err = goal_norm(reports)
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
@@ -109,6 +131,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             goal_error=err,
             goal_met=err < tol_abs,
             primal_dofs=sum(s.primal.n_dofs for s in slabs),
+            primal_s=primal_s,
         )
         record.primal_cg_iterations, record.primal_max_residual = _solver_totals(reports)
         log.debug("loop %d: primal CG iterations %d, largest final residual %.3e",
@@ -123,57 +146,88 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         if record.goal_met:
             converged = True
             if on_loop:
-                on_loop(loop, slabs, None, record, True)
+                with _timed(record, "on_loop_s"):
+                    on_loop(loop, slabs, None, record, True)
+            _log_costs(record)
             break
 
         ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
-        dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
+        with _timed(record, "dual_s"):
+            dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
         record.dual_cg_iterations, record.dual_max_residual = _solver_totals(dual_steps)
         record.dual_dofs = sum(s.dual.n_dofs for s in slabs)
         log.debug("loop %d: dual CG iterations %d, largest final residual %.3e",
                   loop, record.dual_cg_iterations, record.dual_max_residual)
         log.debug("loop %d: dual space-time dofs %d", loop, record.dual_dofs)
-        per_slab = []
-        for _, slab in slabs.iterate_forward():
-            per_slab.append(
-                est_mod.compute_cell_indicators(
-                    slab,
-                    slab.fetch_storage("u"),
-                    slab.fetch_storage("z_tm"),
-                    slab.fetch_storage("z_tn"),
-                    slab.fetch_storage("u_prev"),
-                    config.coefficients,
-                    data,
-                    time_restriction=config.estimator.time_restriction,
+        with _timed(record, "estimate_s"):
+            per_slab = []
+            for _, slab in slabs.iterate_forward():
+                per_slab.append(
+                    est_mod.compute_cell_indicators(
+                        slab,
+                        slab.fetch_storage("u"),
+                        slab.fetch_storage("z_tm"),
+                        slab.fetch_storage("z_tn"),
+                        slab.fetch_storage("u_prev"),
+                        config.coefficients,
+                        data,
+                        time_restriction=config.estimator.time_restriction,
+                    )
                 )
-            )
-        estimate = est_mod.accumulate(per_slab)
-        estimate.i_eff = est_mod.effectivity(estimate, err)
+            estimate = est_mod.accumulate(per_slab)
+            estimate.i_eff = est_mod.effectivity(estimate, err)
         record.eta = estimate.eta_total
+        record.eta_signed = estimate.eta_signed
         record.i_eff = estimate.i_eff
 
         final = loop == adapt.max_loops
         if on_loop:
-            on_loop(loop, slabs, estimate, record, final)
+            with _timed(record, "on_loop_s"):
+                on_loop(loop, slabs, estimate, record, final)
         if final:
+            _log_costs(record)
             break
 
-        skip = adapt.skip_zero_indicators
-        time_marks = marking.mark_time_slabs(estimate, adapt.theta_tau, skip_zero=skip)
-        space_marks = {
-            k: marking.mark_space_cells(
-                slab,
-                estimate.cell_indicators[k],
-                k in time_marks,
-                adapt.theta_h1,
-                adapt.theta_h2,
-                skip_zero=skip,
-            )
-            for k, slab in slabs.iterate_forward()
-        }
-        marking.execute_adaptation(slabs, time_marks, space_marks)
+        with _timed(record, "adapt_s"):
+            skip = adapt.skip_zero_indicators
+            time_marks = marking.mark_time_slabs(estimate, adapt.theta_tau, skip_zero=skip)
+            space_marks = {
+                k: marking.mark_space_cells(
+                    slab,
+                    estimate.cell_indicators[k],
+                    k in time_marks,
+                    adapt.theta_h1,
+                    adapt.theta_h2,
+                    skip_zero=skip,
+                )
+                for k, slab in slabs.iterate_forward()
+            }
+            if not time_marks and not any(space_marks.values()):
+                raise ValueError(
+                    f"loop {loop}: no slab and no cell is marked "
+                    f"(theta_tau = {adapt.theta_tau:g}, theta_h1 = {adapt.theta_h1:g}, "
+                    f"theta_h2 = {adapt.theta_h2:g}, skip_zero_indicators = "
+                    f"{str(skip).lower()}), so every later loop would repeat this one")
+            marking.execute_adaptation(slabs, time_marks, space_marks)
+        _log_costs(record)
 
     return DwrResult(records, converged, tol_abs, slabs)
+
+
+@contextmanager
+def _timed(record, field):
+    """Set ``record.<field>`` to the wall seconds the block takes."""
+    start = time.perf_counter()
+    yield
+    setattr(record, field, time.perf_counter() - start)
+
+
+def _log_costs(record):
+    """Record the peak RSS so far and log it with the loop's phase times."""
+    record.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    log.debug("loop %d: phases primal %.3f s, dual %.3f s, estimate %.3f s, adapt %.3f s, "
+              "on_loop %.3f s; peak RSS %.1f MB", record.loop, record.primal_s, record.dual_s,
+              record.estimate_s, record.adapt_s, record.on_loop_s, record.peak_rss_mb)
 
 
 def _solver_totals(reports):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .primal import GOAL_TIME_QUAD, ImplicitStep, StepReport
+from .primal import ImplicitStep, StepReport, goal_residuals
 from .sparse_la import SolverControl
 
 
@@ -55,12 +55,9 @@ def assemble_goal_rhs(slab, ctx):
         raise ValueError("primal solution missing on slab; run march_forward first")
     rule = fem.cell_rule(space, space.degree + 1)
     uh = rule.values(slab.primal, u)
-    ts, ws = slab.interval.gauss_points(GOAL_TIME_QUAD)
     density = np.zeros_like(uh)
-    for t, wt in zip(ts, ws):
-        mask = ctx.cv.contains(rule.phys, t)
-        if mask.any():
-            density += wt * np.where(mask, ctx.solution.u(rule.phys, t) - uh, 0.0)
+    for wt, residual in goal_residuals(slab.interval, rule, uh, ctx.solution, ctx.cv):
+        density += wt * residual
     return rule.load(space, density) / (slab.tau * ctx.norm)
 
 

@@ -35,6 +35,7 @@ bit of two near-equal indicators could change which cells are refined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,30 +127,36 @@ def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,
 
 @dataclass
 class ErrorEstimate:
-    """Per-slab indicator maps plus their absolute-value sums.
+    """Per-slab indicator maps plus their absolute-value sums and the signed total.
 
     Summation order is fixed (ascending slab, ascending cell id) so the
-    totals are reproducible exactly.
+    totals are reproducible exactly; ``eta_signed`` sums the signed
+    indicators in the same order as ``eta_total`` sums their absolute
+    values.
     """
 
     cell_indicators: list
     eta_slabs: list
     eta_total: float
+    eta_signed: float = math.nan
     i_eff: float | None = None
 
 
 def accumulate(per_slab_indicators):
     """Fold per-slab indicator maps into slab sums and the global estimate."""
-    eta_slabs = []
+    eta_slabs, signed_slabs = [], []
     for indicators in per_slab_indicators:
-        total = 0.0
+        total = signed = 0.0
         for cid in sorted(indicators):
             total += abs(indicators[cid])
+            signed += indicators[cid]
         eta_slabs.append(total)
-    eta_total = 0.0
-    for v in eta_slabs:
+        signed_slabs.append(signed)
+    eta_total = eta_signed = 0.0
+    for v, w in zip(eta_slabs, signed_slabs):
         eta_total += v
-    return ErrorEstimate(list(per_slab_indicators), eta_slabs, eta_total)
+        eta_signed += w
+    return ErrorEstimate(list(per_slab_indicators), eta_slabs, eta_total, eta_signed)
 
 
 def effectivity(estimate, goal_error):

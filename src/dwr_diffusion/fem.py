@@ -27,6 +27,16 @@ a cell owns the whole piece, ``0.5 * half + 0.5 * s`` on the coarser side
 is kept with the mesh state, per degree: caching every row's holds it for
 every live slab mesh and raised the shipped run's peak RSS 401 -> 593 MB.
 
+Reference tables depend on the degree and the rule only, so each is built
+once per process (``functools.cache``) and shared read-only:
+:func:`gauss_1d` and :func:`gauss_quadrature`, the basis tables at a cell
+rule's points (``_basis_tables``), the unit-cell mass and stiffness
+(``_reference_matrices``), the lattice nodes of a degree
+(``_lattice_points``), the basis of one degree at the lattice nodes of
+another (``_lattice_basis``, for numbering dofs and same-mesh
+interpolation), the face lattice indices (``_face_lattice``) and the
+hanging-constraint trace weights of each face half (``_trace_weights``).
+
 Matrices are one scatter, :func:`assemble_system`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
 ``condense=False`` (deal.II's ``distribute_local_to_global``): master rows
@@ -125,17 +135,44 @@ def gauss_quadrature(n):
     return Quadrature(points=points, weights=weights)
 
 
+@functools.cache
 def _lattice_points(degree):
+    """Lattice nodes of the given degree on the unit square, x fastest (read-only, shared)."""
     nodes = _NODES_1D[degree]
     X, Y = np.meshgrid(nodes, nodes, indexing="xy")
-    return np.column_stack([X.ravel(), Y.ravel()])
+    points = np.column_stack([X.ravel(), Y.ravel()])
+    points.setflags(write=False)
+    return points
+
+
+@functools.cache
+def _lattice_basis(degree, lattice_degree):
+    """Basis of ``degree`` at the lattice nodes of ``lattice_degree``, (nodes, nloc), read-only."""
+    N = tensor_shape(degree, _lattice_points(lattice_degree))
+    N.setflags(write=False)
+    return N
+
+
+@functools.cache
+def _trace_weights(degree):
+    """1D basis at the nodes of each half of a face, (2, degree + 1, degree + 1), read-only.
+
+    Row ``[half, k]`` holds the coarse face's basis at node k of the fine
+    face that covers half ``half`` of it.
+    """
+    s = 0.5 * np.arange(2)[:, None] + 0.5 * _NODES_1D[degree]
+    weights = shape_1d(degree, s.ravel()).reshape(2, degree + 1, degree + 1)
+    weights.setflags(write=False)
+    return weights
 
 
 @functools.cache
 def _face_lattice(degree):
-    """Local lattice indices on each face, ascending along the face: (4, degree + 1)."""
+    """Local lattice indices on each face, ascending along the face: (4, degree + 1), read-only."""
     idx = np.arange((degree + 1) ** 2).reshape(degree + 1, degree + 1)  # [j, i]
-    return np.stack([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])  # left, right, bottom, top
+    faces = np.stack([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])  # left, right, bottom, top
+    faces.setflags(write=False)
+    return faces
 
 
 class FeSpace:
@@ -156,7 +193,7 @@ class FeSpace:
         verts = mesh.forest().vertices[cells]
         # the corners where a lattice node's bilinear weights are nonzero span
         # its entity: one integer key per vertex, per (sorted) vertex pair, per cell
-        shape = tensor_shape(1, _lattice_points(degree))
+        shape = _lattice_basis(1, degree)
         nv = np.int64(mesh.n_vertices)
         keys = np.empty((len(cells), len(shape)), dtype=np.int64)
         for loc, corners in enumerate(shape != 0.0):
@@ -218,8 +255,7 @@ class FeSpace:
         slaves = self._dofs_on_faces(fine, face)
         masters = self._dofs_on_faces(coarse, OPPOSITE_FACE[face])
         # the fine face is half ``half`` of the coarse face
-        s = 0.5 * table.half[hanging, None] + 0.5 * _NODES_1D[self.degree]
-        weights = shape_1d(self.degree, s.ravel())
+        weights = _trace_weights(self.degree)[table.half[hanging]].reshape(-1, self.degree + 1)
         free = ~(slaves[:, :, None] == masters[:, None, :]).any(axis=-1).ravel()
         candidates = np.flatnonzero(free)
         _, first = np.unique(slaves.ravel()[candidates], return_index=True)
@@ -293,9 +329,7 @@ class CellRule:
     def load(self, space, density):
         """Unconstrained vector b_i = sum_K sum_q JxW density phi_i of a (c, q) density."""
         local = np.einsum("cq,qi->ci", self.JxW * density, self.basis(space.degree).N)
-        b = np.zeros(space.n_dofs)
-        np.add.at(b, space.cell_dofs, local)
-        return b
+        return np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.n_dofs)
 
 
 def cell_rule(space, n):
@@ -305,7 +339,7 @@ def cell_rule(space, n):
 
     def build():
         coords = mesh.cell_corner_coords(space.active_ids)
-        phys = np.einsum("qv,cvd->cqd", tensor_shape(1, gauss_quadrature(n).points), coords)
+        phys = np.einsum("qv,cvd->cqd", _basis_tables(1, n).N, coords)
         phys.setflags(write=False)
         return CellRule(n, phys, *_cell_geometry(mesh))
 
@@ -428,7 +462,8 @@ def assemble_load_neumann(space, h, condense=True):
     b = np.zeros(space.n_dofs)
     if len(quad.JxW):
         contrib = np.einsum("fq,fqi->fi", quad.JxW * h(quad.phys), quad.N)
-        np.add.at(b, space.cell_dofs[quad.cells[0]], contrib)
+        dofs = space.cell_dofs[quad.cells[0]]
+        b = np.bincount(dofs.ravel(), contrib.ravel(), minlength=space.n_dofs)
     return space.constraints.condense_vector(b) if condense else b
 
 
@@ -530,7 +565,7 @@ def interpolate_same_mesh(fn, space_to):
     src = fn.space
     src._check_current()
     space_to._check_current()
-    N = tensor_shape(src.degree, _lattice_points(space_to.degree))
+    N = _lattice_basis(src.degree, space_to.degree)
     local = np.einsum("qi,ci->cq", N, fn.coefficients[src.cell_dofs])
     vals = np.empty(space_to.n_dofs)
     # shared dofs take the last cell's value, in active-cell order

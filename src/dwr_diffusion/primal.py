@@ -117,6 +117,24 @@ class ImplicitStep:
         return cs.distribute(x), iters, residual
 
 
+def goal_residuals(interval, rule, uh, solution, cv):
+    """Yield (time weight, u - u_h) at the goal's 3 Gauss times in ``interval``.
+
+    ``uh`` holds u_h at the points of the cell rule ``rule``.  The residual
+    is u - u_h at the points inside the control volume ``cv`` and zero at
+    the others; ``solution.u`` is evaluated only inside.  Times at which
+    the control volume holds no point are skipped.
+    """
+    ts, ws = interval.gauss_points(GOAL_TIME_QUAD)
+    for t, wt in zip(ts, ws):
+        inside = np.flatnonzero(cv.contains(rule.phys, t))
+        if len(inside):
+            residual = np.zeros_like(uh)
+            residual.ravel()[inside] = (
+                solution.u(rule.phys.reshape(-1, 2)[inside], t) - uh.ravel()[inside])
+            yield wt, residual
+
+
 def slab_goal_norm_sq(slab, u_fn, solution, cv):
     """Contribution int_{I_n} int_{O_c(t)} (u - u_h)^2 of one slab.
 
@@ -126,14 +144,10 @@ def slab_goal_norm_sq(slab, u_fn, solution, cv):
     space = u_fn.space
     rule = fem.cell_rule(space, space.degree + GOAL_SPACE_QUAD_EXTRA)
     uh = rule.values(space, u_fn.coefficients)
-    ts, ws = slab.interval.gauss_points(GOAL_TIME_QUAD)
+    JxW = rule.JxW
     total = 0.0
-    for t, wt in zip(ts, ws):
-        mask = cv.contains(rule.phys, t)
-        if not mask.any():
-            continue
-        diff = solution.u(rule.phys, t) - uh
-        total += wt * float(np.sum(rule.JxW * np.where(mask, diff * diff, 0.0)))
+    for wt, residual in goal_residuals(slab.interval, rule, uh, solution, cv):
+        total += wt * float(np.sum(JxW * (residual * residual)))
     return total
 
 

@@ -6,8 +6,18 @@ width ~ 1/sqrt(a) circling the domain center once per unit time) and a
 boundary and initial data are derived from it in closed form, so the
 discrete solution can be compared against the exact one.
 
-All evaluation functions are vectorized: ``x`` has shape (..., 2), ``t``
-is a scalar or broadcasts against the leading dimensions.
+Points ``x`` have shape (..., 2) everywhere.  Time is handled two ways:
+
+- ``ConeSolution.u``, ``u1``, ``grad``, ``dt``, ``laplacian`` and
+  ``center``, and so ``ProblemData.rhs_f``, ``dirichlet_g`` and
+  ``neumann_h``, take one scalar ``t``.  Each call evaluates the time-only
+  factors (the center m, its velocity m', the height u2 and du2/dt) once,
+  in Python floats through numpy's scalar ufuncs, and only the spatial part
+  runs over the points.
+- ``ConeSolution.u2`` and ``du2_dt``, and ``ControlVolume.trajectory`` and
+  ``contains``, broadcast ``t`` against the points.  For a scalar ``t``
+  outside its time window, ``contains`` returns an all-False mask without
+  evaluating the points.
 """
 
 from __future__ import annotations
@@ -51,71 +61,71 @@ class ConeSolution:
         if self.a <= 0:
             raise ValueError("cone sharpness a must be positive")
 
-    def center(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            0.5 + 0.25 * np.cos(TWO_PI * t),
-            0.5 + 0.25 * np.sin(TWO_PI * t),
-        )
+    def _time_factors(self, t):
+        """Center m, center velocity m', u2 and du2/dt at one scalar time, as floats."""
+        t = float(t)
+        cos, sin = float(np.cos(TWO_PI * t)), float(np.sin(TWO_PI * t))
+        u2, du2 = self._height(float(t - np.floor(t)))
+        m = (0.5 + 0.25 * cos, 0.5 + 0.25 * sin)
+        velocity = (-0.5 * math.pi * sin, 0.5 * math.pi * cos)
+        return m, velocity, float(u2), du2
 
-    def _center_velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            -0.5 * math.pi * np.sin(TWO_PI * t),
-            0.5 * math.pi * np.cos(TWO_PI * t),
-        )
+    def _height(self, th):
+        """u2 and du2/dt at the fractional time ``th``, a float or an array.
 
-    def _branch(self, t):
-        th = np.asarray(t, dtype=float)
-        th = th - np.floor(th)
+        nu1 is -1 before the half period and 1 from it on; nu2 is linear
+        over each half period.
+        """
         first = th < 0.5
-        nu1 = np.where(first, -1.0, 1.0)
-        nu2 = np.where(first, 5 * math.pi * (4 * th - 1), 5 * math.pi * (4 * th - 3))
-        return nu1, nu2
+        nu1 = 1.0 - 2.0 * first
+        nu2 = 5 * math.pi * (4 * th - (3.0 - 2.0 * first))
+        scale = nu1 * self.s
+        return scale * np.arctan(nu2), scale * 20 * math.pi / (1 + nu2 * nu2)
+
+    def _bump(self, x, m):
+        """u1 = 1 / (1 + a r^2) at points ``x`` for the center ``m``, with x - m and r^2."""
+        dx, dy = x[..., 0] - m[0], x[..., 1] - m[1]
+        r2 = dx ** 2 + dy ** 2
+        return 1.0 / (1.0 + self.a * r2), dx, dy, r2
+
+    def center(self, t):
+        """Cone center m(t) as two floats."""
+        return self._time_factors(t)[0]
 
     def u1(self, x, t):
-        x = np.asarray(x, dtype=float)
-        m1, m2 = self.center(t)
-        r2 = (x[..., 0] - m1) ** 2 + (x[..., 1] - m2) ** 2
-        return 1.0 / (1.0 + self.a * r2)
+        return self._bump(np.asarray(x, dtype=float), self.center(t))[0]
 
     def u2(self, t):
-        nu1, nu2 = self._branch(t)
-        return nu1 * self.s * np.arctan(nu2)
+        t = np.asarray(t, dtype=float)
+        return self._height(t - np.floor(t))[0]
 
     def du2_dt(self, t):
-        nu1, nu2 = self._branch(t)
-        return nu1 * self.s * 20 * math.pi / (1 + nu2 * nu2)
+        t = np.asarray(t, dtype=float)
+        return self._height(t - np.floor(t))[1]
 
     def u(self, x, t):
-        return self.u1(x, t) * self.u2(t)
+        m, _, u2, _ = self._time_factors(t)
+        return self._bump(np.asarray(x, dtype=float), m)[0] * u2
 
     def grad(self, x, t):
         """Spatial gradient, shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        m1, m2 = self.center(t)
-        w1 = self.u1(x, t)
-        common = -2.0 * self.a * w1 * w1 * self.u2(t)
-        return np.stack(
-            [common * (x[..., 0] - m1), common * (x[..., 1] - m2)], axis=-1
-        )
+        m, _, u2, _ = self._time_factors(t)
+        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), m)
+        common = -2.0 * self.a * w1 * w1 * u2
+        return np.stack([common * dx, common * dy], axis=-1)
 
     def dt(self, x, t):
         """Time derivative; on the temporal kinks the right-limit branch is used."""
-        x = np.asarray(x, dtype=float)
-        m1, m2 = self.center(t)
-        v1, v2 = self._center_velocity(t)
-        w1 = self.u1(x, t)
-        du1 = 2.0 * self.a * w1 * w1 * ((x[..., 0] - m1) * v1 + (x[..., 1] - m2) * v2)
-        return du1 * self.u2(t) + w1 * self.du2_dt(t)
+        m, (v1, v2), u2, du2 = self._time_factors(t)
+        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), m)
+        du1 = 2.0 * self.a * w1 * w1 * (dx * v1 + dy * v2)
+        return du1 * u2 + w1 * du2
 
     def laplacian(self, x, t):
-        x = np.asarray(x, dtype=float)
-        m1, m2 = self.center(t)
-        r2 = (x[..., 0] - m1) ** 2 + (x[..., 1] - m2) ** 2
-        w1 = 1.0 / (1.0 + self.a * r2)
+        m, _, u2, _ = self._time_factors(t)
+        w1, _, _, r2 = self._bump(np.asarray(x, dtype=float), m)
         lap_u1 = -4.0 * self.a * w1 * w1 * (1.0 - 2.0 * self.a * w1 * r2)
-        return lap_u1 * self.u2(t)
+        return lap_u1 * u2
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,12 @@ class ControlVolume:
         return self.r1 * np.cos(self.omega * t), self.r1 * np.sin(self.omega * t)
 
     def contains(self, x, t):
-        """Boolean membership, broadcast over points."""
+        """Boolean membership, broadcast over points; see the module docstring."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         inside_t = (t > self.t_start) & (t < self.t_end)
+        if t.ndim == 0 and not inside_t:
+            return np.zeros(x.shape[:-1], dtype=bool)
         mx, my = self.trajectory(t)
         dx = x[..., 0] - self.center[0] - mx
         dy = x[..., 1] - self.center[1] - my

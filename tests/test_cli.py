@@ -63,3 +63,13 @@ def test_zero_first_goal_error_exits_one_naming_loop_and_window(tmp_path, capsys
     assert main([str(prm), "--out", str(tmp_path / "out"), "-q"]) == 1
     err = capsys.readouterr().err
     assert "loop 1: goal error 0 over the control-volume time window (0.251, 0.26)" in err
+
+
+def test_a_loop_that_marks_nothing_exits_one_naming_the_loop(tmp_path, capsys):
+    prm = write_variant(tmp_path, {
+        "set theta_tau = 0.5": "set theta_tau = 0", "set theta_h1 = 0.3": "set theta_h1 = 0",
+        "set theta_h2 = 0.15": "set theta_h2 = 0",
+    })
+    assert main([str(prm), "--out", str(tmp_path / "out"), "--max-loops", "2", "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: loop 1: no slab and no cell is marked (theta_tau = 0, ")

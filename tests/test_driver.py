@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,74 @@ def test_loop_records_count_the_space_time_dofs(caplog, goal_met):
     logged = [r.getMessage() for r in caplog.records if "space-time dofs" in r.getMessage()]
     assert logged == ["loop 1: primal space-time dofs 16"] + (
         [] if goal_met else ["loop 1: dual space-time dofs 42"])
+
+
+def shipped(max_loops, **adapt):
+    """The shipped configuration with the loop budget and adaptivity overrides given."""
+    config = parse_parameter_file(PARAMETER_FILE)
+    return dataclasses.replace(
+        config, adapt=dataclasses.replace(config.adapt, max_loops=max_loops, **adapt))
+
+
+PHASES = ("primal_s", "dual_s", "estimate_s", "adapt_s", "on_loop_s")
+
+
+@pytest.mark.parametrize("goal_met", [False, True])
+def test_loop_records_time_their_phases_within_the_call(caplog, goal_met):
+    config = shipped(2, **(dict(tol_mode="absolute", tol=1.0) if goal_met else {}))
+    seen = []
+    with caplog.at_level(logging.DEBUG, logger="dwr_diffusion.driver"):
+        start = time.perf_counter()
+        records = dwr_loop(config, on_loop=lambda *args: seen.append(args[3].on_loop_s)).records
+        wall = time.perf_counter() - start
+    assert len(records) == (1 if goal_met else 2) and seen == [0.0] * len(records)
+    assert sum(getattr(r, phase) for r in records for phase in PHASES) <= wall
+    for r in records:
+        assert all(getattr(r, phase) >= 0.0 for phase in PHASES)
+        assert r.primal_s > 0.0 and r.peak_rss_mb > 0.0
+    assert [r.peak_rss_mb for r in records] == sorted(r.peak_rss_mb for r in records)
+    if goal_met:
+        (record,) = records
+        assert record.dual_s == record.estimate_s == record.adapt_s == 0.0
+    else:
+        assert all(r.dual_s > 0.0 and r.estimate_s > 0.0 for r in records)
+        # the last loop of the budget marks nothing and adapts nothing
+        assert records[0].adapt_s > 0.0 and records[1].adapt_s == 0.0
+    logged = [re.fullmatch(r"loop (\d): phases primal (\S+) s, dual (\S+) s, estimate (\S+) s, "
+                           r"adapt (\S+) s, on_loop (\S+) s; peak RSS (\S+) MB", r.getMessage())
+              for r in caplog.records]
+    logged = [m.groups() for m in logged if m]
+    assert logged == [(str(r.loop), *(f"{getattr(r, phase):.3f}" for phase in PHASES),
+                       f"{r.peak_rss_mb:.1f}") for r in records]
+
+
+def test_signed_estimate_sums_the_signed_indicators_in_table_order():
+    estimates = []
+    result = dwr_loop(shipped(2), on_loop=lambda loop, slabs, estimate, *_: estimates.append(
+        estimate))
+    assert len(estimates) == len(result.records) == 2
+    for record, estimate in zip(result.records, estimates):
+        expected = 0.0
+        for indicators in estimate.cell_indicators:
+            slab_sum = 0.0
+            for cid in sorted(indicators):
+                slab_sum += indicators[cid]
+            expected += slab_sum
+        assert record.eta_signed == estimate.eta_signed == expected
+        # the indicators carry both signs, so the signed sum is strictly inside the absolute one
+        assert abs(record.eta_signed) < record.eta
+    (met,) = dwr_loop(shipped(2, tol_mode="absolute", tol=1.0)).records
+    assert met.goal_met and math.isnan(met.eta_signed)
+
+
+@pytest.mark.parametrize("skip_zero", [True, False])
+def test_a_loop_that_marks_nothing_fails_naming_the_loop_and_the_fractions(skip_zero):
+    zero = dict(theta_tau=0.0, theta_h1=0.0, theta_h2=0.0, skip_zero_indicators=skip_zero)
+    # the last loop of the budget marks nothing and returns normally
+    (record,) = dwr_loop(shipped(1, **zero)).records
+    assert (record.n_slabs, record.max_cells) == (5, 3) and record.eta > 0.0
+    with pytest.raises(ValueError) as exc:
+        dwr_loop(shipped(2, **zero))
+    assert str(exc.value).startswith(
+        "loop 1: no slab and no cell is marked (theta_tau = 0, theta_h1 = 0, theta_h2 = 0, "
+        f"skip_zero_indicators = {str(skip_zero).lower()})")

@@ -193,6 +193,26 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             fem.gauss_1d(2)[0][0] = 0.0
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_reference_tables_are_shared_read_only_and_fresh(self, degree):
+        nodes = {1: [0.0, 1.0], 2: [0.0, 0.5, 1.0]}[degree]
+        X, Y = np.meshgrid(nodes, nodes, indexing="xy")
+        lattice = np.column_stack([X.ravel(), Y.ravel()])
+        s = 0.5 * np.array([0, 1])[:, None] + 0.5 * np.array(nodes)
+        tables = {
+            fem._lattice_points: ((degree,), lattice),
+            fem._trace_weights: ((degree,), fem.shape_1d(degree, s.ravel()).reshape(
+                2, degree + 1, degree + 1)),
+        }
+        for other in (1, 2):
+            tables[fem._lattice_basis] = ((other, degree), tensor_shape(other, lattice))
+            for table, (args, fresh) in tables.items():
+                cached = table(*args)
+                assert table(*args) is cached
+                assert np.array_equal(cached, fresh)
+                with pytest.raises(ValueError):
+                    cached[0] = 0.0
+
 
 @pytest.fixture(params=["sheared", "hanging"])
 def rule_mesh(request, sheared_irregular_lshape, hanging_mesh):
@@ -533,6 +553,29 @@ class TestLoads:
         space = FeSpace(lshape, 2)
         b = assemble_load_volume(space, lambda x: np.zeros(x.shape[:-1]))
         assert np.all(b == 0.0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_load_scatters_are_bit_identical_to_add_at(self, sheared_irregular_lshape, degree,
+                                                       rng):
+        """Both loads start from zero and add in index order, as ``np.add.at`` does."""
+        space = FeSpace(sheared_irregular_lshape, degree)
+        rule = cell_rule(space, degree + 1)
+        density = rng.standard_normal(rule.phys.shape[:2])
+        local = np.einsum("cq,qi->ci", rule.JxW * density, rule.basis(degree).N)
+        expected = np.zeros(space.n_dofs)
+        np.add.at(expected, space.cell_dofs, local)
+        assert np.array_equal(rule.load(space, density), expected)
+
+        def h(x):
+            return np.sin(7.0 * x[..., 1]) * np.exp(x[..., 0])
+
+        rows = sheared_irregular_lshape.face_topology().on_boundary(NEUMANN)
+        quad = fem.face_quadrature(space, degree + 1, rows)
+        assert len(quad.JxW) > 1
+        contrib = np.einsum("fq,fqi->fi", quad.JxW * h(quad.phys), quad.N)
+        expected = np.zeros(space.n_dofs)
+        np.add.at(expected, space.cell_dofs[quad.cells[0]], contrib)
+        assert np.array_equal(assemble_load_neumann(space, h, condense=False), expected)
 
     def test_unit_neumann_trace_integrals(self, lshape):
         space = FeSpace(lshape, 1)

@@ -298,3 +298,68 @@ def test_cellwise_mass_product_is_the_assembled_product(sheared_irregular_lshape
     expected = fem.assemble_mass(space, 1.5, condense=False) @ x
     got = fem.mass_product(space, 1.5, x)
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def reference_goal_norm_sq(slab, u_fn, solution, cv):
+    """The earlier goal norm, which evaluates u at every point of every Gauss time."""
+    space = u_fn.space
+    rule = fem.cell_rule(space, space.degree + 2)
+    uh = rule.values(space, u_fn.coefficients)
+    ts, ws = slab.interval.gauss_points(3)
+    total = 0.0
+    for t, wt in zip(ts, ws):
+        mask = cv.contains(rule.phys, t)
+        if not mask.any():
+            continue
+        diff = solution.u(rule.phys, t) - uh
+        total += wt * float(np.sum(rule.JxW * np.where(mask, diff * diff, 0.0)))
+    return total
+
+
+def reference_goal_rhs(slab, ctx):
+    """The earlier goal load, with its full-array ``np.where`` and ``np.add.at`` scatter."""
+    space = slab.dual
+    rule = fem.cell_rule(space, space.degree + 1)
+    uh = rule.values(slab.primal, slab.fetch_storage("u"))
+    ts, ws = slab.interval.gauss_points(3)
+    density = np.zeros_like(uh)
+    for t, wt in zip(ts, ws):
+        mask = ctx.cv.contains(rule.phys, t)
+        if mask.any():
+            density += wt * np.where(mask, ctx.solution.u(rule.phys, t) - uh, 0.0)
+    local = np.einsum("cq,qi->ci", rule.JxW * density, rule.basis(space.degree).N)
+    b = np.zeros(space.n_dofs)
+    np.add.at(b, space.cell_dofs, local)
+    return b / (slab.tau * ctx.norm)
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("volume", ["moving", "everywhere"])
+def test_goal_integrals_are_bit_identical_to_the_reference(sheared_irregular_lshape, degrees,
+                                                           volume, rng):
+    from test_problem import ReferenceCone, reference_contains
+
+    solution, reference_solution = ConeSolution(), ReferenceCone()
+    if volume == "moving":
+        cv = ControlVolume()
+        reference_cv = SimpleNamespace(contains=lambda x, t: reference_contains(cv, x, t))
+    else:
+        cv = reference_cv = EVERYWHERE
+    slabs = init_slabs(sheared_irregular_lshape, 0.0, 1.25, 10, *degrees)
+    partial_cells, empty_slabs = 0, 0
+    for slab in slabs:
+        u = rng.standard_normal(slab.primal.n_dofs)
+        slab.attach_storage("u", u)
+        u_fn = FeFunction(slab.primal, u)
+        got = slab_goal_norm_sq(slab, u_fn, solution, cv)
+        assert got == reference_goal_norm_sq(slab, u_fn, reference_solution, reference_cv)
+        ctx = GoalContext(norm=0.37, cv=cv, solution=solution)
+        reference_ctx = GoalContext(norm=0.37, cv=reference_cv, solution=reference_solution)
+        assert np.array_equal(dual.assemble_goal_rhs(slab, ctx),
+                              reference_goal_rhs(slab, reference_ctx))
+        empty_slabs += got == 0.0
+        for t in slab.interval.gauss_points(3)[0]:
+            inside = cv.contains(fem.cell_rule(slab.dual, 3).phys, t).sum(axis=1)
+            partial_cells += np.count_nonzero((inside > 0) & (inside < 9))
+    # the moving box cuts cells, and the slabs before t = 0.25 or after t = 1 see nothing
+    assert (partial_cells > 0, empty_slabs) == ((True, 4) if volume == "moving" else (False, 0))

@@ -206,3 +206,146 @@ class TestControlVolume:
         mask = cv.contains(xs, 0.6)
         for k in range(50):
             assert mask[k] == cv.contains(xs[k], 0.6)
+
+
+# -- bit-identity against the per-call numpy evaluation ------------------------
+
+
+class ReferenceCone(ConeSolution):
+    """The earlier implementation, kept verbatim as the oracle: every time factor
+    is recomputed by 0-d numpy operations in each call."""
+
+    def center(self, t):
+        t = np.asarray(t, dtype=float)
+        return (
+            0.5 + 0.25 * np.cos(2.0 * math.pi * t),
+            0.5 + 0.25 * np.sin(2.0 * math.pi * t),
+        )
+
+    def _center_velocity(self, t):
+        t = np.asarray(t, dtype=float)
+        return (
+            -0.5 * math.pi * np.sin(2.0 * math.pi * t),
+            0.5 * math.pi * np.cos(2.0 * math.pi * t),
+        )
+
+    def _branch(self, t):
+        th = np.asarray(t, dtype=float)
+        th = th - np.floor(th)
+        first = th < 0.5
+        nu1 = np.where(first, -1.0, 1.0)
+        nu2 = np.where(first, 5 * math.pi * (4 * th - 1), 5 * math.pi * (4 * th - 3))
+        return nu1, nu2
+
+    def u1(self, x, t):
+        x = np.asarray(x, dtype=float)
+        m1, m2 = self.center(t)
+        r2 = (x[..., 0] - m1) ** 2 + (x[..., 1] - m2) ** 2
+        return 1.0 / (1.0 + self.a * r2)
+
+    def u2(self, t):
+        nu1, nu2 = self._branch(t)
+        return nu1 * self.s * np.arctan(nu2)
+
+    def du2_dt(self, t):
+        nu1, nu2 = self._branch(t)
+        return nu1 * self.s * 20 * math.pi / (1 + nu2 * nu2)
+
+    def u(self, x, t):
+        return self.u1(x, t) * self.u2(t)
+
+    def grad(self, x, t):
+        x = np.asarray(x, dtype=float)
+        m1, m2 = self.center(t)
+        w1 = self.u1(x, t)
+        common = -2.0 * self.a * w1 * w1 * self.u2(t)
+        return np.stack(
+            [common * (x[..., 0] - m1), common * (x[..., 1] - m2)], axis=-1
+        )
+
+    def dt(self, x, t):
+        x = np.asarray(x, dtype=float)
+        m1, m2 = self.center(t)
+        v1, v2 = self._center_velocity(t)
+        w1 = self.u1(x, t)
+        du1 = 2.0 * self.a * w1 * w1 * ((x[..., 0] - m1) * v1 + (x[..., 1] - m2) * v2)
+        return du1 * self.u2(t) + w1 * self.du2_dt(t)
+
+    def laplacian(self, x, t):
+        x = np.asarray(x, dtype=float)
+        m1, m2 = self.center(t)
+        r2 = (x[..., 0] - m1) ** 2 + (x[..., 1] - m2) ** 2
+        w1 = 1.0 / (1.0 + self.a * r2)
+        lap_u1 = -4.0 * self.a * w1 * w1 * (1.0 - 2.0 * self.a * w1 * r2)
+        return lap_u1 * self.u2(t)
+
+
+def reference_contains(cv, x, t):
+    """The earlier ``ControlVolume.contains``, which evaluates every point at every t."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    inside_t = (t > cv.t_start) & (t < cv.t_end)
+    mx, my = cv.trajectory(t)
+    dx = x[..., 0] - cv.center[0] - mx
+    dy = x[..., 1] - cv.center[1] - my
+    x_min, x_max, y_min, y_max = cv.box
+    inside_x = (dx >= x_min) & (dx < x_max) & (dy >= y_min) & (dy < y_max)
+    return inside_t & inside_x
+
+
+def oracle_times(rng):
+    """2000 random times in [-1, 3], the kinks, the window ends and the quadrature
+    times of the 5 initial slabs of the shipped file (load, goal and estimator rules)."""
+    from dwr_diffusion.slabs import init_slabs
+    from dwr_diffusion import make_lshape
+
+    times = [*rng.uniform(-1.0, 3.0, 2000), 0.0, 0.5, 1.0, 1.5, 0.25, 1.0]
+    for slab in init_slabs(make_lshape(), 0.0, 1.25, 5):
+        times += [slab.interval.t_n]
+        for n in (2, 3):
+            times += list(slab.interval.gauss_points(n)[0])
+    return times
+
+
+def test_cone_functions_are_bit_identical_to_the_reference(rng):
+    x = rng.uniform(-0.5, 1.5, size=(16, 9, 2))
+    ref = ReferenceCone(a=SOL.a, s=SOL.s)
+    ref_data = ProblemData(solution=ref)
+    for t in oracle_times(rng):
+        for name in ("u", "grad", "dt", "laplacian"):
+            got, expected = getattr(SOL, name)(x, t), getattr(ref, name)(x, t)
+            assert got.shape == expected.shape and np.array_equal(got, expected), (name, t)
+        for name in ("rhs_f", "neumann_h", "dirichlet_g"):
+            got, expected = getattr(DATA, name)(x, t), getattr(ref_data, name)(x, t)
+            assert got.shape == expected.shape and np.array_equal(got, expected), (name, t)
+
+
+def test_height_profile_broadcasts_bit_identically(rng):
+    ts = np.array(oracle_times(rng))
+    ref = ReferenceCone(a=SOL.a, s=SOL.s)
+    assert np.array_equal(SOL.u2(ts), ref.u2(ts))
+    assert np.array_equal(SOL.du2_dt(ts), ref.du2_dt(ts))
+    assert np.array_equal(SOL.u2(ts.reshape(-1, 2)), ref.u2(ts.reshape(-1, 2)))
+
+
+def test_control_volume_membership_is_bit_identical_to_the_reference(rng):
+    cv = ControlVolume()
+    x = rng.uniform(0.0, 1.0, size=(40, 9, 2))
+    for t in oracle_times(rng)[:300] + [0.25, 1.0, np.nextafter(0.25, 1), np.nextafter(1.0, 0)]:
+        got = cv.contains(x, t)
+        assert got.dtype == bool and np.array_equal(got, reference_contains(cv, x, t)), t
+    ts = rng.uniform(0.0, 1.25, size=(40, 9))
+    assert np.array_equal(cv.contains(x, ts), reference_contains(cv, x, ts))
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.1, 0.25, 1.0, 1.1, np.float64(3.0)])
+@pytest.mark.parametrize("shape", [(7, 9), (5,), ()])
+def test_membership_outside_the_window_evaluates_no_point(monkeypatch, t, shape):
+    cv = ControlVolume()
+
+    def refuse(self, t):
+        raise AssertionError("trajectory evaluated outside the time window")
+
+    monkeypatch.setattr(ControlVolume, "trajectory", refuse)
+    mask = cv.contains(np.full(shape + (2,), 0.5), t)
+    assert mask.shape == shape and mask.dtype == bool and not mask.any()
