@@ -1,10 +1,15 @@
 """Goal-oriented space-time adaptive FEM solver for the instationary diffusion equation.
 
 The solver marches a piecewise-constant-in-time (dG(0)) primal problem
-forward and a piecewise-linear-in-time (cG(1)) dual problem backward over a
-list of space-time slabs, localizes a dual-weighted residual error estimate
-per cell, and adapts the slab meshes and time intervals with a two-fraction
-marking strategy until a goal tolerance is met.
+forward and a dual problem backward over a list of space-time slabs,
+localizes a dual-weighted residual error estimate per cell, and adapts the
+slab meshes and time intervals with a two-fraction marking strategy until a
+goal tolerance is met.  Each dual step solves
+
+    (2 M + tau A) z_m = tau J + 2 M z_n
+
+from the successor slab's value z_n (:mod:`.dual`); that is neither the
+dG(0) adjoint nor a cG(1) dual, and item 2 of ROADMAP.md settles the scheme.
 """
 
 __version__ = "0.1.0"

@@ -160,21 +160,13 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
                   loop, record.dual_cg_iterations, record.dual_max_residual)
         log.debug("loop %d: dual space-time dofs %d", loop, record.dual_dofs)
         with _timed(record, "estimate_s"):
-            per_slab = []
-            for _, slab in slabs.iterate_forward():
-                per_slab.append(
-                    est_mod.compute_cell_indicators(
-                        slab,
-                        slab.fetch_storage("u"),
-                        slab.fetch_storage("z_tm"),
-                        slab.fetch_storage("z_tn"),
-                        slab.fetch_storage("u_prev"),
-                        config.coefficients,
-                        data,
-                        time_restriction=config.estimator.time_restriction,
-                    )
+            estimate = est_mod.accumulate([
+                est_mod.compute_cell_indicators(
+                    slab, *(slab.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
+                    config.coefficients, data, time_restriction=config.estimator.time_restriction,
                 )
-            estimate = est_mod.accumulate(per_slab)
+                for _, slab in slabs.iterate_forward()
+            ])
             estimate.i_eff = est_mod.effectivity(estimate, err)
         record.eta = estimate.eta_total
         record.eta_signed = estimate.eta_signed
@@ -202,7 +194,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
                 )
                 for k, slab in slabs.iterate_forward()
             }
-            if not time_marks and not any(space_marks.values()):
+            if not any(map(len, [time_marks, *space_marks.values()])):
                 raise ValueError(
                     f"loop {loop}: no slab and no cell is marked "
                     f"(theta_tau = {adapt.theta_tau:g}, theta_h1 = {adapt.theta_h1:g}, "

@@ -15,7 +15,8 @@ Interior face jumps are split evenly between the two adjacent cells; on
 Temporal integrals use a 2-point Gauss rule, cell integrals
 (dual degree + 1)^2 points, face integrals dual degree + 1 points.
 
-Signed indicators are stored; absolute values enter only the per-slab and
+Each slab's signed indicators are one float64 array aligned with
+``slab.mesh.active_ids()``; absolute values enter only the per-slab and
 global sums.
 
 Both terms are batched.  The volume term reads the mesh state's cached
@@ -66,7 +67,7 @@ def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
 
 
 def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
-    """Signed indicator per active cell for explicitly given weight vectors."""
+    """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors."""
     primal, dual = slab.primal, slab.dual
     eps = coeff.epsilon
     u = np.asarray(u, dtype=float)
@@ -115,7 +116,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
         # np.add.at adds in piece order, the summation order of a per-cell face loop
         np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
 
-    return dict(zip(dual.active_ids.tolist(), eta.tolist()))
+    return eta
 
 
 def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,
@@ -127,36 +128,32 @@ def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,
 
 @dataclass
 class ErrorEstimate:
-    """Per-slab indicator maps plus their absolute-value sums and the signed total.
+    """Per-slab indicator arrays plus their absolute-value sums and the signed total.
 
-    Summation order is fixed (ascending slab, ascending cell id) so the
-    totals are reproducible exactly; ``eta_signed`` sums the signed
-    indicators in the same order as ``eta_total`` sums their absolute
-    values.
+    ``cell_indicators[k]`` is slab k's array in ``active_ids()`` order.  Sums
+    run left to right (ascending slab, ascending cell id), never pairwise, so
+    the totals are reproducible exactly; ``eta_signed`` sums the signed
+    indicators in the order ``eta_total`` sums their absolute values.
     """
 
     cell_indicators: list
     eta_slabs: list
     eta_total: float
     eta_signed: float = math.nan
-    i_eff: float | None = None
+    i_eff: float = math.nan
+
+
+def _sequential_sum(values):
+    """0.0 + v_0 + v_1 + ..., added left to right as a Python loop would."""
+    return float(np.cumsum(np.concatenate([[0.0], values]))[-1])
 
 
 def accumulate(per_slab_indicators):
-    """Fold per-slab indicator maps into slab sums and the global estimate."""
-    eta_slabs, signed_slabs = [], []
-    for indicators in per_slab_indicators:
-        total = signed = 0.0
-        for cid in sorted(indicators):
-            total += abs(indicators[cid])
-            signed += indicators[cid]
-        eta_slabs.append(total)
-        signed_slabs.append(signed)
-    eta_total = eta_signed = 0.0
-    for v, w in zip(eta_slabs, signed_slabs):
-        eta_total += v
-        eta_signed += w
-    return ErrorEstimate(list(per_slab_indicators), eta_slabs, eta_total, eta_signed)
+    """Fold per-slab indicator arrays into slab sums and the global estimate."""
+    etas = [np.asarray(eta, dtype=float) for eta in per_slab_indicators]
+    eta_slabs = [_sequential_sum(np.abs(eta)) for eta in etas]
+    eta_signed = _sequential_sum([_sequential_sum(eta) for eta in etas])
+    return ErrorEstimate(etas, eta_slabs, _sequential_sum(eta_slabs), eta_signed)
 
 
 def effectivity(estimate, goal_error):

@@ -6,6 +6,7 @@ theta_h1 (slab not time-marked) or theta_h2 (time-marked) of largest
 absolute indicators are marked for spatial refinement.  Fractions are
 count-based (ceil of fraction times population) with stable index
 tie-breaking, so identical inputs always produce identical marks.
+Indicators are arrays in ``active_ids()`` order; marks are index arrays.
 Spatial refinement runs first, then the time splits, whose halves
 share the refined meshes.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,44 +43,39 @@ class AdaptParams:
 
 
 def _top_fraction(values, fraction, skip_zero):
-    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
-    count = math.ceil(fraction * len(values))
-    marked = set(order[:count])
-    if skip_zero:
-        marked = {k for k in marked if values[k] > 0.0}
-    return marked
+    """Positions of the ceil(fraction * n) largest values, ties to the lower position."""
+    values = np.asarray(values, dtype=float)
+    top = np.argsort(-values, kind="stable")[:math.ceil(fraction * len(values))]
+    return top[values[top] > 0.0] if skip_zero else top
 
 
 def mark_time_slabs(estimate, theta_tau, skip_zero=False):
     """Indices of slabs in the top fraction of per-slab indicator sums."""
-    return _top_fraction(list(estimate.eta_slabs), theta_tau, skip_zero)
+    return _top_fraction(estimate.eta_slabs, theta_tau, skip_zero)
 
 
 def mark_space_cells(slab, indicators, time_marked, theta_h1, theta_h2,
                      skip_zero=False):
     """Cell ids of one slab in the top fraction of absolute indicators.
 
-    The smaller fraction applies when the slab is already marked for time
-    refinement.
+    ``indicators`` is aligned with ``slab.mesh.active_ids()``.  The smaller
+    fraction applies when the slab is already marked for time refinement.
     """
     theta = theta_h2 if time_marked else theta_h1
-    cids = sorted(indicators)
-    values = [abs(indicators[c]) for c in cids]
-    picked = _top_fraction(values, theta, skip_zero)
-    return {cids[k] for k in picked}
+    return slab.mesh.active_ids()[_top_fraction(np.abs(indicators), theta, skip_zero)]
 
 
 def execute_adaptation(slabs, time_marks, space_marks):
     """Refine slab meshes, then split the time-marked slabs.
 
-    ``space_marks`` maps slab index to a set of cell ids.  A marked slab
-    is refined by :meth:`Slab.refine` (with 1-irregularity closure); every
-    slab drops its storage.  Afterwards each time-marked slab is bisected,
-    both halves sharing the already-refined mesh and spaces.
+    ``space_marks`` maps slab index to an array (or set) of cell ids.  A
+    marked slab is refined by :meth:`Slab.refine` (with 1-irregularity
+    closure); every slab drops its storage.  Afterwards each time-marked
+    slab is bisected, both halves sharing the already-refined mesh and spaces.
     """
     for k, slab in slabs.iterate_forward():
-        marks = space_marks.get(k, set())
-        if marks:
+        marks = space_marks.get(k, ())
+        if len(marks):
             slab.refine(marks)
         else:
             slab.clear_storage()

@@ -219,11 +219,10 @@ class QuadMesh:
     # -- basic queries -------------------------------------------------------
 
     def cached(self, name, build):
-        """``build()``, computed once per refinement state and kept with the mesh."""
-        key = (name, self._version)
-        value = self._cache.get(key)
+        """``build()``, computed once per refinement state: refine and copy empty the cache."""
+        value = self._cache.get(name)
         if value is None:
-            value = self._cache[key] = build()
+            value = self._cache[name] = build()
         return value
 
     @property

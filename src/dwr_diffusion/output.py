@@ -29,7 +29,7 @@ def atomic_write(path, text):
 
 
 def _fmt(value):
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    if math.isnan(value):
         return "nan"
     return f"{value:.6e}"
 
@@ -38,7 +38,7 @@ def write_convergence_csv(records, path):
     """One row per adaptation loop: loop,n_slabs,max_cells,goal_error,eta,i_eff."""
     lines = ["loop,n_slabs,max_cells,goal_error,eta,i_eff"]
     for r in records:
-        i_eff = "nan" if r.i_eff is None or math.isnan(r.i_eff) else f"{r.i_eff:.4f}"
+        i_eff = "nan" if math.isnan(r.i_eff) else f"{r.i_eff:.4f}"
         lines.append(
             f"{r.loop},{r.n_slabs},{r.max_cells},{_fmt(r.goal_error)},{_fmt(r.eta)},{i_eff}"
         )

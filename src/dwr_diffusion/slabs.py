@@ -77,7 +77,7 @@ class Slab:
         self._storage.clear()
 
     def refine(self, marks):
-        """Refine the given cells on a private copy of the mesh, then rebuild the spaces.
+        """Refine the given cell ids on a private copy of the mesh, then rebuild the spaces.
 
         Slabs sharing the old mesh keep it and their spaces unchanged.
         """

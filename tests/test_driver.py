@@ -5,6 +5,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dwr_diffusion import QuadMesh, dwr_loop, parse_parameter_file
@@ -145,16 +146,23 @@ def test_loop_records_time_their_phases_within_the_call(caplog, goal_met):
 
 
 def test_signed_estimate_sums_the_signed_indicators_in_table_order():
-    estimates = []
-    result = dwr_loop(shipped(2), on_loop=lambda loop, slabs, estimate, *_: estimates.append(
-        estimate))
+    estimates, cells = [], []
+
+    def on_loop(loop, slabs, estimate, *_):
+        estimates.append(estimate)
+        cells.append([slab.mesh.n_active_cells for slab in slabs])
+
+    result = dwr_loop(shipped(2), on_loop=on_loop)
     assert len(estimates) == len(result.records) == 2
-    for record, estimate in zip(result.records, estimates):
+    for record, estimate, n_cells in zip(result.records, estimates, cells):
+        # one float64 array per slab, one row per active cell
+        assert [eta.shape for eta in estimate.cell_indicators] == [(n,) for n in n_cells]
+        assert all(eta.dtype == np.float64 for eta in estimate.cell_indicators)
         expected = 0.0
         for indicators in estimate.cell_indicators:
             slab_sum = 0.0
-            for cid in sorted(indicators):
-                slab_sum += indicators[cid]
+            for value in indicators.tolist():
+                slab_sum += value
             expected += slab_sum
         assert record.eta_signed == estimate.eta_signed == expected
         # the indicators carry both signs, so the signed sum is strictly inside the absolute one

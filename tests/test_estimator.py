@@ -1,7 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dwr_diffusion import estimator
 from dwr_diffusion.fem import interpolate
@@ -58,15 +60,33 @@ def test_mesh_has_every_face_piece_kind(slab):
 
 def test_golden_indicators(slab):
     eta = estimator.indicator_terms(slab, *cone_inputs(slab))
-    assert sorted(eta) == sorted(GOLDEN)
+    assert slab.mesh.active_cells() == sorted(GOLDEN)
+    position = slab.mesh.active_position()
     for cid, ref in GOLDEN.items():
-        assert eta[cid] == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert eta[position[cid]] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_keys_are_active_ids_in_order(slab):
+    """One float64 row per active cell, in ``active_ids()`` order.
+
+    A dual weight on one cell's interior (bubble) dof is supported on that
+    cell alone and vanishes on its faces, so only that cell's row can be
+    nonzero.
+    """
+    u, u_prev, _, _, coeff, data = cone_inputs(slab)
     eta = estimator.indicator_terms(slab, *cone_inputs(slab))
-    assert list(eta) == slab.dual.active_ids.tolist()
-    assert all(isinstance(v, float) for v in eta.values())
+    assert eta.dtype == np.float64 and eta.shape == (slab.mesh.n_active_cells,)
+    space, position = slab.dual, slab.mesh.active_position()
+    centres = slab.mesh.cell_corner_coords().mean(axis=1)
+    for cid in GOLDEN:
+        dofs = space.cell_dofs[position[cid]]
+        distance = np.linalg.norm(space.support_points[dofs] - centres[position[cid]], axis=1)
+        bubble = dofs[np.argmin(distance)]
+        assert np.count_nonzero(space.cell_dofs == bubble) == 1 and distance.min() < 1e-12
+        w = np.zeros(space.n_dofs)
+        w[bubble] = 1.0
+        eta = estimator.indicator_terms(slab, u, u_prev, w, w, coeff, data)
+        assert np.flatnonzero(eta).tolist() == [position[cid]]
 
 
 def test_linear_solution_has_zero_indicators(slab, rng):
@@ -90,8 +110,8 @@ def test_linear_solution_has_zero_indicators(slab, rng):
     w_tm = rng.standard_normal(slab.dual.n_dofs)
     w_tn = rng.standard_normal(slab.dual.n_dofs)
     eta = estimator.indicator_terms(slab, u, u, w_tm, w_tn, coeff, data)
-    assert len(eta) == slab.mesh.n_active_cells
-    assert max(abs(v) for v in eta.values()) <= 1e-14
+    assert eta.shape == (slab.mesh.n_active_cells,)
+    assert np.abs(eta).max() <= 1e-14
 
 
 def test_face_pieces_are_shared_and_read_only(slab):
@@ -105,3 +125,36 @@ def test_face_pieces_are_shared_and_read_only(slab):
             arr[0] = 0
     estimator.indicator_terms(slab, *data)
     assert slab.mesh.face_topology() is table
+
+
+def sequential_estimate(per_slab):
+    """Slab sums and totals of a per-cell Python loop, ascending slab and cell."""
+    eta_slabs, signed_slabs = [], []
+    for eta in per_slab:
+        total = signed = 0.0
+        for value in eta:
+            total += abs(value)
+            signed += value
+        eta_slabs.append(total)
+        signed_slabs.append(signed)
+    eta_total = eta_signed = 0.0
+    for total, signed in zip(eta_slabs, signed_slabs):
+        eta_total += total
+        eta_signed += signed
+    return eta_slabs, eta_total, eta_signed
+
+
+# magnitudes far apart, so the summation order shows in the last bits
+indicator_values = st.sampled_from([0.0, -0.0, 1e-17, -3e-9]) | st.floats(
+    -1e3, 1e3, allow_subnormal=False
+)
+
+
+@given(per_slab=st.lists(st.lists(indicator_values, max_size=30), max_size=8))
+def test_accumulate_is_the_sequential_loop_bitwise(per_slab):
+    estimate = estimator.accumulate([np.array(eta, dtype=float) for eta in per_slab])
+    eta_slabs, eta_total, eta_signed = sequential_estimate(per_slab)
+    assert [v.hex() for v in estimate.eta_slabs] == [v.hex() for v in eta_slabs]
+    assert estimate.eta_total.hex() == eta_total.hex()
+    assert estimate.eta_signed.hex() == eta_signed.hex()
+    assert math.isnan(estimate.i_eff)

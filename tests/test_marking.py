@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dwr_diffusion import marking
 from dwr_diffusion.dual import GoalContext, march_backward
@@ -12,7 +15,21 @@ from dwr_diffusion.sparse_la import SolverControl, SolverError
 
 
 def estimate_of(eta_slabs):
-    return ErrorEstimate([{} for _ in eta_slabs], list(eta_slabs), float(sum(eta_slabs)))
+    return ErrorEstimate([np.zeros(0) for _ in eta_slabs], list(eta_slabs), float(sum(eta_slabs)))
+
+
+def marked(indices):
+    """The marks as a set, after checking they are one integer array."""
+    assert isinstance(indices, np.ndarray) and indices.dtype.kind == "i" and indices.ndim == 1
+    return set(indices.tolist())
+
+
+def on_active_cells(slab, by_id):
+    """Indicator array in ``active_ids()`` order from a value for every active cell id."""
+    assert sorted(by_id) == slab.mesh.active_cells()
+    eta = np.empty(slab.mesh.n_active_cells)
+    eta[slab.mesh.active_position()[list(by_id)]] = list(by_id.values())
+    return eta
 
 
 @pytest.fixture
@@ -20,37 +37,50 @@ def slab(lshape):
     return init_slabs(lshape, 0.0, 1.0, 1)[0]
 
 
+@pytest.fixture
+def refined_slab(lshape):
+    """Active ids 1..6: root 0 is replaced by its children 3..6."""
+    slab = init_slabs(lshape, 0.0, 1.0, 1)[0]
+    slab.refine([0])
+    return slab
+
+
 class TestFractions:
     @pytest.mark.parametrize("skip", [False, True])
     def test_theta_zero_marks_nothing(self, slab, skip):
-        assert marking.mark_time_slabs(estimate_of([1.0, 2.0, 3.0]), 0.0, skip) == set()
-        indicators = {0: 1.0, 1: -2.0, 2: 0.5}
-        assert marking.mark_space_cells(slab, indicators, False, 0.0, 0.0, skip) == set()
+        assert marked(marking.mark_time_slabs(estimate_of([1.0, 2.0, 3.0]), 0.0, skip)) == set()
+        indicators = np.array([1.0, -2.0, 0.5])
+        assert marked(marking.mark_space_cells(slab, indicators, False, 0.0, 0.0, skip)) == set()
 
     def test_theta_one_marks_everything(self, slab):
-        assert marking.mark_time_slabs(estimate_of([1.0, 0.0, 3.0]), 1.0) == {0, 1, 2}
-        indicators = {0: 1.0, 1: -2.0, 2: 0.0}
-        assert marking.mark_space_cells(slab, indicators, False, 1.0, 0.5) == {0, 1, 2}
+        assert marked(marking.mark_time_slabs(estimate_of([1.0, 0.0, 3.0]), 1.0)) == {0, 1, 2}
+        indicators = np.array([1.0, -2.0, 0.0])
+        assert marked(marking.mark_space_cells(slab, indicators, False, 1.0, 0.5)) == {0, 1, 2}
 
     def test_time_marked_slab_uses_the_smaller_fraction(self, slab):
-        indicators = {0: 1.0, 1: -2.0, 2: 0.5}
-        assert marking.mark_space_cells(slab, indicators, False, 1.0, 0.3) == {0, 1, 2}
-        assert marking.mark_space_cells(slab, indicators, True, 1.0, 0.3) == {1}
+        indicators = np.array([1.0, -2.0, 0.5])
+        assert marked(marking.mark_space_cells(slab, indicators, False, 1.0, 0.3)) == {0, 1, 2}
+        assert marked(marking.mark_space_cells(slab, indicators, True, 1.0, 0.3)) == {1}
 
-    def test_equal_values_break_ties_by_index(self, slab):
+    def test_equal_values_break_ties_by_index(self, refined_slab):
         # ceil(0.5 * 4) = 2 of three equal slab sums: the two lowest indices
-        assert marking.mark_time_slabs(estimate_of([1.0, 2.0, 2.0, 2.0]), 0.5) == {1, 2}
+        assert marked(marking.mark_time_slabs(estimate_of([1.0, 2.0, 2.0, 2.0]), 0.5)) == {1, 2}
         # |eta| ties between signs: ids ascending, whatever the sign
-        indicators = {7: 0.5, 3: -0.5, 5: 0.5, 9: 0.1}
-        assert marking.mark_space_cells(slab, indicators, False, 0.5, 0.5) == {3, 5}
+        indicators = on_active_cells(
+            refined_slab, {6: 0.5, 3: -0.5, 5: 0.5, 1: 0.1, 2: -0.05, 4: 0.05}
+        )
+        marks = marking.mark_space_cells(refined_slab, indicators, False, 0.5, 0.5)
+        assert marked(marks) == {3, 5, 6}
+        marks = marking.mark_space_cells(refined_slab, indicators, False, 0.3, 0.3)
+        assert marked(marks) == {3, 5}
 
     def test_skip_zero_with_all_zero_indicators(self, slab):
-        zeros = {0: 0.0, 1: -0.0, 2: 0.0}
-        assert marking.mark_space_cells(slab, zeros, False, 1.0, 1.0, skip_zero=True) == set()
-        assert marking.mark_space_cells(slab, zeros, False, 1.0, 1.0) == {0, 1, 2}
+        zeros = np.array([0.0, -0.0, 0.0])
+        assert marked(marking.mark_space_cells(slab, zeros, False, 1.0, 1.0, skip_zero=True)) == set()
+        assert marked(marking.mark_space_cells(slab, zeros, False, 1.0, 1.0)) == {0, 1, 2}
         estimate = accumulate([zeros, zeros])
-        assert marking.mark_time_slabs(estimate, 1.0, skip_zero=True) == set()
-        assert marking.mark_time_slabs(estimate, 1.0) == {0, 1}
+        assert marked(marking.mark_time_slabs(estimate, 1.0, skip_zero=True)) == set()
+        assert marked(marking.mark_time_slabs(estimate, 1.0)) == {0, 1}
 
     @pytest.mark.parametrize(
         "field,value", [("theta_tau", 1.5), ("theta_h1", -0.1), ("theta_h2", 0.5)]
@@ -60,12 +90,33 @@ class TestFractions:
             marking.AdaptParams(**{field: value})
 
 
+def sorted_selection(values, fraction, skip_zero):
+    """The selection rule as a sort of all positions by (-value, position)."""
+    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    top = order[:math.ceil(fraction * len(values))]
+    return [k for k in top if values[k] > 0.0] if skip_zero else top
+
+
+# few distinct magnitudes, both zeros and both signs, so ties are frequent
+tied_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300]) | st.floats(-4.0, 4.0),
+    max_size=40,
+)
+
+
+@given(values=tied_values, fraction=st.floats(0.0, 1.0), skip_zero=st.booleans())
+def test_selection_is_the_sort_by_value_then_position(values, fraction, skip_zero):
+    picked = marking._top_fraction(np.array(values), fraction, skip_zero)
+    assert picked.tolist() == sorted_selection(values, fraction, skip_zero)
+
+
 def test_single_slab_adaptation(lshape):
     slabs = init_slabs(lshape, 0.0, 1.0, 1)
-    marks = marking.mark_space_cells(slabs[0], {0: 3.0, 1: 1.0, 2: 2.0}, True, 0.5, 0.3)
-    assert marks == {0}
-    assert marking.mark_time_slabs(estimate_of([0.2]), 0.5) == {0}
-    marking.execute_adaptation(slabs, {0}, {0: marks})
+    marks = marking.mark_space_cells(slabs[0], np.array([3.0, 1.0, 2.0]), True, 0.5, 0.3)
+    assert marked(marks) == {0}
+    time_marks = marking.mark_time_slabs(estimate_of([0.2]), 0.5)
+    assert marked(time_marks) == {0}
+    marking.execute_adaptation(slabs, time_marks, {0: marks})
     assert len(slabs) == 2
     assert [(s.interval.t_m, s.interval.t_n) for s in slabs] == [(0.0, 0.5), (0.5, 1.0)]
     first, second = slabs
