@@ -160,13 +160,8 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
                   loop, record.dual_cg_iterations, record.dual_max_residual)
         log.debug("loop %d: dual space-time dofs %d", loop, record.dual_dofs)
         with _timed(record, "estimate_s"):
-            estimate = est_mod.accumulate([
-                est_mod.compute_cell_indicators(
-                    slab, *(slab.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
-                    config.coefficients, data, time_restriction=config.estimator.time_restriction,
-                )
-                for _, slab in slabs.iterate_forward()
-            ])
+            estimate = est_mod.accumulate(est_mod.slab_indicators(
+                slabs, config.coefficients, data, config.estimator.time_restriction))
             estimate.i_eff = est_mod.effectivity(estimate, err)
         record.eta = estimate.eta_total
         record.eta_signed = estimate.eta_signed

@@ -24,18 +24,19 @@ Both terms are batched.  The volume term reads the mesh state's cached
 gives the exact Laplacian.  The face term runs over the non-Dirichlet rows
 of the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
 piece, in table order: cells in ``dual.active_ids`` order, faces 0..3,
-pieces ascending along the face.  :func:`fem.face_quadrature`, built per
-call (the ``fem`` module says why), gives each piece's Gauss points with
-their exact reference coordinates on both sides (s where a cell owns the
-whole piece, ``0.5 * half + 0.5 * s`` on the coarser side), where grad u_h
-is evaluated on both sides and w on the owner.  ``np.add.at`` scatters the
-pieces in table order, the summation order of a per-face loop: marking
-sorts |eta| with an index tie-break, so a reordered sum that flips the last
-bit of two near-equal indicators could change which cells are refined.
+pieces ascending along the face.  :func:`fem.face_quadrature` gives each
+piece's Gauss points on both sides, where grad u_h is evaluated on both
+sides and w on the owner; :func:`slab_indicators` builds it once per run of
+slabs on one dual space and never keeps it (the ``fem`` module says why).
+``np.add.at`` scatters the pieces in table order, the summation order of a
+per-face loop: marking sorts |eta| with an index tie-break, so a reordered
+sum that flips the last bit of two near-equal indicators could change which
+cells are refined.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,9 +67,23 @@ def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
     return np.asarray(z_tm) - back.coefficients, np.asarray(z_tn) - back.coefficients
 
 
-def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
-    """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors."""
+def _shared_pieces(slab):
+    """What every slab on this dual space shares in :func:`indicator_terms`, in its order."""
+    rule = fem.cell_rule(slab.dual, slab.dual.degree + 1)
+    table = slab.mesh.face_topology()
+    rows = ~table.on_boundary(DIRICHLET)
+    quad = fem.face_quadrature(slab.dual, slab.dual.degree + 1, rows)
+    return (rule.invJ @ rule.invJ.transpose(0, 2, 1), quad, table.on_boundary(NEUMANN)[rows],
+            np.repeat(quad.cells.ravel(), quad.JxW.shape[1]), quad.gradients(slab.primal.degree))
+
+
+def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None):
+    """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors.
+
+    ``shared`` is :func:`_shared_pieces` of the slab, built here if not given.
+    """
     primal, dual = slab.primal, slab.dual
+    lap, quad, neumann, at, grad = shared or _shared_pieces(slab)
     eps = coeff.epsilon
     u = np.asarray(u, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
@@ -83,7 +98,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     rule = fem.cell_rule(dual, dual.degree + 1)
     # physical Laplacian: the reference Hessian traced against the cell's invJ invJ^T
     ref_hess = np.einsum("qief,ci->cqef", rule.basis(primal.degree).hess, u[primal.cell_dofs])
-    lap_u = np.einsum("cqef,cef->cq", ref_hess, rule.invJ @ rule.invJ.transpose(0, 2, 1))
+    lap_u = np.einsum("cqef,cef->cq", ref_hess, lap)
     du_jump = rule.values(primal, u - u_prev)
 
     eta = np.zeros(len(dual.active_ids))
@@ -93,37 +108,46 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
     # face terms, batched over the non-Dirichlet face pieces
-    table = slab.mesh.face_topology()
-    rows = ~table.on_boundary(DIRICHLET)
-    if rows.any():
-        quad = fem.face_quadrature(dual, dual.degree + 1, rows)
-        own, neumann = quad.cells[0], table.on_boundary(NEUMANN)[rows]
-        n_pc, n_q = quad.JxW.shape
-        grads = fem.physical_gradients(
-            primal, u, np.repeat(quad.cells.ravel(), n_q), quad.ref.reshape(-1, 2)
-        ).reshape(2, n_pc, n_q, 2)
-        w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
+    own, (n_pc, n_q) = quad.cells[0], quad.JxW.shape
+    grads = fem.physical_gradients(primal, u, at, grad).reshape(2, n_pc, n_q, 2)
+    w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
 
-        # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
-        resid = np.empty((len(ts), n_pc, n_q))
-        resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
-        if neumann.any():
-            flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
-            for k, t in enumerate(ts):
-                resid[k, neumann] = data.neumann_h(quad.phys[neumann], t) - flux
-        inner = np.sum(quad.JxW * resid * w_face, axis=-1)  # (time, piece)
-        acc = sum(wt * row for wt, row in zip(wts, inner))
-        # np.add.at adds in piece order, the summation order of a per-cell face loop
-        np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
+    # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
+    resid = np.empty((len(ts), n_pc, n_q))
+    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
+    if neumann.any():
+        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
+        for k, t in enumerate(ts):
+            resid[k, neumann] = data.neumann_h(quad.phys[neumann], t) - flux
+    inner = np.sum(quad.JxW * resid * w_face, axis=-1)  # (time, piece)
+    acc = sum(wt * row for wt, row in zip(wts, inner))
+    # np.add.at adds in piece order, the summation order of a per-cell face loop
+    np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
 
     return eta
 
 
 def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,
-                            time_restriction="mean"):
+                            time_restriction="mean", shared=None):
     """Signed per-cell indicators from the primal and dual solutions of one slab."""
     w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
-    return indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data)
+    return indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared)
+
+
+def slab_indicators(slabs, coeff, data, time_restriction="mean"):
+    """:func:`compute_cell_indicators` of each slab from its stored u, z_tm, z_tn and u_prev.
+
+    Each run of consecutive slabs on one dual space builds its
+    :func:`_shared_pieces` once; nothing is kept after the run.
+    """
+    out = []
+    for _, run in itertools.groupby(slabs, key=lambda slab: slab.dual):
+        run = list(run)
+        shared = _shared_pieces(run[0])
+        out += [compute_cell_indicators(
+            slab, *(slab.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
+            coeff, data, time_restriction, shared) for slab in run]
+    return out
 
 
 @dataclass

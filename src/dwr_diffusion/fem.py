@@ -21,8 +21,8 @@ and J^-1.  The mesh, :meth:`FeFunction.evaluate` included, keeps the
 bilinear map.
 
 Face integrals use :func:`face_quadrature`: Gauss points on face pieces
-(face-table rows) with exact reference coordinates on both sides, s where
-a cell owns the whole piece, ``0.5 * half + 0.5 * s`` on the coarser side
+(face-table rows) as a face and a slot of the face tables on both sides,
+slot 0 where a cell owns the whole piece, ``1 + half`` on the coarser side
 (the table's integer ``half`` column).  Only the Neumann rows' quadrature
 is kept with the mesh state, per degree: caching every row's holds it for
 every live slab mesh and raised the shipped run's peak RSS 401 -> 593 MB.
@@ -34,8 +34,10 @@ rule's points (``_basis_tables``), the unit-cell mass and stiffness
 (``_reference_matrices``), the lattice nodes of a degree
 (``_lattice_points``), the basis of one degree at the lattice nodes of
 another (``_lattice_basis``, for numbering dofs and same-mesh
-interpolation), the face lattice indices (``_face_lattice``) and the
-hanging-constraint trace weights of each face half (``_trace_weights``).
+interpolation), the face lattice indices (``_face_lattice``), the
+hanging-constraint trace weights of each face half (``_trace_weights``),
+the Gauss points of each face slot (``_face_points``) and the basis and its
+gradients there (``_face_basis``).
 
 Matrices are one scatter, :func:`assemble_system`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
@@ -370,17 +372,18 @@ def _cell_geometry(mesh):
     return mesh.cached("cell_geometry", build)
 
 
-def physical_gradients(space, coefficients, cells, ref_pts):
-    """Physical gradients of a coefficient vector at per-point reference coordinates.
+def physical_gradients(space, coefficients, cells, ref_grad):
+    """Physical gradients of a coefficient vector from reference-gradient rows.
 
-    ``cells`` (n,) holds positions in ``space.active_ids`` and ``ref_pts``
-    (n, 2) one reference point in each of those cells; returns (n, 2).
+    ``cells`` (n,) holds positions in ``space.active_ids`` and ``ref_grad``
+    (n, nloc, 2) the reference basis gradients at one point in each of those
+    cells, as gathered from a basis table; returns (n, 2).
     """
     space._check_current()
     _, invJ = _cell_geometry(space.mesh)
     coeffs = np.asarray(coefficients)[space.cell_dofs[cells]]
-    ref_grad = np.einsum("nie,ni->ne", tensor_grad(space.degree, ref_pts), coeffs)
-    return np.einsum("ned,ne->nd", invJ[cells], ref_grad)
+    ref = np.einsum("nie,ni->ne", ref_grad, coeffs)
+    return np.einsum("ned,ne->nd", invJ[cells], ref)
 
 
 @functools.cache
@@ -479,11 +482,17 @@ class FaceQuadrature(NamedTuple):
     """Gauss rule on face-table rows; side 0 is the owner, side 1 the neighbor (or the owner)."""
 
     cells: np.ndarray  # (2, r) cell of each side, positions in space.active_ids
-    ref: np.ndarray  # (2, r, q, 2) reference points in each side's cell
+    faces: np.ndarray  # (2, r) face of each side's cell holding the piece
+    slots: np.ndarray  # (2, r) slot of each side's points in _face_points
     phys: np.ndarray  # (r, q, 2) physical points on the piece
     JxW: np.ndarray  # (r, q) weight * piece length
     normal: np.ndarray  # (r, 2) outward unit normal of the owner
     N: np.ndarray  # (r, q, nloc) basis of the space's degree at the owner's points
+
+    def gradients(self, degree):
+        """Reference gradients of ``degree`` at side 0's, then side 1's points, (2 r q, nloc, 2)."""
+        grad = _face_basis(degree, self.JxW.shape[1])[1]
+        return grad[self.faces, self.slots].reshape(-1, *grad.shape[-2:])
 
 
 def _along(ends, s):
@@ -492,11 +501,29 @@ def _along(ends, s):
     return a + np.expand_dims(s, -1) * (ends[:, None, 1] - a)
 
 
+@functools.cache
+def _face_points(n):
+    """n-point Gauss rule's points (4, 3, n, 2) per face and slot in the unit cell, read-only."""
+    s = gauss_1d(n)[0]
+    params = np.stack([s, *(0.5 * np.arange(2)[:, None] + 0.5 * s)]).reshape(1, -1)
+    points = _along(_UNIT_CORNERS[FACE_VERTS], params).reshape(4, 3, n, 2)
+    points.setflags(write=False)
+    return points
+
+
+@functools.cache
+def _face_basis(degree, n):
+    """Basis values (4, 3, n, nloc) and gradients (..., 2) at :func:`_face_points`, read-only."""
+    pts, shape = _face_points(n).reshape(-1, 2), (4, 3, n, (degree + 1) ** 2)
+    return read_only((tensor_shape(degree, pts).reshape(shape),
+                      tensor_grad(degree, pts).reshape(*shape, 2)))
+
+
 def face_quadrature(space, n, rows):
     """The n-point Gauss rule on the face-table ``rows`` (a mask or indices) of the space's mesh.
 
-    A side that owns the whole piece sees Gauss parameter s on its face, the
-    coarser side of a COARSER or FINER row ``0.5 * half + 0.5 * s``.
+    A side that owns the whole piece reads slot 0 of its face, the coarser
+    side of a COARSER or FINER row slot ``1 + half``.
     """
     space._check_current()
     mesh, table = space.mesh, space.mesh.face_topology()
@@ -504,20 +531,17 @@ def face_quadrature(space, n, rows):
     bnd = kind == BOUNDARY
     cells = np.stack([owner, np.where(bnd, owner, table.neighbor[rows])])
     faces = np.stack([face, np.where(bnd, face, OPPOSITE_FACE[face])])
+    slots = np.where(np.stack([kind == FINER, kind == COARSER]), 1 + half, 0)
     s, w = gauss_1d(n)
-    coarser = np.stack([kind == FINER, kind == COARSER])[..., None]
-    s_side = np.where(coarser, 0.5 * half[:, None] + 0.5 * s, s).reshape(-1, n)
-    ref = _along(_UNIT_CORNERS[FACE_VERTS[faces.ravel()]], s_side).reshape(2, len(owner), n, 2)
     vertices = mesh.forest().vertices
     edge_cell, edge_face = table.edge_cell[rows], table.edge_face[rows]
     piece = mesh.points[vertices[table.cells[edge_cell, None], FACE_VERTS[edge_face]]]
     span = piece[:, 1] - piece[:, 0]
     t = np.diff(mesh.points[vertices[table.cells[owner, None], FACE_VERTS[face]]], axis=1)[:, 0]
     normal = _NORMAL_SIGN[face][:, None] * np.column_stack([-t[:, 1], t[:, 0]])
-    N = tensor_shape(space.degree, ref[0].reshape(-1, 2))
     return FaceQuadrature(*read_only((
-        cells, ref, _along(piece, s), w * np.hypot(*span.T)[:, None],
-        normal / np.hypot(*t.T)[:, None], N.reshape(len(owner), n, N.shape[1]),
+        cells, faces, slots, _along(piece, s), w * np.hypot(*span.T)[:, None],
+        normal / np.hypot(*t.T)[:, None], _face_basis(space.degree, n)[0][face, slots[0]],
     )))
 
 

@@ -158,3 +158,51 @@ def test_accumulate_is_the_sequential_loop_bitwise(per_slab):
     assert estimate.eta_total.hex() == eta_total.hex()
     assert estimate.eta_signed.hex() == eta_signed.hex()
     assert math.isnan(estimate.i_eff)
+
+
+def stored_slabs(slabs, rng):
+    """Attach random u, u_prev, z_tm and z_tn to every slab."""
+    for slab in slabs:
+        for tag, space in (("u", slab.primal), ("u_prev", slab.primal), ("z_tm", slab.dual),
+                           ("z_tn", slab.dual)):
+            slab.attach_storage(tag, rng.standard_normal(space.n_dofs))
+    return slabs
+
+
+def test_slab_indicators_are_the_per_slab_indicators_bitwise(slab, rng):
+    """Runs of slabs on one dual space share one face rule and change no bit."""
+    refined = Slab(TimeInterval(0.35, 0.5), slab.mesh.copy(), 1, 2)
+    refined.refine(slab.mesh.active_ids()[:2])
+    shared = [slab._with_interval(TimeInterval(0.1 * k, 0.1 * k + 0.1)) for k in range(4)]
+    slabs = stored_slabs([shared[0], shared[1], refined, shared[2], shared[3]], rng)
+    assert slabs[0].dual is slabs[1].dual is slabs[3].dual and refined.dual is not slab.dual
+    _, _, _, _, coeff, data = cone_inputs(slab)
+    for restriction in ("mean", "right"):
+        etas = estimator.slab_indicators(slabs, coeff, data, restriction)
+        assert len(etas) == len(slabs)
+        for s, eta in zip(slabs, etas):
+            expected = estimator.compute_cell_indicators(
+                s, *(s.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
+                coeff, data, time_restriction=restriction)
+            assert np.array_equal(eta, expected)
+
+
+def test_one_face_rule_for_slabs_on_one_space(slab, rng, monkeypatch):
+    calls = {"face_quadrature": 0, "indicator_terms": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(estimator.fem, "face_quadrature")
+    counted(estimator, "indicator_terms")
+    slabs = stored_slabs(
+        [slab._with_interval(TimeInterval(0.1 * k, 0.1 * k + 0.1)) for k in range(5)], rng)
+    _, _, _, _, coeff, data = cone_inputs(slab)
+    estimator.slab_indicators(slabs, coeff, data)
+    assert calls == {"face_quadrature": 1, "indicator_terms": 5}

@@ -239,8 +239,9 @@ class TestFaceQuadrature:
         assert np.array_equal(quad.cells[0], table.owner)
         assert np.array_equal(quad.cells[1], np.where(table.kind == BOUNDARY, table.owner,
                                                       table.neighbor))
+        refs = fem._face_points(degree + 1)[quad.faces, quad.slots]
         for side in (0, 1):
-            for cell, ref, phys in zip(quad.cells[side], quad.ref[side], quad.phys):
+            for cell, ref, phys in zip(quad.cells[side], refs[side], quad.phys):
                 mapped = mesh.map_to_physical(int(table.cells[cell]), ref)
                 assert np.all(np.abs(mapped - phys) <= 1e-15)
         # weights sum to each owner face's length; normals are outward unit vectors
@@ -252,6 +253,78 @@ class TestFaceQuadrature:
         assert np.allclose(np.linalg.norm(quad.normal, axis=1), 1.0, rtol=0, atol=1e-15)
         outward = quad.phys[:, 0] - corners[table.owner].mean(axis=1)
         assert np.all(np.einsum("rd,rd->r", outward, quad.normal) > 0)
+
+
+def oracle_face_points(face, s):
+    """Per-call reference points on a face, ``a + s (b - a)`` between its unit corners."""
+    ends = fem._lattice_points(1)[FACE_VERTS[face]]
+    return ends[..., None, 0, :] + s[..., None] * (ends[..., None, 1, :] - ends[..., None, 0, :])
+
+
+def oracle_face_quadrature(space, n, rows):
+    """Reference points and owner basis tabulated per call, as before the face tables."""
+    table = space.mesh.face_topology()
+    face, kind, half = (a[rows] for a in (table.face, table.kind, table.half))
+    bnd = kind == BOUNDARY
+    faces = np.stack([face, np.where(bnd, face, fem.OPPOSITE_FACE[face])])
+    s = fem.gauss_1d(n)[0]
+    coarser = np.stack([kind == FINER, kind == COARSER])[..., None]
+    s_side = np.where(coarser, 0.5 * half[:, None] + 0.5 * s, s)
+    ref = oracle_face_points(faces, s_side)
+    N = tensor_shape(space.degree, ref[0].reshape(-1, 2))
+    return ref, N.reshape(len(face), n, N.shape[1])
+
+
+class TestFaceTables:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tables_are_the_per_call_tabulation(self, degree, n):
+        s = fem.gauss_1d(n)[0]
+        points, (N, grad) = fem._face_points(n), fem._face_basis(degree, n)
+        for face in range(4):
+            for slot, params in enumerate([s, 0.5 * 0 + 0.5 * s, 0.5 * 1 + 0.5 * s]):
+                ref = oracle_face_points(np.array(face), params)
+                assert np.array_equal(points[face, slot], ref)
+                assert np.array_equal(N[face, slot], tensor_shape(degree, ref))
+                assert np.array_equal(grad[face, slot], tensor_grad(degree, ref))
+
+    def test_tables_are_read_only(self):
+        for table in (fem._face_points(3), *fem._face_basis(2, 3)):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1.0
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("refine", [None, (sheared_lshape, 21)])
+    def test_face_quadrature_is_the_per_call_rule(self, sheared_irregular_lshape, refine,
+                                                  degree):
+        if refine is None:
+            mesh = sheared_irregular_lshape
+        else:
+            mesh = refine[0]()
+            random_refine(mesh, refine[1])
+        table = mesh.face_topology()
+        assert set(table.kind.tolist()) == {BOUNDARY, SAME, COARSER, FINER}
+        space = FeSpace(mesh, degree)
+        for n in (degree + 1, 4):
+            for rows in (np.arange(len(table.kind)), ~table.on_boundary(DIRICHLET)):
+                quad = fem.face_quadrature(space, n, rows)
+                ref, N = oracle_face_quadrature(space, n, rows)
+                assert np.array_equal(fem._face_points(n)[quad.faces, quad.slots], ref)
+                assert np.array_equal(quad.N, N)
+                # physical points, weights and normals as the per-call code formed them
+                ends = mesh.points[mesh.forest().vertices[
+                    table.cells[table.edge_cell[rows], None], FACE_VERTS[table.edge_face[rows]]]]
+                s, w = fem.gauss_1d(n)
+                phys = ends[:, None, 0] + s[:, None] * (ends[:, None, 1] - ends[:, None, 0])
+                assert np.array_equal(quad.phys, phys)
+                assert np.array_equal(quad.JxW, w * np.hypot(*(ends[:, 1] - ends[:, 0]).T)[:, None])
+                own = mesh.points[mesh.forest().vertices[
+                    table.cells[table.owner[rows], None], FACE_VERTS[table.face[rows]]]]
+                t = own[:, 1] - own[:, 0]
+                normal = fem._NORMAL_SIGN[table.face[rows]][:, None] * np.column_stack(
+                    [-t[:, 1], t[:, 0]])
+                assert np.array_equal(quad.normal, normal / np.hypot(*t.T)[:, None])
+                assert np.array_equal(quad.gradients(1), tensor_grad(1, ref.reshape(-1, 2)))
 
 
 class TestCellRule:
@@ -346,7 +419,8 @@ class TestAffineGeometry:
         )
         # the reference gradient is J^T times the physical one
         expected = np.linalg.solve(np.swapaxes(J, 1, 2), ref_grad[..., None])[..., 0]
-        assert_close(physical_gradients(space, coefficients, cells, ref), expected, 1e-14)
+        rows = tensor_grad(degree, ref)
+        assert_close(physical_gradients(space, coefficients, cells, rows), expected, 1e-14)
 
 
 def conforming_basis(space):
