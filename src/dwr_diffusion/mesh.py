@@ -3,9 +3,10 @@
 The mesh state is a forest of cells held as per-cell arrays
 (:class:`Forest`): refinement replaces an active cell by four children
 (isotropic bisection) and keeps the parent.  Meshes stay 1-irregular
-(adjacent active cells differ by at most one level); closure refinements
-are applied automatically.  Boundary faces carry a color (Dirichlet or
-Neumann) which children inherit.
+(adjacent active cells differ by at most one level): refinement first lists
+the closure, the coarser neighbors that the marks force round by round, on
+the current forest, and then splits every listed cell in one pass.  Boundary
+faces carry a color (Dirichlet or Neumann) which children inherit.
 
 Adjacency is one array, ``Forest.neighbor``: the equal-or-coarser cell
 across each face of every cell (-1 on the boundary), built level by level
@@ -368,32 +369,45 @@ class QuadMesh:
     def refine(self, marked_cells):
         """Isotropically refine the marked active cells (plus 1-irregularity closure).
 
-        Each round splits its cells in ascending id order; the next round
-        holds the active cells that the new neighbor array shows more than
-        one level coarser than a cell split in this round.
+        The closure is found on the current forest before anything is split:
+        round 0 holds the marks, and round r + 1 the cells not yet listed
+        that ``Forest.neighbor`` shows coarser than a cell of round r.  One
+        split then takes the rounds in order, ascending ids within each
+        round.  Raises ``ValueError`` naming the first mark that is not an
+        active cell id.
         """
         f = self._forest
         queue = np.unique(np.fromiter(marked_cells, dtype=np.intp))
-        if queue.size and (
-            queue[0] < 0 or queue[-1] >= len(f.level) or np.any(f.children[queue, 0] >= 0)
-        ):
-            raise ValueError("marked ids must refer to active cells")
+        unknown = (queue < 0) | (queue >= len(f.level))
+        bad = unknown | (f.children[np.where(unknown, 0, queue), 0] >= 0)
+        if bad.any():
+            i = bad.argmax()
+            why = "unknown" if unknown[i] else "inactive"
+            raise ValueError(f"marked cell {queue[i]} is {why}; marks must be active cell ids")
+        listed = np.zeros(len(f.level), dtype=bool)
+        listed[queue] = True
+        rounds = [queue]
         while queue.size:
-            f = self._split(f, queue)
             nb = f.neighbor[queue]
-            coarse = (nb >= 0) & (f.children[nb, 0] < 0) & (f.level[nb] < f.level[queue, None])
-            queue = np.unique(nb[coarse])
-        self._forest = f
+            # a coarser neighbor is active: a refined one would show its equal-level child
+            nb = nb[(nb >= 0) & (f.level[nb] < f.level[queue, None])]
+            queue = np.unique(nb[~listed[nb]])
+            listed[queue] = True
+            rounds.append(queue)
+        order = np.concatenate(rounds)
+        if order.size:
+            self._forest = self._split(f, order)
         self._version += 1
         self._cache = {}
         return self
 
     def _split(self, f, cells):
-        """The forest after splitting the active ``cells`` (ascending ids) into four children.
+        """The forest after splitting the active ``cells``, in the given order, into four children.
 
-        A face midpoint exists on a refined same-level neighbor, or is shared
-        with one split along (the lower id creates it); other midpoints and
-        the centres are new vertices, numbered in (cell, slot) order.
+        Children are numbered in that order.  A face midpoint exists on a
+        refined same-level neighbor, or is shared with one split along (the
+        cell earlier in ``cells`` creates it); other midpoints and the
+        centres are new vertices, numbered in (cell, slot) order.
         """
         k, n = len(cells), len(f.level)
         p0, p1, p2, p3 = np.moveaxis(self._points[f.vertices[cells]], 1, 0)
@@ -402,19 +416,21 @@ class QuadMesh:
             [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
              (p0 + p1 + p2 + p3) / 4.0], axis=1,
         )
+        at = np.full(n, k)  # position in ``cells``, k off them
+        at[cells] = np.arange(k)
         nb = f.neighbor[cells][:, _MID_FACE]  # (k, 4) across each midpoint
         same = (nb >= 0) & (f.level[nb] == f.level[cells, None])
         refined = same & (f.children[nb, 0] >= 0)
-        later = same & (nb < cells[:, None]) & np.isin(nb, cells)  # split along, lower id
-        fresh = np.column_stack([~(refined | later), np.ones(k, dtype=bool)])
+        earlier = same & (at[nb] < np.arange(k)[:, None])  # split along, earlier in ``cells``
+        fresh = np.column_stack([~(refined | earlier), np.ones(k, dtype=bool)])
         ids = np.empty((k, 5), dtype=np.intp)
         ids[fresh] = len(self._points) + np.arange(np.count_nonzero(fresh))
         # the neighbor holds the midpoint in its opposite slot
         i, slot = np.nonzero(refined)
         child, corner = _MID_CORNER[:, slot ^ 1]
         ids[i, slot] = f.vertices[f.children[nb[i, slot], child], corner]
-        i, slot = np.nonzero(later)
-        ids[i, slot] = ids[np.searchsorted(cells, nb[i, slot]), slot ^ 1]
+        i, slot = np.nonzero(earlier)
+        ids[i, slot] = ids[at[nb[i, slot]], slot ^ 1]
         self._points = np.concatenate([self._points, mids[fresh]])
         self._points.setflags(write=False)
         parent = np.repeat(cells, 4)

@@ -7,17 +7,22 @@ condensation are implemented here so that their exact behaviour is under
 our control.  All systems handled here are symmetric positive definite on
 the unconstrained subspace; coefficients are 64-bit floats.
 
-Constraints are closed on entry arrays into one CSR prolongation P, whose
-rows :meth:`ConstraintSet.expand` hands to the assembler to condense while
-it scatters; ``condense_matrix``, ``pin`` and :func:`eliminate_dirichlet`
-serve the public helpers, not the solve path.
+Constraints are closed on entry arrays into one prolongation P, held as
+raw CSR arrays (row offsets, sorted column indices, values); its rows
+:meth:`ConstraintSet.expand` hands to the assembler to condense while it
+scatters.  A scipy matrix of P is built only by ``condense_matrix``, which
+with ``pin`` and :func:`eliminate_dirichlet` serves the public helpers, not
+the solve path.
 
 :func:`cg_solve` takes CSR input only and allocates no work vector per
 iteration: its products call ``scipy.sparse._sparsetools.csr_matvec``
 directly, writing into one preallocated vector.  That private routine is
-the kernel ``A @ v`` ends in for a CSR matrix, so the iterates are the ones
-the operator would give; a test pins the two bitwise, and a scipy that
-drops the routine fails at package import, not inside a solve.
+the kernel ``A @ v`` ends in for a CSR matrix, and ``csc_matvec`` the one
+``P.T @ b`` ends in; :meth:`ConstraintSet.distribute` and
+:meth:`ConstraintSet.condense_vector` call the two on P's arrays.  The
+results are the ones the operators would give; tests pin them bitwise, and
+a scipy that drops either routine fails at package import, not inside a
+solve.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec, csr_matvec as _csr_matvec
 
 
 class SolverError(RuntimeError):
@@ -235,7 +240,7 @@ def lift_dirichlet(A, b, dofs, values):
 
 
 def _closure(n, owner, masters, weights, offsets):
-    """Prolongation P, offsets c and sorted slave array of the closed constraints.
+    """CSR arrays ``(indptr, indices, data)`` of P, offsets c and sorted slaves of the closure.
 
     Each entry (``owner``, ``masters``, ``weights``) whose master is a slave
     is replaced by that master's raw row, weights multiplied, until no master
@@ -243,6 +248,10 @@ def _closure(n, owner, masters, weights, offsets):
     replaced entries' share to c = sum_{j<k} Q^j g, g being the slaves'
     ``offsets``.  A cycle among the slaves raises
     :class:`ConstraintCycleError` first.
+
+    The closed entries are sorted stably by (row, column), duplicates summed
+    left to right and zeros dropped: scipy's COO to CSR conversion sums in
+    that order on rows of at most 16 entries.
     """
     slaves = np.unique(owner)
     is_slave = np.zeros(n, dtype=bool)
@@ -272,11 +281,17 @@ def _closure(n, owner, masters, weights, offsets):
         masters = np.concatenate([masters[~chained], raw_masters[at]])
         weights = np.concatenate([weights[~chained], np.repeat(scale, count) * raw_weights[at]])
     free = np.flatnonzero(~is_slave)
-    entries = np.concatenate([weights, np.ones(free.size)])
-    P = sp.csr_matrix((entries, (np.concatenate([owner, free]), np.concatenate([masters, free]))),
-                      shape=(n, n))
-    P.eliminate_zeros()
-    return P, c, slaves
+    rows, cols = np.concatenate([owner, free]), np.concatenate([masters, free])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    sums = np.bincount(np.cumsum(first) - 1, np.concatenate([weights, np.ones(free.size)])[order])
+    kept = sums != 0.0
+    rows = rows[first][kept]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return (indptr, cols[first][kept], sums[kept]), c, slaves
 
 
 class ConstraintSet:
@@ -290,12 +305,16 @@ class ConstraintSet:
     vector satisfies the constraints iff ``x = P x + c``, where the
     prolongation P is the identity on unconstrained dofs and carries the
     master weights on slave rows (zero slave diagonal).
+
+    P is held as the CSR arrays ``_indptr``, ``_indices`` and ``_data``;
+    ``P x`` and ``P^T b`` are the raw CSR and CSC kernels on them, and only
+    :meth:`condense_matrix` builds a scipy matrix of P.
     """
 
     def __init__(self, n_dofs, slaves, masters, weights, offsets=None):
         self.n_dofs = n_dofs
-        self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
-        self._PT = self._P.T  # a CSC view on the arrays of P, built once
+        P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
+        self._indptr, self._indices, self._data = P
         self._slaves.flags.writeable = False
 
     def __len__(self):
@@ -314,29 +333,40 @@ class ConstraintSet:
         """The closed row of ``slave``: (master, weight) pairs by ascending master."""
         if slave not in self:
             raise KeyError(slave)
-        lo, hi = self._P.indptr[slave], self._P.indptr[slave + 1]
-        return tuple(zip(self._P.indices[lo:hi].tolist(), self._P.data[lo:hi].tolist()))
+        lo, hi = self._indptr[slave], self._indptr[slave + 1]
+        return tuple(zip(self._indices[lo:hi].tolist(), self._data[lo:hi].tolist()))
 
     def expand(self, dofs):
         """Closed rows of ``dofs`` as entries (position in ``dofs``, master, weight).
 
         A dof that is no slave is its own master with weight 1.
         """
-        indptr = self._P.indptr
+        indptr = self._indptr
         count = indptr[dofs + 1] - indptr[dofs]
         at = concat_ranges(indptr[dofs], count)
-        return np.repeat(np.arange(len(dofs)), count), self._P.indices[at], self._P.data[at]
+        return np.repeat(np.arange(len(dofs)), count), self._indices[at], self._data[at]
 
     def condense_matrix(self, A):
         """P^T A P; slave rows/columns end up empty (give them unit rows before solving)."""
         if not len(self):
             return A
-        return (self._PT @ A @ self._P).tocsr()
+        P = sp.csr_matrix((self._data, self._indices, self._indptr), shape=(self.n_dofs,) * 2)
+        return (P.T @ A @ P).tocsr()
+
+    def _product(self, kernel, v):
+        """P v through ``_csr_matvec`` or P^T v through ``_csc_matvec``, on P's arrays."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n_dofs,):  # the raw kernels do no bounds checks
+            raise ValueError(f"vector shape {v.shape} does not match {self.n_dofs} dofs")
+        out = np.zeros(self.n_dofs)
+        kernel(self.n_dofs, self.n_dofs, self._indptr, self._indices, self._data, v, out)
+        return out
 
     def condense_vector(self, b):
+        """P^T b."""
         if not len(self):
             return b
-        return self._PT @ b
+        return self._product(_csc_matvec, b)
 
     def pin(self, A):
         """Add unit diagonals on slave rows so condensed systems are definite."""
@@ -350,7 +380,7 @@ class ConstraintSet:
         """Overwrite slave entries with their constraint values."""
         if not len(self):
             return np.asarray(x, dtype=float).copy()
-        return self._P @ np.asarray(x, dtype=float) + self._c
+        return self._product(_csr_matvec, x) + self._c
 
 
 def condense_hanging(A, b, rows, inhom=None):

@@ -15,11 +15,13 @@ from dwr_diffusion.mesh import (
     OPPOSITE_FACE,
     SAME,
     _CHILD_VERTS,
+    Forest,
     OutsideDomainError,
     QuadMesh,
     make_lshape,
     make_unit_square,
 )
+from mesh_state_cases import SHEAR, sheared_lshape
 
 
 def face_midpoint(mesh, cid, face):
@@ -102,16 +104,81 @@ class TestRefine:
         assert (0.0, 0.375) in neumann_mids
 
     def test_invalid_marks_rejected(self, lshape):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="marked cell 99 is unknown"):
             lshape.refine({99})
+        with pytest.raises(ValueError, match="marked cell -1 is unknown"):
+            lshape.refine({1, -1})
         lshape.refine({0})
-        with pytest.raises(ValueError):
-            lshape.refine({0})  # no longer active
+        with pytest.raises(ValueError, match="marked cell 0 is inactive"):
+            lshape.refine({99, 2, 0})  # the first bad id in ascending order
 
     def test_empty_marks_keep_order(self, lshape):
         before = lshape.active_cells()
         lshape.refine(set())
         assert lshape.active_cells() == before
+
+
+def round_by_round_refine(mesh, marked_cells):
+    """Refinement one closure round at a time, kept as the oracle of :meth:`QuadMesh.refine`.
+
+    Each round splits its cells in ascending id order; the next holds the
+    active cells that the new neighbor array shows coarser than a cell split
+    in this round.  Returns the number of rounds.
+    """
+    f = mesh.forest()
+    queue = np.unique(np.fromiter(marked_cells, dtype=np.intp))
+    rounds = 0
+    while queue.size:
+        f = mesh._split(f, queue)
+        rounds += 1
+        nb = f.neighbor[queue]
+        coarse = (nb >= 0) & (f.children[nb, 0] < 0) & (f.level[nb] < f.level[queue, None])
+        queue = np.unique(nb[coarse])
+    mesh._forest = f
+    mesh._version += 1
+    mesh._cache = {}
+    return rounds
+
+
+def assert_bitwise_same_state(mesh, ref):
+    for name, got, want in zip(("points",) + Forest._fields, (mesh.points, *mesh.forest()),
+                               (ref.points, *ref.forest())):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestOnePassRefine:
+    """One split pass over the listed closure gives the round-by-round forest and points."""
+
+    domains = {"lshape": (make_lshape, 0.0), "sheared": (sheared_lshape, SHEAR)}
+
+    @given(st.integers(min_value=0, max_value=2**30), st.sampled_from(["lshape", "sheared"]))
+    @settings(max_examples=20)
+    def test_random_marks(self, seed, name):
+        rng = np.random.default_rng(seed)
+        mesh = self.domains[name][0]()
+        ref = mesh.copy()
+        for _ in range(4):
+            marks = [c for c in mesh.active_cells() if rng.random() < 0.35]
+            mesh.refine(marks)
+            round_by_round_refine(ref, marks)
+            assert_bitwise_same_state(mesh, ref)
+
+    @pytest.mark.parametrize("name", ["lshape", "sheared"])
+    @pytest.mark.parametrize("target", [(0.3, 0.2), (0.01, 0.01)])
+    def test_forced_cascades(self, name, target):
+        """Refining toward one point grades the mesh, so one mark forces a deep closure."""
+        factory, shear = self.domains[name]
+        mesh = factory()
+        ref = mesh.copy()
+        point = (target[0] + shear * target[1], target[1])
+        rounds = []
+        for _ in range(7):
+            marks = [mesh.locate_point(point)[0]]
+            mesh.refine(marks)
+            rounds.append(round_by_round_refine(ref, marks))
+            assert_bitwise_same_state(mesh, ref)
+        assert max(rounds) >= 4  # the marks, then at least three closure rounds
 
 
 class TestTraversal:

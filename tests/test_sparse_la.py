@@ -14,6 +14,7 @@ from dwr_diffusion.sparse_la import (
     SolverControl,
     SolverError,
     ConstraintCycleError,
+    ConstraintSet,
     csr_from_triplets,
     spmv,
     cg_solve,
@@ -489,9 +490,14 @@ class TestClosureOracle:
 
     @staticmethod
     def check(n, owner, masters, weights, offsets):
-        P, c, slaves = sparse_la._closure(n, owner, masters, weights, offsets)
+        (indptr, indices, data), c, slaves = sparse_la._closure(n, owner, masters, weights, offsets)
         P_ref, c_ref, slaves_ref = spgemm_closure(n, owner, masters, weights, offsets)
-        assert P.format == "csr" and P.has_sorted_indices
+        assert indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == len(indices)
+        assert np.all(np.diff(indptr) >= 0)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.all((np.diff(rows) > 0) | (np.diff(indices) > 0))  # sorted, distinct in each row
+        assert np.all(data != 0.0)
+        P = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         assert np.array_equal(slaves, slaves_ref)
         assert np.max(np.abs(P.toarray() - P_ref.toarray())) <= 1e-15
         assert np.max(np.abs(c - c_ref)) <= 1e-15 * max(1.0, np.max(np.abs(c_ref)))
@@ -519,3 +525,24 @@ class TestClosureOracle:
         for closure in (sparse_la._closure, spgemm_closure):
             with pytest.raises(ConstraintCycleError, match=r"cyclic constraint through dof \d"):
                 closure(5, owner, masters, weights, None)
+
+
+class TestConstraintProducts:
+    """The raw kernels on P's arrays are scipy's ``P @ x + c`` and ``P.T @ b`` bitwise."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distribute_and_condense_vector_are_the_scipy_products(self, seed):
+        rng = np.random.default_rng(seed)
+        owner, masters, weights, offsets = layered_constraints(rng)
+        cs = ConstraintSet(40, owner, masters, weights, offsets)
+        P = sp.csr_matrix((cs._data, cs._indices, cs._indptr), shape=(40, 40))
+        x, b = rng.standard_normal(40), rng.standard_normal(40)
+        assert np.array_equal(cs.distribute(x), P @ x + cs._c)
+        assert np.array_equal(cs.condense_vector(b), P.T @ b)
+
+    def test_wrong_length_is_refused_before_the_kernel(self, rng):
+        owner, masters, weights, offsets = layered_constraints(rng)
+        cs = ConstraintSet(40, owner, masters, weights, offsets)
+        for product in (cs.distribute, cs.condense_vector):
+            with pytest.raises(ValueError, match="does not match 40 dofs"):
+                product(np.ones(39))
