@@ -39,12 +39,14 @@ hanging-constraint trace weights of each face half (``_trace_weights``),
 the Gauss points of each face slot (``_face_points``) and the basis and its
 gradients there (``_face_basis``).
 
-Matrices are one scatter, :func:`assemble_system`, of cell matrices whose
+Matrices are one scatter, :func:`assemble_csr`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
 ``condense=False`` (deal.II's ``distribute_local_to_global``): master rows
-carry the slave contributions, slave rows are empty.  The solve path also
-applies M cell by cell, :func:`mass_product`, and condenses its loads in
-:class:`primal.ImplicitStep`.
+carry the slave contributions, slave rows are empty.  It returns a raw
+:class:`sparse_la.Csr`, which the solve path keeps; :func:`assemble_system`,
+:func:`assemble_mass` and :func:`assemble_stiffness` wrap it into a scipy
+matrix.  The solve path also applies M cell by cell, :func:`mass_product`,
+and condenses its loads in :class:`primal.ImplicitStep`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 
 from . import sparse_la
 from .mesh import BOUNDARY, COARSER, FACE_VERTS, FINER, NEUMANN, OPPOSITE_FACE, read_only
@@ -122,7 +124,7 @@ class Quadrature:
 @functools.cache
 def gauss_1d(n):
     """n-point Gauss-Legendre rule on [0, 1] (read-only, shared)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     return read_only(((x + 1.0) / 2.0, w / 2.0))
 
 
@@ -399,12 +401,12 @@ def _reference_matrices(degree):
     return read_only((np.einsum("q,qi,qj->ij", w, N, N), K.reshape(4, -1)))
 
 
-def assemble_system(space, mass=0.0, stiffness=0.0, condense=True):
-    """CSR mass M + stiffness A (unit coefficients), P^T (...) P if ``condense``, in one scatter.
+def assemble_csr(space, mass=0.0, stiffness=0.0, condense=True):
+    """Raw CSR mass M + stiffness A (unit coefficients), P^T (...) P if ``condense``: one scatter.
 
     Cell matrices are mass det J M_ref + stiffness G : K_ref with
     G = det J J^-1 J^-T; the pattern stores the whole diagonal, explicitly
-    zero where no cell reaches it.
+    zero where no cell reaches it.  Returns a :class:`sparse_la.Csr`.
     """
     space._check_current()
     detJ, invJ = _cell_geometry(space.mesh)
@@ -427,7 +429,12 @@ def assemble_system(space, mass=0.0, stiffness=0.0, condense=True):
     vals = local.ravel()[row_base[left] + col[right]] * (weights[left] * weights[right])
     diagonal = np.arange(n)
     rows, cols = (np.concatenate([masters[side], diagonal]) for side in (left, right))
-    return sp.csr_matrix((np.concatenate([vals, np.zeros(n)]), (rows, cols)), shape=(n, n))
+    return sparse_la.coo_to_csr(rows, cols, np.concatenate([vals, np.zeros(n)]), (n, n))
+
+
+def assemble_system(space, mass=0.0, stiffness=0.0, condense=True):
+    """The scipy CSR matrix of :func:`assemble_csr`."""
+    return sparse_la.to_scipy(assemble_csr(space, mass, stiffness, condense))
 
 
 def mass_product(space, density, x):

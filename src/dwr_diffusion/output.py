@@ -106,8 +106,9 @@ def vtk_text(slab, u=None, z=None, block=None):
     ]
 
     fields = []
-    for name, space, x in (("u", slab.primal, u), ("z", slab.dual, z)):
+    for name, x in (("u", u), ("z", z)):
         if x is not None:
+            space = slab.primal if name == "u" else slab.dual  # the dual only when z is given
             fn = FeFunction(space, x)
             fn = fn if space is export else fem.interpolate_same_mesh(fn, export)
             fields.append((name, fn.coefficients))

@@ -15,7 +15,10 @@ Euler step with averaged loads.
 :class:`ImplicitStep` solves the step of both marches (the dual one with
 2 M) from unconstrained loads: c M + tau A condensed in one scatter, slave
 and Dirichlet rows eliminated on its pattern, c M applied cell by cell and
-the right-hand side condensed once, CG, constraints distributed.
+the right-hand side condensed once, CG, constraints distributed.  Both
+matrices are raw :class:`sparse_la.Csr` arrays, and every product on them
+(the Dirichlet lift, CG, the reported residual) is scipy's compiled CSR
+kernel called directly, so no scipy matrix object is built on the way.
 Consecutive slabs with one space object and a bit-equal tau reuse the
 matrices.
 """
@@ -82,13 +85,14 @@ class ImplicitStep:
     def matrices(self, space, tau):
         """The condensed K = P^T (c M + tau A) P, the system and the Dirichlet dofs.
 
-        The system is K on K's pattern with unit Dirichlet and slave rows.
+        K and the system are :class:`sparse_la.Csr` values; the system is K
+        on K's index arrays with unit Dirichlet and slave rows.
         Only the last set is held; it is reused while the space object is
         the same and tau is bit-equal.
         """
         if space is not self._space or tau != self._tau:
-            K = fem.assemble_system(space, self.mass_factor * self.coeff.rho,
-                                    tau * self.coeff.epsilon)
+            K = fem.assemble_csr(space, self.mass_factor * self.coeff.rho,
+                                 tau * self.coeff.epsilon)
             dofs = space.boundary_dofs(DIRICHLET)
             fixed = np.union1d(dofs, space.constraints.slaves)
             self._space, self._tau = space, tau
@@ -113,7 +117,7 @@ class ImplicitStep:
             raise sparse_la.SolverError(
                 f"{self.march} solve failed on slab {n}: {err}", err.iterations, err.residual
             ) from err
-        residual = float(np.linalg.norm(rhs - system @ x))
+        residual = float(np.linalg.norm(rhs - sparse_la.spmv(system, x)))
         return cs.distribute(x), iters, residual
 
 

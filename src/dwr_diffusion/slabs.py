@@ -7,16 +7,19 @@ adaptation loop's slabs exist; earlier loops are not kept.
 
 A mesh and its two spaces are one shared value: all initial slabs hold
 one copy of the coarse mesh and one space pair, and a time split hands
-both halves the parent's.  Only :meth:`Slab.refine` changes a slab's
-mesh, and it refines a fresh ``copy()``, so no refinement reaches another
-slab.  Every slab mesh thus refines one coarse mesh, which
-:func:`fem.transfer` relies on to walk the refinement forests down from
-the shared root cells.
+both halves the parent's.  The dual space is built on first use of
+:attr:`Slab.dual`, by a cached builder that those slabs share, so they
+share one dual space too and a loop that never runs the dual builds none.
+Only :meth:`Slab.refine` changes a slab's mesh, and it refines a fresh
+``copy()``, so no refinement reaches another slab.  Every slab mesh thus
+refines one coarse mesh, which :func:`fem.transfer` relies on to walk the
+refinement forests down from the shared root cells.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +73,15 @@ class Slab:
     def tau(self):
         return self.interval.tau
 
+    @property
+    def dual(self):
+        """The dual space, built on first use and shared with this slab's time-split copies."""
+        return self._dual()
+
     def rebuild_spaces(self):
-        """Refresh both spaces after a mesh refinement; drops all storage."""
+        """Refresh both spaces after a mesh refinement, the dual one lazily; drops all storage."""
         self.primal = FeSpace(self.mesh, self.primal_degree)
-        self.dual = FeSpace(self.mesh, self.dual_degree)
+        self._dual = functools.cache(functools.partial(FeSpace, self.mesh, self.dual_degree))
         self._storage.clear()
 
     def refine(self, marks):

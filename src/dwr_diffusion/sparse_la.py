@@ -1,38 +1,54 @@
 """Sparse linear algebra kernels for the per-slab systems.
 
-CSR storage is provided by scipy (``csr_matrix.indptr/.indices/.data`` are
-the row offsets, sorted column indices and values); the conjugate-gradient
-solver, the symmetric Dirichlet elimination and the hanging-node
-condensation are implemented here so that their exact behaviour is under
-our control.  All systems handled here are symmetric positive definite on
-the unconstrained subspace; coefficients are 64-bit floats.
+A matrix on the solve path is a :class:`Csr` value: the raw CSR arrays
+(row offsets, sorted column indices, float64 values) and the shape, with no
+scipy matrix object around them.  :func:`coo_to_csr` builds one from
+``(row, col, value)`` triplets with scipy's own compiled routines in
+``scipy.sparse._sparsetools``, in the order and under the checks scipy's
+constructor uses, so its arrays and their dtypes are bitwise those of
+``csr_matrix((v, (r, c)), shape)``; :func:`to_scipy` wraps one into a scipy
+matrix for the public helpers, which take and return scipy matrices.  All
+systems handled here are symmetric positive definite on the unconstrained
+subspace.
 
-Constraints are closed on entry arrays into one prolongation P, held as
-raw CSR arrays (row offsets, sorted column indices, values); its rows
+The conjugate-gradient solver, the symmetric Dirichlet elimination and the
+hanging-node condensation are implemented here so that their exact
+behaviour is under our control.  Constraints are closed on entry arrays
+into one prolongation P, held as a :class:`Csr`; its rows
 :meth:`ConstraintSet.expand` hands to the assembler to condense while it
 scatters.  A scipy matrix of P is built only by ``condense_matrix``, which
 with ``pin`` and :func:`eliminate_dirichlet` serves the public helpers, not
 the solve path.
 
-:func:`cg_solve` takes CSR input only and allocates no work vector per
-iteration: its products call ``scipy.sparse._sparsetools.csr_matvec``
-directly, writing into one preallocated vector.  That private routine is
-the kernel ``A @ v`` ends in for a CSR matrix, and ``csc_matvec`` the one
-``P.T @ b`` ends in; :meth:`ConstraintSet.distribute` and
-:meth:`ConstraintSet.condense_vector` call the two on P's arrays.  The
-results are the ones the operators would give; tests pin them bitwise, and
-a scipy that drops either routine fails at package import, not inside a
-solve.
+Products call the raw kernels: ``csr_matvec``, the one ``A @ v`` ends in
+for a CSR matrix, in :func:`cg_solve`, :func:`spmv` and
+:meth:`ConstraintSet.distribute`; ``csc_matvec``, the one ``P.T @ b`` ends
+in, in :meth:`ConstraintSet.condense_vector`; and ``csr_diagonal``, the one
+``A.diagonal()`` ends in, for the CG preconditioner.  The results are the
+ones the operators would give; tests pin them bitwise, and a scipy that
+drops any of these routines fails at package import, not inside a solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvec as _csc_matvec, csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import (
+    coo_tocsr as _coo_tocsr,
+    csc_matvec as _csc_matvec,
+    csr_diagonal as _csr_diagonal,
+    csr_has_canonical_format as _csr_has_canonical_format,
+    csr_has_sorted_indices as _csr_has_sorted_indices,
+    csr_matvec as _csr_matvec,
+    csr_sort_indices as _csr_sort_indices,
+    csr_sum_duplicates as _csr_sum_duplicates,
+)
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class SolverError(RuntimeError):
@@ -67,8 +83,56 @@ class SolverControl:
             raise ValueError("tolerances must be > 0")
 
 
+class Csr(NamedTuple):
+    """A CSR matrix as raw arrays: row offsets, sorted column indices, values, and its shape.
+
+    The field names are a scipy CSR matrix's attribute names, so code that
+    reads only these four takes either.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+def coo_to_csr(rows, cols, vals, shape):
+    """:class:`Csr` of ``(row, col, value)`` triplets; duplicates summed, explicit zeros kept.
+
+    The arrays and their dtypes are bitwise those of scipy's
+    ``csr_matrix((vals, (rows, cols)), shape)``: indices are int32 while the
+    shape and the entry count fit, then scipy's ``coo_tocsr`` runs and,
+    unless its result is canonical, ``csr_sort_indices`` (unless sorted)
+    and ``csr_sum_duplicates``.  Values are float64.  Out-of-range indices
+    raise ``ValueError``, as the raw kernels check no bounds.
+    """
+    n_rows, n_cols = shape
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
+    nnz = len(vals)
+    if nnz:
+        if rows.min() < 0 or rows.max() >= n_rows:
+            raise ValueError("row index out of range")
+        if cols.min() < 0 or cols.max() >= n_cols:
+            raise ValueError("column index out of range")
+    index = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
+    indptr, indices, data = np.empty(n_rows + 1, index), np.empty(nnz, index), np.empty(nnz)
+    _coo_tocsr(n_rows, n_cols, nnz, rows.astype(index, copy=False),
+               cols.astype(index, copy=False), vals, indptr, indices, data)
+    if not _csr_has_canonical_format(n_rows, indptr, indices):
+        if not _csr_has_sorted_indices(n_rows, indptr, indices):
+            _csr_sort_indices(n_rows, indptr, indices, data)
+        _csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+        indices, data = indices[:indptr[-1]].copy(), data[:indptr[-1]].copy()
+    return Csr(indptr, indices, data, (n_rows, n_cols))
+
+
+def to_scipy(A):
+    """The scipy CSR matrix of a :class:`Csr`, on its arrays where their dtypes allow."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def csr_from_triplets(n_rows, n_cols, triplets):
-    """Build a CSR matrix from ``(row, col, value)`` triplets.
+    """Build a scipy CSR matrix from ``(row, col, value)`` triplets.
 
     Duplicate entries are summed; column indices are sorted within each
     row.  Out-of-range indices raise ``ValueError``.
@@ -78,16 +142,7 @@ def csr_from_triplets(n_rows, n_cols, triplets):
     else:
         rows = cols = np.empty(0, dtype=int)
         vals = np.empty(0)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows:
-            raise ValueError("row index out of range")
-        if cols.min() < 0 or cols.max() >= n_cols:
-            raise ValueError("column index out of range")
-    mat = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n_rows, n_cols))
-    mat = mat.tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return to_scipy(coo_to_csr(rows, cols, vals, (n_rows, n_cols)))
 
 
 def concat_ranges(starts, counts):
@@ -97,11 +152,19 @@ def concat_ranges(starts, counts):
 
 
 def spmv(A, x):
-    """Matrix-vector product ``y = A x`` with a dimension check."""
+    """Matrix-vector product ``y = A x`` with a dimension check.
+
+    A :class:`Csr` runs the raw kernel into a zero vector, which is what
+    ``A @ x`` does for a scipy CSR matrix; any scipy matrix runs ``A @ x``.
+    """
     x = np.asarray(x, dtype=float)
-    if A.shape[1] != x.shape[0]:
+    if A.shape[1] != x.shape[0] or (isinstance(A, Csr) and x.ndim != 1):
         raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
+    if not isinstance(A, Csr):
+        return A @ x
+    out = np.zeros(A.shape[0])
+    _csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def cg_solve(A, b, ctrl=SolverControl(), x0=None):
@@ -109,10 +172,10 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
 
     Returns ``(x, iterations)``.  Raises :class:`SolverError` if the
     residual target is not met within ``ctrl.max_iterations``, or at once
-    when ``||b||`` or a residual is not finite.  ``A`` must be a scipy CSR
-    matrix (any other format raises ``TypeError``; CSC would apply A^T);
-    ``b`` and ``x0`` are checked against its shape before the first
-    product and never written to.
+    when ``||b||`` or a residual is not finite.  ``A`` must be a :class:`Csr`
+    or a scipy CSR matrix (any other format raises ``TypeError``; CSC would
+    apply A^T); ``b`` and ``x0`` are checked against its shape before the
+    first product and never written to.
 
     Each product is the raw CSR kernel into one preallocated vector, and
     x, r, z and p are updated in place, so an iteration allocates no work
@@ -125,7 +188,7 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
     ``x0`` already carries their values: their residual starts at zero and
     every CG update leaves them untouched.
     """
-    if not (sp.issparse(A) and A.format == "csr"):
+    if not (isinstance(A, Csr) or sp.issparse(A) and A.format == "csr"):
         got = A.format if sp.issparse(A) else type(A).__name__
         raise TypeError(f"cg_solve needs a CSR matrix, got {got}")
     b = np.asarray(b, dtype=float)
@@ -135,13 +198,14 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial guess shape {x.shape} does not match rhs {b.shape}")
-    data = A.data.astype(float, copy=False)
+    indptr, indices, data = A.indptr, A.indices, A.data.astype(float, copy=False)
 
     def matvec(v, out):
         out.fill(0.0)  # the kernel accumulates: out += A v
-        _csr_matvec(n, n, A.indptr, A.indices, data, v, out)
+        _csr_matvec(n, n, indptr, indices, data, v, out)
 
-    diag = A.diagonal().copy()
+    diag = np.empty(n)
+    _csr_diagonal(0, n, n, indptr, indices, data, diag)
     diag[diag == 0.0] = 1.0
     inv_diag = 1.0 / diag
 
@@ -214,7 +278,8 @@ def eliminate_dirichlet(A, dofs):
 def eliminate_on_pattern(A, dofs):
     """:func:`eliminate_dirichlet` on the pattern of a CSR ``A`` that stores its whole diagonal.
 
-    The result shares A's index arrays; explicit zeros stay.
+    ``A`` is a :class:`Csr` or a scipy CSR matrix; the result is a
+    :class:`Csr` on A's index arrays, explicit zeros kept.
     """
     n = A.shape[0]
     keep = np.ones(n)
@@ -223,18 +288,18 @@ def eliminate_on_pattern(A, dofs):
     data = A.data * (keep[rows] * keep[A.indices])
     diagonal = rows == A.indices
     data[diagonal] += 1.0 - keep[rows[diagonal]]
-    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    return Csr(A.indptr, A.indices, data, A.shape)
 
 
 def lift_dirichlet(A, b, dofs, values):
     """``b - A g`` off ``dofs`` and ``values`` on them, for g = ``values`` on ``dofs``.
 
-    ``A`` is the matrix before :func:`eliminate_dirichlet`.
+    ``A`` is the matrix before :func:`eliminate_dirichlet`, a :class:`Csr` or any scipy matrix.
     """
     b = np.asarray(b, dtype=float)
     g = np.zeros(b.shape[0])
     g[dofs] = values
-    b_new = b - A @ g
+    b_new = b - spmv(A, g)
     b_new[dofs] = values
     return b_new
 
@@ -306,15 +371,15 @@ class ConstraintSet:
     prolongation P is the identity on unconstrained dofs and carries the
     master weights on slave rows (zero slave diagonal).
 
-    P is held as the CSR arrays ``_indptr``, ``_indices`` and ``_data``;
-    ``P x`` and ``P^T b`` are the raw CSR and CSC kernels on them, and only
-    :meth:`condense_matrix` builds a scipy matrix of P.
+    P is held as the :class:`Csr` ``_P``; ``P x`` and ``P^T b`` are the raw
+    CSR and CSC kernels on its arrays, and only :meth:`condense_matrix`
+    builds a scipy matrix of P.
     """
 
     def __init__(self, n_dofs, slaves, masters, weights, offsets=None):
         self.n_dofs = n_dofs
         P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
-        self._indptr, self._indices, self._data = P
+        self._P = Csr(*P, (n_dofs, n_dofs))
         self._slaves.flags.writeable = False
 
     def __len__(self):
@@ -333,33 +398,38 @@ class ConstraintSet:
         """The closed row of ``slave``: (master, weight) pairs by ascending master."""
         if slave not in self:
             raise KeyError(slave)
-        lo, hi = self._indptr[slave], self._indptr[slave + 1]
-        return tuple(zip(self._indices[lo:hi].tolist(), self._data[lo:hi].tolist()))
+        P = self._P
+        lo, hi = P.indptr[slave], P.indptr[slave + 1]
+        return tuple(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
 
     def expand(self, dofs):
         """Closed rows of ``dofs`` as entries (position in ``dofs``, master, weight).
 
         A dof that is no slave is its own master with weight 1.
         """
-        indptr = self._indptr
-        count = indptr[dofs + 1] - indptr[dofs]
-        at = concat_ranges(indptr[dofs], count)
-        return np.repeat(np.arange(len(dofs)), count), self._indices[at], self._data[at]
+        P = self._P
+        count = P.indptr[dofs + 1] - P.indptr[dofs]
+        at = concat_ranges(P.indptr[dofs], count)
+        return np.repeat(np.arange(len(dofs)), count), P.indices[at], P.data[at]
 
     def condense_matrix(self, A):
         """P^T A P; slave rows/columns end up empty (give them unit rows before solving)."""
         if not len(self):
             return A
-        P = sp.csr_matrix((self._data, self._indices, self._indptr), shape=(self.n_dofs,) * 2)
+        P = to_scipy(self._P)
         return (P.T @ A @ P).tocsr()
 
     def _product(self, kernel, v):
-        """P v through ``_csr_matvec`` or P^T v through ``_csc_matvec``, on P's arrays."""
+        """P v through ``_csr_matvec`` or P^T v through ``_csc_matvec``, on P's arrays.
+
+        P is square, so its CSR arrays are the CSC arrays of P^T.
+        """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_dofs,):  # the raw kernels do no bounds checks
             raise ValueError(f"vector shape {v.shape} does not match {self.n_dofs} dofs")
         out = np.zeros(self.n_dofs)
-        kernel(self.n_dofs, self.n_dofs, self._indptr, self._indices, self._data, v, out)
+        P = self._P
+        kernel(*P.shape, P.indptr, P.indices, P.data, v, out)
         return out
 
     def condense_vector(self, b):

@@ -1,14 +1,19 @@
 import dataclasses
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 
-from dwr_diffusion import QuadMesh, dwr_loop, parse_parameter_file
+from dwr_diffusion import FeSpace, QuadMesh, dwr_loop, fem, parse_parameter_file
+from dwr_diffusion.output import OutputWriter
 
 PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
 
@@ -182,3 +187,67 @@ def test_a_loop_that_marks_nothing_fails_naming_the_loop_and_the_fractions(skip_
     assert str(exc.value).startswith(
         "loop 1: no slab and no cell is marked (theta_tau = 0, theta_h1 = 0, theta_h2 = 0, "
         f"skip_zero_indicators = {str(skip_zero).lower()})")
+
+
+def test_a_solve_builds_no_scipy_sparse_matrix(monkeypatch):
+    """The step systems are raw CSR arrays from assembly to the reported residual."""
+    built = []
+    init = _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    result = dwr_loop(shipped(2))
+    assert len(result.records) == 2 and any(len(s.primal.constraints) for s in result.slabs)
+    assert built == []
+    fem.assemble_mass(result.slabs[0].primal)  # the public assembly wraps into scipy
+    assert built == ["csr_matrix"]
+
+
+def test_the_loop_that_meets_the_goal_builds_no_dual_space(monkeypatch, tmp_path):
+    """Dual spaces are built on first use, by the dual march, so the goal-met loop builds none."""
+    degrees = []
+    init = FeSpace.__init__
+
+    def counted(self, mesh, degree):
+        degrees.append(degree)
+        init(self, mesh, degree)
+
+    monkeypatch.setattr(FeSpace, "__init__", counted)
+    writer, dual_builds = OutputWriter(tmp_path), []
+
+    def on_loop(*args):
+        writer.on_loop(*args)  # the final loop writes every slab's VTK file
+        dual_builds.append(degrees.count(2))
+
+    result = dwr_loop(shipped(10, tol=0.15), on_loop=on_loop)
+    assert result.converged and len(result.records) >= 3
+    # one coarse dual space shared by the initial slabs, more after each adaptation
+    assert dual_builds[0] == 1 and dual_builds[-2] > dual_builds[-3]
+    assert dual_builds[-1] == dual_builds[-2] == degrees.count(2)
+
+
+SOLVE_SCRIPT = """
+import dataclasses, sys
+import dwr_diffusion, dwr_diffusion.output
+config = dwr_diffusion.parse_parameter_file(sys.argv[1])
+config = dataclasses.replace(config, adapt=dataclasses.replace(config.adapt, max_loops=2))
+writer = dwr_diffusion.output.OutputWriter(sys.argv[2])
+before = set(sys.modules)
+result = dwr_diffusion.dwr_loop(config, on_loop=writer.on_loop)
+writer.finish(result.records)
+print(len(result.records), sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_solve_imports_no_module(tmp_path):
+    """Whatever a solve uses is loaded with the package, not inside the solve."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SOLVE_SCRIPT, str(PARAMETER_FILE), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "2 []"
+    assert (tmp_path / "convergence.csv").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwr_diffusion.fem import FeSpace
 from dwr_diffusion.marking import execute_adaptation
 from dwr_diffusion.mesh import make_lshape
 from dwr_diffusion.slabs import Slab, SlabList, TimeInterval, init_slabs
@@ -90,6 +91,23 @@ class TestSplit:
         with pytest.raises(RuntimeError):
             shared.dual.dofs_on_cell(1)
         refined.primal.dofs_on_cell(refined.primal.active_ids[0])
+
+    def test_split_halves_share_one_dual_built_on_first_use(self, lshape, monkeypatch):
+        degrees = []
+        init = FeSpace.__init__
+
+        def counted(self, mesh, degree):
+            degrees.append(degree)
+            init(self, mesh, degree)
+
+        monkeypatch.setattr(FeSpace, "__init__", counted)
+        slabs = init_slabs(lshape, 0.0, 1.0, 3).split_slab_in_time(1)
+        assert degrees == [1]  # the shared primal space; no dual yet
+        dual = slabs[2].dual
+        assert all(slab.dual is dual for slab in slabs) and degrees == [1, 2]
+        slabs[0].refine({0})
+        assert degrees == [1, 2, 1] and slabs[0].dual is not dual
+        assert slabs[0].dual.mesh is slabs[0].mesh and degrees == [1, 2, 1, 2]
 
     def test_storage_cleared_on_split(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 2)

@@ -66,6 +66,80 @@ class TestTriplets:
             assert np.all(np.diff(row) > 0)
 
 
+def csr_fields(A):
+    """The index and value arrays of a CSR matrix, raw or scipy, with the shape."""
+    return A.indptr, A.indices, A.data, A.shape
+
+
+def assert_bitwise(got, expected):
+    """Equal arrays with equal dtypes, compared by their bytes (so -0.0 differs from 0.0)."""
+    for a, b in zip(csr_fields(got), csr_fields(expected)):
+        if isinstance(a, tuple):
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def triplets(draw):
+    """COO triplets with many duplicates, unsorted columns, empty rows and explicit zeros.
+
+    ``layout`` picks the branch of scipy's canonicalisation the triplets take:
+    shuffled (sort and sum), row-major with duplicates (sum only) or
+    row-major and distinct (already canonical).
+    """
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(0, 80))
+    # few distinct rows and columns, so entries repeat and some rows stay empty
+    rows = rng.choice(rng.choice(n_rows, rng.integers(1, n_rows + 1)), nnz)
+    cols = rng.choice(rng.choice(n_cols, rng.integers(1, n_cols + 1)), nnz)
+    vals = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, 1e-17, 3.0], nnz) * rng.random(nnz).round(1)
+    layout = draw(st.sampled_from(["shuffled", "sorted", "distinct"]))
+    if layout != "shuffled":
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    if layout == "distinct":
+        first = np.ones(nnz, dtype=bool)
+        first[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
+        rows, cols, vals = rows[first], cols[first], vals[first]
+    return rows, cols, vals, (n_rows, n_cols)
+
+
+class TestCooToCsr:
+    """The raw builder gives scipy's ``csr_matrix((v, (r, c)), shape)`` arrays bitwise."""
+
+    @given(triplets(), st.sampled_from([np.int64, np.int32]))
+    def test_arrays_and_dtypes_are_scipy_s(self, coo, index_dtype):
+        rows, cols, vals, shape = coo
+        rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
+        expected = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        got = sparse_la.coo_to_csr(rows, cols, vals, shape)
+        assert got.indices.dtype == np.int32
+        assert_bitwise(got, expected)
+
+    def test_a_shape_past_int32_takes_int64_indices_as_scipy_does(self):
+        rows, cols, vals = np.array([1, 0, 1]), np.array([2**31, 5, 2**31]), np.ones(3)
+        shape = (2, 2**31 + 1)
+        expected = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        got = sparse_la.coo_to_csr(rows, cols, vals, shape)
+        assert got.indices.dtype == np.int64
+        assert_bitwise(got, expected)
+
+    @pytest.mark.parametrize("rows, cols", [([0, 2], [0, 0]), ([0, -1], [0, 0]),
+                                            ([0, 0], [0, 2]), ([0, 0], [-1, 0])])
+    def test_out_of_range_indices_are_refused(self, rows, cols):
+        with pytest.raises(ValueError, match="out of range"):
+            sparse_la.coo_to_csr(np.array(rows), np.array(cols), np.ones(2), (2, 2))
+
+    def test_scipy_wrapping_shares_the_arrays(self, rng):
+        rows, cols = rng.integers(0, 6, 30), rng.integers(0, 6, 30)
+        raw = sparse_la.coo_to_csr(rows, cols, rng.standard_normal(30), (6, 6))
+        A = sparse_la.to_scipy(raw)
+        assert A.format == "csr" and A.shape == raw.shape
+        assert all(np.shares_memory(a, b) for a, b in zip(csr_fields(A)[:3], raw[:3]))
+
+
 class TestSpmv:
     def test_identity(self):
         I = csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
@@ -248,7 +322,7 @@ class TestCgBitIdentity:
         A, b, x0 = step_system(sheared_irregular_lshape, degree, c, rng)
         for ctrl in (SolverControl(), TIGHT):
             x, iters = cg_solve(A, b, ctrl, x0=x0)
-            x_ref, iters_ref = reference_cg(A, b, ctrl, x0=x0)
+            x_ref, iters_ref = reference_cg(sparse_la.to_scipy(A), b, ctrl, x0=x0)
             assert iters == iters_ref > 0
             assert np.array_equal(x, x_ref)
 
@@ -257,12 +331,13 @@ class TestCgBitIdentity:
     def test_early_stop_reports_the_reference_residual(self, sheared_irregular_lshape, rng,
                                                        degree, c):
         A, b, x0 = step_system(sheared_irregular_lshape, degree, c, rng)
-        stop = reference_cg(A, b, TIGHT, x0=x0)[1] // 2
+        A_ref = sparse_la.to_scipy(A)
+        stop = reference_cg(A_ref, b, TIGHT, x0=x0)[1] // 2
         ctrl = dataclasses.replace(TIGHT, max_iterations=stop)
         with pytest.raises(SolverError) as exc:
             cg_solve(A, b, ctrl, x0=x0)
         with pytest.raises(SolverError) as ref:
-            reference_cg(A, b, ctrl, x0=x0)
+            reference_cg(A_ref, b, ctrl, x0=x0)
         assert exc.value.iterations == ref.value.iterations == stop
         assert exc.value.residual == ref.value.residual
         assert str(exc.value) == str(ref.value)
@@ -277,6 +352,39 @@ class TestCgBitIdentity:
         sparse_la._csr_matvec(40, 40, A.indptr, A.indices, A.data, v, out)
         assert A.indices.dtype == A.indptr.dtype == index_dtype
         assert np.array_equal(out, A @ v)
+
+
+class TestCgRawInput:
+    """A :class:`sparse_la.Csr` and the scipy matrix on its arrays solve alike, bit for bit."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_iterates_and_iterations_are_equal(self, sheared_irregular_lshape, rng, monkeypatch,
+                                               degree, c):
+        A, b, x0 = step_system(sheared_irregular_lshape, degree, c, rng)
+        assert isinstance(A, sparse_la.Csr)
+        kernel, products = sparse_la._csr_matvec, []
+
+        def recorded(n_row, n_col, indptr, indices, data, v, out):
+            products.append(v.copy())  # the initial guess, then every search direction
+            kernel(n_row, n_col, indptr, indices, data, v, out)
+
+        monkeypatch.setattr(sparse_la, "_csr_matvec", recorded)
+        runs = []
+        for matrix in (A, sparse_la.to_scipy(A)):
+            products.clear()
+            x, iters = cg_solve(matrix, b, TIGHT, x0=x0)
+            runs.append((x, iters, list(products)))
+        (x, iters, raw), (x_sp, iters_sp, scipy_run) = runs
+        assert iters == iters_sp > 0 and len(raw) == len(scipy_run) == iters + 1
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(raw, scipy_run))
+        assert x.tobytes() == x_sp.tobytes()
+
+    def test_the_residual_product_is_the_scipy_product(self, sheared_irregular_lshape, rng):
+        A, b, _ = step_system(sheared_irregular_lshape, 2, 1.0, rng)
+        assert spmv(A, b).tobytes() == (sparse_la.to_scipy(A) @ b).tobytes()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spmv(A, b[:-1])
 
 
 class TestCgInputs:
@@ -315,6 +423,7 @@ class TestCgInputs:
 
     def test_inputs_are_left_untouched(self, sheared_irregular_lshape, rng, spy):
         A, b, x0 = step_system(sheared_irregular_lshape, 1, 1.0, rng)
+        spy.clear()  # the Dirichlet lift in step_system runs the kernel too
         saved = b.copy(), x0.copy(), A.data.copy()
         x, iters = cg_solve(A, b, SolverControl(), x0=x0)
         assert len(spy) == iters + 1
@@ -535,7 +644,7 @@ class TestConstraintProducts:
         rng = np.random.default_rng(seed)
         owner, masters, weights, offsets = layered_constraints(rng)
         cs = ConstraintSet(40, owner, masters, weights, offsets)
-        P = sp.csr_matrix((cs._data, cs._indices, cs._indptr), shape=(40, 40))
+        P = sparse_la.to_scipy(cs._P)
         x, b = rng.standard_normal(40), rng.standard_normal(40)
         assert np.array_equal(cs.distribute(x), P @ x + cs._c)
         assert np.array_equal(cs.condense_vector(b), P.T @ b)
