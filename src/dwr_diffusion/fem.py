@@ -43,10 +43,10 @@ Matrices are one scatter, :func:`assemble_csr`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
 ``condense=False`` (deal.II's ``distribute_local_to_global``): master rows
 carry the slave contributions, slave rows are empty.  It returns a raw
-:class:`sparse_la.Csr`, which the solve path keeps; :func:`assemble_system`,
-:func:`assemble_mass` and :func:`assemble_stiffness` wrap it into a scipy
-matrix.  The solve path also applies M cell by cell, :func:`mass_product`,
-and condenses its loads in :class:`primal.ImplicitStep`.
+:class:`sparse_la.Csr`, which the solve path keeps; :func:`assemble_mass`
+and :func:`assemble_stiffness` wrap it into a scipy matrix.  The solve path
+also applies M cell by cell, :func:`mass_product`, and condenses its loads
+in :class:`primal.ImplicitStep`.
 """
 
 from __future__ import annotations
@@ -421,20 +421,12 @@ def assemble_csr(space, mass=0.0, stiffness=0.0, condense=True):
         at, masters, weights = np.arange(dofs.size), dofs, np.ones(dofs.size)
     # pair every expanded entry with every expanded entry of its cell
     cell = at // nloc
-    per_cell = np.bincount(cell, minlength=len(local))
-    count = per_cell[cell]
-    left = np.repeat(np.arange(len(at)), count)
-    right = sparse_la.concat_ranges((np.cumsum(per_cell) - per_cell)[cell], count)
+    left, right = sparse_la.pair_groups(cell, cell, len(local))
     row_base, col = at * nloc, at % nloc  # entry (a, b) of a cell is local.flat[row_base + b]
     vals = local.ravel()[row_base[left] + col[right]] * (weights[left] * weights[right])
     diagonal = np.arange(n)
     rows, cols = (np.concatenate([masters[side], diagonal]) for side in (left, right))
     return sparse_la.coo_to_csr(rows, cols, np.concatenate([vals, np.zeros(n)]), (n, n))
-
-
-def assemble_system(space, mass=0.0, stiffness=0.0, condense=True):
-    """The scipy CSR matrix of :func:`assemble_csr`."""
-    return sparse_la.to_scipy(assemble_csr(space, mass, stiffness, condense))
 
 
 def mass_product(space, density, x):
@@ -447,13 +439,13 @@ def mass_product(space, density, x):
 
 
 def assemble_mass(space, density=1.0, condense=True):
-    """Mass matrix with constant coefficient ``density``; see :func:`assemble_system`."""
-    return assemble_system(space, mass=float(density), condense=condense)
+    """The scipy CSR mass matrix of constant coefficient ``density``; see :func:`assemble_csr`."""
+    return sparse_la.to_scipy(assemble_csr(space, mass=float(density), condense=condense))
 
 
 def assemble_stiffness(space, diffusivity=1.0, condense=True):
-    """Stiffness matrix with constant coefficient ``diffusivity``; see :func:`assemble_system`."""
-    return assemble_system(space, stiffness=float(diffusivity), condense=condense)
+    """The scipy CSR stiffness matrix of constant ``diffusivity``; see :func:`assemble_csr`."""
+    return sparse_la.to_scipy(assemble_csr(space, stiffness=float(diffusivity), condense=condense))
 
 
 def assemble_load_volume(space, f, condense=True):

@@ -2,23 +2,22 @@
 
 A matrix on the solve path is a :class:`Csr` value: the raw CSR arrays
 (row offsets, sorted column indices, float64 values) and the shape, with no
-scipy matrix object around them.  :func:`coo_to_csr` builds one from
-``(row, col, value)`` triplets with scipy's own compiled routines in
-``scipy.sparse._sparsetools``, in the order and under the checks scipy's
-constructor uses, so its arrays and their dtypes are bitwise those of
-``csr_matrix((v, (r, c)), shape)``; :func:`to_scipy` wraps one into a scipy
-matrix for the public helpers, which take and return scipy matrices.  All
-systems handled here are symmetric positive definite on the unconstrained
-subspace.
+scipy matrix object around them.  :func:`coo_to_csr`, the one builder of
+CSR arrays from entries, takes ``(row, col, value)`` triplets to scipy's
+own compiled routines in ``scipy.sparse._sparsetools``, in the order and
+under the checks scipy's constructor uses, so its arrays and their dtypes
+are bitwise those of ``csr_matrix((v, (r, c)), shape)``.  All systems
+handled here are symmetric positive definite on the unconstrained subspace.
 
 The conjugate-gradient solver, the symmetric Dirichlet elimination and the
-hanging-node condensation are implemented here so that their exact
-behaviour is under our control.  Constraints are closed on entry arrays
-into one prolongation P, held as a :class:`Csr`; its rows
-:meth:`ConstraintSet.expand` hands to the assembler to condense while it
-scatters.  A scipy matrix of P is built only by ``condense_matrix``, which
-with ``pin`` and :func:`eliminate_dirichlet` serves the public helpers, not
-the solve path.
+hanging-node condensation are implemented here so that their exact behaviour
+is under our control.  Constraints are closed on entry arrays into one
+prolongation P, held as a :class:`Csr`.  Condensing replaces an entry's row
+and column by their closed rows of P (:meth:`ConstraintSet.expand`) and pairs
+the terms (:func:`pair_groups`), in the assembler while it scatters.  The
+public helpers take and return scipy matrices but run on the same primitives:
+``scipy.sparse`` serves only :func:`to_scipy`, which wraps their results, and
+:func:`cg_solve`'s format check.
 
 Products call the raw kernels: ``csr_matvec``, the one ``A @ v`` ends in
 for a CSR matrix, in :func:`cg_solve`, :func:`spmv` and
@@ -41,6 +40,7 @@ from scipy.sparse._sparsetools import (
     coo_tocsr as _coo_tocsr,
     csc_matvec as _csc_matvec,
     csr_diagonal as _csr_diagonal,
+    csr_eliminate_zeros as _csr_eliminate_zeros,
     csr_has_canonical_format as _csr_has_canonical_format,
     csr_has_sorted_indices as _csr_has_sorted_indices,
     csr_matvec as _csr_matvec,
@@ -151,6 +151,17 @@ def concat_ranges(starts, counts):
     return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
+def pair_groups(left, right, n_groups):
+    """Index pairs ``(i, j)`` with ``left[i] == right[j]``, by ascending i, then j.
+
+    ``left`` and ``right`` are group labels in ``[0, n_groups)``; ``right`` is sorted.
+    """
+    per_group = np.bincount(right, minlength=n_groups)
+    count = per_group[left]
+    start = np.cumsum(per_group) - per_group
+    return np.repeat(np.arange(len(left)), count), concat_ranges(start[left], count)
+
+
 def spmv(A, x):
     """Matrix-vector product ``y = A x`` with a dimension check.
 
@@ -184,7 +195,7 @@ def cg_solve(A, b, ctrl=SolverControl(), x0=None):
     vectors, so every iterate is bit-identical to that loop's.
 
     Rows that are fully decoupled (unit diagonal, zero off-diagonals, as
-    produced by :func:`eliminate_dirichlet`) are reproduced bit-exactly when
+    produced by :func:`eliminate_on_pattern`) are reproduced bit-exactly when
     ``x0`` already carries their values: their residual starts at zero and
     every CG update leaves them untouched.
     """
@@ -254,32 +265,27 @@ def apply_dirichlet(A, b, boundary_values):
     Constrained rows and columns are zeroed except for a unit diagonal,
     the right-hand side is adjusted so the remaining equations see the
     boundary values, and ``b`` carries the values on the constrained rows.
-    Returns new ``(A, b)``; the inputs are left untouched.  A caller that
-    keeps the matrix for several right-hand sides calls the two halves.
+    ``A`` is any scipy matrix; returns a new scipy CSR matrix (explicit zeros
+    kept) and a new ``b``, from the halves a caller that keeps the matrix
+    calls: :func:`eliminate_on_pattern` and :func:`lift_dirichlet`.
     """
     dofs = np.fromiter(boundary_values.keys(), dtype=int, count=len(boundary_values))
     values = np.fromiter(boundary_values.values(), dtype=float, count=len(boundary_values))
-    return eliminate_dirichlet(A, dofs), lift_dirichlet(A, b, dofs, values)
-
-
-def eliminate_dirichlet(A, dofs):
-    """Copy of ``A`` with the rows and columns of ``dofs`` zeroed but for a unit diagonal."""
     n = A.shape[0]
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError("constrained dof out of range")
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    A_new = sp.csr_matrix(A, copy=True)
-    rows = np.repeat(np.arange(n), np.diff(A_new.indptr))
-    A_new.data *= keep[rows] * keep[A_new.indices]
-    return (A_new + sp.diags(1.0 - keep)).tocsr()
+    A = A.tocoo()
+    diagonal = np.arange(n)
+    K = coo_to_csr(np.concatenate([A.row, diagonal]), np.concatenate([A.col, diagonal]),
+                   np.concatenate([A.data, np.zeros(n)]), A.shape)
+    return to_scipy(eliminate_on_pattern(K, dofs)), lift_dirichlet(K, b, dofs, values)
 
 
 def eliminate_on_pattern(A, dofs):
-    """:func:`eliminate_dirichlet` on the pattern of a CSR ``A`` that stores its whole diagonal.
+    """Copy of a CSR ``A`` with the rows and columns of ``dofs`` zeroed but for a unit diagonal.
 
-    ``A`` is a :class:`Csr` or a scipy CSR matrix; the result is a
-    :class:`Csr` on A's index arrays, explicit zeros kept.
+    ``A`` stores its whole diagonal and is a :class:`Csr` or a scipy CSR
+    matrix; the result is a :class:`Csr` on A's index arrays, explicit zeros kept.
     """
     n = A.shape[0]
     keep = np.ones(n)
@@ -294,7 +300,7 @@ def eliminate_on_pattern(A, dofs):
 def lift_dirichlet(A, b, dofs, values):
     """``b - A g`` off ``dofs`` and ``values`` on them, for g = ``values`` on ``dofs``.
 
-    ``A`` is the matrix before :func:`eliminate_dirichlet`, a :class:`Csr` or any scipy matrix.
+    ``A`` is the matrix before :func:`eliminate_on_pattern`, a :class:`Csr` or any scipy matrix.
     """
     b = np.asarray(b, dtype=float)
     g = np.zeros(b.shape[0])
@@ -305,18 +311,15 @@ def lift_dirichlet(A, b, dofs, values):
 
 
 def _closure(n, owner, masters, weights, offsets):
-    """CSR arrays ``(indptr, indices, data)`` of P, offsets c and sorted slaves of the closure.
+    """The :class:`Csr` P, offsets c and sorted slaves of the closure.
 
     Each entry (``owner``, ``masters``, ``weights``) whose master is a slave
     is replaced by that master's raw row, weights multiplied, until no master
     is a slave: P = Q^k for Q = diag(free) + W, and every round adds its
     replaced entries' share to c = sum_{j<k} Q^j g, g being the slaves'
     ``offsets``.  A cycle among the slaves raises
-    :class:`ConstraintCycleError` first.
-
-    The closed entries are sorted stably by (row, column), duplicates summed
-    left to right and zeros dropped: scipy's COO to CSR conversion sums in
-    that order on rows of at most 16 entries.
+    :class:`ConstraintCycleError` first.  The closed entries go through
+    :func:`coo_to_csr`, and zero sums are dropped.
     """
     slaves = np.unique(owner)
     is_slave = np.zeros(n, dtype=bool)
@@ -346,17 +349,10 @@ def _closure(n, owner, masters, weights, offsets):
         masters = np.concatenate([masters[~chained], raw_masters[at]])
         weights = np.concatenate([weights[~chained], np.repeat(scale, count) * raw_weights[at]])
     free = np.flatnonzero(~is_slave)
-    rows, cols = np.concatenate([owner, free]), np.concatenate([masters, free])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    sums = np.bincount(np.cumsum(first) - 1, np.concatenate([weights, np.ones(free.size)])[order])
-    kept = sums != 0.0
-    rows = rows[first][kept]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return (indptr, cols[first][kept], sums[kept]), c, slaves
+    P = coo_to_csr(np.concatenate([owner, free]), np.concatenate([masters, free]),
+                   np.concatenate([weights, np.ones(free.size)]), (n, n))
+    _csr_eliminate_zeros(n, n, P.indptr, P.indices, P.data)
+    return P._replace(indices=P.indices[:P.indptr[-1]], data=P.data[:P.indptr[-1]]), c, slaves
 
 
 class ConstraintSet:
@@ -372,14 +368,18 @@ class ConstraintSet:
     master weights on slave rows (zero slave diagonal).
 
     P is held as the :class:`Csr` ``_P``; ``P x`` and ``P^T b`` are the raw
-    CSR and CSC kernels on its arrays, and only :meth:`condense_matrix`
-    builds a scipy matrix of P.
+    CSR and CSC kernels on its arrays.  A slave or master outside
+    ``[0, n_dofs)`` raises ``ValueError``, as those kernels check no bounds.
     """
 
     def __init__(self, n_dofs, slaves, masters, weights, offsets=None):
+        bad = (slaves < 0) | (slaves >= n_dofs) | (masters < 0) | (masters >= n_dofs)
+        if bad.any():
+            k = bad.argmax()
+            raise ValueError(f"constraint entry {k} (slave {slaves[k]}, master {masters[k]}) "
+                             f"has a dof outside [0, {n_dofs})")
         self.n_dofs = n_dofs
-        P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
-        self._P = Csr(*P, (n_dofs, n_dofs))
+        self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
         self._slaves.flags.writeable = False
 
     def __len__(self):
@@ -412,13 +412,6 @@ class ConstraintSet:
         at = concat_ranges(P.indptr[dofs], count)
         return np.repeat(np.arange(len(dofs)), count), P.indices[at], P.data[at]
 
-    def condense_matrix(self, A):
-        """P^T A P; slave rows/columns end up empty (give them unit rows before solving)."""
-        if not len(self):
-            return A
-        P = to_scipy(self._P)
-        return (P.T @ A @ P).tocsr()
-
     def _product(self, kernel, v):
         """P v through ``_csr_matvec`` or P^T v through ``_csc_matvec``, on P's arrays.
 
@@ -438,14 +431,6 @@ class ConstraintSet:
             return b
         return self._product(_csc_matvec, b)
 
-    def pin(self, A):
-        """Add unit diagonals on slave rows so condensed systems are definite."""
-        if not len(self):
-            return A
-        pin = np.zeros(self.n_dofs)
-        pin[self._slaves] = 1.0
-        return (A + sp.diags(pin)).tocsr()
-
     def distribute(self, x):
         """Overwrite slave entries with their constraint values."""
         if not len(self):
@@ -460,13 +445,21 @@ def condense_hanging(A, b, rows, inhom=None):
     constraint weights and the slave rows are replaced by decoupled unit
     equations.  Solving the returned system and then applying
     :func:`distribute_constraints` to the solution makes every slave equal
-    its weighted master combination exactly.
+    its weighted master combination exactly.  ``A`` is any scipy matrix;
+    the matrix returned is P^T A P with unit slave rows, a new scipy CSR
+    matrix with explicit zeros kept.
     """
     b = np.asarray(b, dtype=float)
-    if not rows:
-        return A.copy(), b.copy()
     cs = _constraints_of_rows(A.shape[0], rows, inhom)
-    return cs.pin(cs.condense_matrix(A)), cs.condense_vector(b - A @ cs._c)
+    A = A.tocoo()
+    row_at, row_dofs, row_weights = cs.expand(A.row)
+    col_at, col_dofs, col_weights = cs.expand(A.col)
+    left, right = pair_groups(row_at, col_at, A.nnz)
+    vals = A.data[row_at[left]] * (row_weights[left] * col_weights[right])
+    K = coo_to_csr(np.concatenate([row_dofs[left], cs.slaves]),
+                   np.concatenate([col_dofs[right], cs.slaves]),
+                   np.concatenate([vals, np.ones(len(cs))]), A.shape)
+    return to_scipy(K), cs.condense_vector(b - A @ cs._c)
 
 
 def distribute_constraints(x, rows, inhom=None):

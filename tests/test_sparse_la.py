@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.sparse._compressed import _cs_matrix
 
-from dwr_diffusion import sparse_la
+from dwr_diffusion import fem, sparse_la
 from dwr_diffusion.fem import FeSpace
 from dwr_diffusion.primal import ImplicitStep
 from dwr_diffusion.problem import Coefficients
@@ -22,6 +23,7 @@ from dwr_diffusion.sparse_la import (
     condense_hanging,
     distribute_constraints,
 )
+from test_primal import condense_reference, eliminate_reference, pin_reference
 
 TIGHT = SolverControl(max_iterations=500, relative_tolerance=1e-13, absolute_tolerance=1e-16)
 
@@ -542,6 +544,19 @@ class TestCondenseHanging:
         with pytest.raises(ConstraintCycleError, match="dof 0"):
             condense_hanging(A, np.zeros(2), {0: [(0, 1.0)], 1: [(0, 0.5)]})
 
+    @pytest.mark.parametrize("rows, entry", [
+        ({2: [(-3, 1.0)]}, "slave 2, master -3"),
+        ({2: [(0, 0.5), (3, 0.5)]}, "slave 2, master 3"),
+        ({-1: [(0, 1.0)]}, "slave -1, master 0"),
+        ({3: [(0, 1.0)]}, "slave 3, master 0")])
+    def test_out_of_range_dofs_are_refused(self, rows, entry):
+        A = csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+        message = rf"\({entry}\) has a dof outside \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            distribute_constraints(np.array([1.0, 2.0, 3.0]), rows)
+        with pytest.raises(ValueError, match=message):
+            condense_hanging(A, np.ones(3), rows)
+
 
 def spgemm_closure(n, owner, masters, weights, offsets):
     """The closure as a power of a CSR matrix, kept as the oracle of :func:`sparse_la._closure`.
@@ -599,8 +614,10 @@ class TestClosureOracle:
 
     @staticmethod
     def check(n, owner, masters, weights, offsets):
-        (indptr, indices, data), c, slaves = sparse_la._closure(n, owner, masters, weights, offsets)
+        (indptr, indices, data, shape), c, slaves = sparse_la._closure(
+            n, owner, masters, weights, offsets)
         P_ref, c_ref, slaves_ref = spgemm_closure(n, owner, masters, weights, offsets)
+        assert shape == (n, n)
         assert indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == len(indices)
         assert np.all(np.diff(indptr) >= 0)
         rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -655,3 +672,107 @@ class TestConstraintProducts:
         for product in (cs.distribute, cs.condense_vector):
             with pytest.raises(ValueError, match="does not match 40 dofs"):
                 product(np.ones(39))
+
+
+@st.composite
+def constrained_systems(draw):
+    """A square scipy matrix, a load and chained inhomogeneous constraint rows.
+
+    The matrix is CSR, CSC or COO, with duplicate entries left in place and
+    random entries, so most diagonal entries are missing.  The constraint
+    rows chain up to depth three (:func:`layered_constraints`); returned
+    with their entry arrays and offsets for the oracle.
+    """
+    n, depth = draw(st.integers(4, 14)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(0, 4 * n))
+    rows, cols, vals = rng.integers(0, n, nnz), rng.integers(0, n, nnz), rng.uniform(-1, 1, nnz)
+    fmt = draw(st.sampled_from(["csr", "csc", "coo"]))
+    if fmt == "coo":
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    else:  # compressed from its arrays, so the duplicates stay
+        major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
+        order = np.argsort(major, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n))])
+        A = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+        A = A((vals[order], minor[order], indptr), shape=(n, n))
+    owner, masters, weights, offsets = layered_constraints(rng, n, depth)
+    owner, masters = owner.astype(int), masters.astype(int)
+    constraint_rows = {}
+    for slave, master, weight in zip(owner.tolist(), masters.tolist(), weights.tolist()):
+        constraint_rows.setdefault(slave, []).append((master, weight))
+    inhom = {s: float(offsets[s]) for s in constraint_rows if rng.random() < 0.7}
+    offsets = np.zeros(n)
+    offsets[list(inhom)] = list(inhom.values())
+    return A, rng.standard_normal(n), constraint_rows, inhom, (owner, masters, weights, offsets)
+
+
+def assert_close(new, ref):
+    """Agreement to 1e-14 relative to the reference's largest entry."""
+    new, ref = (m.toarray() if sp.issparse(m) else m for m in (new, ref))
+    assert np.max(np.abs(new - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
+
+
+class TestHelpersAgainstOracles:
+    """The public helpers on the solve path's primitives give the scipy formulas."""
+
+    @given(constrained_systems())
+    def test_condense_hanging_is_the_triple_product_with_unit_slave_rows(self, system):
+        A, b, rows, inhom, (owner, masters, weights, offsets) = system
+        A2, b2 = condense_hanging(A, b, rows, inhom)
+        P, c, slaves = spgemm_closure(A.shape[0], owner, masters, weights, offsets)
+        assert A2.format == "csr"
+        assert_close(A2, pin_reference(condense_reference(P, A), slaves))
+        assert_close(b2, P.T @ (b - A @ c))
+
+    @given(constrained_systems(), st.data())
+    def test_apply_dirichlet_is_the_scaled_copy_and_the_lift(self, system, data):
+        A, b = system[:2]
+        n = A.shape[0]
+        dofs = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True)), dtype=int)
+        values = np.linspace(-1.0, 2.0, dofs.size)
+        A2, b2 = apply_dirichlet(A, b, dict(zip(dofs.tolist(), values.tolist())))
+        g = np.zeros(n)
+        g[dofs] = values
+        b_ref = b - A @ g
+        b_ref[dofs] = values
+        assert A2.format == "csr"
+        assert_close(A2, eliminate_reference(A, dofs))
+        assert_close(b2, b_ref)
+
+
+@given(st.lists(st.integers(0, 5)), st.lists(st.integers(0, 5)))
+@example([], [])
+@example([0, 2, 2], [])
+@example([], [1, 3])
+@example([0, 2, 2, 4], [1, 1, 2, 3])  # groups 0, 4 left only; 1, 3 right only
+def test_pair_groups_is_the_nested_loop(left, right):
+    right = sorted(right)
+    expected = [(i, j) for i in range(len(left)) for j in range(len(right)) if left[i] == right[j]]
+    i, j = sparse_la.pair_groups(np.array(left, dtype=int), np.array(right, dtype=int), 6)
+    assert list(zip(i.tolist(), j.tolist())) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_each_public_helper_builds_one_scipy_matrix_its_result(fmt, sheared_irregular_lshape,
+                                                               monkeypatch):
+    """The helpers run on the raw CSR primitives and wrap only what they return."""
+    space = FeSpace(sheared_irregular_lshape, 2)
+    A = tridiagonal(6).asformat(fmt)
+    helpers = {
+        "apply_dirichlet": lambda: apply_dirichlet(A, np.ones(6), {0: 1.0, 5: 2.0})[0],
+        "condense_hanging": lambda: condense_hanging(A, np.ones(6), {2: [(1, 0.5), (3, 0.5)]})[0],
+        "csr_from_triplets": lambda: csr_from_triplets(2, 2, [(0, 1, 1.0), (0, 1, 2.0)]),
+        "assemble_mass": lambda: fem.assemble_mass(space),
+    }
+    built, init = [], _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    for name, helper in helpers.items():
+        built.clear()
+        result = helper()
+        assert len(built) == 1 and built[0] is result, name
