@@ -1,17 +1,15 @@
 """The outer adaptation loop: solve, estimate, mark, refine, repeat.
 
-Each loop marches the primal problem forward and accumulates the
-control-volume error norm; if the goal tolerance is met the loop stops
-without a dual solve or adaptation.  Otherwise the dual problem is solved
-backward, cell indicators are computed and accumulated, slabs and cells
-are marked by the two-fraction strategy and the space-time meshes are
-refined.  The relative tolerance baseline is the first loop's error norm,
-captured once and frozen; a baseline of 0, whose target no loop can meet,
-is rejected.  When the loop budget is exhausted the last record is flagged
-as not converged (the dual and the estimate are still computed on that
-final loop for reporting).  A loop that marks no slab and no cell would
-repeat itself, so it raises :class:`ValueError` naming the loop and the
-marking parameters.
+Each loop marches the primal problem forward, then measures the
+control-volume error norm of the stored solutions; if the goal tolerance
+is met the loop stops without a dual solve or adaptation.  Otherwise the
+dual problem is solved backward, cell indicators are computed and
+accumulated, and :func:`marking.adapt_slabs` marks and refines.  The
+relative tolerance baseline is the first loop's error norm, captured once
+and frozen; a baseline of 0, whose target no loop can meet, is rejected.
+When the loop budget is exhausted the last record is flagged as not
+converged (the dual and the estimate are still computed on that final
+loop for reporting).
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ class LoopRecord:
     indicators, NaN on such a loop.
 
     The ``*_s`` fields are the wall seconds of the loop's phases: primal
-    march, dual march, estimate, marking and adaptation, and the
-    ``on_loop`` callback; a phase that does not run reads 0.  The callback
+    march and goal norm, dual march, estimate, marking and adaptation, and
+    the ``on_loop`` callback; a phase that does not run reads 0.  The callback
     sees ``on_loop_s``, ``adapt_s`` and ``peak_rss_mb`` still 0.
     ``peak_rss_mb`` is the process's peak resident set size at the loop's
     end (``ru_maxrss``, kilobytes on Linux, / 1024).
@@ -111,11 +109,10 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             config.coefficients,
             data,
             ctrl=config.solver,
-            cv=config.control_volume,
             time_rule=disc.load_quadrature,
         )
+        err = goal_norm(slabs, config.solution, config.control_volume)
         primal_s = time.perf_counter() - start
-        err = goal_norm(reports)
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
                 cv = config.control_volume
@@ -162,10 +159,9 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         with _timed(record, "estimate_s"):
             estimate = est_mod.accumulate(est_mod.slab_indicators(
                 slabs, config.coefficients, data, config.estimator.time_restriction))
-            estimate.i_eff = est_mod.effectivity(estimate, err)
         record.eta = estimate.eta_total
         record.eta_signed = estimate.eta_signed
-        record.i_eff = estimate.i_eff
+        record.i_eff = est_mod.effectivity(estimate, err)
 
         final = loop == adapt.max_loops
         if on_loop:
@@ -176,26 +172,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             break
 
         with _timed(record, "adapt_s"):
-            skip = adapt.skip_zero_indicators
-            time_marks = marking.mark_time_slabs(estimate, adapt.theta_tau, skip_zero=skip)
-            space_marks = {
-                k: marking.mark_space_cells(
-                    slab,
-                    estimate.cell_indicators[k],
-                    k in time_marks,
-                    adapt.theta_h1,
-                    adapt.theta_h2,
-                    skip_zero=skip,
-                )
-                for k, slab in slabs.iterate_forward()
-            }
-            if not any(map(len, [time_marks, *space_marks.values()])):
-                raise ValueError(
-                    f"loop {loop}: no slab and no cell is marked "
-                    f"(theta_tau = {adapt.theta_tau:g}, theta_h1 = {adapt.theta_h1:g}, "
-                    f"theta_h2 = {adapt.theta_h2:g}, skip_zero_indicators = "
-                    f"{str(skip).lower()}), so every later loop would repeat this one")
-            marking.execute_adaptation(slabs, time_marks, space_marks)
+            marking.adapt_slabs(slabs, estimate, adapt, loop)
         _log_costs(record)
 
     return DwrResult(records, converged, tol_abs, slabs)

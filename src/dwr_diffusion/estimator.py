@@ -157,14 +157,14 @@ class ErrorEstimate:
     ``cell_indicators[k]`` is slab k's array in ``active_ids()`` order.  Sums
     run left to right (ascending slab, ascending cell id), never pairwise, so
     the totals are reproducible exactly; ``eta_signed`` sums the signed
-    indicators in the order ``eta_total`` sums their absolute values.
+    indicators in the order ``eta_total`` sums their absolute values.  The
+    effectivity is :func:`effectivity`, kept in the driver's loop record.
     """
 
     cell_indicators: list
     eta_slabs: list
     eta_total: float
     eta_signed: float = math.nan
-    i_eff: float = math.nan
 
 
 def _sequential_sum(values):

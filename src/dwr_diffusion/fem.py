@@ -605,15 +605,14 @@ def transfer(fn, space_to):
     point follows from walking both refinement forests down from the
     shared roots, and its reference coordinates are exact dyadic fractions,
     so no point is located.  The same space short-circuits to a coefficient
-    copy and the same mesh to :func:`interpolate_same_mesh`.  Any other
-    mesh, even an equal one, takes the forest walk, which returns a
-    constraint-consistent vector unchanged on an equal mesh.
+    copy.  Any other space, even one on the same or an equal mesh, takes
+    the forest walk, which returns a constraint-consistent vector unchanged
+    on an equal mesh and :func:`interpolate_same_mesh`'s vector on the same
+    one; callers that know both spaces share a mesh call that directly.
     """
     src = fn.space
     if space_to is src:
         return FeFunction(space_to, fn.coefficients.copy())
-    if space_to.mesh is src.mesh:
-        return interpolate_same_mesh(fn, space_to)
     src._check_current()
     space_to._check_current()
     fs, ft = src.mesh.forest(), space_to.mesh.forest()

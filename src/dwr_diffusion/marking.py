@@ -8,7 +8,8 @@ count-based (ceil of fraction times population) with stable index
 tie-breaking, so identical inputs always produce identical marks.
 Indicators are arrays in ``active_ids()`` order; marks are index arrays.
 Spatial refinement runs first, then the time splits, whose halves
-share the refined meshes.
+share the refined meshes.  :func:`adapt_slabs` is one loop's whole step; a
+loop that marks nothing would repeat itself, so it raises ValueError.
 """
 
 from __future__ import annotations
@@ -82,3 +83,21 @@ def execute_adaptation(slabs, time_marks, space_marks):
     for k in sorted(time_marks, reverse=True):
         slabs.split_slab_in_time(k)
     return slabs
+
+
+def adapt_slabs(slabs, estimate, params, loop):
+    """Mark by the :class:`AdaptParams` ``params`` and adapt; errors name ``loop``."""
+    skip = params.skip_zero_indicators
+    time_marks = mark_time_slabs(estimate, params.theta_tau, skip_zero=skip)
+    space_marks = {
+        k: mark_space_cells(slab, estimate.cell_indicators[k], k in time_marks,
+                            params.theta_h1, params.theta_h2, skip_zero=skip)
+        for k, slab in slabs.iterate_forward()
+    }
+    if not any(map(len, [time_marks, *space_marks.values()])):
+        raise ValueError(
+            f"loop {loop}: no slab and no cell is marked "
+            f"(theta_tau = {params.theta_tau:g}, theta_h1 = {params.theta_h1:g}, "
+            f"theta_h2 = {params.theta_h2:g}, skip_zero_indicators = "
+            f"{str(skip).lower()}), so every later loop would repeat this one")
+    execute_adaptation(slabs, time_marks, space_marks)

@@ -10,7 +10,8 @@ a 2-point Gauss rule in time, or sampled at the right endpoint), u_prev is
 the previous slab's solution interpolated onto the current primal space
 (the initial value on the first slab), and Dirichlet values at the right
 endpoint are eliminated strongly.  The scheme is algebraically a backward
-Euler step with averaged loads.
+Euler step with averaged loads.  The march only solves; :func:`goal_norm`
+is a pass of its own over the stored solutions.
 
 :class:`ImplicitStep` solves the step of both marches (the dual one with
 2 M) from unconstrained loads: c M + tau A condensed in one scatter, slave
@@ -41,12 +42,11 @@ LOAD_TIME_QUAD = 2
 
 @dataclass
 class StepReport:
-    """Per-slab solve diagnostics of either march; forward, the slab's share of the goal norm."""
+    """Per-slab solve diagnostics of either march: CG iterations and final residual."""
 
     slab_index: int
     cg_iterations: int
     residual: float
-    goal_norm_sq_contrib: float = 0.0
 
 
 def _averaged_load(slab, data, time_rule):
@@ -155,13 +155,13 @@ def slab_goal_norm_sq(slab, u_fn, solution, cv):
     return total
 
 
-def march_forward(slabs, coeff, data, ctrl=SolverControl(), cv=None, time_rule="gauss"):
+def march_forward(slabs, coeff, data, ctrl=SolverControl(), time_rule="gauss"):
     """Solve the primal problem slab by slab, storing u and the incoming trace.
 
     The first slab starts from the nodal interpolation of the initial
-    value; later slabs interpolate their predecessor's solution.  When a
-    control volume is given, each report carries the slab's goal-norm
-    contribution.  Solver failures abort with the slab index attached.
+    value; later slabs interpolate their predecessor's solution.  Returns
+    the :class:`StepReport` of each slab.  Solver failures abort with the
+    slab index attached.
     """
     step = ImplicitStep(coeff, 1.0, "primal")
     reports = []
@@ -181,13 +181,15 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(), cv=None, time_rule="
         g = data.dirichlet_g(points, slab.interval.t_n)
         x, iters, residual = step.solve(n, space, slab.tau, load, u_prev, g, ctrl)
         slab.attach_storage("u", x)
-        contrib = 0.0
-        if cv is not None:
-            contrib = slab_goal_norm_sq(slab, FeFunction(space, x), data.solution, cv)
-        reports.append(StepReport(n, iters, residual, contrib))
+        reports.append(StepReport(n, iters, residual))
     return reports
 
 
-def goal_norm(reports):
-    """Accumulated control-volume error norm from the per-slab contributions."""
-    return float(np.sqrt(sum(r.goal_norm_sq_contrib for r in reports)))
+def goal_norm(slabs, solution, cv):
+    """Control-volume error norm of the stored ``u``, from :func:`slab_goal_norm_sq` in slab order.
+
+    A control volume that holds every point gives the global L2(L2) error.
+    """
+    return float(np.sqrt(sum(
+        slab_goal_norm_sq(slab, FeFunction(slab.primal, slab.fetch_storage("u")), solution, cv)
+        for slab in slabs)))

@@ -469,10 +469,23 @@ def distribute_constraints(x, rows, inhom=None):
 
 
 def _constraints_of_rows(n, rows, inhom):
-    """:class:`ConstraintSet` of ``rows`` slave -> (master, weight) pairs and ``inhom``."""
+    """:class:`ConstraintSet` of ``rows`` slave -> (master, weight) pairs and ``inhom``.
+
+    Every dof must be an integer value, and every ``inhom`` key a dof in
+    [0, n); a :class:`ValueError` names the row or the key that is not.
+    """
     if not all(len(row) for row in rows.values()):
         raise ValueError("every constraint row needs at least one master")
-    entries = np.array([(s, m, w) for s, row in rows.items() for m, w in row]).reshape(-1, 3)
+    for s, row in rows.items():
+        if not all(float(d).is_integer() for d in (s, *(m for m, _ in row))):
+            raise ValueError(f"constraint row {s!r}: {list(row)!r} has a dof that is not "
+                             "an integer")
+    slaves = np.array([s for s, row in rows.items() for _ in row], dtype=np.int64)
+    masters = np.array([m for row in rows.values() for m, _ in row], dtype=np.int64)
+    weights = np.array([w for row in rows.values() for _, w in row], dtype=float)
     offsets = np.zeros(n)
-    offsets[list(inhom or ())] = list((inhom or {}).values())
-    return ConstraintSet(n, *entries[:, :2].T.astype(int), entries[:, 2], offsets)
+    for key, value in (inhom or {}).items():
+        if not (float(key).is_integer() and 0 <= key < n):
+            raise ValueError(f"inhomogeneity key {key!r} is not a dof in [0, {n})")
+        offsets[int(key)] = value
+    return ConstraintSet(n, slaves, masters, weights, offsets)

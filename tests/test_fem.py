@@ -836,6 +836,18 @@ class TestTransfer:
             if twin and deg_from == deg_to:
                 assert np.array_equal(g.coefficients, f.coefficients)
 
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_same_mesh_walk_is_the_direct_interpolation_bitwise(self, name, rng):
+        """On one mesh the forest walk gives :func:`interpolate_same_mesh`'s vector."""
+        mesh = build(name)
+        for deg_from, deg_to in ((1, 1), (2, 2), (1, 2), (2, 1)):
+            s_from, s_to = FeSpace(mesh, deg_from), FeSpace(mesh, deg_to)
+            f = FeFunction(
+                s_from, s_from.constraints.distribute(rng.standard_normal(s_from.n_dofs))
+            )
+            g = transfer(f, s_to)
+            assert np.array_equal(g.coefficients, interpolate_same_mesh(f, s_to).coefficients)
+
     def test_meshes_without_a_shared_coarse_mesh_raise(self, lshape, unit_square):
         f = interpolate(FeSpace(lshape, 1), lambda x: x[..., 0])
         with pytest.raises(ValueError, match="same coarse mesh"):

@@ -125,6 +125,50 @@ def test_single_slab_adaptation(lshape):
     assert lshape.n_active_cells == 3
 
 
+def driver_block(slabs, estimate, adapt):
+    """The marking the driver did inline before :func:`marking.adapt_slabs`: the oracle."""
+    skip = adapt.skip_zero_indicators
+    time_marks = marking.mark_time_slabs(estimate, adapt.theta_tau, skip_zero=skip)
+    space_marks = {
+        k: marking.mark_space_cells(slab, estimate.cell_indicators[k], k in time_marks,
+                                    adapt.theta_h1, adapt.theta_h2, skip_zero=skip)
+        for k, slab in slabs.iterate_forward()
+    }
+    marking.execute_adaptation(slabs, time_marks, space_marks)
+    return time_marks, space_marks
+
+
+def four_slabs():
+    mesh = make_lshape()
+    mesh.refine(mesh.active_ids())
+    slabs = init_slabs(mesh, 0.0, 1.0, 4)
+    slabs[2].refine(slabs[2].mesh.active_ids()[:2])
+    return slabs
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("thetas", [(0.5, 0.3, 0.15), (1.0, 1.0, 0.0), (0.2, 0.6, 0.6)])
+def test_adapt_slabs_marks_and_refines_as_the_driver_block_did(skip, thetas, rng, monkeypatch):
+    params = marking.AdaptParams(*thetas, skip_zero_indicators=skip)
+    expected, slabs = four_slabs(), four_slabs()
+    # a zero slab and zero cells, so that skipping zeros changes the marks
+    per_slab = [rng.standard_normal(s.mesh.n_active_cells) * (k > 0)
+                * (rng.random(s.mesh.n_active_cells) < 0.7) for k, s in enumerate(expected)]
+    estimate = accumulate(per_slab)
+    time_marks, space_marks = driver_block(expected, estimate, params)
+    seen, execute = [], marking.execute_adaptation
+    monkeypatch.setattr(marking, "execute_adaptation",
+                        lambda *args: seen.append(args[1:]) or execute(*args))
+    marking.adapt_slabs(slabs, estimate, params, loop=3)
+    [(got_time, got_space)] = seen
+    assert marked(got_time) == marked(time_marks)
+    assert got_space.keys() == space_marks.keys()
+    assert all(marked(got_space[k]) == marked(space_marks[k]) for k in space_marks)
+    assert [(s.interval.t_m, s.interval.t_n) for s in slabs] == [
+        (s.interval.t_m, s.interval.t_n) for s in expected]
+    assert [s.mesh.fingerprint() for s in slabs] == [s.mesh.fingerprint() for s in expected]
+
+
 class TestSolverFailures:
     """A solver that stops after one CG iteration fails loudly, naming the march and the slab."""
 
@@ -139,13 +183,14 @@ class TestSolverFailures:
         return slabs, coeff, data, ControlVolume()
 
     def test_primal(self, setup):
-        slabs, coeff, data, cv = setup
+        slabs, coeff, data, _ = setup
         with pytest.raises(SolverError, match="primal solve failed on slab 0"):
-            march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=1), cv=cv)
+            march_forward(slabs, coeff, data, ctrl=SolverControl(max_iterations=1))
 
     def test_dual(self, setup):
         slabs, coeff, data, cv = setup
-        err = goal_norm(march_forward(slabs, coeff, data, cv=cv))
+        march_forward(slabs, coeff, data)
+        err = goal_norm(slabs, data.solution, cv)
         ctx = GoalContext(norm=err, cv=cv, solution=data.solution)
         with pytest.raises(SolverError, match="dual solve failed on slab 4") as info:
             march_backward(slabs, coeff, ctx, ctrl=SolverControl(max_iterations=1))

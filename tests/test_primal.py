@@ -98,20 +98,42 @@ def runs(lshape):
 
 def solve_both(slabs):
     cv = ControlVolume()
-    err = goal_norm(march_forward(slabs, CONE.coefficients, CONE, cv=cv))
+    march_forward(slabs, CONE.coefficients, CONE)
+    err = goal_norm(slabs, CONE.solution, cv)
     march_backward(slabs, CONE.coefficients, GoalContext(norm=err, cv=cv, solution=CONE.solution))
     return [s.fetch_storage("u") for s in slabs], [s.fetch_storage("z_tm") for s in slabs]
 
 
 def test_dual_march_reports_every_slab_in_slab_order(runs):
     cv = ControlVolume()
-    err = goal_norm(march_forward(runs, CONE.coefficients, CONE, cv=cv))
+    march_forward(runs, CONE.coefficients, CONE)
+    err = goal_norm(runs, CONE.solution, cv)
     ctx = GoalContext(norm=err, cv=cv, solution=CONE.solution)
     reports = march_backward(runs, CONE.coefficients, ctx)
     assert len(reports) == len(runs)
     assert [r.slab_index for r in reports] == list(range(len(runs)))
     assert all(r.cg_iterations > 0 for r in reports)
-    assert all(r.goal_norm_sq_contrib == 0.0 for r in reports)
+
+
+@pytest.mark.parametrize("cv", [ControlVolume(), EVERYWHERE], ids=["cone", "everywhere"])
+def test_goal_norm_is_the_slab_order_sum_bitwise(runs, cv):
+    march_forward(runs, CONE.coefficients, CONE)
+    total = 0
+    for slab in runs:
+        u_fn = FeFunction(slab.primal, slab.fetch_storage("u"))
+        total += slab_goal_norm_sq(slab, u_fn, CONE.solution, cv)
+    assert goal_norm(runs, CONE.solution, cv).hex() == float(np.sqrt(total)).hex()
+
+
+def test_the_march_only_solves_and_the_goal_pass_calls_through_the_module(runs, monkeypatch):
+    """``goal_norm`` looks ``slab_goal_norm_sq`` up on ``primal``, where a tracer replaces it."""
+    calls = []
+    monkeypatch.setattr(primal, "slab_goal_norm_sq", lambda *args: calls.append(args) or 1.0)
+    reports = march_forward(runs, CONE.coefficients, CONE)
+    assert calls == []
+    assert all(list(vars(r)) == ["slab_index", "cg_iterations", "residual"] for r in reports)
+    assert goal_norm(runs, CONE.solution, EVERYWHERE) == np.sqrt(len(runs))
+    assert [args[0] for args in calls] == list(runs)
 
 
 def count_assemblies(monkeypatch):
@@ -245,8 +267,8 @@ def goal_error(levels, n_slabs, data, time_rule):
     for _ in range(levels):
         mesh.refine(mesh.active_ids())
     slabs = init_slabs(mesh, 0.0, 1.0, n_slabs)
-    reports = march_forward(slabs, CONE.coefficients, data, cv=EVERYWHERE, time_rule=time_rule)
-    return goal_norm(reports)
+    march_forward(slabs, CONE.coefficients, data, time_rule=time_rule)
+    return goal_norm(slabs, data.solution, EVERYWHERE)
 
 
 def orders(errors):

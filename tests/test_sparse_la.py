@@ -557,6 +557,34 @@ class TestCondenseHanging:
         with pytest.raises(ValueError, match=message):
             condense_hanging(A, np.ones(3), rows)
 
+    @pytest.mark.parametrize("key", [-1, 3, 1.5])
+    def test_inhomogeneity_keys_outside_the_dofs_are_refused(self, key):
+        A = csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+        rows = {2: [(0, 1.0)]}
+        message = rf"inhomogeneity key {key} is not a dof in \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            distribute_constraints(np.array([1.0, 2.0, 3.0]), rows, {key: 5.0})
+        with pytest.raises(ValueError, match=message):
+            condense_hanging(A, np.ones(3), rows, {key: 5.0})
+
+    @pytest.mark.parametrize("rows, name", [({2: [(1.7, 1.0)]}, r"row 2: \[\(1\.7, 1\.0\)\]"),
+                                            ({2.5: [(0, 1.0)]}, r"row 2\.5: \[\(0, 1\.0\)\]")])
+    def test_non_integer_dofs_are_refused(self, rows, name):
+        A = csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+        message = rf"constraint {name} has a dof that is not an integer"
+        with pytest.raises(ValueError, match=message):
+            distribute_constraints(np.array([1.0, 2.0, 3.0]), rows)
+        with pytest.raises(ValueError, match=message):
+            condense_hanging(A, np.ones(3), rows)
+
+    def test_integer_valued_dofs_of_any_type_are_taken(self):
+        x = np.array([1.0, 2.0, 3.0])
+        expected = distribute_constraints(x, {2: [(0, 1.0), (1, 0.5)]}, {2: 5.0})
+        assert expected.tolist() == [1.0, 2.0, 7.0]
+        for rows, inhom in (({np.int64(2): [(np.int32(0), 1.0), (1.0, 0.5)]}, {2.0: 5.0}),
+                            ({2.0: [(0.0, 1.0), (np.int64(1), 0.5)]}, {np.int64(2): 5.0})):
+            assert np.array_equal(distribute_constraints(x, rows, inhom), expected)
+
 
 def spgemm_closure(n, owner, masters, weights, offsets):
     """The closure as a power of a CSR matrix, kept as the oracle of :func:`sparse_la._closure`.
