@@ -44,7 +44,7 @@ from .slabs import TimeInterval, Slab, SlabList, init_slabs
 from .problem import Coefficients, ConeSolution, ControlVolume, ProblemData
 from .primal import ImplicitStep, StepReport, march_forward
 from .dual import GoalContext, assemble_goal_rhs, march_backward
-from .estimator import ErrorEstimate, compute_cell_indicators, accumulate, effectivity
+from .estimator import ErrorEstimate, accumulate, effectivity
 from .marking import AdaptParams, mark_time_slabs, mark_space_cells, execute_adaptation
 from .driver import LoopRecord, DwrResult, dwr_loop
 from .params import RunConfig, parse_parameter_file, ParameterFileError

@@ -1,15 +1,15 @@
 """The outer adaptation loop: solve, estimate, mark, refine, repeat.
 
-Each loop marches the primal problem forward, then measures the
-control-volume error norm of the stored solutions; if the goal tolerance
-is met the loop stops without a dual solve or adaptation.  Otherwise the
-dual problem is solved backward, cell indicators are computed and
-accumulated, and :func:`marking.adapt_slabs` marks and refines.  The
-relative tolerance baseline is the first loop's error norm, captured once
-and frozen; a baseline of 0, whose target no loop can meet, is rejected.
-When the loop budget is exhausted the last record is flagged as not
-converged (the dual and the estimate are still computed on that final
-loop for reporting).
+Each loop marches the primal problem forward and measures the
+control-volume error norm of the stored solutions.  Unless that meets the
+goal tolerance, the dual problem is solved backward and the cell
+indicators are accumulated.  Every loop then calls ``on_loop`` and, unless
+it is final (goal met or loop budget spent), :func:`marking.adapt_slabs`
+marks and refines.  The relative tolerance baseline is the first loop's
+error norm, captured once and frozen; a baseline of 0, whose target no
+loop can meet, is rejected.  ``DwrResult.converged`` is whether the last
+loop met the goal: False when the budget runs out first, in which case
+that loop's dual and estimate are still computed for reporting.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class LoopRecord:
     over the slabs) and CG iterations and take the largest final residual
     of its slabs; the dual ones stay 0, 0 and NaN on a loop whose goal is
     met before the dual runs.  ``eta_signed`` is the signed sum of the
-    indicators, NaN on such a loop.
+    indicators, NaN on such a loop.  ``goal_error`` is NaN until measured.
 
     The ``*_s`` fields are the wall seconds of the loop's phases: primal
     march and goal norm, dual march, estimate, marking and adaptation, and
@@ -53,7 +53,7 @@ class LoopRecord:
     loop: int
     n_slabs: int
     max_cells: int
-    goal_error: float
+    goal_error: float = math.nan
     eta: float = math.nan
     i_eff: float = math.nan
     goal_met: bool = False
@@ -83,9 +83,9 @@ class DwrResult:
 def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     """Run the adaptation loop for a full run configuration.
 
-    ``on_loop(loop, slabs, estimate, record, final)`` is invoked once per
-    loop, before any adaptation, so callbacks observe the meshes and
-    solutions the record describes.  Returns a :class:`DwrResult`.
+    ``on_loop(loop, slabs, estimate, record, final)`` runs once per loop before
+    any adaptation, on the meshes and solutions the record describes;
+    ``estimate`` is None when the goal is met.  Returns a :class:`DwrResult`.
     """
     disc = config.discretization
     slabs = init_slabs(
@@ -99,20 +99,15 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     adapt = config.adapt
     records = []
     tol_abs = adapt.tol if adapt.tol_mode == "absolute" else math.nan
-    converged = False
     data = ProblemData(solution=config.solution, coefficients=config.coefficients, t0=disc.t0)
 
     for loop in range(1, adapt.max_loops + 1):
-        start = time.perf_counter()
-        reports = march_forward(
-            slabs,
-            config.coefficients,
-            data,
-            ctrl=config.solver,
-            time_rule=disc.load_quadrature,
-        )
-        err = goal_norm(slabs, config.solution, config.control_volume)
-        primal_s = time.perf_counter() - start
+        record = LoopRecord(loop, len(slabs), max(s.mesh.n_active_cells for s in slabs))
+        records.append(record)
+        with _timed(record, "primal_s"):
+            reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
+                                    time_rule=disc.load_quadrature)
+            err = record.goal_error = goal_norm(slabs, config.solution, config.control_volume)
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
                 cv = config.control_volume
@@ -121,61 +116,35 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
                     f"{cv.t_end:g}) sets a relative target of 0 that no loop can meet"
                 )
             tol_abs = adapt.tol * err
-        record = LoopRecord(
-            loop=loop,
-            n_slabs=len(slabs),
-            max_cells=max(s.mesh.n_active_cells for s in slabs),
-            goal_error=err,
-            goal_met=err < tol_abs,
-            primal_dofs=sum(s.primal.n_dofs for s in slabs),
-            primal_s=primal_s,
-        )
-        record.primal_cg_iterations, record.primal_max_residual = _solver_totals(reports)
-        log.debug("loop %d: primal CG iterations %d, largest final residual %.3e",
-                  loop, record.primal_cg_iterations, record.primal_max_residual)
-        log.debug("loop %d: primal space-time dofs %d", loop, record.primal_dofs)
-        records.append(record)
-        log.info(
-            "loop %d: %d slabs, %d cells max, goal error %.6e (target %.6e)",
-            loop, record.n_slabs, record.max_cells, err, tol_abs,
-        )
+        record.goal_met = err < tol_abs
+        _record_march(record, "primal", reports, slabs)
+        log.info("loop %d: %d slabs, %d cells max, goal error %.6e (target %.6e)",
+                 loop, record.n_slabs, record.max_cells, err, tol_abs)
 
-        if record.goal_met:
-            converged = True
-            if on_loop:
-                with _timed(record, "on_loop_s"):
-                    on_loop(loop, slabs, None, record, True)
-            _log_costs(record)
-            break
+        estimate = None
+        if not record.goal_met:
+            ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
+            with _timed(record, "dual_s"):
+                dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
+            _record_march(record, "dual", dual_steps, slabs)
+            with _timed(record, "estimate_s"):
+                estimate = est_mod.accumulate(est_mod.slab_indicators(
+                    slabs, config.coefficients, data, config.estimator.time_restriction))
+            record.eta, record.eta_signed = estimate.eta_total, estimate.eta_signed
+            record.i_eff = est_mod.effectivity(estimate, err)
 
-        ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
-        with _timed(record, "dual_s"):
-            dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
-        record.dual_cg_iterations, record.dual_max_residual = _solver_totals(dual_steps)
-        record.dual_dofs = sum(s.dual.n_dofs for s in slabs)
-        log.debug("loop %d: dual CG iterations %d, largest final residual %.3e",
-                  loop, record.dual_cg_iterations, record.dual_max_residual)
-        log.debug("loop %d: dual space-time dofs %d", loop, record.dual_dofs)
-        with _timed(record, "estimate_s"):
-            estimate = est_mod.accumulate(est_mod.slab_indicators(
-                slabs, config.coefficients, data, config.estimator.time_restriction))
-        record.eta = estimate.eta_total
-        record.eta_signed = estimate.eta_signed
-        record.i_eff = est_mod.effectivity(estimate, err)
-
-        final = loop == adapt.max_loops
+        final = record.goal_met or loop == adapt.max_loops
         if on_loop:
             with _timed(record, "on_loop_s"):
                 on_loop(loop, slabs, estimate, record, final)
+        if not final:
+            with _timed(record, "adapt_s"):
+                marking.adapt_slabs(slabs, estimate, adapt, loop)
+        _log_costs(record)
         if final:
-            _log_costs(record)
             break
 
-        with _timed(record, "adapt_s"):
-            marking.adapt_slabs(slabs, estimate, adapt, loop)
-        _log_costs(record)
-
-    return DwrResult(records, converged, tol_abs, slabs)
+    return DwrResult(records, records[-1].goal_met, tol_abs, slabs)
 
 
 @contextmanager
@@ -194,6 +163,18 @@ def _log_costs(record):
               record.estimate_s, record.adapt_s, record.on_loop_s, record.peak_rss_mb)
 
 
-def _solver_totals(reports):
-    """Summed CG iterations and largest final residual of one march's step reports."""
-    return sum(r.cg_iterations for r in reports), max(r.residual for r in reports)
+def _record_march(record, march, reports, slabs):
+    """Set and log ``record.<march>_dofs``, ``_cg_iterations`` and ``_max_residual``.
+
+    ``march`` names the record fields and the slab space (``primal`` or
+    ``dual``); the reports give the summed iterations and largest residual.
+    """
+    dofs = sum(getattr(slab, march).n_dofs for slab in slabs)
+    iterations = sum(r.cg_iterations for r in reports)
+    residual = max(r.residual for r in reports)
+    setattr(record, f"{march}_dofs", dofs)
+    setattr(record, f"{march}_cg_iterations", iterations)
+    setattr(record, f"{march}_max_residual", residual)
+    log.debug("loop %d: %s CG iterations %d, largest final residual %.3e",
+              record.loop, march, iterations, residual)
+    log.debug("loop %d: %s space-time dofs %d", record.loop, march, dofs)

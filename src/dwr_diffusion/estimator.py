@@ -127,15 +127,9 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None):
     return eta
 
 
-def compute_cell_indicators(slab, u, z_tm, z_tn, u_prev, coeff, data,
-                            time_restriction="mean", shared=None):
-    """Signed per-cell indicators from the primal and dual solutions of one slab."""
-    w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
-    return indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared)
-
-
 def slab_indicators(slabs, coeff, data, time_restriction="mean"):
-    """:func:`compute_cell_indicators` of each slab from its stored u, z_tm, z_tn and u_prev.
+    """:func:`indicator_terms` of each slab's stored u and u_prev, weighted by the
+    :func:`dual_weights` of its stored z_tm and z_tn.
 
     Each run of consecutive slabs on one dual space builds its
     :func:`_shared_pieces` once; nothing is kept after the run.
@@ -144,9 +138,10 @@ def slab_indicators(slabs, coeff, data, time_restriction="mean"):
     for _, run in itertools.groupby(slabs, key=lambda slab: slab.dual):
         run = list(run)
         shared = _shared_pieces(run[0])
-        out += [compute_cell_indicators(
-            slab, *(slab.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
-            coeff, data, time_restriction, shared) for slab in run]
+        for slab in run:
+            u, z_tm, z_tn, u_prev = map(slab.fetch_storage, ("u", "z_tm", "z_tn", "u_prev"))
+            w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
+            out.append(indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared))
     return out
 
 

@@ -73,14 +73,24 @@ def execute_adaptation(slabs, time_marks, space_marks):
     marked slab is refined by :meth:`Slab.refine` (with 1-irregularity
     closure); every slab drops its storage.  Afterwards each time-marked
     slab is bisected, both halves sharing the already-refined mesh and spaces.
+    Before any slab changes, ValueError names a time mark that is repeated
+    or not in [0, n) and a space-mark key not in [0, n), n slabs.
     """
+    n, time_marks = len(slabs), sorted(time_marks, reverse=True)
+    for kind, marks in (("time mark", time_marks), ("space-mark key", space_marks)):
+        for k in marks:
+            if not 0 <= k < n:
+                raise ValueError(f"{kind} {k} is not a slab index in [0, {n})")
+    for k, lower in zip(time_marks, time_marks[1:]):
+        if k == lower:
+            raise ValueError(f"time mark {k} is repeated; a slab is split at most once per loop")
     for k, slab in slabs.iterate_forward():
         marks = space_marks.get(k, ())
         if len(marks):
             slab.refine(marks)
         else:
             slab.clear_storage()
-    for k in sorted(time_marks, reverse=True):
+    for k in time_marks:
         slabs.split_slab_in_time(k)
     return slabs
 

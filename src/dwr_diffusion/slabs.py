@@ -107,13 +107,15 @@ class Slab:
         return self.primal.n_dofs if kind == "primal" else self.dual.n_dofs
 
     def attach_storage(self, tag, vector):
-        """Register a shared handle; the data itself is not copied."""
+        """Register a shared handle; the data itself is not copied.
+
+        The vector must have the shape ``(n_dofs,)`` of the tag's space, or
+        ValueError names the tag and the shape.
+        """
         vector = np.atleast_1d(np.asarray(vector, dtype=float))
         expected = self._expected_length(tag)
-        if vector.shape[0] != expected:
-            raise ValueError(
-                f"storage {tag!r} expects length {expected}, got {vector.shape[0]}"
-            )
+        if vector.shape != (expected,):
+            raise ValueError(f"storage {tag!r} expects shape ({expected},), got {vector.shape}")
         self._storage[tag] = vector
         return vector
 
@@ -157,7 +159,13 @@ class SlabList:
         return ((k, self.slabs[k]) for k in range(len(self.slabs) - 1, -1, -1))
 
     def split_slab_in_time(self, k):
-        """Bisect slab k; both halves share its mesh and spaces, with empty storage."""
+        """Bisect slab k; both halves share its mesh and spaces, with empty storage.
+
+        A k outside [0, len) raises IndexError before the list is touched; a
+        negative k is not counted from the end.
+        """
+        if not 0 <= k < len(self.slabs):
+            raise IndexError(f"slab index {k} is not in [0, {len(self.slabs)})")
         old = self.slabs[k]
         t_m, t_n = old.interval.t_m, old.interval.t_n
         t_mid = 0.5 * (t_m + t_n)

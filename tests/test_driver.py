@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse._compressed import _cs_matrix
 
-from dwr_diffusion import FeSpace, QuadMesh, dwr_loop, fem, parse_parameter_file
+from dwr_diffusion import FeSpace, LoopRecord, QuadMesh, dwr_loop, fem, parse_parameter_file
 from dwr_diffusion.output import OutputWriter
 
 PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
@@ -119,6 +119,32 @@ def shipped(max_loops, **adapt):
 
 
 PHASES = ("primal_s", "dual_s", "estimate_s", "adapt_s", "on_loop_s")
+
+
+MET_AT_LOOP_2 = dict(tol_mode="absolute", tol=0.05)  # goal errors 0.0616, then 0.0354
+
+
+@pytest.mark.parametrize("max_loops, adapt, calls, converged", [
+    (2, MET_AT_LOOP_2, [(1, False, False), (2, True, True)], True),
+    (3, MET_AT_LOOP_2, [(1, False, False), (2, True, True)], True),
+    (1, dict(tol_mode="absolute", tol=1.0), [(1, True, True)], True),
+    (2, {}, [(1, False, False), (2, False, True)], False),
+])
+def test_each_loop_leaves_by_one_exit(max_loops, adapt, calls, converged):
+    """(loop, estimate is None, final) per ``on_loop`` call; a met goal or a spent budget ends it."""
+    seen = []
+    result = dwr_loop(shipped(max_loops, **adapt),
+                      on_loop=lambda loop, _, estimate, __, final:
+                      seen.append((loop, estimate is None, final)))
+    assert seen == calls and result.converged is converged
+    # the goal is met exactly where no estimate is made, and only a final loop adapts nothing
+    assert [r.goal_met for r in result.records] == [call[1] for call in calls]
+    assert [r.adapt_s > 0.0 for r in result.records] == [not call[2] for call in calls]
+
+
+def test_a_record_reads_no_goal_error_until_it_is_measured():
+    record = LoopRecord(1, 5, 3)
+    assert math.isnan(record.goal_error) and not record.goal_met
 
 
 @pytest.mark.parametrize("goal_met", [False, True])

@@ -179,9 +179,9 @@ def test_slab_indicators_are_the_per_slab_indicators_bitwise(slab, rng):
         etas = estimator.slab_indicators(slabs, coeff, data, restriction)
         assert len(etas) == len(slabs)
         for s, eta in zip(slabs, etas):
-            expected = estimator.compute_cell_indicators(
-                s, *(s.fetch_storage(tag) for tag in ("u", "z_tm", "z_tn", "u_prev")),
-                coeff, data, time_restriction=restriction)
+            u, z_tm, z_tn, u_prev = map(s.fetch_storage, ("u", "z_tm", "z_tn", "u_prev"))
+            w_tm, w_tn = estimator.dual_weights(s, z_tm, z_tn, time_restriction=restriction)
+            expected = estimator.indicator_terms(s, u, u_prev, w_tm, w_tn, coeff, data)
             assert np.array_equal(eta, expected)
 
 

@@ -125,6 +125,34 @@ def test_single_slab_adaptation(lshape):
     assert lshape.n_active_cells == 3
 
 
+@pytest.mark.parametrize("time_marks, space_marks, message", [
+    ([1, 1], {0: {0}}, r"time mark 1 is repeated"),
+    (np.array([2, 0, 2]), {}, r"time mark 2 is repeated"),
+    ([-1], {0: {0}}, r"time mark -1 is not a slab index in \[0, 3\)"),
+    ({0, 3}, {}, r"time mark 3 is not a slab index in \[0, 3\)"),
+    ([], {7: [0]}, r"space-mark key 7 is not a slab index in \[0, 3\)"),
+    ([1], {0: {0}, -1: {0}}, r"space-mark key -1 is not a slab index in \[0, 3\)"),
+])
+def test_marks_that_do_not_name_one_slab_each_fail_before_any_change(
+        lshape, time_marks, space_marks, message):
+    slabs = init_slabs(lshape, 0.0, 1.0, 3)
+    u = slabs[0].attach_storage("u", np.zeros(slabs[0].primal.n_dofs))
+    before = [(s.interval, s.mesh, s.primal) for s in slabs]
+    with pytest.raises(ValueError, match=message):
+        marking.execute_adaptation(slabs, time_marks, space_marks)
+    assert [(s.interval, s.mesh, s.primal) for s in slabs] == before
+    assert slabs[0].fetch_storage("u") is u
+
+
+@pytest.mark.parametrize("time_marks", [{2, 0}, [0, 2], np.array([2, 0]), np.array([0, 2])])
+def test_time_marks_as_a_set_a_list_or_an_index_array_split_the_same_slabs(lshape, time_marks):
+    slabs = init_slabs(lshape, 0.0, 1.0, 3)
+    marking.execute_adaptation(slabs, time_marks, {np.int64(1): np.array([0])})
+    ends = [s.interval.t_n for s in slabs]
+    assert ends == pytest.approx([1 / 6, 1 / 3, 2 / 3, 5 / 6, 1.0], rel=0.0, abs=1e-15)
+    assert [s.mesh.n_active_cells for s in slabs] == [3, 3, 6, 3, 3]
+
+
 def driver_block(slabs, estimate, adapt):
     """The marking the driver did inline before :func:`marking.adapt_slabs`: the oracle."""
     skip = adapt.skip_zero_indicators

@@ -124,6 +124,14 @@ class TestSplit:
         total = sum(s.tau for s in slabs)
         assert total == pytest.approx(1.25, abs=1e-14)
 
+    @pytest.mark.parametrize("k", [-1, -3, 3, 7])
+    def test_split_outside_the_list_fails_naming_k_and_leaves_the_list(self, k):
+        slabs = init_slabs(make_lshape(), 0.0, 1.0, 3)
+        before = list(slabs.slabs)
+        with pytest.raises(IndexError, match=rf"slab index {k} is not in \[0, 3\)"):
+            slabs.split_slab_in_time(k)
+        assert slabs.slabs == before
+
 
 class TestIteration:
     def test_forward_order(self, lshape):
@@ -163,6 +171,16 @@ class TestStorage:
             slabs[0].attach_storage("u", np.zeros(3))
         with pytest.raises(ValueError):
             slabs[0].attach_storage("z_tm", np.zeros(slabs[0].primal.n_dofs + 1))
+
+    @pytest.mark.parametrize("tag", ["u", "z_tn"])
+    def test_a_2d_array_is_rejected_naming_its_shape(self, lshape, tag):
+        slab = init_slabs(lshape, 0.0, 1.0, 1)[0]
+        n = (slab.primal if tag == "u" else slab.dual).n_dofs
+        with pytest.raises(ValueError, match=rf"expects shape \({n},\), got \({n}, 2\)"):
+            slab.attach_storage(tag, np.zeros((n, 2)))
+        with pytest.raises(ValueError, match=rf"got \(1, {n}\)"):
+            slab.attach_storage(tag, np.zeros((1, n)))
+        assert slab.fetch_storage(tag) is None
 
     def test_unknown_tag_rejected(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 1)
