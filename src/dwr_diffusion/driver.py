@@ -1,15 +1,17 @@
 """The outer adaptation loop: solve, estimate, mark, refine, repeat.
 
 Each loop marches the primal problem forward and measures the
-control-volume error norm of the stored solutions.  Unless that meets the
-goal tolerance, the dual problem is solved backward and the cell
-indicators are accumulated.  Every loop then calls ``on_loop`` and, unless
-it is final (goal met or loop budget spent), :func:`marking.adapt_slabs`
-marks and refines.  The relative tolerance baseline is the first loop's
-error norm, captured once and frozen; a baseline of 0, whose target no
-loop can meet, is rejected.  ``DwrResult.converged`` is whether the last
-loop met the goal: False when the budget runs out first, in which case
-that loop's dual and estimate are still computed for reporting.
+control-volume error norm of the stored solutions in one goal pass
+(:func:`primal.goal_pass`).  Unless that meets the goal tolerance, the
+dual problem is solved backward on the goal densities of the same pass and
+the cell indicators are accumulated.  Every loop then calls ``on_loop``
+and, unless it is final (goal met or loop budget spent),
+:func:`marking.adapt_slabs` marks and refines.  The relative tolerance
+baseline is the first loop's error norm, captured once and frozen; a
+baseline of 0, whose target no loop can meet, is rejected.
+``DwrResult.converged`` is whether the last loop met the goal: False when
+the budget runs out first, in which case that loop's dual and estimate are
+still computed for reporting.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import estimator as est_mod
 from . import marking
 from .dual import GoalContext, march_backward
 from .mesh import make_lshape
-from .primal import goal_norm, march_forward
+from .primal import goal_pass, march_forward
 from .problem import ProblemData
 from .slabs import init_slabs
 
@@ -107,7 +109,8 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         with _timed(record, "primal_s"):
             reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
                                     time_rule=disc.load_quadrature)
-            err = record.goal_error = goal_norm(slabs, config.solution, config.control_volume)
+            err, densities = goal_pass(slabs, config.solution, config.control_volume)
+            record.goal_error = err
         if loop == 1 and adapt.tol_mode == "relative":
             if err == 0.0:
                 cv = config.control_volume
@@ -123,9 +126,11 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
 
         estimate = None
         if not record.goal_met:
-            ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution)
+            ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution,
+                              densities=densities)
             with _timed(record, "dual_s"):
                 dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
+            del ctx, densities  # no later phase or loop reads them
             _record_march(record, "dual", dual_steps, slabs)
             with _timed(record, "estimate_s"):
                 estimate = est_mod.accumulate(est_mod.slab_indicators(

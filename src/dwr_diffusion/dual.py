@@ -11,6 +11,13 @@ eliminated strongly on the Dirichlet-colored boundary regardless of the
 primal boundary data.  Each slab stores the value at its left endpoint and
 the transferred right-endpoint trace for later use by the estimator.  The
 step is solved by :class:`primal.ImplicitStep` with mass factor 2.
+
+The goal density comes from the goal norm's pass: the
+:class:`GoalContext` carries the :class:`primal.GoalDensity` of each slab,
+the time integral of u - u_h on the cells the control volume reaches, and
+:func:`assemble_goal_rhs` reads it wherever the dual load's cell rule is
+the goal's (dual degree + 1 = primal degree + 2 points per direction, as
+for degrees 1 and 2).  Elsewhere it evaluates its slab's residual itself.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ import numpy as np
 
 from . import fem
 from .fem import FeFunction
-from .primal import ImplicitStep, StepReport, goal_residuals
+from .primal import GoalDensity, ImplicitStep, StepReport, goal_residuals
+from .slabs import stored
 from .sparse_la import SolverControl
 
 
@@ -31,12 +39,15 @@ class GoalContext:
 
     ``norm`` is the control-volume error norm of the current primal
     solution; the goal density is (u - u_h) / norm.  A zero norm means the
-    goal is met and no dual solve should be attempted.
+    goal is met and no dual solve should be attempted.  ``densities`` maps
+    slabs to the :class:`primal.GoalDensity` of their stored ``u``, as
+    :func:`primal.goal_pass` gives it; a slab it misses evaluates its own.
     """
 
     norm: float
     cv: object
     solution: object
+    densities: dict | None = None
 
 
 def assemble_goal_rhs(slab, ctx):
@@ -54,10 +65,12 @@ def assemble_goal_rhs(slab, ctx):
     if u is None:
         raise ValueError("primal solution missing on slab; run march_forward first")
     rule = fem.cell_rule(space, space.degree + 1)
-    uh = rule.values(slab.primal, u)
-    density = np.zeros_like(uh)
-    for wt, residual in goal_residuals(slab.interval, rule, uh, ctx.solution, ctx.cv):
-        density += wt * residual
+    goal = (ctx.densities or {}).get(slab)
+    if goal is None or goal.rule is not rule:
+        (residual,) = goal_residuals([(slab.interval, rule, slab.primal, u)], ctx.solution, ctx.cv)
+        goal = GoalDensity.of(residual)
+    density = np.zeros(rule.phys.shape[:2])
+    density[goal.cells] = goal.values
     return rule.load(space, density) / (slab.tau * ctx.norm)
 
 
@@ -66,8 +79,10 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
 
     Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``
     (the successor trace used on the right endpoint) on every slab, and
-    returns one :class:`StepReport` per slab, in slab order.
+    returns one :class:`StepReport` per slab, in slab order.  ValueError
+    names the first slab that holds no ``u`` before any slab is solved.
     """
+    stored(slabs, "u")
     step = ImplicitStep(coeff, 2.0, "dual")
     reports = []
     for n, slab in slabs.iterate_backward():

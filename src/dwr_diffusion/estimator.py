@@ -28,6 +28,11 @@ pieces ascending along the face.  :func:`fem.face_quadrature` gives each
 piece's Gauss points on both sides, where grad u_h is evaluated on both
 sides and w on the owner; :func:`slab_indicators` builds it once per run of
 slabs on one dual space and never keeps it (the ``fem`` module says why).
+The data f and h at the 2 Gauss times come from one block pass over all
+slabs (:func:`problem.blocks`), f at the cell rule's points and h at
+:func:`fem.neumann_points`, the face rule's points on the Neumann rows in
+table order; :func:`indicator_terms` called alone evaluates its own
+slab's.
 ``np.add.at`` scatters the pieces in table order, the summation order of a
 per-face loop: marking sorts |eta| with an index tie-break, so a reordered
 sum that flips the last bit of two near-equal indicators could change which
@@ -42,9 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
+from . import fem, problem
 from .fem import FeFunction
 from .mesh import DIRICHLET, NEUMANN
+from .slabs import stored
 
 _TIME_QUAD = 2
 
@@ -77,13 +83,28 @@ def _shared_pieces(slab):
             np.repeat(quad.cells.ravel(), quad.JxW.shape[1]), quad.gradients(slab.primal.degree))
 
 
-def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None):
+def _indicator_data(slabs, data):
+    """Per slab, f at the cell rule's points and h at the Neumann faces' points.
+
+    Yields one ``(f values, h values)`` pair per slab, a list over the
+    estimator's Gauss times each (:func:`problem.forcing_in_blocks`).
+    """
+    return problem.forcing_in_blocks(data, (
+        (fem.cell_rule(slab.dual, slab.dual.degree + 1).phys,
+         fem.neumann_points(slab.dual, slab.dual.degree + 1),
+         slab.interval.gauss_points(_TIME_QUAD)[0])
+        for slab in slabs))
+
+
+def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, values=None):
     """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors.
 
-    ``shared`` is :func:`_shared_pieces` of the slab, built here if not given.
+    ``shared`` is :func:`_shared_pieces` of the slab and ``values`` its pair
+    from :func:`_indicator_data`; each is built here if not given.
     """
     primal, dual = slab.primal, slab.dual
     lap, quad, neumann, at, grad = shared or _shared_pieces(slab)
+    f_values, h_values = values or next(_indicator_data([slab], data))
     eps = coeff.epsilon
     u = np.asarray(u, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
@@ -102,8 +123,8 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None):
     du_jump = rule.values(primal, u - u_prev)
 
     eta = np.zeros(len(dual.active_ids))
-    for (t, wt, w) in zip(ts, wts, w_at):
-        resid = data.rhs_f(rule.phys, t) + eps * lap_u
+    for (f, wt, w) in zip(f_values, wts, w_at):
+        resid = f + eps * lap_u
         eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
@@ -117,8 +138,8 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None):
     resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
     if neumann.any():
         flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
-        for k, t in enumerate(ts):
-            resid[k, neumann] = data.neumann_h(quad.phys[neumann], t) - flux
+        for k, h in enumerate(h_values):
+            resid[k, neumann] = h - flux
     inner = np.sum(quad.JxW * resid * w_face, axis=-1)  # (time, piece)
     acc = sum(wt * row for wt, row in zip(wts, inner))
     # np.add.at adds in piece order, the summation order of a per-cell face loop
@@ -132,16 +153,22 @@ def slab_indicators(slabs, coeff, data, time_restriction="mean"):
     :func:`dual_weights` of its stored z_tm and z_tn.
 
     Each run of consecutive slabs on one dual space builds its
-    :func:`_shared_pieces` once; nothing is kept after the run.
+    :func:`_shared_pieces` once; nothing is kept after the run.  The data
+    come from one :func:`_indicator_data` pass over the slabs.  ValueError
+    names the first slab that misses one of the four vectors.
     """
+    slabs = list(slabs)
+    vectors = zip(*(stored(slabs, tag) for tag in ("u", "u_prev", "z_tm", "z_tn")))
+    values = _indicator_data(slabs, data)
     out = []
     for _, run in itertools.groupby(slabs, key=lambda slab: slab.dual):
         run = list(run)
         shared = _shared_pieces(run[0])
         for slab in run:
-            u, z_tm, z_tn, u_prev = map(slab.fetch_storage, ("u", "z_tm", "z_tn", "u_prev"))
+            u, u_prev, z_tm, z_tn = next(vectors)
             w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
-            out.append(indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared))
+            out.append(indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared,
+                                       next(values)))
     return out
 
 

@@ -24,8 +24,10 @@ Face integrals use :func:`face_quadrature`: Gauss points on face pieces
 (face-table rows) as a face and a slot of the face tables on both sides,
 slot 0 where a cell owns the whole piece, ``1 + half`` on the coarser side
 (the table's integer ``half`` column).  Only the Neumann rows' quadrature
-is kept with the mesh state, per degree: caching every row's holds it for
-every live slab mesh and raised the shipped run's peak RSS 401 -> 593 MB.
+(:func:`neumann_quadrature`, per degree) and their points
+(:func:`neumann_points`, per rule size) are kept with the mesh state:
+caching every row's quadrature holds it for every live slab mesh and
+raised the shipped run's peak RSS 401 -> 593 MB.
 
 Reference tables depend on the degree and the rule only, so each is built
 once per process (``functools.cache``) and shared read-only:
@@ -455,12 +457,17 @@ def assemble_load_volume(space, f, condense=True):
     return space.constraints.condense_vector(b) if condense else b
 
 
-def assemble_load_neumann(space, h, condense=True):
-    """Boundary load over Neumann-colored faces: b_i = int_{Gamma_N} h phi_i."""
+def neumann_quadrature(space):
+    """The (degree + 1)-point :func:`face_quadrature` on the Neumann rows, once per mesh state."""
     space._check_current()
-    quad = space.mesh.cached(("neumann_quadrature", space.degree), lambda: face_quadrature(
+    return space.mesh.cached(("neumann_quadrature", space.degree), lambda: face_quadrature(
         space, space.degree + 1, space.mesh.face_topology().on_boundary(NEUMANN)
     ))
+
+
+def assemble_load_neumann(space, h, condense=True):
+    """Boundary load over Neumann-colored faces: b_i = int_{Gamma_N} h phi_i."""
+    quad = neumann_quadrature(space)
     b = np.zeros(space.n_dofs)
     if len(quad.JxW):
         contrib = np.einsum("fq,fqi->fi", quad.JxW * h(quad.phys), quad.N)
@@ -533,8 +540,7 @@ def face_quadrature(space, n, rows):
     slots = np.where(np.stack([kind == FINER, kind == COARSER]), 1 + half, 0)
     s, w = gauss_1d(n)
     vertices = mesh.forest().vertices
-    edge_cell, edge_face = table.edge_cell[rows], table.edge_face[rows]
-    piece = mesh.points[vertices[table.cells[edge_cell, None], FACE_VERTS[edge_face]]]
+    piece = _piece_ends(mesh, table, rows)
     span = piece[:, 1] - piece[:, 0]
     t = np.diff(mesh.points[vertices[table.cells[owner, None], FACE_VERTS[face]]], axis=1)[:, 0]
     normal = _NORMAL_SIGN[face][:, None] * np.column_stack([-t[:, 1], t[:, 0]])
@@ -542,6 +548,29 @@ def face_quadrature(space, n, rows):
         cells, faces, slots, _along(piece, s), w * np.hypot(*span.T)[:, None],
         normal / np.hypot(*t.T)[:, None], _face_basis(space.degree, n)[0][face, slots[0]],
     )))
+
+
+def _piece_ends(mesh, table, rows):
+    """End points (r, 2, 2) of the face pieces on the face-table ``rows``."""
+    edge_cell, edge_face = table.edge_cell[rows], table.edge_face[rows]
+    return mesh.points[mesh.forest().vertices[table.cells[edge_cell, None], FACE_VERTS[edge_face]]]
+
+
+def neumann_points(space, n):
+    """Points (r, n, 2) of the n-point Gauss rule on the Neumann rows, once per mesh state.
+
+    They are :func:`face_quadrature`'s ``phys`` on those rows, in table order.
+    """
+    space._check_current()
+    mesh = space.mesh
+
+    def build():
+        table = mesh.face_topology()
+        points = _along(_piece_ends(mesh, table, table.on_boundary(NEUMANN)), gauss_1d(n)[0])
+        points.setflags(write=False)
+        return points
+
+    return mesh.cached(("neumann_points", n), build)
 
 
 # -- finite element functions ----------------------------------------------------

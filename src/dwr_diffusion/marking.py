@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import cell_ids
+
 
 @dataclass(frozen=True)
 class AdaptParams:
@@ -74,13 +76,15 @@ def execute_adaptation(slabs, time_marks, space_marks):
     closure); every slab drops its storage.  Afterwards each time-marked
     slab is bisected, both halves sharing the already-refined mesh and spaces.
     Before any slab changes, ValueError names a time mark that is repeated
-    or not in [0, n) and a space-mark key not in [0, n), n slabs.
+    or not in [0, n), a space-mark key not in [0, n), n slabs, and a space
+    mark that is not an integer value (:func:`mesh.cell_ids`).
     """
     n, time_marks = len(slabs), sorted(time_marks, reverse=True)
     for kind, marks in (("time mark", time_marks), ("space-mark key", space_marks)):
         for k in marks:
             if not 0 <= k < n:
                 raise ValueError(f"{kind} {k} is not a slab index in [0, {n})")
+    space_marks = {k: cell_ids(marks) for k, marks in space_marks.items()}
     for k, lower in zip(time_marks, time_marks[1:]):
         if k == lower:
             raise ValueError(f"time mark {k} is repeated; a slab is split at most once per loop")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,26 @@ BOUNDARY_COLORS = (DIRICHLET, NEUMANN)  # a face's color code indexes this tuple
 
 # face kinds of a face-table row, seen from the owning cell
 BOUNDARY, SAME, COARSER, FINER = range(4)
+
+
+def cell_ids(marks):
+    """Cell-id marks as an integer array, in the given order.
+
+    ValueError names the first mark that is not an integer value: bools,
+    strings and fractional or non-finite numbers are refused; integer-valued
+    floats and numpy integers are kept.
+    """
+    if isinstance(marks, np.ndarray):
+        if marks.dtype.kind in "iu":
+            return marks.astype(np.intp).ravel()
+        marks = marks.ravel().tolist()
+    ids = []
+    for mark in marks:
+        if (isinstance(mark, (bool, np.bool_)) or not isinstance(mark, numbers.Real)
+                or not float(mark).is_integer()):
+            raise ValueError(f"marked cell {mark!r} is not an integer cell id")
+        ids.append(int(mark))
+    return np.array(ids, dtype=np.intp)
 
 
 def read_only(arrays):
@@ -374,10 +395,10 @@ class QuadMesh:
         that ``Forest.neighbor`` shows coarser than a cell of round r.  One
         split then takes the rounds in order, ascending ids within each
         round.  Raises ``ValueError`` naming the first mark that is not an
-        active cell id.
+        integer value (:func:`cell_ids`) or not an active cell id.
         """
         f = self._forest
-        queue = np.unique(np.fromiter(marked_cells, dtype=np.intp))
+        queue = np.unique(cell_ids(marked_cells))
         unknown = (queue < 0) | (queue >= len(f.level))
         bad = unknown | (f.children[np.where(unknown, 0, queue), 0] >= 0)
         if bad.any():

@@ -6,28 +6,87 @@ width ~ 1/sqrt(a) circling the domain center once per unit time) and a
 boundary and initial data are derived from it in closed form, so the
 discrete solution can be compared against the exact one.
 
-Points ``x`` have shape (..., 2) everywhere.  Time is handled two ways:
+One time contract holds for every data method: points ``x`` have shape
+(..., 2), and ``t`` is a scalar or an array that broadcasts against
+``x.shape[:-1]``; the result has the broadcast shape.  The time-only
+factors (the center m, its velocity m', the height u2 and du2/dt, the
+control volume's trajectory) are evaluated once per run of equal
+consecutive entries of ``t``, in Python floats, and repeated over the run;
+only the spatial part runs over the points.  So a time per point costs a
+copy per factor, not a cosine per point.  ``ConeSolution.u2`` and
+``du2_dt`` and ``ControlVolume.trajectory`` take ``t`` alone.  Where no entry of ``t``
+lies inside its time window, ``contains`` returns an all-False mask
+without evaluating the points.
 
-- ``ConeSolution.u``, ``u1``, ``grad``, ``dt``, ``laplacian`` and
-  ``center``, and so ``ProblemData.rhs_f``, ``dirichlet_g`` and
-  ``neumann_h``, take one scalar ``t``.  Each call evaluates the time-only
-  factors (the center m, its velocity m', the height u2 and du2/dt) once,
-  in Python floats through numpy's scalar ufuncs, and only the spatial part
-  runs over the points.
-- ``ConeSolution.u2`` and ``du2_dt``, and ``ControlVolume.trajectory`` and
-  ``contains``, broadcast ``t`` against the points.  For a scalar ``t``
-  outside its time window, ``contains`` returns an all-False mask without
-  evaluating the points.
+:func:`blocks` is the one block evaluator of the solver's data passes: it
+gathers consecutive (points, time) units, a slab's cell rule or Neumann
+faces at one quadrature time each, into blocks of at most
+:data:`BLOCK_POINTS` points (:class:`Block` gives the layouts), so that a
+pass over all slabs of a loop makes one data call per block of small
+slabs.  Every value comes from the same elementwise operations as a call
+per unit, so it is bitwise the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+BLOCK_POINTS = 2 ** 12  # points per data call of a block pass, bounding its temporaries
+
+
+def _per_run(fn, t):
+    """``fn`` once per run of bit-equal consecutive entries of ``t``, repeated over the run.
+
+    ``fn`` maps a float time to a tuple of floats; the result is that tuple
+    for a scalar ``t`` and a tuple of arrays shaped like ``t`` otherwise.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return fn(float(t))
+    flat = t.ravel()
+    if not flat.size:
+        return tuple(np.empty(t.shape) for _ in fn(0.0))
+    bits = flat.view(np.int64)
+    first = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
+    values = np.array([fn(time) for time in flat[first].tolist()], dtype=float).T
+    if len(first) < flat.size:
+        values = np.repeat(values, np.diff(first, append=flat.size), axis=1)
+    return tuple(column.reshape(t.shape) for column in values)
+
+
+def _cone_time_factors(s, t):
+    """m_x, m_y, m'_x, m'_y, u2 and du2/dt of the cone with height scale ``s`` at the float ``t``."""
+    cos, sin = float(np.cos(TWO_PI * t)), float(np.sin(TWO_PI * t))
+    u2, du2 = _cone_height(s, float(t - np.floor(t)))
+    return (0.5 + 0.25 * cos, 0.5 + 0.25 * sin, -0.5 * math.pi * sin, 0.5 * math.pi * cos,
+            float(u2), du2)
+
+
+def _cone_height(s, th):
+    """u2 and du2/dt of height scale ``s`` at the fractional times ``th``.
+
+    nu1 is -1 before the half period and 1 from it on; nu2 is linear over
+    each half period.
+    """
+    first = th < 0.5
+    nu1 = 1.0 - 2.0 * first
+    nu2 = 5 * math.pi * (4 * th - (3.0 - 2.0 * first))
+    scale = nu1 * s
+    return scale * np.arctan(nu2), scale * 20 * math.pi / (1 + nu2 * nu2)
+
+
+def _require_finite(obj, *names):
+    """ValueError naming the first field of ``obj`` among ``names`` with a non-finite entry."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +97,7 @@ class Coefficients:
     epsilon: float = 1.2
 
     def __post_init__(self):
+        _require_finite(self, "rho", "epsilon")
         if self.rho <= 0 or self.epsilon <= 0:
             raise ValueError("coefficients must be positive")
 
@@ -58,29 +118,13 @@ class ConeSolution:
     s: float = -0.3333
 
     def __post_init__(self):
+        _require_finite(self, "a", "s")
         if self.a <= 0:
             raise ValueError("cone sharpness a must be positive")
 
     def _time_factors(self, t):
-        """Center m, center velocity m', u2 and du2/dt at one scalar time, as floats."""
-        t = float(t)
-        cos, sin = float(np.cos(TWO_PI * t)), float(np.sin(TWO_PI * t))
-        u2, du2 = self._height(float(t - np.floor(t)))
-        m = (0.5 + 0.25 * cos, 0.5 + 0.25 * sin)
-        velocity = (-0.5 * math.pi * sin, 0.5 * math.pi * cos)
-        return m, velocity, float(u2), du2
-
-    def _height(self, th):
-        """u2 and du2/dt at the fractional time ``th``, a float or an array.
-
-        nu1 is -1 before the half period and 1 from it on; nu2 is linear
-        over each half period.
-        """
-        first = th < 0.5
-        nu1 = 1.0 - 2.0 * first
-        nu2 = 5 * math.pi * (4 * th - (3.0 - 2.0 * first))
-        scale = nu1 * self.s
-        return scale * np.arctan(nu2), scale * 20 * math.pi / (1 + nu2 * nu2)
+        """m_x, m_y, m'_x, m'_y, u2 and du2/dt at the times ``t``, shaped like ``t``."""
+        return _per_run(functools.partial(_cone_time_factors, self.s), t)
 
     def _bump(self, x, m):
         """u1 = 1 / (1 + a r^2) at points ``x`` for the center ``m``, with x - m and r^2."""
@@ -89,41 +133,41 @@ class ConeSolution:
         return 1.0 / (1.0 + self.a * r2), dx, dy, r2
 
     def center(self, t):
-        """Cone center m(t) as two floats."""
-        return self._time_factors(t)[0]
+        """Cone center m(t) as two arrays shaped like ``t``."""
+        return self._time_factors(t)[:2]
 
     def u1(self, x, t):
         return self._bump(np.asarray(x, dtype=float), self.center(t))[0]
 
     def u2(self, t):
         t = np.asarray(t, dtype=float)
-        return self._height(t - np.floor(t))[0]
+        return _cone_height(self.s, t - np.floor(t))[0]
 
     def du2_dt(self, t):
         t = np.asarray(t, dtype=float)
-        return self._height(t - np.floor(t))[1]
+        return _cone_height(self.s, t - np.floor(t))[1]
 
     def u(self, x, t):
-        m, _, u2, _ = self._time_factors(t)
-        return self._bump(np.asarray(x, dtype=float), m)[0] * u2
+        m_x, m_y, _, _, u2, _ = self._time_factors(t)
+        return self._bump(np.asarray(x, dtype=float), (m_x, m_y))[0] * u2
 
     def grad(self, x, t):
         """Spatial gradient, shape (..., 2)."""
-        m, _, u2, _ = self._time_factors(t)
-        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), m)
+        m_x, m_y, _, _, u2, _ = self._time_factors(t)
+        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
         common = -2.0 * self.a * w1 * w1 * u2
         return np.stack([common * dx, common * dy], axis=-1)
 
     def dt(self, x, t):
         """Time derivative; on the temporal kinks the right-limit branch is used."""
-        m, (v1, v2), u2, du2 = self._time_factors(t)
-        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), m)
+        m_x, m_y, v1, v2, u2, du2 = self._time_factors(t)
+        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
         du1 = 2.0 * self.a * w1 * w1 * (dx * v1 + dy * v2)
         return du1 * u2 + w1 * du2
 
     def laplacian(self, x, t):
-        m, _, u2, _ = self._time_factors(t)
-        w1, _, _, r2 = self._bump(np.asarray(x, dtype=float), m)
+        m_x, m_y, _, _, u2, _ = self._time_factors(t)
+        w1, _, _, r2 = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
         lap_u1 = -4.0 * self.a * w1 * w1 * (1.0 - 2.0 * self.a * w1 * r2)
         return lap_u1 * u2
 
@@ -147,6 +191,7 @@ class ControlVolume:
     domain_bounds: tuple = (0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self):
+        _require_finite(self, "box", "r1", "omega", "t_start", "t_end", "center", "domain_bounds")
         x_min, x_max, y_min, y_max = self.box
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("degenerate control-volume box")
@@ -171,9 +216,9 @@ class ControlVolume:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         inside_t = (t > self.t_start) & (t < self.t_end)
-        if t.ndim == 0 and not inside_t:
-            return np.zeros(x.shape[:-1], dtype=bool)
-        mx, my = self.trajectory(t)
+        if not inside_t.any():
+            return np.zeros(np.broadcast(x[..., 0], t).shape, dtype=bool)
+        mx, my = _per_run(self.trajectory, t)
         dx = x[..., 0] - self.center[0] - mx
         dy = x[..., 1] - self.center[1] - my
         x_min, x_max, y_min, y_max = self.box
@@ -197,6 +242,9 @@ class ProblemData:
     coefficients: Coefficients = field(default_factory=Coefficients)
     t0: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self, "t0")
+
     def rhs_f(self, x, t):
         c = self.coefficients
         return c.rho * self.solution.dt(x, t) - c.epsilon * self.solution.laplacian(x, t)
@@ -209,3 +257,94 @@ class ProblemData:
 
     def initial(self, x):
         return self.solution.u(x, self.t0)
+
+
+class Block(NamedTuple):
+    """The points and times of consecutive units for one data call.
+
+    A block of one unit holds its points and its scalar time.  A block of
+    several units concatenates their rows of points in ``x`` (rows, q, 2)
+    and gives each point its unit's time in ``t`` (rows, q), so that every
+    elementwise operation of the data runs over arrays of one shape (a
+    (rows, 1) time would make numpy loop over rows of q points, at twice
+    the cost).  The data still evaluate their time factors once per run of
+    equal times.  Results are (rows, q), and ``spans`` holds each unit's
+    ``(start, stop)`` rows.
+    """
+
+    x: np.ndarray
+    t: np.ndarray
+    spans: list
+
+    def evaluate(self, fn):
+        """``fn(x, t)`` as (rows, q); no call where the block holds no point."""
+        shape = self.x.shape[:-1]
+        if not self.x.size:
+            return np.zeros(shape)
+        values = fn(self.x, self.t)
+        if np.shape(values) != shape:  # data constant in x or t
+            values = np.broadcast_to(values, shape)
+        return values
+
+    def at(self, points):
+        """The coordinates (n, 2) and times of the given points of the flattened result."""
+        flat = self.x.reshape(-1, 2)
+        return flat[points], self.t if self.t.ndim == 0 else self.t.ravel()[points]
+
+
+def blocks(units):
+    """Consecutive ``(x, t)`` units gathered into :class:`Block` values of at most
+    :data:`BLOCK_POINTS` points.
+
+    Each unit's ``x`` holds rows of points, shape (rows, q, 2), all at the
+    scalar time ``t``.  A block ends before a unit that would take it over
+    the budget or that has another q, so a unit over the budget is a block
+    of its own.
+    """
+    pending, size = [], 0
+    for x, t in units:
+        points = x.size // 2
+        if pending and (size + points > BLOCK_POINTS or x.shape[1:] != pending[0][0].shape[1:]):
+            yield _block(pending)
+            pending, size = [], 0
+        pending.append((x, t))
+        size += points
+    if pending:
+        yield _block(pending)
+
+
+def _block(units):
+    if len(units) == 1:
+        x, t = units[0]
+        return Block(x, np.asarray(t, dtype=float), [(0, len(x))])
+    lengths = [len(x) for x, _ in units]
+    rows = np.cumsum([0] + lengths).tolist()
+    x = np.concatenate([x for x, _ in units])
+    times = np.array([t for _, t in units], dtype=float)
+    t = np.repeat(times, x.shape[1] * np.array(lengths)).reshape(x.shape[:-1])
+    return Block(x, t, list(zip(rows[:-1], rows[1:])))
+
+
+def evaluate_in_blocks(fn, units):
+    """``fn(x, t)`` at each ``(x, t)`` unit's points, (rows, q) per unit in unit order.
+
+    One call per block of :func:`blocks`; each unit's values are a view of
+    its block's result.
+    """
+    for block in blocks(units):
+        values = block.evaluate(fn)
+        yield from (values[a:b] for a, b in block.spans)
+
+
+def forcing_in_blocks(data, parts):
+    """``data.rhs_f`` and ``data.neumann_h`` of each ``(cell points, Neumann points, times)`` part.
+
+    Yields one pair per part, in order: the lists over its times of f at
+    its cell points and of h at its Neumann points, from one
+    :func:`evaluate_in_blocks` pass per data function.
+    """
+    parts = list(parts)
+    f = evaluate_in_blocks(data.rhs_f, ((cells, t) for cells, _, ts in parts for t in ts))
+    h = evaluate_in_blocks(data.neumann_h, ((faces, t) for _, faces, ts in parts for t in ts))
+    for _, _, ts in parts:
+        yield [next(f) for _ in ts], [next(h) for _ in ts]

@@ -87,10 +87,12 @@ class Slab:
     def refine(self, marks):
         """Refine the given cell ids on a private copy of the mesh, then rebuild the spaces.
 
-        Slabs sharing the old mesh keep it and their spaces unchanged.
+        Slabs sharing the old mesh keep it and their spaces unchanged; marks
+        that :meth:`QuadMesh.refine` refuses leave this slab unchanged too.
         """
-        self.mesh = self.mesh.copy()
-        self.mesh.refine(marks)
+        mesh = self.mesh.copy()
+        mesh.refine(marks)
+        self.mesh = mesh
         self.rebuild_spaces()
 
     def _with_interval(self, interval):
@@ -127,6 +129,18 @@ class Slab:
 
     def clear_storage(self):
         self._storage.clear()
+
+
+def stored(slabs, tag):
+    """Every slab's vector under ``tag``, in slab order.
+
+    ValueError names the first slab index with nothing attached under the tag.
+    """
+    vectors = [slab.fetch_storage(tag) for slab in slabs]
+    for n, vector in enumerate(vectors):
+        if vector is None:
+            raise ValueError(f"slab {n} holds no stored {tag!r}")
+    return vectors
 
 
 class SlabList:

@@ -204,3 +204,17 @@ def test_one_face_rule_for_slabs_on_one_space(slab, rng, monkeypatch):
     _, _, _, _, coeff, data = cone_inputs(slab)
     estimator.slab_indicators(slabs, coeff, data)
     assert calls == {"face_quadrature": 1, "indicator_terms": 5}
+
+
+@pytest.mark.parametrize("missing", ["u", "u_prev", "z_tm", "z_tn"])
+def test_slab_indicators_name_the_slab_and_the_missing_vector(lshape, missing, rng):
+    from dwr_diffusion.slabs import init_slabs
+
+    slabs = stored_slabs(init_slabs(lshape, 0.0, 1.25, 3), rng)
+    kept = {tag: slabs[1].fetch_storage(tag) for tag in ("u", "u_prev", "z_tm", "z_tn")}
+    slabs[1].clear_storage()
+    for tag, vector in kept.items():
+        if tag != missing:
+            slabs[1].attach_storage(tag, vector)
+    with pytest.raises(ValueError, match=rf"^slab 1 holds no stored '{missing}'$"):
+        estimator.slab_indicators(slabs, Coefficients(), ProblemData())

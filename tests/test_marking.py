@@ -144,6 +144,24 @@ def test_marks_that_do_not_name_one_slab_each_fail_before_any_change(
     assert slabs[0].fetch_storage("u") is u
 
 
+@pytest.mark.parametrize("marks", [[0, 1.5], [True], np.array(["1"])])
+def test_space_marks_that_are_not_integers_fail_before_any_change(lshape, marks):
+    slabs = init_slabs(lshape, 0.0, 1.0, 3)
+    for slab in slabs:
+        slab.attach_storage("u", np.zeros(slab.primal.n_dofs))
+    with pytest.raises(ValueError, match=r"marked cell .* is not an integer cell id"):
+        marking.execute_adaptation(slabs, [0], {0: [0], 2: marks})
+    assert len(slabs) == 3 and all(s.mesh is slabs[0].mesh for s in slabs)
+    assert all(s.fetch_storage("u") is not None for s in slabs)
+
+
+@pytest.mark.parametrize("space_marks", [{1: [0.0, 2.0]}, {1: np.array([0, 2], dtype=np.int32)}])
+def test_integer_valued_space_marks_refine_as_ints(lshape, space_marks):
+    slabs = init_slabs(lshape, 0.0, 1.0, 3)
+    marking.execute_adaptation(slabs, [], space_marks)
+    assert slabs[1].mesh.active_cells() == make_lshape().refine([0, 2]).active_cells()
+
+
 @pytest.mark.parametrize("time_marks", [{2, 0}, [0, 2], np.array([2, 0]), np.array([0, 2])])
 def test_time_marks_as_a_set_a_list_or_an_index_array_split_the_same_slabs(lshape, time_marks):
     slabs = init_slabs(lshape, 0.0, 1.0, 3)

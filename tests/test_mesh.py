@@ -1,4 +1,6 @@
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,18 @@ class TestRefine:
         lshape.refine({0})
         with pytest.raises(ValueError, match="marked cell 0 is inactive"):
             lshape.refine({99, 2, 0})  # the first bad id in ascending order
+
+    @pytest.mark.parametrize("mark", [1.5, True, np.True_, "1", None, math.nan, math.inf])
+    def test_marks_that_are_not_integers_are_refused_by_name(self, lshape, mark):
+        with pytest.raises(ValueError, match=rf"marked cell {re.escape(repr(mark))} is not an "
+                                             "integer cell id"):
+            lshape.refine([0, mark])
+        assert lshape.active_cells() == [0, 1, 2]
+
+    @pytest.mark.parametrize("marks", [[1.0], [np.int32(1)], np.array([1]), np.array([1.0]),
+                                       (np.float64(1.0),)])
+    def test_integer_valued_marks_refine_as_ints(self, lshape, marks):
+        assert lshape.refine(marks).active_cells() == make_lshape().refine([1]).active_cells()
 
     def test_empty_marks_keep_order(self, lshape):
         before = lshape.active_cells()

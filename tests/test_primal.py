@@ -245,7 +245,7 @@ def zero(x, t=None):
 
 def test_data_turning_nan_on_a_later_slab_fails_at_once(lshape):
     data = SimpleNamespace(
-        rhs_f=lambda x, t: np.full(x.shape[:-1], np.nan if t > 0.5 else 0.0),
+        rhs_f=lambda x, t: np.where(t > 0.5, np.nan, 0.0) + np.zeros(x.shape[:-1]),
         neumann_h=zero, dirichlet_g=zero, initial=zero,
     )
     slabs = init_slabs(lshape, 0.0, 1.0, 4)
@@ -281,7 +281,7 @@ def test_time_error_is_first_order(time_rule):
     data = closed_form(
         u=lambda x, t: np.exp(-t) * (1.0 + x[..., 0] + 2.0 * x[..., 1]),
         dt=lambda x, t: -np.exp(-t) * (1.0 + x[..., 0] + 2.0 * x[..., 1]),
-        grad=lambda x, t: np.exp(-t) * np.broadcast_to([1.0, 2.0], x.shape),
+        grad=lambda x, t: np.expand_dims(np.exp(-t), -1) * np.broadcast_to([1.0, 2.0], x.shape),
         laplacian=zero,
     )
     errors = [goal_error(1, n, data, time_rule) for n in (4, 8, 16, 32)]
@@ -404,3 +404,19 @@ def test_goal_integrals_are_bit_identical_to_the_reference(sheared_irregular_lsh
             partial_cells += np.count_nonzero((inside > 0) & (inside < 9))
     # the moving box cuts cells, and the slabs before t = 0.25 or after t = 1 see nothing
     assert (partial_cells > 0, empty_slabs) == ((True, 4) if volume == "moving" else (False, 0))
+
+
+def test_goal_norm_names_the_slab_without_a_solution(lshape):
+    slabs = init_slabs(lshape, 0.0, 1.25, 3)
+    slabs[0].attach_storage("u", np.zeros(slabs[0].primal.n_dofs))
+    with pytest.raises(ValueError, match=r"^slab 1 holds no stored 'u'$"):
+        goal_norm(slabs, CONE.solution, ControlVolume())
+
+
+def test_dual_march_names_the_slab_without_a_solution_before_solving(lshape):
+    slabs = init_slabs(lshape, 0.0, 1.25, 3)
+    slabs[2].attach_storage("u", np.zeros(slabs[2].primal.n_dofs))
+    ctx = GoalContext(norm=1.0, cv=ControlVolume(), solution=CONE.solution)
+    with pytest.raises(ValueError, match=r"^slab 0 holds no stored 'u'$"):
+        march_backward(slabs, CONE.coefficients, ctx)
+    assert all(s.fetch_storage("z_tm") is None for s in slabs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dwr_diffusion import problem
 from dwr_diffusion.problem import (
     Coefficients,
     ConeSolution,
@@ -349,3 +350,114 @@ def test_membership_outside_the_window_evaluates_no_point(monkeypatch, t, shape)
     monkeypatch.setattr(ControlVolume, "trajectory", refuse)
     mask = cv.contains(np.full(shape + (2,), 0.5), t)
     assert mask.shape == shape and mask.dtype == bool and not mask.any()
+
+
+@pytest.mark.parametrize("layout", ["rows", "units", "points"])
+def test_time_arrays_are_bit_identical_to_the_reference(rng, layout):
+    """One time per row of points, per time over one array of points, or per point:
+    the values equal the reference's, which evaluates every entry of t alone."""
+    x = rng.uniform(-0.5, 1.5, size=(12, 9, 2))
+    times = np.array([0.0, -0.0, 0.5, 0.25, 1.0, *rng.uniform(-1.0, 3.0, 7)])
+    t = {"rows": np.repeat(times, 1)[:, None],  # runs of one row
+         "units": times[:, None, None],  # x broadcast against each time
+         "points": np.repeat(times[:4], 27).reshape(12, 9)}[layout]
+    ref = ReferenceCone(a=SOL.a, s=SOL.s)
+    ref_data = ProblemData(solution=ref)
+    for name in ("u", "grad", "dt", "laplacian"):
+        got, expected = getattr(SOL, name)(x, t), getattr(ref, name)(x, t)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+    for name in ("rhs_f", "neumann_h", "dirichlet_g"):
+        got, expected = getattr(DATA, name)(x, t), getattr(ref_data, name)(x, t)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+    cv = ControlVolume()
+    assert np.array_equal(cv.contains(x, t), reference_contains(cv, x, t))
+
+
+def test_repeated_times_evaluate_the_time_factors_once_per_run(monkeypatch):
+    calls = []
+    cv = ControlVolume()
+    trajectory = ControlVolume.trajectory
+    monkeypatch.setattr(ControlVolume, "trajectory",
+                        lambda self, t: calls.append(t) or trajectory(self, t))
+    t = np.repeat([0.3, 0.3, 0.6, 0.3], 5)[:, None]
+    cv.contains(np.full((20, 4, 2), 0.5), t)
+    assert calls == [0.3, 0.6, 0.3]
+
+
+def test_membership_of_time_arrays_outside_the_window_evaluates_no_point(monkeypatch):
+    cv = ControlVolume()
+
+    def refuse(self, t):
+        raise AssertionError("trajectory evaluated outside the time window")
+
+    monkeypatch.setattr(ControlVolume, "trajectory", refuse)
+    mask = cv.contains(np.full((7, 9, 2), 0.5), np.array([0.1, 1.0, 2.0])[:, None, None])
+    assert mask.shape == (3, 7, 9) and mask.dtype == bool and not mask.any()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda v: ConeSolution(a=v), "a"),
+    (lambda v: ConeSolution(s=v), "s"),
+    (lambda v: Coefficients(rho=v), "rho"),
+    (lambda v: Coefficients(epsilon=v), "epsilon"),
+    (lambda v: ControlVolume(r1=v), "r1"),
+    (lambda v: ControlVolume(omega=v), "omega"),
+    (lambda v: ControlVolume(t_start=v), "t_start"),
+    (lambda v: ControlVolume(t_end=v), "t_end"),
+    (lambda v: ControlVolume(box=(-0.1, v, -0.1, 0.1)), "box"),
+    (lambda v: ControlVolume(center=(v, 0.5)), "center"),
+    (lambda v: ProblemData(t0=v), "t0"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_are_refused_by_name(make, field, value):
+    with pytest.raises(ValueError, match=rf"\.{field} must be finite"):
+        make(value)
+
+
+def blocked(fn, units):
+    return [v.copy() for v in problem.evaluate_in_blocks(fn, units)]
+
+
+def test_blocks_keep_unit_order_and_the_budget(rng, monkeypatch):
+    monkeypatch.setattr(problem, "BLOCK_POINTS", 100)
+    shared = rng.random((5, 4, 2))
+    rows = [6, 6, 6, 7, 30, 2, None, None, 6, 6, 6]
+    units = [(shared if n is None else rng.random((n, 4, 2)), 0.1 * k) for k, n in enumerate(rows)]
+    units.append((rng.random((2, 9, 2)), 1.5))
+    blocks = list(problem.blocks(iter(units)))
+    # 3 x 24 + 28 points fill the budget; 120 points exceed it alone; 8 + 20 + 20 + 24 + 24
+    # points fill it again, so the last unit of 24 starts a block; another q starts one too
+    assert [len(b.spans) for b in blocks] == [4, 1, 5, 1, 1]
+    single = blocks[1]
+    assert single.x is units[4][0] and single.t.ndim == 0 and single.spans == [(0, 30)]
+    assert blocks[0].t.shape == (25, 4) and blocks[0].spans == [(0, 6), (6, 12), (12, 18), (18, 25)]
+    assert np.array_equal(blocks[0].t, np.repeat(0.1 * np.arange(4), [24, 24, 24, 28]).reshape(25, 4))
+    # units on one array of points are concatenated like any others
+    assert blocks[2].x.shape == (24, 4, 2) and blocks[2].spans[1:3] == [(2, 7), (7, 12)]
+    for fn in (DATA.rhs_f, DATA.neumann_h, SOL.u, ControlVolume().contains):
+        got = blocked(fn, units)
+        assert all(g.tobytes() == fn(x, t).tobytes() for g, (x, t) in zip(got, units))
+
+
+def test_a_block_gives_each_point_its_unit_and_time(rng):
+    x = rng.random((6, 4, 2))
+    (block,) = problem.blocks([(x, 0.1), (x, 0.2), (x, 0.3)])
+    assert block.x.shape == (18, 4, 2) and block.t.shape == (18, 4)
+    assert block.spans == [(0, 6), (6, 12), (12, 18)]
+    values = block.evaluate(SOL.u)
+    assert values.shape == (18, 4)
+    assert values[6:12].tobytes() == SOL.u(x, 0.2).tobytes()
+    coords, times = block.at(np.array([1, 30, 71]))
+    assert np.array_equal(coords, x.reshape(-1, 2)[[1, 6, 23]])
+    assert np.array_equal(times, [0.1, 0.2, 0.3])
+    # data constant in x and t are broadcast to every point
+    assert block.evaluate(lambda x, t: 1.0).shape == (18, 4)
+
+
+def test_a_block_without_points_calls_nothing():
+    (block,) = problem.blocks([(np.zeros((0, 3, 2)), 0.1), (np.zeros((0, 3, 2)), 0.2)])
+
+    def refuse(x, t):
+        raise AssertionError("called on no points")
+
+    assert block.evaluate(refuse).shape == (0, 3)

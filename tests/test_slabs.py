@@ -54,6 +54,17 @@ class TestInit:
         assert slabs[1].mesh.n_active_cells == 3
         assert lshape.n_active_cells == 3
 
+    @pytest.mark.parametrize("marks", [[1.5], [True], ["1"]])
+    def test_refusing_marks_leaves_the_slab_unchanged(self, lshape, marks):
+        slabs = init_slabs(lshape, 0.0, 1.0, 2)
+        slab = slabs[0]
+        mesh, primal = slab.mesh, slab.primal
+        slab.attach_storage("u", np.zeros(primal.n_dofs))
+        with pytest.raises(ValueError, match=rf"marked cell {marks[0]!r} is not an integer"):
+            slab.refine(marks)
+        assert slab.mesh is mesh is slabs[1].mesh and slab.primal is primal
+        assert slab.fetch_storage("u") is not None and mesh.n_active_cells == 3
+
     def test_invalid_args(self, lshape):
         with pytest.raises(ValueError):
             init_slabs(lshape, 0.0, 1.0, 0)
