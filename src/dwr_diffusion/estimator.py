@@ -19,15 +19,22 @@ Each slab's signed indicators are one float64 array aligned with
 ``slab.mesh.active_ids()``; absolute values enter only the per-slab and
 global sums.
 
-Both terms are batched.  The volume term reads the mesh state's cached
-:func:`fem.cell_rule`, whose one inverse Jacobian per parallelogram cell
-gives the exact Laplacian.  The face term runs over the non-Dirichlet rows
-of the mesh's face table (:meth:`QuadMesh.face_topology`), one per face
-piece, in table order: cells in ``dual.active_ids`` order, faces 0..3,
-pieces ascending along the face.  :func:`fem.face_quadrature` gives each
-piece's Gauss points on both sides, where grad u_h is evaluated on both
-sides and w on the owner; :func:`slab_indicators` builds it once per run of
-slabs on one dual space and never keeps it (the ``fem`` module says why).
+Both terms are batched, and each field they read is one matrix product of
+the slab's per-cell coefficients with a per-process reference table.  The
+volume term reads the mesh state's cached :func:`fem.cell_rule`:
+:meth:`fem.CellRule.laplacians` traces the reference Hessians against the
+one inverse Jacobian per parallelogram cell, which gives the exact
+Laplacian.  The face term runs over the non-Dirichlet rows of the mesh's
+face table (:meth:`QuadMesh.face_topology`), one per face piece, in table
+order: cells in ``dual.active_ids`` order, faces 0..3, pieces ascending
+along the face.  :func:`fem.face_gradients` gives grad u_h and
+:func:`fem.face_values` gives w at the Gauss points of every face and slot
+of every cell; each piece takes its rows by the ``flat`` index of
+:func:`fem.face_quadrature`, grad u_h on both sides and w on the owner.
+:func:`slab_indicators` builds that rule once per run of slabs on one dual
+space and never keeps it (the ``fem`` module says why).  The products sum
+in BLAS order, so the indicators agree with a per-point evaluation to
+rounding (about 1e-16 of the largest), not bit for bit.
 The data f and h at the 2 Gauss times come from one block pass over all
 slabs (:func:`problem.blocks`), f at the cell rule's points and h at
 :func:`fem.neumann_points`, the face rule's points on the Neumann rows in
@@ -75,12 +82,10 @@ def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
 
 def _shared_pieces(slab):
     """What every slab on this dual space shares in :func:`indicator_terms`, in its order."""
-    rule = fem.cell_rule(slab.dual, slab.dual.degree + 1)
     table = slab.mesh.face_topology()
     rows = ~table.on_boundary(DIRICHLET)
     quad = fem.face_quadrature(slab.dual, slab.dual.degree + 1, rows)
-    return (rule.invJ @ rule.invJ.transpose(0, 2, 1), quad, table.on_boundary(NEUMANN)[rows],
-            np.repeat(quad.cells.ravel(), quad.JxW.shape[1]), quad.gradients(slab.primal.degree))
+    return quad, table.on_boundary(NEUMANN)[rows]
 
 
 def _indicator_data(slabs, data):
@@ -96,6 +101,15 @@ def _indicator_data(slabs, data):
         for slab in slabs))
 
 
+def _vector(vector, space, name):
+    """``vector`` as float64; ValueError naming it unless its shape is ``(space.n_dofs,)``."""
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (space.n_dofs,):
+        raise ValueError(f"{name} has shape {vector.shape}, not ({space.n_dofs},) "
+                         f"for the degree-{space.degree} space")
+    return vector
+
+
 def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, values=None):
     """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors.
 
@@ -103,13 +117,11 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, value
     from :func:`_indicator_data`; each is built here if not given.
     """
     primal, dual = slab.primal, slab.dual
-    lap, quad, neumann, at, grad = shared or _shared_pieces(slab)
+    u, u_prev = (_vector(v, primal, name) for v, name in ((u, "u"), (u_prev, "u_prev")))
+    w_tm, w_tn = (_vector(v, dual, name) for v, name in ((w_tm, "w_tm"), (w_tn, "w_tn")))
+    quad, neumann = shared or _shared_pieces(slab)
     f_values, h_values = values or next(_indicator_data([slab], data))
     eps = coeff.epsilon
-    u = np.asarray(u, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float)
-    w_tm = np.asarray(w_tm, dtype=float)
-    w_tn = np.asarray(w_tn, dtype=float)
 
     ts, wts = slab.interval.gauss_points(_TIME_QUAD)
     theta = np.array([slab.interval.unit_coord(t) for t in ts])
@@ -117,9 +129,7 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, value
 
     # volume terms, batched over all cells
     rule = fem.cell_rule(dual, dual.degree + 1)
-    # physical Laplacian: the reference Hessian traced against the cell's invJ invJ^T
-    ref_hess = np.einsum("qief,ci->cqef", rule.basis(primal.degree).hess, u[primal.cell_dofs])
-    lap_u = np.einsum("cqef,cef->cq", ref_hess, lap)
+    lap_u = rule.laplacians(primal, u)
     du_jump = rule.values(primal, u - u_prev)
 
     eta = np.zeros(len(dual.active_ids))
@@ -128,13 +138,15 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, value
         eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
-    # face terms, batched over the non-Dirichlet face pieces
-    own, (n_pc, n_q) = quad.cells[0], quad.JxW.shape
-    grads = fem.physical_gradients(primal, u, at, grad).reshape(2, n_pc, n_q, 2)
-    w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
+    # face terms, batched over the non-Dirichlet face pieces: every cell's face
+    # points in one product, then each piece's rows on both sides
+    own, n_q = quad.cells[0], quad.JxW.shape[1]
+    grads = np.take(fem.face_gradients(primal, u, n_q).reshape(-1, n_q, 2), quad.flat, axis=0)
+    w_face = np.take(fem.face_values(dual, w_at, n_q).reshape(len(ts), -1, n_q), quad.flat[0],
+                     axis=1)
 
     # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
-    resid = np.empty((len(ts), n_pc, n_q))
+    resid = np.empty((len(ts), len(own), n_q))
     resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
     if neumann.any():
         flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])

@@ -23,23 +23,30 @@ bilinear map.
 Face integrals use :func:`face_quadrature`: Gauss points on face pieces
 (face-table rows) as a face and a slot of the face tables on both sides,
 slot 0 where a cell owns the whole piece, ``1 + half`` on the coarser side
-(the table's integer ``half`` column).  Only the Neumann rows' quadrature
+(the table's integer ``half`` column).  :func:`face_values` and
+:func:`face_gradients` evaluate a field at every face and slot of every
+cell in one matrix product; a rule's ``flat`` index picks each piece's
+rows from them.  Only the Neumann rows' quadrature
 (:func:`neumann_quadrature`, per degree) and their points
 (:func:`neumann_points`, per rule size) are kept with the mesh state:
 caching every row's quadrature holds it for every live slab mesh and
 raised the shipped run's peak RSS 401 -> 593 MB.
 
 Reference tables depend on the degree and the rule only, so each is built
-once per process (``functools.cache``) and shared read-only:
+once per process (``functools.cache``) on first use and shared read-only:
 :func:`gauss_1d` and :func:`gauss_quadrature`, the basis tables at a cell
-rule's points (``_basis_tables``), the unit-cell mass and stiffness
+rule's points (``_basis_tables``) and their Hessians as one (nloc, points)
+matrix (``_hessian_matrix``), the unit-cell mass and stiffness
 (``_reference_matrices``), the lattice nodes of a degree
 (``_lattice_points``), the basis of one degree at the lattice nodes of
 another (``_lattice_basis``, for numbering dofs and same-mesh
 interpolation), the face lattice indices (``_face_lattice``), the
 hanging-constraint trace weights of each face half (``_trace_weights``),
-the Gauss points of each face slot (``_face_points``) and the basis and its
-gradients there (``_face_basis``).
+the Gauss points of each face slot (``_face_points``), the basis and its
+gradients there (``_face_basis``) and both as (nloc, points) matrices
+(``_face_matrices``).  A matrix with the local dof first turns the
+evaluation of a field on every cell into one product with the cells'
+coefficients, ``u[space.cell_dofs] @ table``.
 
 Matrices are one scatter, :func:`assemble_csr`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
@@ -304,6 +311,15 @@ def _basis_tables(degree, n):
     return read_only(BasisTables(*tables))
 
 
+@functools.cache
+def _hessian_matrix(degree, n):
+    """:func:`_basis_tables`' Hessians with the local dof first, (nloc, q * 4), read-only."""
+    hess = _basis_tables(degree, n).hess
+    matrix = np.ascontiguousarray(np.moveaxis(hess, 1, 0)).reshape(hess.shape[1], -1)
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class CellRule:
     """Tensor Gauss rule with ``n`` points per direction mapped onto every active cell.
@@ -331,6 +347,18 @@ class CellRule:
         return np.einsum(
             "qi,ci->cq", self.basis(space.degree).N, np.asarray(coefficients)[space.cell_dofs]
         )
+
+    def laplacians(self, space, coefficients):
+        """Physical Laplacians of a coefficient vector over ``space`` at the rule's points, (c, q).
+
+        One matrix product gives the reference Hessians, each traced against
+        its cell's J^-1 J^-T.
+        """
+        hess = np.asarray(coefficients)[space.cell_dofs] @ _hessian_matrix(space.degree, self.n)
+        a, b, c, d = self.invJ.reshape(-1, 4).T  # J^-1 J^-T, written out for 2 x 2
+        ac = a * c + b * d
+        metric = np.stack([a * a + b * b, ac, ac, c * c + d * d], axis=-1)
+        return np.einsum("cqk,ck->cq", hess.reshape(len(metric), -1, 4), metric)
 
     def load(self, space, density):
         """Unconstrained vector b_i = sum_K sum_q JxW density phi_i of a (c, q) density."""
@@ -374,20 +402,6 @@ def _cell_geometry(mesh):
         return read_only((detJ, invJ / detJ[:, None, None]))
 
     return mesh.cached("cell_geometry", build)
-
-
-def physical_gradients(space, coefficients, cells, ref_grad):
-    """Physical gradients of a coefficient vector from reference-gradient rows.
-
-    ``cells`` (n,) holds positions in ``space.active_ids`` and ``ref_grad``
-    (n, nloc, 2) the reference basis gradients at one point in each of those
-    cells, as gathered from a basis table; returns (n, 2).
-    """
-    space._check_current()
-    _, invJ = _cell_geometry(space.mesh)
-    coeffs = np.asarray(coefficients)[space.cell_dofs[cells]]
-    ref = np.einsum("nie,ni->ne", ref_grad, coeffs)
-    return np.einsum("ned,ne->nd", invJ[cells], ref)
 
 
 @functools.cache
@@ -494,11 +508,7 @@ class FaceQuadrature(NamedTuple):
     JxW: np.ndarray  # (r, q) weight * piece length
     normal: np.ndarray  # (r, 2) outward unit normal of the owner
     N: np.ndarray  # (r, q, nloc) basis of the space's degree at the owner's points
-
-    def gradients(self, degree):
-        """Reference gradients of ``degree`` at side 0's, then side 1's points, (2 r q, nloc, 2)."""
-        grad = _face_basis(degree, self.JxW.shape[1])[1]
-        return grad[self.faces, self.slots].reshape(-1, *grad.shape[-2:])
+    flat: np.ndarray  # (2, r) each side's (cell, face, slot) as the row 12 cell + 3 face + slot
 
 
 def _along(ends, s):
@@ -525,6 +535,39 @@ def _face_basis(degree, n):
                       tensor_grad(degree, pts).reshape(*shape, 2)))
 
 
+@functools.cache
+def _face_matrices(degree, n):
+    """:func:`_face_basis` with the local dof first, read-only: values (nloc, 4 * 3 * n) and
+    gradients (nloc, 4 * 3 * n * 2), so that one matrix product evaluates every cell."""
+    N, grad = _face_basis(degree, n)
+    nloc = N.shape[-1]
+    return read_only((np.ascontiguousarray(np.moveaxis(N, -1, 0)).reshape(nloc, -1),
+                      np.ascontiguousarray(np.moveaxis(grad, -2, 0)).reshape(nloc, -1)))
+
+
+def face_values(space, coefficients, n):
+    """Values of coefficient vectors (..., n_dofs) at the n-point Gauss rule of every face
+    and slot (:func:`_face_points`) of every cell, shape (..., c, 4, 3, n).
+
+    One matrix product.  Side k of a :class:`FaceQuadrature` reads the rows
+    ``[..., quad.cells[k], quad.faces[k], quad.slots[k]]``, which are the rows
+    ``quad.flat[k]`` of the array flattened to (..., c * 4 * 3, n).
+    """
+    space._check_current()
+    local = np.take(coefficients, space.cell_dofs, axis=-1) @ _face_matrices(space.degree, n)[0]
+    return local.reshape(*local.shape[:-1], 4, 3, n)
+
+
+def face_gradients(space, coefficients, n):
+    """Physical gradients (c, 4, 3, n, 2) of a coefficient vector at the points of
+    :func:`face_values`: one matrix product gives the reference gradients, one
+    batched product with each cell's J^-1 the physical ones."""
+    space._check_current()
+    _, invJ = _cell_geometry(space.mesh)
+    ref = np.asarray(coefficients)[space.cell_dofs] @ _face_matrices(space.degree, n)[1]
+    return (ref.reshape(len(invJ), -1, 2) @ invJ).reshape(len(invJ), 4, 3, n, 2)
+
+
 def face_quadrature(space, n, rows):
     """The n-point Gauss rule on the face-table ``rows`` (a mask or indices) of the space's mesh.
 
@@ -547,6 +590,7 @@ def face_quadrature(space, n, rows):
     return FaceQuadrature(*read_only((
         cells, faces, slots, _along(piece, s), w * np.hypot(*span.T)[:, None],
         normal / np.hypot(*t.T)[:, None], _face_basis(space.degree, n)[0][face, slots[0]],
+        (cells * 4 + faces) * 3 + slots,
     )))
 
 

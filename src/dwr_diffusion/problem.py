@@ -160,16 +160,18 @@ class ConeSolution:
 
     def dt(self, x, t):
         """Time derivative; on the temporal kinks the right-limit branch is used."""
-        m_x, m_y, v1, v2, u2, du2 = self._time_factors(t)
-        w1, dx, dy, _ = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
-        du1 = 2.0 * self.a * w1 * w1 * (dx * v1 + dy * v2)
-        return du1 * u2 + w1 * du2
+        return self.dt_and_laplacian(x, t)[0]
 
     def laplacian(self, x, t):
-        m_x, m_y, _, _, u2, _ = self._time_factors(t)
-        w1, _, _, r2 = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
+        return self.dt_and_laplacian(x, t)[1]
+
+    def dt_and_laplacian(self, x, t):
+        """:meth:`dt` and :meth:`laplacian` from one time-factor pass and one bump."""
+        m_x, m_y, v1, v2, u2, du2 = self._time_factors(t)
+        w1, dx, dy, r2 = self._bump(np.asarray(x, dtype=float), (m_x, m_y))
+        du1 = 2.0 * self.a * w1 * w1 * (dx * v1 + dy * v2)
         lap_u1 = -4.0 * self.a * w1 * w1 * (1.0 - 2.0 * self.a * w1 * r2)
-        return lap_u1 * u2
+        return du1 * u2 + w1 * du2, lap_u1 * u2
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,10 @@ def in_control_volume(x, t, cv):
 class ProblemData:
     """Forcing, boundary and initial data derived from an analytic solution.
 
-    The Neumann flux is the outward co-normal derivative on the x = 0
-    boundary part (outward normal (-1, 0)).
+    The solution provides ``u``, ``grad`` and ``dt_and_laplacian`` (the time
+    derivative and the Laplacian from one call).  The Neumann flux is the
+    outward co-normal derivative on the x = 0 boundary part (outward normal
+    (-1, 0)).
     """
 
     solution: ConeSolution = field(default_factory=ConeSolution)
@@ -247,7 +251,8 @@ class ProblemData:
 
     def rhs_f(self, x, t):
         c = self.coefficients
-        return c.rho * self.solution.dt(x, t) - c.epsilon * self.solution.laplacian(x, t)
+        dt, laplacian = self.solution.dt_and_laplacian(x, t)
+        return c.rho * dt - c.epsilon * laplacian
 
     def dirichlet_g(self, x, t):
         return self.solution.u(x, t)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dwr_diffusion import estimator
+from dwr_diffusion import estimator, fem
 from dwr_diffusion.fem import interpolate
 from dwr_diffusion.mesh import (
     BOUNDARY, BOUNDARY_COLORS, COARSER, DIRICHLET, FINER, NEUMANN, SAME,
 )
 from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
 from dwr_diffusion.slabs import Slab, TimeInterval
+from mesh_state_cases import build, cases
 
 
 @pytest.fixture
@@ -86,6 +87,94 @@ def test_keys_are_active_ids_in_order(slab):
         w[bubble] = 1.0
         eta = estimator.indicator_terms(slab, u, u_prev, w, w, coeff, data)
         assert np.flatnonzero(eta).tolist() == [position[cid]]
+
+
+def reference_indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
+    """The earlier per-point einsum body of ``indicator_terms``, kept as the oracle.
+
+    Face gradients are formed per face point from gathered reference rows,
+    the dual weights per piece from the face rule's basis, and the reference
+    Hessians by an einsum over the cell rule's table.
+    """
+    primal, dual = slab.primal, slab.dual
+    rule = fem.cell_rule(dual, dual.degree + 1)
+    table = slab.mesh.face_topology()
+    rows = ~table.on_boundary(DIRICHLET)
+    quad = fem.face_quadrature(dual, dual.degree + 1, rows)
+    neumann = table.on_boundary(NEUMANN)[rows]
+    lap = rule.invJ @ rule.invJ.transpose(0, 2, 1)
+    at = np.repeat(quad.cells.ravel(), quad.JxW.shape[1])
+    ref_grad = fem._face_basis(primal.degree, quad.JxW.shape[1])[1]
+    grad = ref_grad[quad.faces, quad.slots].reshape(-1, *ref_grad.shape[-2:])
+    f_values, h_values = next(estimator._indicator_data([slab], data))
+    eps = coeff.epsilon
+
+    ts, wts = slab.interval.gauss_points(2)
+    theta = np.array([slab.interval.unit_coord(t) for t in ts])
+    w_at = np.stack([(1 - th) * w_tm + th * w_tn for th in theta])
+
+    ref_hess = np.einsum("qief,ci->cqef", rule.basis(primal.degree).hess, u[primal.cell_dofs])
+    lap_u = np.einsum("cqef,cef->cq", ref_hess, lap)
+    du_jump = rule.values(primal, u - u_prev)
+    eta = np.zeros(len(dual.active_ids))
+    for (f, wt, w) in zip(f_values, wts, w_at):
+        resid = f + eps * lap_u
+        eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
+    eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
+
+    own, (n_pc, n_q) = quad.cells[0], quad.JxW.shape
+    _, invJ = fem._cell_geometry(primal.mesh)
+    ref = np.einsum("nie,ni->ne", grad, u[primal.cell_dofs[at]])
+    grads = np.einsum("ned,ne->nd", invJ[at], ref).reshape(2, n_pc, n_q, 2)
+    w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
+    resid = np.empty((len(ts), n_pc, n_q))
+    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
+    if neumann.any():
+        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
+        for k, h in enumerate(h_values):
+            resid[k, neumann] = h - flux
+    inner = np.sum(quad.JxW * resid * w_face, axis=-1)
+    acc = sum(wt * row for wt, row in zip(wts, inner))
+    np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
+    return eta
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("name", list(cases()))
+def test_indicators_match_the_per_point_oracle(name, degrees):
+    """The per-cell reference tables change the summation order only."""
+    slab = Slab(TimeInterval(0.1, 0.35), build(name), *degrees)
+    inputs = cone_inputs(slab)
+    eta = estimator.indicator_terms(slab, *inputs)
+    expected = reference_indicator_terms(slab, *inputs)
+    assert np.max(np.abs(eta - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(estimator.indicator_terms(slab, *inputs), eta)
+
+
+def test_recorded_cases_hold_hanging_and_neumann_faces():
+    kinds, colors = set(), set()
+    for name in cases():
+        table = build(name).face_topology()
+        kinds |= set(table.kind.tolist())
+        colors |= {BOUNDARY_COLORS[c] for c in table.color[table.kind == BOUNDARY].tolist()}
+    assert kinds == {SAME, FINER, COARSER, BOUNDARY} and NEUMANN in colors
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_vectors_of_the_wrong_length_raise_naming_them(slab, position):
+    inputs = list(cone_inputs(slab))
+    names = ("u", "u_prev", "w_tm", "w_tn")
+    n = len(inputs[position])
+    inputs[position] = np.append(inputs[position], [0.0, 0.0])
+    message = rf"^{names[position]} has shape \({n + 2},\), not \({n},\)"
+    with pytest.raises(ValueError, match=message):
+        estimator.indicator_terms(slab, *inputs)
+
+
+def test_four_vectors_all_too_long_are_refused(slab):
+    inputs = [np.append(v, [0.0, 0.0]) for v in cone_inputs(slab)[:4]]
+    with pytest.raises(ValueError, match=r"^u has shape"):
+        estimator.indicator_terms(slab, *inputs, *cone_inputs(slab)[4:])
 
 
 def test_linear_solution_has_zero_indicators(slab, rng):

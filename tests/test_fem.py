@@ -14,7 +14,6 @@ from dwr_diffusion.fem import (
     gauss_quadrature,
     interpolate,
     interpolate_same_mesh,
-    physical_gradients,
     tensor_grad,
     tensor_shape,
     transfer,
@@ -288,8 +287,18 @@ class TestFaceTables:
                 assert np.array_equal(N[face, slot], tensor_shape(degree, ref))
                 assert np.array_equal(grad[face, slot], tensor_grad(degree, ref))
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matrices_are_the_tables_with_the_local_dof_first(self, degree):
+        N, grad = fem._face_basis(degree, 3)
+        values, grads = fem._face_matrices(degree, 3)
+        assert fem._face_matrices(degree, 3)[0] is values
+        assert values.shape == (N.shape[-1], 4 * 3 * 3) and grads.shape == (N.shape[-1], 72)
+        assert np.array_equal(values.reshape(-1, 4, 3, 3), np.moveaxis(N, -1, 0))
+        assert np.array_equal(grads.reshape(-1, 4, 3, 3, 2), np.moveaxis(grad, -2, 0))
+
     def test_tables_are_read_only(self):
-        for table in (fem._face_points(3), *fem._face_basis(2, 3)):
+        for table in (fem._face_points(3), *fem._face_basis(2, 3), *fem._face_matrices(2, 3),
+                      fem._hessian_matrix(2, 3)):
             with pytest.raises(ValueError):
                 table.flat[0] = 1.0
 
@@ -324,7 +333,17 @@ class TestFaceTables:
                 normal = fem._NORMAL_SIGN[table.face[rows]][:, None] * np.column_stack(
                     [-t[:, 1], t[:, 0]])
                 assert np.array_equal(quad.normal, normal / np.hypot(*t.T)[:, None])
-                assert np.array_equal(quad.gradients(1), tensor_grad(1, ref.reshape(-1, 2)))
+                # the face matrices hold the tables at each side's reference points
+                values, grads = (
+                    np.moveaxis(m.reshape(len(m), 4, 3, n, -1), 0, -2)[quad.faces, quad.slots]
+                    for m in fem._face_matrices(degree, n))
+                assert np.array_equal(values[0, ..., 0], N)
+                assert np.array_equal(grads, tensor_grad(degree, ref.reshape(-1, 2)).reshape(
+                    grads.shape))
+                # ``flat`` indexes the same rows of the flattened per-cell arrays
+                at_faces = fem.face_values(space, np.arange(space.n_dofs, dtype=float), n)
+                assert np.array_equal(at_faces.reshape(-1, n)[quad.flat],
+                                      at_faces[quad.cells, quad.faces, quad.slots])
 
 
 class TestCellRule:
@@ -351,6 +370,16 @@ class TestCellRule:
             assert np.allclose(rule.values(space, u), linear(rule.phys), rtol=0, atol=1e-13)
             b = rule.load(space, np.ones_like(rule.JxW))
             assert b.sum() == pytest.approx(rule_mesh.total_area(), abs=1e-14)
+
+    def test_laplacians_of_a_quadratic(self, rule_mesh):
+        """Q2 holds every quadratic on a parallelogram, so its Laplacian is exact."""
+        space = FeSpace(rule_mesh, 2)
+        quadratic = lambda x: x[..., 0] ** 2 + 3.0 * x[..., 0] * x[..., 1] - 2.0 * x[..., 1] ** 2
+        u = interpolate(space, quadratic).coefficients
+        rule = cell_rule(space, 3)
+        assert np.allclose(rule.laplacians(space, u), -2.0, rtol=0, atol=1e-11)
+        linear = interpolate(FeSpace(rule_mesh, 1), lambda x: 1.0 + x @ [2.0, -3.0])
+        assert np.allclose(rule.laplacians(linear.space, linear.coefficients), 0.0, atol=1e-11)
 
     def test_one_rule_per_mesh_state(self, rule_mesh):
         slab = Slab(TimeInterval(0.0, 1.0), rule_mesh, 1, 2)
@@ -407,20 +436,33 @@ class TestAffineGeometry:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("name", list(cases()))
     def test_physical_gradients_match_the_bilinear_map(self, name, degree, rng):
+        """Physical gradients at every face point of every cell, solved from J^T per point."""
         mesh = build(name)
         space = FeSpace(mesh, degree)
         coefficients = rng.standard_normal(space.n_dofs)
-        cells = rng.integers(len(space.active_ids), size=300)
-        ref = rng.random((300, 2))
-        corners = mesh.cell_corner_coords(space.active_ids)[cells]
-        J = np.einsum("nvd,nve->nde", corners - corners[:, :1], tensor_grad(1, ref))
+        ref = fem._face_points(3).reshape(-1, 2)
+        corners = mesh.cell_corner_coords(space.active_ids)
+        J = np.einsum("cvd,kve->ckde", corners - corners[:, :1], tensor_grad(1, ref))
         ref_grad = np.einsum(
-            "nie,ni->ne", tensor_grad(degree, ref), coefficients[space.cell_dofs[cells]]
+            "kie,ci->cke", tensor_grad(degree, ref), coefficients[space.cell_dofs]
         )
         # the reference gradient is J^T times the physical one
-        expected = np.linalg.solve(np.swapaxes(J, 1, 2), ref_grad[..., None])[..., 0]
-        rows = tensor_grad(degree, ref)
-        assert_close(physical_gradients(space, coefficients, cells, rows), expected, 1e-14)
+        expected = np.linalg.solve(np.swapaxes(J, -1, -2), ref_grad[..., None])[..., 0]
+        got = fem.face_gradients(space, coefficients, 3)
+        assert got.shape == (len(space.active_ids), 4, 3, 3, 2)
+        assert_close(got.reshape(expected.shape), expected, 1e-14)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_face_values_are_the_basis_at_the_face_points(self, name, degree, rng):
+        space = FeSpace(build(name), degree)
+        coefficients = rng.standard_normal((2, space.n_dofs))
+        N = tensor_shape(degree, fem._face_points(3).reshape(-1, 2))
+        expected = np.einsum("ki,tci->tck", N, coefficients[:, space.cell_dofs])
+        got = fem.face_values(space, coefficients, 3)
+        assert got.shape == (2, len(space.active_ids), 4, 3, 3)
+        assert_close(got.reshape(expected.shape), expected, 1e-14)
+        assert_close(fem.face_values(space, coefficients[1], 3), got[1], 1e-15)
 
 
 def conforming_basis(space):

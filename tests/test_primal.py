@@ -258,7 +258,8 @@ def test_data_turning_nan_on_a_later_slab_fails_at_once(lshape):
 
 def closed_form(u, dt, grad, laplacian):
     """``ProblemData`` derived from an analytic solution given by its derivatives."""
-    return ProblemData(solution=SimpleNamespace(u=u, dt=dt, grad=grad, laplacian=laplacian),
+    both = lambda x, t: (dt(x, t), laplacian(x, t))
+    return ProblemData(solution=SimpleNamespace(u=u, grad=grad, dt_and_laplacian=both),
                        coefficients=CONE.coefficients)
 
 

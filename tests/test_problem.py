@@ -280,6 +280,9 @@ class ReferenceCone(ConeSolution):
         lap_u1 = -4.0 * self.a * w1 * w1 * (1.0 - 2.0 * self.a * w1 * r2)
         return lap_u1 * self.u2(t)
 
+    def dt_and_laplacian(self, x, t):
+        return self.dt(x, t), self.laplacian(x, t)
+
 
 def reference_contains(cv, x, t):
     """The earlier ``ControlVolume.contains``, which evaluates every point at every t."""
@@ -382,6 +385,22 @@ def test_repeated_times_evaluate_the_time_factors_once_per_run(monkeypatch):
     t = np.repeat([0.3, 0.3, 0.6, 0.3], 5)[:, None]
     cv.contains(np.full((20, 4, 2), 0.5), t)
     assert calls == [0.3, 0.6, 0.3]
+
+
+@pytest.mark.parametrize("layout", ["scalar", "block"])
+def test_forcing_takes_one_time_factor_pass_and_keeps_every_bit(rng, monkeypatch, layout):
+    """rho dt - eps lap from one pass, equal to the two separate reference calls."""
+    x = rng.uniform(-0.5, 1.5, size=(12, 9, 2))
+    t = {"scalar": 0.3, "block": np.repeat([0.3, 0.3, 0.6, 0.3], 27).reshape(12, 9)}[layout]
+    ref, c = ReferenceCone(a=SOL.a, s=SOL.s), DATA.coefficients
+    expected = c.rho * ref.dt(x, t) - c.epsilon * ref.laplacian(x, t)
+    calls = []
+    factors = problem._cone_time_factors
+    monkeypatch.setattr(problem, "_cone_time_factors",
+                        lambda s, time: calls.append(time) or factors(s, time))
+    got = DATA.rhs_f(x, t)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert calls == ([0.3] if layout == "scalar" else [0.3, 0.6, 0.3])
 
 
 def test_membership_of_time_arrays_outside_the_window_evaluates_no_point(monkeypatch):
