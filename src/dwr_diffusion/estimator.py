@@ -24,22 +24,19 @@ the slab's per-cell coefficients with a per-process reference table.  The
 volume term reads the mesh state's cached :func:`fem.cell_rule`:
 :meth:`fem.CellRule.laplacians` traces the reference Hessians against the
 one inverse Jacobian per parallelogram cell, which gives the exact
-Laplacian.  The face term runs over the non-Dirichlet rows of the mesh's
-face table (:meth:`QuadMesh.face_topology`), one per face piece, in table
+Laplacian.  The face term reads the mesh state's cached
+:func:`fem.face_rule`, one row per non-Dirichlet face piece in face-table
 order: cells in ``dual.active_ids`` order, faces 0..3, pieces ascending
 along the face.  :func:`fem.face_gradients` gives grad u_h and
 :func:`fem.face_values` gives w at the Gauss points of every face and slot
-of every cell; each piece takes its rows by the ``flat`` index of
-:func:`fem.face_quadrature`, grad u_h on both sides and w on the owner.
-:func:`slab_indicators` builds that rule once per run of slabs on one dual
-space and never keeps it (the ``fem`` module says why).  The products sum
-in BLAS order, so the indicators agree with a per-point evaluation to
-rounding (about 1e-16 of the largest), not bit for bit.
+of every cell; each piece takes its rows by the rule's ``flat`` index,
+grad u_h on both sides and w on the owner.  The products sum in BLAS
+order, so the indicators agree with a per-point evaluation to rounding
+(about 1e-16 of the largest), not bit for bit.
 The data f and h at the 2 Gauss times come from one block pass over all
-slabs (:func:`problem.blocks`), f at the cell rule's points and h at
-:func:`fem.neumann_points`, the face rule's points on the Neumann rows in
-table order; :func:`indicator_terms` called alone evaluates its own
-slab's.
+slabs (:func:`problem.blocks`), f at the cell rule's points and h at the
+face rule's :meth:`~fem.FaceRule.neumann_points`; :func:`indicator_terms`
+called alone evaluates its own slab's.
 ``np.add.at`` scatters the pieces in table order, the summation order of a
 per-face loop: marking sorts |eta| with an index tie-break, so a reordered
 sum that flips the last bit of two near-equal indicators could change which
@@ -48,7 +45,6 @@ cells are refined.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +52,6 @@ import numpy as np
 
 from . import fem, problem
 from .fem import FeFunction
-from .mesh import DIRICHLET, NEUMANN
 from .slabs import stored
 
 _TIME_QUAD = 2
@@ -80,14 +75,6 @@ def dual_weights(slab, z_tm, z_tn, time_restriction="mean"):
     return np.asarray(z_tm) - back.coefficients, np.asarray(z_tn) - back.coefficients
 
 
-def _shared_pieces(slab):
-    """What every slab on this dual space shares in :func:`indicator_terms`, in its order."""
-    table = slab.mesh.face_topology()
-    rows = ~table.on_boundary(DIRICHLET)
-    quad = fem.face_quadrature(slab.dual, slab.dual.degree + 1, rows)
-    return quad, table.on_boundary(NEUMANN)[rows]
-
-
 def _indicator_data(slabs, data):
     """Per slab, f at the cell rule's points and h at the Neumann faces' points.
 
@@ -96,7 +83,7 @@ def _indicator_data(slabs, data):
     """
     return problem.forcing_in_blocks(data, (
         (fem.cell_rule(slab.dual, slab.dual.degree + 1).phys,
-         fem.neumann_points(slab.dual, slab.dual.degree + 1),
+         fem.face_rule(slab.dual).neumann_points(slab.dual.degree + 1),
          slab.interval.gauss_points(_TIME_QUAD)[0])
         for slab in slabs))
 
@@ -110,16 +97,15 @@ def _vector(vector, space, name):
     return vector
 
 
-def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, values=None):
+def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, values=None):
     """Signed indicators (float64, in ``active_ids()`` order) for given weight vectors.
 
-    ``shared`` is :func:`_shared_pieces` of the slab and ``values`` its pair
-    from :func:`_indicator_data`; each is built here if not given.
+    ``values`` is the slab's pair from :func:`_indicator_data`, evaluated
+    here if not given.
     """
     primal, dual = slab.primal, slab.dual
     u, u_prev = (_vector(v, primal, name) for v, name in ((u, "u"), (u_prev, "u_prev")))
     w_tm, w_tn = (_vector(v, dual, name) for v, name in ((w_tm, "w_tm"), (w_tn, "w_tn")))
-    quad, neumann = shared or _shared_pieces(slab)
     f_values, h_values = values or next(_indicator_data([slab], data))
     eps = coeff.epsilon
 
@@ -140,22 +126,26 @@ def indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared=None, value
 
     # face terms, batched over the non-Dirichlet face pieces: every cell's face
     # points in one product, then each piece's rows on both sides
-    own, n_q = quad.cells[0], quad.JxW.shape[1]
-    grads = np.take(fem.face_gradients(primal, u, n_q).reshape(-1, n_q, 2), quad.flat, axis=0)
-    w_face = np.take(fem.face_values(dual, w_at, n_q).reshape(len(ts), -1, n_q), quad.flat[0],
-                     axis=1)
+    pieces, n_q = fem.face_rule(dual), dual.degree + 1
+    flat, neumann, normal = pieces.flat, pieces.neumann, pieces.normal
+    own = flat[0] // 12
+    grads = np.take(fem.face_gradients(primal, u, n_q).reshape(-1, n_q, 2), flat, axis=0)
+    w_face = np.take(fem.face_values(dual, w_at, n_q).reshape(len(ts), -1, n_q), flat[0], axis=1)
 
     # interior pieces: eps [dn u_h]; Neumann pieces: h - eps dn u_h
     resid = np.empty((len(ts), len(own), n_q))
-    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
-    if neumann.any():
-        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
+    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], normal)
+    if len(neumann):
+        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], normal[neumann])
         for k, h in enumerate(h_values):
             resid[k, neumann] = h - flux
-    inner = np.sum(quad.JxW * resid * w_face, axis=-1)  # (time, piece)
+    inner = np.sum(pieces.JxW(n_q) * resid * w_face, axis=-1)  # (time, piece)
     acc = sum(wt * row for wt, row in zip(wts, inner))
-    # np.add.at adds in piece order, the summation order of a per-cell face loop
-    np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
+    # interior pieces count half on each side, Neumann pieces whole; np.add.at
+    # adds in piece order, the summation order of a per-cell face loop
+    share = np.full(len(own), -0.5)
+    share[neumann] = 1.0
+    np.add.at(eta, own, share * acc)
 
     return eta
 
@@ -164,23 +154,16 @@ def slab_indicators(slabs, coeff, data, time_restriction="mean"):
     """:func:`indicator_terms` of each slab's stored u and u_prev, weighted by the
     :func:`dual_weights` of its stored z_tm and z_tn.
 
-    Each run of consecutive slabs on one dual space builds its
-    :func:`_shared_pieces` once; nothing is kept after the run.  The data
-    come from one :func:`_indicator_data` pass over the slabs.  ValueError
-    names the first slab that misses one of the four vectors.
+    The data come from one :func:`_indicator_data` pass over the slabs.
+    ValueError names the first slab that misses one of the four vectors.
     """
     slabs = list(slabs)
     vectors = zip(*(stored(slabs, tag) for tag in ("u", "u_prev", "z_tm", "z_tn")))
-    values = _indicator_data(slabs, data)
     out = []
-    for _, run in itertools.groupby(slabs, key=lambda slab: slab.dual):
-        run = list(run)
-        shared = _shared_pieces(run[0])
-        for slab in run:
-            u, u_prev, z_tm, z_tn = next(vectors)
-            w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
-            out.append(indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, shared,
-                                       next(values)))
+    for slab, (u, u_prev, z_tm, z_tn), values in zip(slabs, vectors,
+                                                     _indicator_data(slabs, data)):
+        w_tm, w_tn = dual_weights(slab, z_tm, z_tn, time_restriction)
+        out.append(indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data, values))
     return out
 
 

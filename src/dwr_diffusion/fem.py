@@ -20,17 +20,17 @@ J = [x_LR - x_LL, x_UL - x_LL] per cell, kept with the mesh state as det J
 and J^-1.  The mesh, :meth:`FeFunction.evaluate` included, keeps the
 bilinear map.
 
-Face integrals use :func:`face_quadrature`: Gauss points on face pieces
-(face-table rows) as a face and a slot of the face tables on both sides,
-slot 0 where a cell owns the whole piece, ``1 + half`` on the coarser side
-(the table's integer ``half`` column).  :func:`face_values` and
+Face integrals read the mesh state's :class:`FaceRule` (:func:`face_rule`),
+built once per mesh state from the face table's non-Dirichlet rows: each
+face piece (a face-table row) is a face and a slot of the face tables on
+both sides, slot 0 where a cell owns the whole piece, ``1 + half`` on the
+coarser side (the table's integer ``half`` column).  :func:`face_values` and
 :func:`face_gradients` evaluate a field at every face and slot of every
-cell in one matrix product; a rule's ``flat`` index picks each piece's
-rows from them.  Only the Neumann rows' quadrature
-(:func:`neumann_quadrature`, per degree) and their points
-(:func:`neumann_points`, per rule size) are kept with the mesh state:
-caching every row's quadrature holds it for every live slab mesh and
-raised the shipped run's peak RSS 401 -> 593 MB.
+cell in one matrix product; the rule's ``flat`` index picks each piece's
+rows from them.  The rule keeps only what its users cannot cheaply derive,
+32 bytes per row plus 36 per Neumann row, and forms the weights and the
+Neumann points of any rule size on use: kept with every live slab mesh, it
+leaves the shipped run's peak RSS at 258 MB.
 
 Reference tables depend on the degree and the rule only, so each is built
 once per process (``functools.cache``) on first use and shared read-only:
@@ -68,7 +68,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import sparse_la
-from .mesh import BOUNDARY, COARSER, FACE_VERTS, FINER, NEUMANN, OPPOSITE_FACE, read_only
+from .mesh import BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, OPPOSITE_FACE, read_only
 from .sparse_la import ConstraintSet
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
@@ -465,27 +465,24 @@ def assemble_stiffness(space, diffusivity=1.0, condense=True):
 
 
 def assemble_load_volume(space, f, condense=True):
-    """Load vector of a spatial density: b_i = sum_K int_K f phi_i."""
+    """Load vector of a spatial density: b_i = sum_K int_K f phi_i, ``f`` a function of
+    points or its values (c, n^2) at the points of ``cell_rule(space, degree + 1)``."""
     rule = cell_rule(space, space.degree + 1)
-    b = rule.load(space, f(rule.phys))
+    b = rule.load(space, f(rule.phys) if callable(f) else f)
     return space.constraints.condense_vector(b) if condense else b
 
 
-def neumann_quadrature(space):
-    """The (degree + 1)-point :func:`face_quadrature` on the Neumann rows, once per mesh state."""
-    space._check_current()
-    return space.mesh.cached(("neumann_quadrature", space.degree), lambda: face_quadrature(
-        space, space.degree + 1, space.mesh.face_topology().on_boundary(NEUMANN)
-    ))
-
-
 def assemble_load_neumann(space, h, condense=True):
-    """Boundary load over Neumann-colored faces: b_i = int_{Gamma_N} h phi_i."""
-    quad = neumann_quadrature(space)
+    """Boundary load over Neumann-colored faces: b_i = int_{Gamma_N} h phi_i, ``h`` a function
+    of points or its values (k, n) at ``face_rule(space).neumann_points(degree + 1)``."""
+    rule, n = face_rule(space), space.degree + 1
     b = np.zeros(space.n_dofs)
-    if len(quad.JxW):
-        contrib = np.einsum("fq,fqi->fi", quad.JxW * h(quad.phys), quad.N)
-        dofs = space.cell_dofs[quad.cells[0]]
+    if len(rule.neumann):
+        owner = rule.flat[0, rule.neumann]
+        N = _face_basis(space.degree, n)[0].reshape(12, n, -1)[owner % 12]
+        density = rule.JxW(n, rule.neumann) * (h(rule.neumann_points(n)) if callable(h) else h)
+        contrib = np.einsum("fq,fqi->fi", density, N)
+        dofs = space.cell_dofs[owner // 12]
         b = np.bincount(dofs.ravel(), contrib.ravel(), minlength=space.n_dofs)
     return space.constraints.condense_vector(b) if condense else b
 
@@ -496,19 +493,6 @@ _UNIT_CORNERS = _lattice_points(1)  # LL LR UL UR
 # outward normal = rotate the canonical face tangent; sign pattern per face
 _NORMAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # ccw for left/top, cw for right/bottom
 read_only((_UNIT_CORNERS, _NORMAL_SIGN))
-
-
-class FaceQuadrature(NamedTuple):
-    """Gauss rule on face-table rows; side 0 is the owner, side 1 the neighbor (or the owner)."""
-
-    cells: np.ndarray  # (2, r) cell of each side, positions in space.active_ids
-    faces: np.ndarray  # (2, r) face of each side's cell holding the piece
-    slots: np.ndarray  # (2, r) slot of each side's points in _face_points
-    phys: np.ndarray  # (r, q, 2) physical points on the piece
-    JxW: np.ndarray  # (r, q) weight * piece length
-    normal: np.ndarray  # (r, 2) outward unit normal of the owner
-    N: np.ndarray  # (r, q, nloc) basis of the space's degree at the owner's points
-    flat: np.ndarray  # (2, r) each side's (cell, face, slot) as the row 12 cell + 3 face + slot
 
 
 def _along(ends, s):
@@ -549,9 +533,8 @@ def face_values(space, coefficients, n):
     """Values of coefficient vectors (..., n_dofs) at the n-point Gauss rule of every face
     and slot (:func:`_face_points`) of every cell, shape (..., c, 4, 3, n).
 
-    One matrix product.  Side k of a :class:`FaceQuadrature` reads the rows
-    ``[..., quad.cells[k], quad.faces[k], quad.slots[k]]``, which are the rows
-    ``quad.flat[k]`` of the array flattened to (..., c * 4 * 3, n).
+    One matrix product.  Side k of the pieces of a :class:`FaceRule` reads
+    the rows ``rule.flat[k]`` of the array flattened to (..., c * 4 * 3, n).
     """
     space._check_current()
     local = np.take(coefficients, space.cell_dofs, axis=-1) @ _face_matrices(space.degree, n)[0]
@@ -568,53 +551,61 @@ def face_gradients(space, coefficients, n):
     return (ref.reshape(len(invJ), -1, 2) @ invJ).reshape(len(invJ), 4, 3, n, 2)
 
 
-def face_quadrature(space, n, rows):
-    """The n-point Gauss rule on the face-table ``rows`` (a mask or indices) of the space's mesh.
+class FaceRule(NamedTuple):
+    """The non-Dirichlet face pieces of a mesh state in face-table order, for any rule size.
 
-    A side that owns the whole piece reads slot 0 of its face, the coarser
-    side of a COARSER or FINER row slot ``1 + half``.
+    Side 0 of a piece is its owner, side 1 the neighbor, or the owner again
+    on the boundary.  ``flat[k]`` is side k's row 12 position + 3 face + slot
+    of :func:`face_values`, so its position in ``active_ids``, the face
+    holding the piece and the slot of :func:`_face_points` are ``flat // 12``,
+    ``flat // 3 % 4`` and ``flat % 3``.
     """
-    space._check_current()
-    mesh, table = space.mesh, space.mesh.face_topology()
-    owner, face, kind, half = (a[rows] for a in (table.owner, table.face, table.kind, table.half))
-    bnd = kind == BOUNDARY
-    cells = np.stack([owner, np.where(bnd, owner, table.neighbor[rows])])
-    faces = np.stack([face, np.where(bnd, face, OPPOSITE_FACE[face])])
-    slots = np.where(np.stack([kind == FINER, kind == COARSER]), 1 + half, 0)
-    s, w = gauss_1d(n)
-    vertices = mesh.forest().vertices
-    piece = _piece_ends(mesh, table, rows)
-    span = piece[:, 1] - piece[:, 0]
-    t = np.diff(mesh.points[vertices[table.cells[owner, None], FACE_VERTS[face]]], axis=1)[:, 0]
-    normal = _NORMAL_SIGN[face][:, None] * np.column_stack([-t[:, 1], t[:, 0]])
-    return FaceQuadrature(*read_only((
-        cells, faces, slots, _along(piece, s), w * np.hypot(*span.T)[:, None],
-        normal / np.hypot(*t.T)[:, None], _face_basis(space.degree, n)[0][face, slots[0]],
-        (cells * 4 + faces) * 3 + slots,
-    )))
+
+    flat: np.ndarray  # (2, r) int32, each side's 12 position + 3 face + slot
+    length: np.ndarray  # (r,) piece length
+    normal: np.ndarray  # (r, 2) outward unit normal of the owner
+    neumann: np.ndarray  # (k,) int32, the rows on Neumann faces, ascending
+    neumann_ends: np.ndarray  # (k, 2, 2) end points of the Neumann pieces
+
+    def JxW(self, n, rows=slice(None)):
+        """Weight * piece length of the n-point Gauss rule on ``rows``, (rows, n), formed on use."""
+        return gauss_1d(n)[1] * self.length[rows, None]
+
+    def neumann_points(self, n):
+        """Points (k, n, 2) of the n-point Gauss rule on the Neumann pieces, formed on use."""
+        return _along(self.neumann_ends, gauss_1d(n)[0])
 
 
-def _piece_ends(mesh, table, rows):
-    """End points (r, 2, 2) of the face pieces on the face-table ``rows``."""
-    edge_cell, edge_face = table.edge_cell[rows], table.edge_face[rows]
-    return mesh.points[mesh.forest().vertices[table.cells[edge_cell, None], FACE_VERTS[edge_face]]]
-
-
-def neumann_points(space, n):
-    """Points (r, n, 2) of the n-point Gauss rule on the Neumann rows, once per mesh state.
-
-    They are :func:`face_quadrature`'s ``phys`` on those rows, in table order.
-    """
+def face_rule(space):
+    """The :class:`FaceRule` of the space's mesh state, built once per mesh state."""
     space._check_current()
     mesh = space.mesh
 
     def build():
         table = mesh.face_topology()
-        points = _along(_piece_ends(mesh, table, table.on_boundary(NEUMANN)), gauss_1d(n)[0])
-        points.setflags(write=False)
-        return points
+        rows = ~table.on_boundary(DIRICHLET)
+        owner, face, kind, half, neighbor = (
+            a[rows] for a in (table.owner, table.face, table.kind, table.half, table.neighbor))
+        bnd, finer = kind == BOUNDARY, kind == FINER
+        cells = np.stack([owner, np.where(bnd, owner, neighbor)])
+        faces = np.stack([face, np.where(bnd, face, OPPOSITE_FACE[face])])
+        slots = np.where(np.stack([finer, kind == COARSER]), 1 + half, 0)
+        # the owner's edge and the piece, the finer side's edge: the neighbor's on a FINER row
+        ids = table.cells[np.stack([owner, np.where(finer, neighbor, owner)])]
+        edges = np.take(FACE_VERTS, np.stack([face, np.where(finer, faces[1], face)]), axis=0)
+        # np.take: fancy indexing is several times slower on these (r, 2) index arrays
+        vertices = np.take(mesh.forest().vertices.ravel(), 4 * ids[..., None] + edges)
+        own, ends = np.take(mesh.points, vertices, axis=0)
+        tx, ty = (own[:, 1] - own[:, 0]).T
+        sign, norm = _NORMAL_SIGN[face], np.hypot(tx, ty)
+        return read_only(FaceRule(
+            ((cells * 4 + faces) * 3 + slots).astype(np.int32),
+            np.hypot(*(ends[:, 1] - ends[:, 0]).T),
+            np.column_stack([sign * -ty / norm, sign * tx / norm]),
+            np.flatnonzero(bnd).astype(np.int32),  # every non-Dirichlet boundary row is Neumann
+            ends[bnd]))
 
-    return mesh.cached(("neumann_points", n), build)
+    return mesh.cached("face_rule", build)
 
 
 # -- finite element functions ----------------------------------------------------

@@ -39,6 +39,8 @@ class AdaptParams:
             raise ValueError("need 0 <= theta_h2 <= theta_h1 <= 1")
         if self.tol_mode not in ("absolute", "relative"):
             raise ValueError("tol_mode must be 'absolute' or 'relative'")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"AdaptParams.tol must be finite, got {self.tol!r}")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.max_loops < 1:

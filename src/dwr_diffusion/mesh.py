@@ -138,8 +138,8 @@ class FaceTable(NamedTuple):
 
     On COARSER and FINER rows, ``half`` is the half of the coarser side's
     face that the piece covers (0 lower, 1 upper), from the piece index or
-    the owner's child position; -1 elsewhere.  Columns of small codes are
-    int8, as every live mesh state keeps its table.
+    the owner's child position; -1 elsewhere.  Every live mesh state keeps its
+    table, so its columns own their data: int32 positions, int8 codes.
     """
 
     cells: np.ndarray  # (m,) active cell ids
@@ -148,8 +148,6 @@ class FaceTable(NamedTuple):
     neighbor: np.ndarray  # position of the active cell across the piece, -1 on the boundary
     kind: np.ndarray  # BOUNDARY, SAME, COARSER or FINER, seen from the owner
     color: np.ndarray  # boundary color code (index into BOUNDARY_COLORS), -1 inside
-    edge_cell: np.ndarray  # (position, face) whose edge is the piece: the finer
-    edge_face: np.ndarray  # neighbor's on a FINER row, the owner's otherwise
     half: np.ndarray  # half of the coarser side's face covered by the piece, -1 if none
 
     def on_boundary(self, color):
@@ -357,20 +355,17 @@ class QuadMesh:
         owner, face, index = np.nonzero(rows)
         neighbor = np.where(piece[rows] >= 0, position[piece[rows]], -1)
         kind = kind[owner, face]
-        is_finer = kind == FINER
         # the owner's child position bit along the face: y on faces 0/1, x on faces 2/3
         along = (f.position[cells[owner]] >> (face < 2)) & 1
         code = np.int8
         return read_only(FaceTable(
             cells=cells,
-            owner=owner,
+            owner=owner.astype(np.int32),
             face=face.astype(code),
-            neighbor=neighbor,
+            neighbor=neighbor.astype(np.int32),
             kind=kind.astype(code),
             color=f.color[cells[owner], face].astype(code),
-            edge_cell=np.where(is_finer, neighbor, owner),
-            edge_face=np.where(is_finer, OPPOSITE_FACE[face], face).astype(code),
-            half=np.where(is_finer, index, np.where(kind == COARSER, along, -1)).astype(code),
+            half=np.where(kind == FINER, index, np.where(kind == COARSER, along, -1)).astype(code),
         ))
 
     def active_across(self, cid, face):

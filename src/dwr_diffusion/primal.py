@@ -80,13 +80,9 @@ def _load_data(slabs, data, time_rule):
     """
     return problem.forcing_in_blocks(data, (
         (fem.cell_rule(slab.primal, slab.primal.degree + 1).phys,
-         fem.neumann_quadrature(slab.primal).phys, _load_times(slab, time_rule)[0])
+         fem.face_rule(slab.primal).neumann_points(slab.primal.degree + 1),
+         _load_times(slab, time_rule)[0])
         for slab in slabs))
-
-
-def _given(values):
-    """A density that ignores its points and returns ``values``, computed at them beforehand."""
-    return lambda x: values
 
 
 def _averaged_load(slab, data, time_rule, values=None):
@@ -100,8 +96,8 @@ def _averaged_load(slab, data, time_rule, values=None):
     f_values, h_values = values or next(_load_data([slab], data, time_rule))
     b = np.zeros(space.n_dofs)
     for w, f, h in zip(ws, f_values, h_values):
-        b += (w / slab.tau) * fem.assemble_load_volume(space, _given(f), condense=False)
-        b += (w / slab.tau) * fem.assemble_load_neumann(space, _given(h), condense=False)
+        b += (w / slab.tau) * fem.assemble_load_volume(space, f, condense=False)
+        b += (w / slab.tau) * fem.assemble_load_neumann(space, h, condense=False)
     return b
 
 

@@ -79,6 +79,10 @@ class SolverControl:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        for name in ("relative_tolerance", "absolute_tolerance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"SolverControl.{name} must be finite, got {value!r}")
         if self.relative_tolerance <= 0.0 or self.absolute_tolerance <= 0.0:
             raise ValueError("tolerances must be > 0")
 

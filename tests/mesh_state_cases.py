@@ -20,7 +20,7 @@ import numpy as np
 
 from dwr_diffusion import fem
 from dwr_diffusion.fem import FeSpace
-from dwr_diffusion.mesh import DIRICHLET, NEUMANN, QuadMesh, make_lshape
+from dwr_diffusion.mesh import DIRICHLET, FINER, NEUMANN, OPPOSITE_FACE, QuadMesh, make_lshape
 from dwr_diffusion.output import vtk_text
 from dwr_diffusion.slabs import Slab, TimeInterval
 
@@ -135,13 +135,15 @@ def observe(mesh):
     }
     table = mesh.face_topology()
     keep = ~table.on_boundary(DIRICHLET)
-    neumann = table.on_boundary(NEUMANN)[keep]
-    out["pieces_own"] = table.owner[keep]
-    out["pieces_nbr"] = np.where(neumann, table.owner[keep], table.neighbor[keep])
-    out["pieces_face"] = table.face[keep]
-    out["pieces_seg_cell"] = table.edge_cell[keep]
-    out["pieces_seg_face"] = table.edge_face[keep]
-    out["pieces_neumann"] = neumann
+    rule = fem.face_rule(FeSpace(mesh, 1))
+    out["pieces_own"], out["pieces_nbr"] = rule.flat // 12
+    out["pieces_face"] = rule.flat[0] // 3 % 4
+    # the piece is the finer side's edge: the neighbor's on a FINER row
+    finer = table.kind[keep] == FINER
+    out["pieces_seg_cell"] = np.where(finer, table.neighbor[keep], table.owner[keep])
+    out["pieces_seg_face"] = np.where(finer, OPPOSITE_FACE[table.face[keep]], table.face[keep])
+    out["pieces_neumann"] = np.zeros(len(rule.length), dtype=bool)
+    out["pieces_neumann"][rule.neumann] = True
     for degree in (1, 2):
         space = FeSpace(mesh, degree)
         cs = space.constraints

@@ -141,15 +141,14 @@ def test_block_indicators_are_the_per_slab_indicators_bitwise(sheared_irregular_
     for slab, eta in zip(slabs, etas):
         u, u_prev, z_tm, z_tn = map(slab.fetch_storage, ("u", "u_prev", "z_tm", "z_tn"))
         w_tm, w_tn = estimator.dual_weights(slab, z_tm, z_tn, restriction)
-        shared = estimator._shared_pieces(slab)
-        quad, neumann = shared
-        rule = fem.cell_rule(slab.dual, slab.dual.degree + 1)
+        n = slab.dual.degree + 1
+        rule, pieces = fem.cell_rule(slab.dual, n), fem.face_rule(slab.dual)
         ts = slab.interval.gauss_points(2)[0]
         values = ([REFERENCE.rhs_f(rule.phys, t) for t in ts],
-                  [REFERENCE.neumann_h(quad.phys[neumann], t) for t in ts])
-        assert neumann.any()
+                  [REFERENCE.neumann_h(pieces.neumann_points(n), t) for t in ts])
+        assert len(pieces.neumann)
         expected = estimator.indicator_terms(slab, u, u_prev, w_tm, w_tn, DATA.coefficients,
-                                             DATA, shared, values)
+                                             DATA, values)
         alone = estimator.indicator_terms(slab, u, u_prev, w_tm, w_tn, DATA.coefficients, DATA)
         assert eta.tobytes() == expected.tobytes() == alone.tobytes()
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dwr_diffusion import estimator, fem
 from dwr_diffusion.fem import interpolate
 from dwr_diffusion.mesh import (
-    BOUNDARY, BOUNDARY_COLORS, COARSER, DIRICHLET, FINER, NEUMANN, SAME,
+    BOUNDARY, BOUNDARY_COLORS, COARSER, DIRICHLET, FINER, NEUMANN, SAME, QuadMesh,
 )
 from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
 from dwr_diffusion.slabs import Slab, TimeInterval
@@ -98,14 +98,14 @@ def reference_indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
     """
     primal, dual = slab.primal, slab.dual
     rule = fem.cell_rule(dual, dual.degree + 1)
-    table = slab.mesh.face_topology()
-    rows = ~table.on_boundary(DIRICHLET)
-    quad = fem.face_quadrature(dual, dual.degree + 1, rows)
-    neumann = table.on_boundary(NEUMANN)[rows]
+    pieces, n_q = fem.face_rule(dual), dual.degree + 1
+    cells, faces, slots = pieces.flat // 12, pieces.flat // 3 % 4, pieces.flat % 3
+    normal, JxW = pieces.normal, pieces.JxW(n_q)
+    neumann = np.isin(np.arange(len(JxW)), pieces.neumann)
     lap = rule.invJ @ rule.invJ.transpose(0, 2, 1)
-    at = np.repeat(quad.cells.ravel(), quad.JxW.shape[1])
-    ref_grad = fem._face_basis(primal.degree, quad.JxW.shape[1])[1]
-    grad = ref_grad[quad.faces, quad.slots].reshape(-1, *ref_grad.shape[-2:])
+    at = np.repeat(cells.ravel(), n_q)
+    ref_grad = fem._face_basis(primal.degree, n_q)[1]
+    grad = ref_grad[faces, slots].reshape(-1, *ref_grad.shape[-2:])
     f_values, h_values = next(estimator._indicator_data([slab], data))
     eps = coeff.epsilon
 
@@ -122,18 +122,19 @@ def reference_indicator_terms(slab, u, u_prev, w_tm, w_tn, coeff, data):
         eta += wt * np.einsum("cq,cq->c", rule.JxW, resid * rule.values(dual, w))
     eta -= coeff.rho * np.einsum("cq,cq->c", rule.JxW, du_jump * rule.values(dual, w_tm))
 
-    own, (n_pc, n_q) = quad.cells[0], quad.JxW.shape
+    own, n_pc = cells[0], len(JxW)
     _, invJ = fem._cell_geometry(primal.mesh)
     ref = np.einsum("nie,ni->ne", grad, u[primal.cell_dofs[at]])
     grads = np.einsum("ned,ne->nd", invJ[at], ref).reshape(2, n_pc, n_q, 2)
-    w_face = np.einsum("pqi,tpi->tpq", quad.N, w_at[:, dual.cell_dofs[own]])
+    N = fem._face_basis(dual.degree, n_q)[0][faces[0], slots[0]]
+    w_face = np.einsum("pqi,tpi->tpq", N, w_at[:, dual.cell_dofs[own]])
     resid = np.empty((len(ts), n_pc, n_q))
-    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], quad.normal)
+    resid[:] = eps * np.einsum("pqd,pd->pq", grads[0] - grads[1], normal)
     if neumann.any():
-        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], quad.normal[neumann])
+        flux = eps * np.einsum("pqd,pd->pq", grads[0, neumann], normal[neumann])
         for k, h in enumerate(h_values):
             resid[k, neumann] = h - flux
-    inner = np.sum(quad.JxW * resid * w_face, axis=-1)
+    inner = np.sum(JxW * resid * w_face, axis=-1)
     acc = sum(wt * row for wt, row in zip(wts, inner))
     np.add.at(eta, own, np.where(neumann, acc, -0.5 * acc))
     return eta
@@ -202,17 +203,27 @@ def test_linear_solution_has_zero_indicators(slab, rng):
     assert np.abs(eta).max() <= 1e-14
 
 
+def owns_its_data(arr):
+    """Whether ``arr`` keeps no larger array alive through its base."""
+    return arr.base is None or arr.base.nbytes <= arr.nbytes
+
+
 def test_face_pieces_are_shared_and_read_only(slab):
-    """The estimator reads its face pieces from one read-only face table per mesh state."""
+    """The estimator reads its face pieces from one read-only face table and one read-only
+    face rule per mesh state, each array owning its data and positions held as int32."""
     data = cone_inputs(slab)
     estimator.indicator_terms(slab, *data)
-    table = slab.mesh.face_topology()
+    table, rule = slab.mesh.face_topology(), fem.face_rule(slab.dual)
     assert set(table.half.tolist()) == {-1, 0, 1}
-    for arr in table:  # ``half`` included
+    assert table.owner.dtype == table.neighbor.dtype == np.int32
+    assert rule.flat.dtype == rule.neumann.dtype == np.int32
+    for arr in (*table, *rule):  # ``half`` included
         with pytest.raises(ValueError):
-            arr[0] = 0
+            arr.flat[0] = 0
+    for arr in (*table[1:], *rule):  # ``cells`` is the active-id array, a view of the forest's
+        assert owns_its_data(arr)
     estimator.indicator_terms(slab, *data)
-    assert slab.mesh.face_topology() is table
+    assert slab.mesh.face_topology() is table and fem.face_rule(slab.primal) is rule
 
 
 def sequential_estimate(per_slab):
@@ -275,24 +286,30 @@ def test_slab_indicators_are_the_per_slab_indicators_bitwise(slab, rng):
 
 
 def test_one_face_rule_for_slabs_on_one_space(slab, rng, monkeypatch):
-    calls = {"face_quadrature": 0, "indicator_terms": 0}
+    """The primal Neumann load and the indicators of 5 slabs share one face rule build."""
+    builds, calls = [], {"indicator_terms": 0}
+    cached = QuadMesh.cached
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted_cache(mesh, name, build):
+        def counted_build():
+            builds.append(name)
+            return build()
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        return cached(mesh, name, counted_build)
 
-        monkeypatch.setattr(module, name, wrapper)
+    def counted_terms(*args, **kwargs):
+        calls["indicator_terms"] += 1
+        return terms(*args, **kwargs)
 
-    counted(estimator.fem, "face_quadrature")
-    counted(estimator, "indicator_terms")
+    terms = estimator.indicator_terms
+    monkeypatch.setattr(QuadMesh, "cached", counted_cache)
+    monkeypatch.setattr(estimator, "indicator_terms", counted_terms)
     slabs = stored_slabs(
         [slab._with_interval(TimeInterval(0.1 * k, 0.1 * k + 0.1)) for k in range(5)], rng)
     _, _, _, _, coeff, data = cone_inputs(slab)
+    fem.assemble_load_neumann(slab.primal, lambda x: np.ones(x.shape[:-1]))
     estimator.slab_indicators(slabs, coeff, data)
-    assert calls == {"face_quadrature": 1, "indicator_terms": 5}
+    assert builds.count("face_rule") == 1 and calls == {"indicator_terms": 5}
 
 
 @pytest.mark.parametrize("missing", ["u", "u_prev", "z_tm", "z_tn"])

@@ -218,7 +218,25 @@ def rule_mesh(request, sheared_irregular_lshape, hanging_mesh):
     return sheared_irregular_lshape if request.param == "sheared" else hanging_mesh
 
 
-class TestFaceQuadrature:
+def rule_sides(rule):
+    """Each side's cell position, face and slot, (2, r) each, from a face rule's ``flat``."""
+    return rule.flat // 12, rule.flat // 3 % 4, rule.flat % 3
+
+
+def oracle_pieces(mesh, rows, n):
+    """End points (r, 2, 2) of the pieces on the face-table ``rows`` (the finer side's edge),
+    their n-point Gauss points (r, n, 2) and weight * length (r, n), formed per call."""
+    table = mesh.face_topology()
+    finer = table.kind[rows] == FINER
+    cell = np.where(finer, table.neighbor[rows], table.owner[rows])
+    face = np.where(finer, fem.OPPOSITE_FACE[table.face[rows]], table.face[rows])
+    ends = mesh.points[mesh.forest().vertices[table.cells[cell, None], FACE_VERTS[face]]]
+    s, w = fem.gauss_1d(n)
+    phys = ends[:, None, 0] + s[:, None] * (ends[:, None, 1] - ends[:, None, 0])
+    return ends, phys, w * np.hypot(*(ends[:, 1] - ends[:, 0]).T)[:, None]
+
+
+class TestFaceRule:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("refine", [None, (sheared_lshape, 21), (sheared_lshape, 22),
                                         (make_lshape, 23)])
@@ -232,26 +250,32 @@ class TestFaceQuadrature:
             mesh = refine[0]()
             random_refine(mesh, refine[1])
         table = mesh.face_topology()
-        assert set(table.kind.tolist()) == {BOUNDARY, SAME, COARSER, FINER}
+        rows = ~table.on_boundary(DIRICHLET)
+        assert set(table.kind[rows].tolist()) == {BOUNDARY, SAME, COARSER, FINER}
         space = FeSpace(mesh, degree)
-        quad = fem.face_quadrature(space, degree + 1, np.arange(len(table.kind)))
-        assert np.array_equal(quad.cells[0], table.owner)
-        assert np.array_equal(quad.cells[1], np.where(table.kind == BOUNDARY, table.owner,
-                                                      table.neighbor))
-        refs = fem._face_points(degree + 1)[quad.faces, quad.slots]
+        rule = fem.face_rule(space)
+        cells, faces, slots = rule_sides(rule)
+        assert np.array_equal(cells[0], table.owner[rows])
+        assert np.array_equal(cells[1], np.where(table.kind[rows] == BOUNDARY, table.owner[rows],
+                                                 table.neighbor[rows]))
+        assert np.array_equal(rule.neumann, np.flatnonzero(table.on_boundary(NEUMANN)[rows]))
+        _, phys, JxW = oracle_pieces(mesh, rows, degree + 1)
+        assert np.array_equal(rule.JxW(degree + 1), JxW)
+        refs = fem._face_points(degree + 1)[faces, slots]
         for side in (0, 1):
-            for cell, ref, phys in zip(quad.cells[side], refs[side], quad.phys):
+            for cell, ref, points in zip(cells[side], refs[side], phys):
                 mapped = mesh.map_to_physical(int(table.cells[cell]), ref)
-                assert np.all(np.abs(mapped - phys) <= 1e-15)
+                assert np.all(np.abs(mapped - points) <= 1e-15)
         # weights sum to each owner face's length; normals are outward unit vectors
         corners = mesh.cell_corner_coords(table.cells)
-        ends = corners[table.owner[:, None], np.array(FACE_VERTS)[table.face]]
+        ends = corners[cells[0, :, None], np.array(FACE_VERTS)[faces[0]]]
         face_length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
-        covered = np.bincount(4 * table.owner + table.face, weights=quad.JxW.sum(axis=1))
-        assert np.allclose(covered[4 * table.owner + table.face], face_length, rtol=1e-14)
-        assert np.allclose(np.linalg.norm(quad.normal, axis=1), 1.0, rtol=0, atol=1e-15)
-        outward = quad.phys[:, 0] - corners[table.owner].mean(axis=1)
-        assert np.all(np.einsum("rd,rd->r", outward, quad.normal) > 0)
+        key = 4 * cells[0] + faces[0]
+        covered = np.bincount(key, weights=rule.JxW(degree + 1).sum(axis=1))
+        assert np.allclose(covered[key], face_length, rtol=1e-14)
+        assert np.allclose(np.linalg.norm(rule.normal, axis=1), 1.0, rtol=0, atol=1e-15)
+        outward = phys[:, 0] - corners[cells[0]].mean(axis=1)
+        assert np.all(np.einsum("rd,rd->r", outward, rule.normal) > 0)
 
 
 def oracle_face_points(face, s):
@@ -304,46 +328,44 @@ class TestFaceTables:
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("refine", [None, (sheared_lshape, 21)])
-    def test_face_quadrature_is_the_per_call_rule(self, sheared_irregular_lshape, refine,
-                                                  degree):
+    def test_face_rule_is_the_per_call_rule(self, sheared_irregular_lshape, refine, degree):
         if refine is None:
             mesh = sheared_irregular_lshape
         else:
             mesh = refine[0]()
             random_refine(mesh, refine[1])
         table = mesh.face_topology()
-        assert set(table.kind.tolist()) == {BOUNDARY, SAME, COARSER, FINER}
+        rows = ~table.on_boundary(DIRICHLET)
+        assert set(table.kind[rows].tolist()) == {BOUNDARY, SAME, COARSER, FINER}
         space = FeSpace(mesh, degree)
+        rule = fem.face_rule(space)
+        cells, faces, slots = rule_sides(rule)
         for n in (degree + 1, 4):
-            for rows in (np.arange(len(table.kind)), ~table.on_boundary(DIRICHLET)):
-                quad = fem.face_quadrature(space, n, rows)
-                ref, N = oracle_face_quadrature(space, n, rows)
-                assert np.array_equal(fem._face_points(n)[quad.faces, quad.slots], ref)
-                assert np.array_equal(quad.N, N)
-                # physical points, weights and normals as the per-call code formed them
-                ends = mesh.points[mesh.forest().vertices[
-                    table.cells[table.edge_cell[rows], None], FACE_VERTS[table.edge_face[rows]]]]
-                s, w = fem.gauss_1d(n)
-                phys = ends[:, None, 0] + s[:, None] * (ends[:, None, 1] - ends[:, None, 0])
-                assert np.array_equal(quad.phys, phys)
-                assert np.array_equal(quad.JxW, w * np.hypot(*(ends[:, 1] - ends[:, 0]).T)[:, None])
-                own = mesh.points[mesh.forest().vertices[
-                    table.cells[table.owner[rows], None], FACE_VERTS[table.face[rows]]]]
-                t = own[:, 1] - own[:, 0]
-                normal = fem._NORMAL_SIGN[table.face[rows]][:, None] * np.column_stack(
-                    [-t[:, 1], t[:, 0]])
-                assert np.array_equal(quad.normal, normal / np.hypot(*t.T)[:, None])
-                # the face matrices hold the tables at each side's reference points
-                values, grads = (
-                    np.moveaxis(m.reshape(len(m), 4, 3, n, -1), 0, -2)[quad.faces, quad.slots]
-                    for m in fem._face_matrices(degree, n))
-                assert np.array_equal(values[0, ..., 0], N)
-                assert np.array_equal(grads, tensor_grad(degree, ref.reshape(-1, 2)).reshape(
-                    grads.shape))
-                # ``flat`` indexes the same rows of the flattened per-cell arrays
-                at_faces = fem.face_values(space, np.arange(space.n_dofs, dtype=float), n)
-                assert np.array_equal(at_faces.reshape(-1, n)[quad.flat],
-                                      at_faces[quad.cells, quad.faces, quad.slots])
+            ref, N = oracle_face_quadrature(space, n, rows)
+            assert np.array_equal(fem._face_points(n)[faces, slots], ref)
+            # the owner's basis as the Neumann load gathers it
+            assert np.array_equal(fem._face_basis(degree, n)[0].reshape(12, n, -1)[
+                rule.flat[0] % 12], N)
+            # physical points, weights and normals as the per-call code formed them
+            _, phys, JxW = oracle_pieces(mesh, rows, n)
+            assert np.array_equal(rule.neumann_points(n), phys[rule.neumann])
+            assert np.array_equal(rule.JxW(n), JxW)
+            own = mesh.points[mesh.forest().vertices[
+                table.cells[table.owner[rows], None], FACE_VERTS[table.face[rows]]]]
+            t = own[:, 1] - own[:, 0]
+            normal = fem._NORMAL_SIGN[table.face[rows]][:, None] * np.column_stack(
+                [-t[:, 1], t[:, 0]])
+            assert np.array_equal(rule.normal, normal / np.hypot(*t.T)[:, None])
+            # the face matrices hold the tables at each side's reference points
+            values, grads = (
+                np.moveaxis(m.reshape(len(m), 4, 3, n, -1), 0, -2)[faces, slots]
+                for m in fem._face_matrices(degree, n))
+            assert np.array_equal(values[0, ..., 0], N)
+            assert np.array_equal(grads, tensor_grad(degree, ref.reshape(-1, 2)).reshape(
+                grads.shape))
+            # ``flat`` indexes the same rows of the flattened per-cell arrays
+            at_faces = fem.face_values(space, np.arange(space.n_dofs, dtype=float), n)
+            assert np.array_equal(at_faces.reshape(-1, n)[rule.flat], at_faces[cells, faces, slots])
 
 
 class TestCellRule:
@@ -685,13 +707,30 @@ class TestLoads:
         def h(x):
             return np.sin(7.0 * x[..., 1]) * np.exp(x[..., 0])
 
-        rows = sheared_irregular_lshape.face_topology().on_boundary(NEUMANN)
-        quad = fem.face_quadrature(space, degree + 1, rows)
-        assert len(quad.JxW) > 1
-        contrib = np.einsum("fq,fqi->fi", quad.JxW * h(quad.phys), quad.N)
+        table = sheared_irregular_lshape.face_topology()
+        rows = table.on_boundary(NEUMANN)
+        _, phys, JxW = oracle_pieces(sheared_irregular_lshape, rows, degree + 1)
+        _, N = oracle_face_quadrature(space, degree + 1, rows)
+        assert len(JxW) > 1
+        contrib = np.einsum("fq,fqi->fi", JxW * h(phys), N)
         expected = np.zeros(space.n_dofs)
-        np.add.at(expected, space.cell_dofs[quad.cells[0]], contrib)
+        np.add.at(expected, space.cell_dofs[table.owner[rows]], contrib)
         assert np.array_equal(assemble_load_neumann(space, h, condense=False), expected)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_loads_take_values_at_their_points(self, sheared_irregular_lshape, degree):
+        """A density's values at the rule's points give the bits of the density itself."""
+        space = FeSpace(sheared_irregular_lshape, degree)
+
+        def f(x):
+            return np.sin(7.0 * x[..., 1]) * np.exp(x[..., 0])
+
+        phys = cell_rule(space, degree + 1).phys
+        points = fem.face_rule(space).neumann_points(degree + 1)
+        assert len(points) > 1
+        assert np.array_equal(assemble_load_volume(space, f(phys)), assemble_load_volume(space, f))
+        assert np.array_equal(assemble_load_neumann(space, f(points)),
+                              assemble_load_neumann(space, f))
 
     def test_unit_neumann_trace_integrals(self, lshape):
         space = FeSpace(lshape, 1)

@@ -83,10 +83,13 @@ class TestFractions:
         assert marked(marking.mark_time_slabs(estimate, 1.0)) == {0, 1}
 
     @pytest.mark.parametrize(
-        "field,value", [("theta_tau", 1.5), ("theta_h1", -0.1), ("theta_h2", 0.5)]
+        "field,value", [("theta_tau", 1.5), ("theta_h1", -0.1), ("theta_h2", 0.5),
+                        ("tol", math.nan), ("tol", math.inf)]
     )
     def test_fractions_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        """A NaN tol would never be met and spend the loop budget; an infinite one is met at
+        loop 1.  The error names the field."""
+        with pytest.raises(ValueError, match=field):
             marking.AdaptParams(**{field: value})
 
 

@@ -411,7 +411,9 @@ class TestFaceTable:
         assert set(np.bincount(key, minlength=4 * m).tolist()) <= {1, 2}
 
         own = edges[table.owner, table.face]
-        piece = edges[table.edge_cell, table.edge_face]
+        # the piece is the finer side's edge: the neighbor's on a FINER row
+        across = edges[table.neighbor, np.array(OPPOSITE_FACE)[table.face]]
+        piece = np.where((table.kind == FINER)[:, None, None], across, own)
         length = np.linalg.norm(piece[:, 1] - piece[:, 0], axis=-1)
         # the pieces lie on the owner's edge, cover it and ascend along it
         assert np.all(on_segment(piece, own[:, None, 0], own[:, None, 1]))

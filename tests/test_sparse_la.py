@@ -251,6 +251,14 @@ class TestCg:
         with pytest.raises(ValueError):
             SolverControl(relative_tolerance=0.0)
 
+    @pytest.mark.parametrize("name", ["relative_tolerance", "absolute_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, name, value):
+        """A NaN tolerance would run CG to its iteration limit, an infinite one would
+        accept the initial guess."""
+        with pytest.raises(ValueError, match=rf"^SolverControl\.{name} must be finite"):
+            SolverControl(**{name: value})
+
 
 def reference_cg(A, b, ctrl=SolverControl(), x0=None):
     """Jacobi-PCG on ``A @ p`` with fresh vectors per update: :func:`cg_solve`'s reference."""
