@@ -46,8 +46,12 @@ class LoopRecord:
 
     The ``*_s`` fields are the wall seconds of the loop's phases: primal
     march and goal norm, dual march, estimate, marking and adaptation, and
-    the ``on_loop`` callback; a phase that does not run reads 0.  The callback
-    sees ``on_loop_s``, ``adapt_s`` and ``peak_rss_mb`` still 0.
+    the ``on_loop`` callback; a phase that does not run reads 0.
+    ``spaces_s`` is a sub-phase of ``adapt_s`` + ``dual_s``: the one-pass
+    space builds, of the new primal spaces in the adaptation and of the
+    missing dual spaces at the start of the dual march
+    (``SlabList.spaces_s``).  The callback sees ``on_loop_s``, ``adapt_s``,
+    ``spaces_s`` and ``peak_rss_mb`` still 0.
     ``peak_rss_mb`` is the process's peak resident set size at the loop's
     end (``ru_maxrss``, kilobytes on Linux, / 1024).
     """
@@ -71,6 +75,7 @@ class LoopRecord:
     estimate_s: float = 0.0
     adapt_s: float = 0.0
     on_loop_s: float = 0.0
+    spaces_s: float = 0.0
     peak_rss_mb: float = 0.0
 
 
@@ -106,6 +111,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     for loop in range(1, adapt.max_loops + 1):
         record = LoopRecord(loop, len(slabs), max(s.mesh.n_active_cells for s in slabs))
         records.append(record)
+        spaces_before = slabs.spaces_s
         with _timed(record, "primal_s"):
             reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
                                     time_rule=disc.load_quadrature)
@@ -145,6 +151,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         if not final:
             with _timed(record, "adapt_s"):
                 marking.adapt_slabs(slabs, estimate, adapt, loop)
+        record.spaces_s = slabs.spaces_s - spaces_before
         _log_costs(record)
         if final:
             break
@@ -166,6 +173,8 @@ def _log_costs(record):
     log.debug("loop %d: phases primal %.3f s, dual %.3f s, estimate %.3f s, adapt %.3f s, "
               "on_loop %.3f s; peak RSS %.1f MB", record.loop, record.primal_s, record.dual_s,
               record.estimate_s, record.adapt_s, record.on_loop_s, record.peak_rss_mb)
+    log.debug("loop %d: space builds %.3f s of the adapt and dual phases", record.loop,
+              record.spaces_s)
 
 
 def _record_march(record, march, reports, slabs):

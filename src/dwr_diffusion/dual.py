@@ -10,7 +10,10 @@ density assembled in the dual space, and homogeneous Dirichlet values are
 eliminated strongly on the Dirichlet-colored boundary regardless of the
 primal boundary data.  Each slab stores the value at its left endpoint and
 the transferred right-endpoint trace for later use by the estimator.  The
-step is solved by :class:`primal.ImplicitStep` with mass factor 2.
+step is solved by :class:`primal.ImplicitStep` with mass factor 2.  The
+march first builds every dual space the slabs lack in one pass
+(:meth:`slabs.SlabList.build_dual_spaces`), so a loop whose goal is met,
+and which runs no dual march, builds none.
 
 The goal density comes from the goal norm's pass: the
 :class:`GoalContext` carries the :class:`primal.GoalDensity` of each slab,
@@ -77,12 +80,15 @@ def assemble_goal_rhs(slab, ctx):
 def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
     """Solve the dual problem from the last slab to the first.
 
-    Stores ``z_tm`` (the unknown at the slab's left endpoint) and ``z_tn``
-    (the successor trace used on the right endpoint) on every slab, and
-    returns one :class:`StepReport` per slab, in slab order.  ValueError
-    names the first slab that holds no ``u`` before any slab is solved.
+    Builds every dual space not built yet in one pass
+    (:meth:`SlabList.build_dual_spaces`), then stores ``z_tm`` (the unknown
+    at the slab's left endpoint) and ``z_tn`` (the successor trace used on
+    the right endpoint) on every slab, and returns one :class:`StepReport`
+    per slab, in slab order.  ValueError names the first slab that holds no
+    ``u`` before any slab is solved or any space built.
     """
     stored(slabs, "u")
+    slabs.build_dual_spaces()
     step = ImplicitStep(coeff, 2.0, "dual")
     reports = []
     for n, slab in slabs.iterate_backward():

@@ -7,6 +7,21 @@ gives C0 continuity between equal-level neighbors and a deterministic
 global numbering.  Hanging entities on 1-irregular faces, the "coarser"
 rows of the mesh's face table, are constrained to the coarse-side trace.
 
+Spaces are built by one builder, :func:`build_spaces`, for a list of
+meshes at once, in passes of up to :data:`BLOCK_CELLS` active cells: one
+pass stacks the meshes' active cells, with vertex ids, cell rows and dof
+ranges running on from one mesh to the next, and numbers every mesh's
+dofs with one ``np.unique``, checks and stores every mesh's geometry,
+closes the hanging constraints of all meshes at once over their
+block-diagonal dof range and splits them per space
+(:meth:`ConstraintSet.blocks`), and sorts out the Dirichlet dofs.  The
+constraints and boundary dofs are kept with each mesh state, as they are
+for a single space.  Every array is bitwise what the mesh alone would
+give.  ``FeSpace(mesh, degree)`` is the one-mesh case: it numbers its
+dofs at once and builds its constraints and boundary dofs on first use.
+The adaptation builds each loop's new primal spaces in one call, and the
+dual march its missing dual spaces.
+
 Per-cell arrays have one row per entry of the mesh state's active-cell
 array, :meth:`QuadMesh.active_ids`; its inverse, ``active_position``, maps
 a cell id to its row.
@@ -30,7 +45,9 @@ cell in one matrix product; the rule's ``flat`` index picks each piece's
 rows from them.  The rule keeps only what its users cannot cheaply derive,
 32 bytes per row plus 36 per Neumann row, and forms the weights and the
 Neumann points of any rule size on use: kept with every live slab mesh, it
-leaves the shipped run's peak RSS at 258 MB.
+leaves the shipped run's peak RSS at 258 MB.  The Neumann load keeps its
+weights, owner basis rows and owner dofs per (mesh state, degree), 112
+bytes per Neumann row for Q1, so that the load times of a slab share them.
 
 Reference tables depend on the degree and the rule only, so each is built
 once per process (``functools.cache``) on first use and shared read-only:
@@ -72,6 +89,7 @@ from .mesh import BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, OPPOSITE_FACE
 from .sparse_la import ConstraintSet
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
+BLOCK_CELLS = 2 ** 12  # active cells per pass of :func:`build_spaces`, bounding its temporaries
 
 
 def shape_1d(degree, x, deriv=0):
@@ -167,6 +185,20 @@ def _lattice_basis(degree, lattice_degree):
 
 
 @functools.cache
+def _entities(degree):
+    """The lattice nodes of each entity kind and the corners spanning their entities, read-only:
+    vertex nodes and their corner, edge nodes and their two corners (e, 2), interior nodes.
+
+    A node's corners are those where its bilinear weights are nonzero.
+    """
+    spans = [np.flatnonzero(row) for row in _lattice_basis(1, degree) != 0.0]
+    vertex, edge, interior = ([k for k, c in enumerate(spans) if len(c) == n] for n in (1, 2, 4))
+    index = functools.partial(np.array, dtype=np.intp)
+    return read_only((index(vertex), index([spans[k][0] for k in vertex]), index(edge),
+                      index([spans[k] for k in edge]).reshape(-1, 2), index(interior)))
+
+
+@functools.cache
 def _trace_weights(degree):
     """1D basis at the nodes of each half of a face, (2, degree + 1, degree + 1), read-only.
 
@@ -189,46 +221,18 @@ def _face_lattice(degree):
 
 
 class FeSpace:
-    """Continuous Lagrange space of degree 1 or 2 over the active cells of a mesh."""
+    """Continuous Lagrange space of degree 1 or 2 over the active cells of a mesh.
+
+    ``FeSpace(mesh, degree)`` is the one-mesh case of :func:`build_spaces`:
+    it numbers the dofs at once, and builds the hanging constraints and the
+    boundary dofs of its mesh state on first use.
+    """
 
     def __init__(self, mesh, degree):
-        if degree not in (1, 2):
-            raise ValueError(f"unsupported polynomial degree {degree}")
+        _check_degree(degree)
         self.mesh = mesh
         self.degree = degree
-        self._build()
-
-    def _build(self):
-        """Number the dofs by first appearance of their entity keys in active-cell order."""
-        mesh, degree = self.mesh, self.degree
-        _cell_geometry(mesh)  # refuses cells that are not parallelograms
-        self.active_ids = cells = mesh.active_ids()
-        verts = mesh.forest().vertices[cells]
-        # the corners where a lattice node's bilinear weights are nonzero span
-        # its entity: one integer key per vertex, per (sorted) vertex pair, per cell
-        shape = _lattice_basis(1, degree)
-        nv = np.int64(mesh.n_vertices)
-        keys = np.empty((len(cells), len(shape)), dtype=np.int64)
-        for loc, corners in enumerate(shape != 0.0):
-            ids = verts[:, corners]
-            if ids.shape[1] == 1:
-                keys[:, loc] = ids[:, 0]
-            elif ids.shape[1] == 2:
-                keys[:, loc] = nv + ids.min(axis=1) * nv + ids.max(axis=1)
-            else:
-                keys[:, loc] = nv + nv * nv + cells
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.cell_dofs = rank[inverse.reshape(keys.shape)]
-        self.n_dofs = len(order)
-        # support point of every dof: its first lattice node, through the bilinear cell map
-        cell, loc = np.divmod(first[order], keys.shape[1])
-        self.support_points = np.einsum(
-            "nv,nvd->nd", shape[loc], mesh.cell_corner_coords(cells[cell])
-        )
-        self._mesh_version = mesh._version
+        _number([self])
 
     def _check_current(self):
         if self.mesh._version != self._mesh_version:
@@ -241,10 +245,6 @@ class FeSpace:
         if not 0 <= cid < len(position) or position[cid] < 0:
             raise KeyError(cid)
         return self.cell_dofs[position[cid]]
-
-    def _dofs_on_faces(self, cells, faces):
-        """Dofs on ``faces`` of the cells at positions ``cells``, ascending along each face."""
-        return self.cell_dofs[cells[:, None], _face_lattice(self.degree)[faces]]
 
     # -- hanging-node constraints ---------------------------------------------
 
@@ -262,34 +262,166 @@ class FeSpace:
         coarse trace.  A dof on several such faces keeps its first row.
         """
         self._check_current()
-        table = self.mesh.face_topology()
-        hanging = table.kind == COARSER
-        fine, face, coarse = table.owner[hanging], table.face[hanging], table.neighbor[hanging]
-        slaves = self._dofs_on_faces(fine, face)
-        masters = self._dofs_on_faces(coarse, OPPOSITE_FACE[face])
-        # the fine face is half ``half`` of the coarse face
-        weights = _trace_weights(self.degree)[table.half[hanging]].reshape(-1, self.degree + 1)
-        free = ~(slaves[:, :, None] == masters[:, None, :]).any(axis=-1).ravel()
-        candidates = np.flatnonzero(free)
-        _, first = np.unique(slaves.ravel()[candidates], return_index=True)
-        picked = candidates[np.sort(first)]
-        ms, ws = masters[picked // slaves.shape[1]], weights[picked]
-        nonzero = ws != 0.0
-        owner = np.broadcast_to(slaves.ravel()[picked, None], ms.shape)
-        return ConstraintSet(self.n_dofs, owner[nonzero], ms[nonzero], ws[nonzero])
+        return _hanging_constraints([self], self.cell_dofs, [0, self.n_dofs])[0]
 
     # -- boundary dofs ---------------------------------------------------------
 
     def boundary_dofs(self, color):
         """Sorted dof indices on boundary faces of the given color."""
         self._check_current()
+        return self.mesh.cached(
+            ("boundary_dofs", self.degree, color),
+            lambda: _boundary_dofs([self], self.cell_dofs, [0, self.n_dofs], color)[0])
 
-        def build():
-            table = self.mesh.face_topology()
-            on = table.on_boundary(color)
-            return np.unique(self._dofs_on_faces(table.owner[on], table.face[on]))
 
-        return self.mesh.cached(("boundary_dofs", self.degree, color), build)
+def _check_degree(degree):
+    if degree not in (1, 2):
+        raise ValueError(f"unsupported polynomial degree {degree}")
+
+
+def build_spaces(meshes, degree):
+    """The spaces of ``degree`` on ``meshes``, built in one pass over all their active cells.
+
+    A mesh listed more than once gets one space, returned at each of its
+    places.  The pass numbers the dofs of every mesh (:func:`_number`) and
+    fills each mesh state's cached geometry, its hanging constraints
+    (one closure over the block-diagonal dof range, split per space by
+    :meth:`ConstraintSet.blocks`) and its Dirichlet dofs, where the state
+    holds none yet.  Every array is bitwise what ``FeSpace(mesh, degree)``,
+    its ``constraints`` and its ``boundary_dofs(DIRICHLET)`` give.
+    """
+    _check_degree(degree)
+    by_mesh = {}
+    for mesh in meshes:
+        if id(mesh) not in by_mesh:
+            space = by_mesh[id(mesh)] = object.__new__(FeSpace)
+            space.mesh, space.degree = mesh, degree
+    for block in _blocks(list(by_mesh.values())):
+        cell_dofs, dof_bounds = _number(block)
+        built = zip(block, _hanging_constraints(block, cell_dofs, dof_bounds),
+                    _boundary_dofs(block, cell_dofs, dof_bounds, DIRICHLET))
+        for space, constraints, dirichlet in built:
+            space.mesh.cached(("constraints", degree), lambda: constraints)
+            space.mesh.cached(("boundary_dofs", degree, DIRICHLET), lambda: dirichlet)
+    return [by_mesh[id(mesh)] for mesh in meshes]
+
+
+def _blocks(spaces):
+    """Consecutive runs of ``spaces`` of at most :data:`BLOCK_CELLS` active cells in all;
+    a space over the budget is a block of its own."""
+    block, size = [], 0
+    for space in spaces:
+        cells = space.mesh.n_active_cells
+        if block and size + cells > BLOCK_CELLS:
+            yield block
+            block, size = [], 0
+        block.append(space)
+        size += cells
+    if block:
+        yield block
+
+
+def _number(spaces):
+    """Number the dofs of ``spaces`` (one degree, distinct meshes) by first appearance of their
+    entity keys in active-cell order, in one pass; returns the stacked cell dofs and dof bounds.
+
+    Vertex ids and cell rows run on from one mesh to the next, so no key
+    is shared across meshes, and mesh k's dofs are the k-th contiguous
+    range of the stacked numbering: within each mesh, the numbering of
+    that mesh alone.  Sets each space's ``active_ids``, ``cell_dofs``,
+    ``n_dofs`` and ``support_points``.
+    """
+    meshes, degree = [space.mesh for space in spaces], spaces[0].degree
+    cells = [mesh.active_ids() for mesh in meshes]
+    cell_bounds = np.cumsum([0] + [len(c) for c in cells])
+    shift = np.cumsum([0] + [mesh.n_vertices for mesh in meshes])
+    verts = np.concatenate([mesh.forest().vertices[c] for mesh, c in zip(meshes, cells)])
+    verts += np.repeat(shift[:-1], np.diff(cell_bounds))[:, None]
+    points = np.concatenate([mesh.points for mesh in meshes])
+    if not all(mesh.is_cached("cell_geometry") for mesh in meshes):
+        # refuses cells that are not parallelograms; a state's cached geometry is kept
+        for mesh, geometry in zip(meshes, _affine_maps(points[verts], cells)):
+            mesh.cached("cell_geometry", lambda: geometry)
+    # one integer key per vertex, per (sorted) vertex pair, per cell
+    shape = _lattice_basis(1, degree)
+    vertex, corner, edge, ends, interior = _entities(degree)
+    nv = np.int64(shift[-1])
+    keys = np.empty((len(verts), len(shape)), dtype=np.int64)
+    keys[:, vertex] = verts[:, corner]
+    if len(edge):  # degree 2; degree 1 has vertex nodes only
+        pairs = verts[:, ends]  # (c, edges, 2)
+        keys[:, edge] = nv + pairs.min(axis=-1) * nv + pairs.max(axis=-1)
+        keys[:, interior] = (nv + nv * nv + np.arange(len(verts)))[:, None]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cell_dofs = rank[inverse.reshape(keys.shape)]
+    # support point of every dof: its first lattice node, through the bilinear cell map
+    first = first[order]
+    cell, loc = np.divmod(first, keys.shape[1])
+    support = np.einsum("nv,nvd->nd", shape[loc], points[verts[cell]])
+    dof_bounds = np.searchsorted(first, cell_bounds * keys.shape[1])
+    for k, space in enumerate(spaces):
+        lo, hi = int(dof_bounds[k]), int(dof_bounds[k + 1])
+        space.active_ids = cells[k]
+        space.cell_dofs = cell_dofs[cell_bounds[k]:cell_bounds[k + 1]] - lo
+        space.n_dofs = hi - lo
+        space.support_points = support[lo:hi].copy()
+        space._mesh_version = space.mesh._version
+    return cell_dofs, dof_bounds
+
+
+def _face_rows(spaces, pick):
+    """Owner rows, faces, neighbor rows and halves of the face-table rows ``pick(table)`` of
+    each space's mesh, stacked mesh after mesh; cell rows run on from one mesh to the next."""
+    parts, offset = [], 0
+    for space in spaces:
+        table = space.mesh.face_topology()
+        rows = pick(table)
+        parts.append((table.owner[rows] + offset, table.face[rows],
+                      table.neighbor[rows] + offset, table.half[rows]))
+        offset += len(table.cells)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _dofs_on_faces(cell_dofs, degree, cells, faces):
+    """Dofs on ``faces`` of the cell rows ``cells``, ascending along each face."""
+    return cell_dofs[cells[:, None], _face_lattice(degree)[faces]]
+
+
+def _hanging_constraints(spaces, cell_dofs, dof_bounds):
+    """:meth:`FeSpace.hanging_constraints` of each of ``spaces`` (one degree, distinct meshes),
+    from their stacked ``cell_dofs`` and ``dof_bounds``.
+
+    One closure runs over the block-diagonal dof range.  A slave's first
+    row is picked among the rows in stacked order, which within each mesh
+    is its own table order.
+    """
+    degree = spaces[0].degree
+    fine, face, coarse, half = _face_rows(spaces, lambda table: table.kind == COARSER)
+    slaves = _dofs_on_faces(cell_dofs, degree, fine, face)
+    masters = _dofs_on_faces(cell_dofs, degree, coarse, OPPOSITE_FACE[face])
+    # the fine face is half ``half`` of the coarse face
+    weights = _trace_weights(degree)[half].reshape(-1, degree + 1)
+    free = ~(slaves[:, :, None] == masters[:, None, :]).any(axis=-1).ravel()
+    candidates = np.flatnonzero(free)
+    _, first = np.unique(slaves.ravel()[candidates], return_index=True)
+    picked = candidates[np.sort(first)]
+    ms, ws = masters[picked // slaves.shape[1]], weights[picked]
+    nonzero = ws != 0.0
+    owner = np.broadcast_to(slaves.ravel()[picked, None], ms.shape)
+    closed = ConstraintSet(int(dof_bounds[-1]), owner[nonzero], ms[nonzero], ws[nonzero])
+    return closed.blocks(dof_bounds)
+
+
+def _boundary_dofs(spaces, cell_dofs, dof_bounds, color):
+    """:meth:`FeSpace.boundary_dofs` of each of ``spaces``, as :func:`_hanging_constraints`
+    takes them, from one sort."""
+    owner, face, _, _ = _face_rows(spaces, lambda table: table.on_boundary(color))
+    dofs = np.unique(_dofs_on_faces(cell_dofs, spaces[0].degree, owner, face))
+    cuts = np.searchsorted(dofs, dof_bounds)
+    return [dofs[a:b] - lo for a, b, lo in zip(cuts, cuts[1:], dof_bounds)]
 
 
 # -- cell quadrature -------------------------------------------------------------
@@ -381,27 +513,33 @@ def cell_rule(space, n):
 
 
 def _cell_geometry(mesh):
-    """det J (c,) and J^-1 (c, 2, 2) of the active cells, checked as the module says."""
+    """det J (c,) and J^-1 (c, 2, 2) of the active cells: :func:`_affine_maps`, cached per
+    mesh state."""
+    return mesh.cached("cell_geometry",
+                       lambda: _affine_maps(mesh.cell_corner_coords(), [mesh.active_ids()])[0])
 
-    def build():
-        cells = mesh.active_ids()
-        ll, lr, ul, ur = np.moveaxis(mesh.cell_corner_coords(cells), 1, 0)
-        ex, ey = lr - ll, ul - ll  # the columns of J
-        detJ = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
-        defect = np.hypot(*(ll + ur - lr - ul).T)
-        diagonal = np.maximum(np.hypot(*(ur - ll).T), np.hypot(*(ul - lr).T))
-        rounding = 16 * np.finfo(float).eps * np.abs([ll, lr, ul, ur]).max(axis=(0, 2))
-        bad = np.flatnonzero((defect > 1e-12 * diagonal + rounding) | ~(detJ > 0.0))
-        if len(bad):
-            k = bad[0]
-            raise ValueError(
-                f"active cell {cells[k]} is not a parallelogram listed counter-clockwise: "
-                f"|x_LL + x_UR - x_LR - x_UL| = {defect[k]:.3e}, diagonal {diagonal[k]:.3e}, "
-                f"det J = {detJ[k]:.3e}")
-        invJ = np.stack([ey[:, 1], -ey[:, 0], -ex[:, 1], ex[:, 0]], axis=-1).reshape(-1, 2, 2)
-        return read_only((detJ, invJ / detJ[:, None, None]))
 
-    return mesh.cached("cell_geometry", build)
+def _affine_maps(corners, cells):
+    """Read-only (det J, J^-1) of each mesh's active cells ``cells[k]``, checked as the module
+    says, from their corner coordinates ``corners`` (c, 4, 2) stacked mesh after mesh."""
+    ll, lr, ul, ur = np.moveaxis(corners, 1, 0)
+    ex, ey = lr - ll, ul - ll  # the columns of J
+    detJ = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
+    defect = np.hypot(*(ll + ur - lr - ul).T)
+    diagonal = np.maximum(np.hypot(*(ur - ll).T), np.hypot(*(ul - lr).T))
+    rounding = 16 * np.finfo(float).eps * np.abs(corners).max(axis=(1, 2))
+    bad = np.flatnonzero((defect > 1e-12 * diagonal + rounding) | ~(detJ > 0.0))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(
+            f"active cell {np.concatenate(cells)[k]} is not a parallelogram listed "
+            f"counter-clockwise: |x_LL + x_UR - x_LR - x_UL| = {defect[k]:.3e}, "
+            f"diagonal {diagonal[k]:.3e}, det J = {detJ[k]:.3e}")
+    invJ = np.stack([ey[:, 1], -ey[:, 0], -ex[:, 1], ex[:, 0]], axis=-1).reshape(-1, 2, 2)
+    invJ /= detJ[:, None, None]
+    bounds = np.cumsum([0] + [len(c) for c in cells]).tolist()
+    return [read_only((detJ[lo:hi].copy(), invJ[lo:hi].copy()))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 @functools.cache
@@ -478,13 +616,25 @@ def assemble_load_neumann(space, h, condense=True):
     rule, n = face_rule(space), space.degree + 1
     b = np.zeros(space.n_dofs)
     if len(rule.neumann):
-        owner = rule.flat[0, rule.neumann]
-        N = _face_basis(space.degree, n)[0].reshape(12, n, -1)[owner % 12]
-        density = rule.JxW(n, rule.neumann) * (h(rule.neumann_points(n)) if callable(h) else h)
+        JxW, N, dofs = _neumann_rows(space)
+        density = JxW * (h(rule.neumann_points(n)) if callable(h) else h)
         contrib = np.einsum("fq,fqi->fi", density, N)
-        dofs = space.cell_dofs[owner // 12]
         b = np.bincount(dofs.ravel(), contrib.ravel(), minlength=space.n_dofs)
     return space.constraints.condense_vector(b) if condense else b
+
+
+def _neumann_rows(space):
+    """Weights (k, n), owner basis rows (k, n, nloc) and owner dofs (k, nloc) of the Neumann
+    pieces at :func:`assemble_load_neumann`'s rule, n = degree + 1, read-only: formed once
+    per (mesh state, degree), so that every load time of a slab reads them."""
+
+    def build():
+        rule, n = face_rule(space), space.degree + 1
+        owner = rule.flat[0, rule.neumann]
+        N = _face_basis(space.degree, n)[0].reshape(12, n, -1)[owner % 12]
+        return read_only((rule.JxW(n, rule.neumann), N, space.cell_dofs[owner // 12]))
+
+    return space.mesh.cached(("neumann_rows", space.degree), build)
 
 
 # -- face quadrature -------------------------------------------------------------

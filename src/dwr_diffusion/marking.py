@@ -8,8 +8,10 @@ count-based (ceil of fraction times population) with stable index
 tie-breaking, so identical inputs always produce identical marks.
 Indicators are arrays in ``active_ids()`` order; marks are index arrays.
 Spatial refinement runs first, then the time splits, whose halves
-share the refined meshes.  :func:`adapt_slabs` is one loop's whole step; a
-loop that marks nothing would repeat itself, so it raises ValueError.
+share the refined meshes; the refined meshes' primal spaces are built in
+one pass (:meth:`SlabList.refine`), their dual spaces by the next dual
+march.  :func:`adapt_slabs` is one loop's whole step; a loop that marks
+nothing would repeat itself, so it raises ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import cell_ids
+from .mesh import cell_ids, check_integers
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,7 @@ class AdaptParams:
     skip_zero_indicators: bool = True
 
     def __post_init__(self):
+        check_integers(self, "max_loops")
         if not 0.0 <= self.theta_tau <= 1.0:
             raise ValueError("theta_tau must lie in [0, 1]")
         if not 0.0 <= self.theta_h2 <= self.theta_h1 <= 1.0:
@@ -73,10 +76,12 @@ def mark_space_cells(slab, indicators, time_marked, theta_h1, theta_h2,
 def execute_adaptation(slabs, time_marks, space_marks):
     """Refine slab meshes, then split the time-marked slabs.
 
-    ``space_marks`` maps slab index to an array (or set) of cell ids.  A
-    marked slab is refined by :meth:`Slab.refine` (with 1-irregularity
-    closure); every slab drops its storage.  Afterwards each time-marked
-    slab is bisected, both halves sharing the already-refined mesh and spaces.
+    ``space_marks`` maps slab index to an array (or set) of cell ids.  The
+    marked slabs' meshes are refined on private copies (with 1-irregularity
+    closure) and their primal spaces built in one pass, by
+    :meth:`SlabList.refine`; every slab drops its storage.  Afterwards each
+    time-marked slab is bisected, both halves sharing the already-refined
+    mesh and spaces.
     Before any slab changes, ValueError names a time mark that is repeated
     or not in [0, n), a space-mark key not in [0, n), n slabs, and a space
     mark that is not an integer value (:func:`mesh.cell_ids`).
@@ -90,12 +95,9 @@ def execute_adaptation(slabs, time_marks, space_marks):
     for k, lower in zip(time_marks, time_marks[1:]):
         if k == lower:
             raise ValueError(f"time mark {k} is repeated; a slab is split at most once per loop")
-    for k, slab in slabs.iterate_forward():
-        marks = space_marks.get(k, ())
-        if len(marks):
-            slab.refine(marks)
-        else:
-            slab.clear_storage()
+    slabs.refine({k: marks for k, marks in space_marks.items() if len(marks)})
+    for slab in slabs:
+        slab.clear_storage()
     for k in time_marks:
         slabs.split_slab_in_time(k)
     return slabs

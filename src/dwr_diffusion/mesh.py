@@ -59,6 +59,18 @@ def cell_ids(marks):
     return np.array(ids, dtype=np.intp)
 
 
+def check_integers(obj, *names):
+    """Refuse the fields ``names`` of ``obj`` that are not integers.
+
+    Python and numpy integers pass; bools, floats (integer-valued ones too)
+    and everything else raise ValueError naming ``Class.field`` and the value.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{type(obj).__name__}.{name} must be an integer, got {value!r}")
+
+
 def read_only(arrays):
     """``arrays`` (any iterable of arrays, e.g. a :class:`Forest`), each made read-only."""
     for a in arrays:
@@ -244,6 +256,10 @@ class QuadMesh:
         if value is None:
             value = self._cache[name] = build()
         return value
+
+    def is_cached(self, name):
+        """Whether :meth:`cached` holds ``name`` for the current refinement state."""
+        return name in self._cache
 
     @property
     def points(self):

@@ -24,6 +24,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .marking import AdaptParams
+from .mesh import check_integers
 from .problem import Coefficients, ConeSolution, ControlVolume
 from .sparse_la import SolverControl
 
@@ -42,6 +43,7 @@ class DiscretizationConfig:
     load_quadrature: str = "gauss"  # or "right"
 
     def __post_init__(self):
+        check_integers(self, "n_slabs", "primal_degree", "dual_degree")
         if not self.t0 < self.T:
             raise ValueError("need t0 < T")
         if self.n_slabs < 1:
@@ -66,6 +68,7 @@ class OutputConfig:
     vtk_every: int = 0  # 0: final loop only; k > 0: every k-th loop and the final one
 
     def __post_init__(self):
+        check_integers(self, "vtk_every")
         if self.vtk_every < 0:
             raise ValueError("vtk_every must be >= 0")
 

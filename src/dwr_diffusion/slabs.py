@@ -7,23 +7,29 @@ adaptation loop's slabs exist; earlier loops are not kept.
 
 A mesh and its two spaces are one shared value: all initial slabs hold
 one copy of the coarse mesh and one space pair, and a time split hands
-both halves the parent's.  The dual space is built on first use of
-:attr:`Slab.dual`, by a cached builder that those slabs share, so they
-share one dual space too and a loop that never runs the dual builds none.
-Only :meth:`Slab.refine` changes a slab's mesh, and it refines a fresh
-``copy()``, so no refinement reaches another slab.  Every slab mesh thus
-refines one coarse mesh, which :func:`fem.transfer` relies on to walk the
-refinement forests down from the shared root cells.
+both halves the parent's.  The dual space lives in a one-entry list that
+those slabs share, empty until the dual march builds every missing dual
+space in one :func:`fem.build_spaces` call
+(:meth:`SlabList.build_dual_spaces`), or :attr:`Slab.dual` builds its own
+on first use.  So they share one dual space too, and a loop that never
+runs the dual builds none.  Only :meth:`SlabList.refine` and its one-slab
+case :meth:`Slab.refine` change a slab's mesh, and they refine a fresh
+``copy()``, so no refinement reaches another slab; the list builds the
+new primal spaces of all its refined slabs in one call.  Every slab mesh
+thus refines one coarse mesh, which :func:`fem.transfer` relies on to
+walk the refinement forests down from the shared root cells.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fem
 from .fem import FeSpace, gauss_1d
 
 
@@ -63,11 +69,10 @@ class Slab:
 
     def __init__(self, interval, mesh, primal_degree=1, dual_degree=2):
         self.interval = interval
-        self.mesh = mesh
         self.primal_degree = primal_degree
         self.dual_degree = dual_degree
         self._storage = {}
-        self.rebuild_spaces()
+        self._set_mesh(mesh, FeSpace(mesh, primal_degree))
 
     @property
     def tau(self):
@@ -75,25 +80,28 @@ class Slab:
 
     @property
     def dual(self):
-        """The dual space, built on first use and shared with this slab's time-split copies."""
-        return self._dual()
+        """The dual space, shared with this slab's time-split copies; built here on first use
+        unless :meth:`SlabList.build_dual_spaces` built it first."""
+        if not self._dual:
+            self._dual.append(FeSpace(self.mesh, self.dual_degree))
+        return self._dual[0]
 
-    def rebuild_spaces(self):
-        """Refresh both spaces after a mesh refinement, the dual one lazily; drops all storage."""
-        self.primal = FeSpace(self.mesh, self.primal_degree)
-        self._dual = functools.cache(functools.partial(FeSpace, self.mesh, self.dual_degree))
+    def _set_mesh(self, mesh, primal):
+        """Take ``mesh`` and its primal space, with no dual space yet; drops all storage."""
+        self.mesh, self.primal = mesh, primal
+        self._dual = []  # the dual space once built, one list shared with time-split copies
         self._storage.clear()
 
     def refine(self, marks):
-        """Refine the given cell ids on a private copy of the mesh, then rebuild the spaces.
+        """Refine the given cell ids on a private copy of the mesh, then build its primal space.
 
-        Slabs sharing the old mesh keep it and their spaces unchanged; marks
-        that :meth:`QuadMesh.refine` refuses leave this slab unchanged too.
+        The one-slab case of :meth:`SlabList.refine`.  Slabs sharing the old
+        mesh keep it and their spaces unchanged; marks that
+        :meth:`QuadMesh.refine` refuses leave this slab unchanged too.
         """
         mesh = self.mesh.copy()
         mesh.refine(marks)
-        self.mesh = mesh
-        self.rebuild_spaces()
+        self._set_mesh(mesh, FeSpace(mesh, self.primal_degree))
 
     def _with_interval(self, interval):
         """A slab over ``interval`` sharing this slab's mesh and spaces, with empty storage."""
@@ -144,10 +152,15 @@ def stored(slabs, tag):
 
 
 class SlabList:
-    """Ordered slabs partitioning (t0, T) exactly."""
+    """Ordered slabs partitioning (t0, T) exactly.
+
+    ``spaces_s`` adds up the wall seconds of the one-pass space builds of
+    :meth:`refine` and :meth:`build_dual_spaces`.
+    """
 
     def __init__(self, slabs):
         self.slabs = list(slabs)
+        self.spaces_s = 0.0
         self._check_partition()
 
     def _check_partition(self):
@@ -188,6 +201,57 @@ class SlabList:
             old._with_interval(TimeInterval(t_mid, t_n)),
         ]
         return self
+
+    def refine(self, space_marks):
+        """Refine slab k's cells ``space_marks[k]`` on a private copy of its mesh, for each key k.
+
+        Each slab drops its old state (mesh, spaces and storage) as soon as
+        its copy is refined, so that the memory of the old states serves
+        the new ones, as when each slab was refined and built in turn.  Then
+        one :func:`fem.build_spaces` pass builds all the new primal spaces.
+        Marks that :meth:`QuadMesh.refine` refuses leave their slab and the
+        later ones unchanged; the slabs refined before still get their spaces.
+        """
+        meshes = {}
+        try:
+            for k, marks in space_marks.items():
+                mesh = self.slabs[k].mesh.copy()
+                mesh.refine(marks)
+                meshes[k] = mesh
+                self.slabs[k]._set_mesh(mesh, None)
+        finally:
+            with self._timed():
+                spaces = _build_spaces([(mesh, self.slabs[k].primal_degree)
+                                        for k, mesh in meshes.items()])
+            for k, space in zip(meshes, spaces):
+                self.slabs[k].primal = space
+
+    def build_dual_spaces(self):
+        """Build every dual space not built yet in one :func:`fem.build_spaces` pass.
+
+        Time-split copies of a slab share one dual space, built once.
+        """
+        todo = list({id(slab._dual): slab for slab in self.slabs if not slab._dual}.values())
+        with self._timed():
+            spaces = _build_spaces([(slab.mesh, slab.dual_degree) for slab in todo])
+        for slab, space in zip(todo, spaces):
+            slab._dual.append(space)
+
+    @contextmanager
+    def _timed(self):
+        start = time.perf_counter()
+        yield
+        self.spaces_s += time.perf_counter() - start
+
+
+def _build_spaces(pairs):
+    """The spaces of ``(mesh, degree)`` pairs: one :func:`fem.build_spaces` pass per degree."""
+    spaces = {}
+    for degree in {degree for _, degree in pairs}:
+        meshes = [mesh for mesh, d in pairs if d == degree]
+        spaces.update(zip([(id(mesh), degree) for mesh in meshes],
+                          fem.build_spaces(meshes, degree)))
+    return [spaces[id(mesh), degree] for mesh, degree in pairs]
 
 
 def init_slabs(coarse_mesh, t0, T, n_slabs, primal_degree=1, dual_degree=2):

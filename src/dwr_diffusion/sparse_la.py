@@ -48,6 +48,8 @@ from scipy.sparse._sparsetools import (
     csr_sum_duplicates as _csr_sum_duplicates,
 )
 
+from .mesh import check_integers
+
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -77,6 +79,7 @@ class SolverControl:
     absolute_tolerance: float = 1e-14
 
     def __post_init__(self):
+        check_integers(self, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name in ("relative_tolerance", "absolute_tolerance"):
@@ -382,9 +385,36 @@ class ConstraintSet:
             k = bad.argmax()
             raise ValueError(f"constraint entry {k} (slave {slaves[k]}, master {masters[k]}) "
                              f"has a dof outside [0, {n_dofs})")
-        self.n_dofs = n_dofs
-        self._P, self._c, self._slaves = _closure(n_dofs, slaves, masters, weights, offsets)
+        self._set(*_closure(n_dofs, slaves, masters, weights, offsets))
+
+    def _set(self, P, c, slaves):
+        self.n_dofs = P.shape[0]
+        self._P, self._c, self._slaves = P, c, slaves
         self._slaves.flags.writeable = False
+
+    def blocks(self, bounds):
+        """The sets of the diagonal blocks ``[bounds[k], bounds[k + 1])`` of a block-diagonal set.
+
+        Closing a block-diagonal set closes each block on its own, and P's
+        rows keep their entries, so every array of block k is bitwise that
+        of the set built from block k's entries alone, dofs shifted by
+        ``-bounds[k]``.  The blocks own their arrays; one block is the set itself.
+        """
+        if len(bounds) == 2:
+            return [self]
+        P, out = self._P, []
+        bounds = [int(b) for b in bounds]  # Python ints keep P's int32 index dtype
+        cuts = P.indptr[bounds].tolist()
+        slave_cuts = np.searchsorted(self._slaves, bounds).tolist()
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            a, b = cuts[k], cuts[k + 1]
+            block = Csr(P.indptr[lo:hi + 1] - a, P.indices[a:b] - lo, P.data[a:b].copy(),
+                        (hi - lo, hi - lo))
+            slaves = self._slaves[slave_cuts[k]:slave_cuts[k + 1]] - lo
+            cs = object.__new__(ConstraintSet)
+            cs._set(block, self._c[lo:hi].copy(), slaves)
+            out.append(cs)
+        return out
 
     def __len__(self):
         return len(self._slaves)

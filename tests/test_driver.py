@@ -176,6 +176,19 @@ def test_loop_records_time_their_phases_within_the_call(caplog, goal_met):
                        f"{r.peak_rss_mb:.1f}") for r in records]
 
 
+def test_space_builds_are_timed_within_the_adapt_and_dual_phases(caplog):
+    with caplog.at_level(logging.DEBUG, logger="dwr_diffusion.driver"):
+        adapted, budget_end = dwr_loop(shipped(2)).records
+    # loop 1 builds the coarse dual space and the refined primal ones, loop 2 its dual spaces
+    assert 0.0 < adapted.spaces_s <= adapted.adapt_s + adapted.dual_s
+    assert budget_end.adapt_s == 0.0 and 0.0 < budget_end.spaces_s <= budget_end.dual_s
+    logged = [r.getMessage() for r in caplog.records if "space builds" in r.getMessage()]
+    assert logged == [f"loop {r.loop}: space builds {r.spaces_s:.3f} s of the adapt and dual "
+                      "phases" for r in (adapted, budget_end)]
+    met = dwr_loop(shipped(2, **MET_AT_LOOP_2)).records[-1]
+    assert met.goal_met and met.spaces_s == 0.0
+
+
 def test_signed_estimate_sums_the_signed_indicators_in_table_order():
     estimates, cells = [], []
 
@@ -235,13 +248,20 @@ def test_a_solve_builds_no_scipy_sparse_matrix(monkeypatch):
 def test_the_loop_that_meets_the_goal_builds_no_dual_space(monkeypatch, tmp_path):
     """Dual spaces are built on first use, by the dual march, so the goal-met loop builds none."""
     degrees = []
-    init = FeSpace.__init__
+    init, build = FeSpace.__init__, fem.build_spaces
 
     def counted(self, mesh, degree):
         degrees.append(degree)
         init(self, mesh, degree)
 
+    def counted_batch(meshes, degree):
+        spaces = build(meshes, degree)
+        degrees.extend([degree] * len({id(space) for space in spaces}))
+        return spaces
+
+    # every space is built one at a time or in a one-pass batch
     monkeypatch.setattr(FeSpace, "__init__", counted)
+    monkeypatch.setattr(fem, "build_spaces", counted_batch)
     writer, dual_builds = OutputWriter(tmp_path), []
 
     def on_loop(*args):

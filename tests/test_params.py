@@ -1,6 +1,8 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dwr_diffusion import params
@@ -100,6 +102,29 @@ def test_range_errors_name_the_set_lines_that_feed_the_rejecting_object(text, li
     err = error_of(text)
     assert err.startswith(f"{SOURCE}:{lines}: ")
     assert message in err
+
+
+INTEGER_FIELDS = [(params.AdaptParams, "max_loops"), (params.SolverControl, "max_iterations"),
+                  (params.DiscretizationConfig, "n_slabs"),
+                  (params.DiscretizationConfig, "primal_degree"),
+                  (params.DiscretizationConfig, "dual_degree"), (params.OutputConfig, "vtk_every")]
+
+
+@pytest.mark.parametrize("cls,field", INTEGER_FIELDS)
+def test_integer_fields_refuse_non_integers_by_name(cls, field):
+    """A fractional loop budget or a NaN iteration limit used to fail much later, in ``range``."""
+    for value in (2.5, 2.0, float("nan"), True, "2"):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be an integer, "
+                                             rf"got {re.escape(repr(value))}$"):
+            cls(**{field: value})
+    assert getattr(cls(**{field: np.int64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("section,key", [("adaptivity", "max_loops"), ("solver", "max_iterations"),
+                                         ("discretization", "n_slabs"), ("output", "vtk_every")])
+def test_a_non_integer_file_value_names_its_line(section, key):
+    err = error_of(f"subsection {section}\n  set {key} = 2.5\nend\n")
+    assert err.startswith(f"{SOURCE}:2: bad value for {key!r}")
 
 
 # The parameter file is an external interface: a config field added, renamed

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from dwr_diffusion import fem
 from dwr_diffusion.fem import FeSpace
 from dwr_diffusion.marking import execute_adaptation
-from dwr_diffusion.mesh import make_lshape
+from dwr_diffusion.mesh import DIRICHLET, make_lshape
 from dwr_diffusion.slabs import Slab, SlabList, TimeInterval, init_slabs
 
 
@@ -119,6 +123,55 @@ class TestSplit:
         slabs[0].refine({0})
         assert degrees == [1, 2, 1] and slabs[0].dual is not dual
         assert slabs[0].dual.mesh is slabs[0].mesh and degrees == [1, 2, 1, 2]
+
+    def test_split_halves_share_one_dual_from_the_batched_build(self, lshape, monkeypatch):
+        slabs = init_slabs(lshape, 0.0, 1.0, 3)
+        batches = []
+        build = fem.build_spaces
+
+        def counted(meshes, degree):
+            batches.append((len(meshes), degree))
+            return build(meshes, degree)
+
+        def one_at_a_time(self, mesh, degree):
+            pytest.fail(f"a space of degree {degree} was built one at a time")
+
+        monkeypatch.setattr(fem, "build_spaces", counted)
+        monkeypatch.setattr(FeSpace, "__init__", one_at_a_time)
+        execute_adaptation(slabs, time_marks={0, 2}, space_marks={0: {0}, 1: {1}})
+        assert batches == [(2, 1)]
+        slabs.build_dual_spaces()
+        # the halves of the refined slab 0, the refined slab 1, the halves of the coarse slab 2
+        assert batches == [(2, 1), (3, 2)]
+        refined, sibling, alone, coarse, coarse_sibling = slabs
+        assert refined.dual is sibling.dual and coarse.dual is coarse_sibling.dual
+        assert len({id(slab.dual) for slab in slabs}) == 3
+        assert all(slab.dual.mesh is slab.mesh and slab.dual.degree == 2 for slab in slabs)
+        slabs.build_dual_spaces()  # nothing is left to build
+        assert batches == [(2, 1), (3, 2)] and slabs.spaces_s > 0.0
+
+    def test_refused_marks_leave_their_slab_and_the_later_ones_unchanged(self, lshape):
+        slabs = init_slabs(lshape, 0.0, 1.0, 3)
+        coarse = slabs[1].primal
+        with pytest.raises(ValueError, match="marked cell 99 is unknown"):
+            slabs.refine({0: [0], 1: [99], 2: [1]})
+        assert slabs[0].mesh.n_active_cells == 6 and slabs[0].primal.mesh is slabs[0].mesh
+        assert slabs[1].primal is coarse and slabs[2].primal is coarse
+
+    def test_adaptation_frees_the_old_state_without_the_cycle_collector(self, lshape):
+        """No mesh <-> space reference cycle keeps a refined-away state alive."""
+        slabs = init_slabs(lshape, 0.0, 1.0, 2)
+        slabs.build_dual_spaces()
+        for space in (slabs[0].primal, slabs[0].dual):
+            space.constraints, space.boundary_dofs(DIRICHLET), fem.face_rule(space)
+        del space
+        old = weakref.ref(slabs[0].mesh)
+        gc.disable()
+        try:
+            execute_adaptation(slabs, time_marks=[], space_marks={0: [0], 1: [1]})
+            assert old() is None
+        finally:
+            gc.enable()
 
     def test_storage_cleared_on_split(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 2)
