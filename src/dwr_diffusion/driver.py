@@ -50,10 +50,15 @@ class LoopRecord:
     ``spaces_s`` is a sub-phase of ``adapt_s`` + ``dual_s``: the one-pass
     space builds, of the new primal spaces in the adaptation and of the
     missing dual spaces at the start of the dual march
-    (``SlabList.spaces_s``).  The callback sees ``on_loop_s``, ``adapt_s``,
-    ``spaces_s`` and ``peak_rss_mb`` still 0.
+    (``SlabList.spaces_s``).  ``refine_s`` is a sub-phase of ``adapt_s``:
+    the one-pass refinement of the marked slab meshes (``SlabList.refine_s``).
+    The callback sees ``on_loop_s``, ``adapt_s``, ``spaces_s``,
+    ``refine_s`` and ``peak_rss_mb`` still 0.
     ``peak_rss_mb`` is the process's peak resident set size at the loop's
     end (``ru_maxrss``, kilobytes on Linux, / 1024).
+    ``rate`` is the error-vs-dofs exponent from the loop before,
+    log(e_k / e_{k-1}) / log(N_k / N_{k-1}) with e the goal error and N the
+    primal space-time dofs; NaN on loop 1 and wherever it is undefined.
     """
 
     loop: int
@@ -76,7 +81,9 @@ class LoopRecord:
     adapt_s: float = 0.0
     on_loop_s: float = 0.0
     spaces_s: float = 0.0
+    refine_s: float = 0.0
     peak_rss_mb: float = 0.0
+    rate: float = math.nan
 
 
 @dataclass
@@ -111,7 +118,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
     for loop in range(1, adapt.max_loops + 1):
         record = LoopRecord(loop, len(slabs), max(s.mesh.n_active_cells for s in slabs))
         records.append(record)
-        spaces_before = slabs.spaces_s
+        spaces_before, refine_before = slabs.spaces_s, slabs.refine_s
         with _timed(record, "primal_s"):
             reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
                                     time_rule=disc.load_quadrature)
@@ -127,6 +134,8 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             tol_abs = adapt.tol * err
         record.goal_met = err < tol_abs
         _record_march(record, "primal", reports, slabs)
+        if loop > 1:
+            record.rate = _rate(records[-2], record)
         log.info("loop %d: %d slabs, %d cells max, goal error %.6e (target %.6e)",
                  loop, record.n_slabs, record.max_cells, err, tol_abs)
 
@@ -152,6 +161,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             with _timed(record, "adapt_s"):
                 marking.adapt_slabs(slabs, estimate, adapt, loop)
         record.spaces_s = slabs.spaces_s - spaces_before
+        record.refine_s = slabs.refine_s - refine_before
         _log_costs(record)
         if final:
             break
@@ -173,8 +183,18 @@ def _log_costs(record):
     log.debug("loop %d: phases primal %.3f s, dual %.3f s, estimate %.3f s, adapt %.3f s, "
               "on_loop %.3f s; peak RSS %.1f MB", record.loop, record.primal_s, record.dual_s,
               record.estimate_s, record.adapt_s, record.on_loop_s, record.peak_rss_mb)
-    log.debug("loop %d: space builds %.3f s of the adapt and dual phases", record.loop,
-              record.spaces_s)
+    log.debug("loop %d: space builds %.3f s of the adapt and dual phases, refinement %.3f s "
+              "of the adapt phase", record.loop, record.spaces_s, record.refine_s)
+
+
+def _rate(before, record):
+    """log(e_k / e_{k-1}) / log(N_k / N_{k-1}) of goal errors e and primal space-time dofs N of
+    two loop records, NaN where a logarithm or the quotient is undefined."""
+    try:
+        return math.log(record.goal_error / before.goal_error) / math.log(
+            record.primal_dofs / before.primal_dofs)
+    except (ValueError, ZeroDivisionError):
+        return math.nan
 
 
 def _record_march(record, march, reports, slabs):

@@ -20,7 +20,10 @@ for a single space.  Every array is bitwise what the mesh alone would
 give.  ``FeSpace(mesh, degree)`` is the one-mesh case: it numbers its
 dofs at once and builds its constraints and boundary dofs on first use.
 The adaptation builds each loop's new primal spaces in one call, and the
-dual march its missing dual spaces.
+dual march its missing dual spaces.  A pass over new mesh states, which
+hold no face rule yet, also builds their face rules and their cell rules
+of ``degree + 1`` and ``degree + 2`` points from the stacked arrays, the
+rules that the next march reads; other states build theirs on first use.
 
 Per-cell arrays have one row per entry of the mesh state's active-cell
 array, :meth:`QuadMesh.active_ids`; its inverse, ``active_position``, maps
@@ -85,11 +88,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import sparse_la
-from .mesh import BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, OPPOSITE_FACE, read_only
+from .mesh import (
+    BLOCK_CELLS, BOUNDARY, COARSER, DIRICHLET, FACE_VERTS, FINER, OPPOSITE_FACE, blocks,
+    parts, read_only, stacked_faces,
+)
 from .sparse_la import ConstraintSet
 
 _NODES_1D = {1: np.array([0.0, 1.0]), 2: np.array([0.0, 0.5, 1.0])}
-BLOCK_CELLS = 2 ** 12  # active cells per pass of :func:`build_spaces`, bounding its temporaries
 
 
 def shape_1d(degree, x, deriv=0):
@@ -262,7 +267,8 @@ class FeSpace:
         coarse trace.  A dof on several such faces keeps its first row.
         """
         self._check_current()
-        return _hanging_constraints([self], self.cell_dofs, [0, self.n_dofs])[0]
+        return _hanging_constraints(self.mesh.face_topology(), self.degree, self.cell_dofs,
+                                    [0, self.n_dofs])[0]
 
     # -- boundary dofs ---------------------------------------------------------
 
@@ -271,7 +277,8 @@ class FeSpace:
         self._check_current()
         return self.mesh.cached(
             ("boundary_dofs", self.degree, color),
-            lambda: _boundary_dofs([self], self.cell_dofs, [0, self.n_dofs], color)[0])
+            lambda: _boundary_dofs(self.mesh.face_topology(), self.degree, self.cell_dofs,
+                                   [0, self.n_dofs], color)[0])
 
 
 def _check_degree(degree):
@@ -287,8 +294,12 @@ def build_spaces(meshes, degree):
     fills each mesh state's cached geometry, its hanging constraints
     (one closure over the block-diagonal dof range, split per space by
     :meth:`ConstraintSet.blocks`) and its Dirichlet dofs, where the state
-    holds none yet.  Every array is bitwise what ``FeSpace(mesh, degree)``,
-    its ``constraints`` and its ``boundary_dofs(DIRICHLET)`` give.
+    holds none yet.  A pass over states that hold no face rule yet, as a
+    loop's new states, also fills their :func:`face_rule` and their
+    :func:`cell_rule` of ``degree + 1`` and ``degree + 2`` points: the rules
+    that the next march and its goal pass read.  Every array is bitwise
+    what ``FeSpace(mesh, degree)``, its ``constraints``, its
+    ``boundary_dofs(DIRICHLET)`` and the rules built one mesh at a time give.
     """
     _check_degree(degree)
     by_mesh = {}
@@ -296,29 +307,24 @@ def build_spaces(meshes, degree):
         if id(mesh) not in by_mesh:
             space = by_mesh[id(mesh)] = object.__new__(FeSpace)
             space.mesh, space.degree = mesh, degree
-    for block in _blocks(list(by_mesh.values())):
-        cell_dofs, dof_bounds = _number(block)
-        built = zip(block, _hanging_constraints(block, cell_dofs, dof_bounds),
-                    _boundary_dofs(block, cell_dofs, dof_bounds, DIRICHLET))
+    for block in blocks(list(by_mesh.values()), lambda space: space.mesh.n_active_cells,
+                        BLOCK_CELLS):
+        cell_dofs, dof_bounds, verts, points = _number(block)
+        states = [space.mesh for space in block]
+        faces = stacked_faces(states)
+        built = zip(block, _hanging_constraints(faces[0], degree, cell_dofs, dof_bounds),
+                    _boundary_dofs(faces[0], degree, cell_dofs, dof_bounds, DIRICHLET))
         for space, constraints, dirichlet in built:
             space.mesh.cached(("constraints", degree), lambda: constraints)
             space.mesh.cached(("boundary_dofs", degree, DIRICHLET), lambda: dirichlet)
+        if all(mesh.is_cached("face_rule") for mesh in states):
+            continue
+        for mesh, rule in zip(states, _face_rules(faces, verts, points)):
+            mesh.cached("face_rule", lambda: rule)
+        for n in (degree + 1, degree + 2):
+            for mesh, rule in zip(states, _cell_rules(states, points[verts], faces[2], n)):
+                mesh.cached(("cell_rule", n), lambda: rule)
     return [by_mesh[id(mesh)] for mesh in meshes]
-
-
-def _blocks(spaces):
-    """Consecutive runs of ``spaces`` of at most :data:`BLOCK_CELLS` active cells in all;
-    a space over the budget is a block of its own."""
-    block, size = [], 0
-    for space in spaces:
-        cells = space.mesh.n_active_cells
-        if block and size + cells > BLOCK_CELLS:
-            yield block
-            block, size = [], 0
-        block.append(space)
-        size += cells
-    if block:
-        yield block
 
 
 def _number(spaces):
@@ -329,7 +335,8 @@ def _number(spaces):
     is shared across meshes, and mesh k's dofs are the k-th contiguous
     range of the stacked numbering: within each mesh, the numbering of
     that mesh alone.  Sets each space's ``active_ids``, ``cell_dofs``,
-    ``n_dofs`` and ``support_points``.
+    ``n_dofs`` and ``support_points``; also returns the stacked cell
+    vertices and vertex coordinates.
     """
     meshes, degree = [space.mesh for space in spaces], spaces[0].degree
     cells = [mesh.active_ids() for mesh in meshes]
@@ -369,20 +376,7 @@ def _number(spaces):
         space.n_dofs = hi - lo
         space.support_points = support[lo:hi].copy()
         space._mesh_version = space.mesh._version
-    return cell_dofs, dof_bounds
-
-
-def _face_rows(spaces, pick):
-    """Owner rows, faces, neighbor rows and halves of the face-table rows ``pick(table)`` of
-    each space's mesh, stacked mesh after mesh; cell rows run on from one mesh to the next."""
-    parts, offset = [], 0
-    for space in spaces:
-        table = space.mesh.face_topology()
-        rows = pick(table)
-        parts.append((table.owner[rows] + offset, table.face[rows],
-                      table.neighbor[rows] + offset, table.half[rows]))
-        offset += len(table.cells)
-    return [np.concatenate(column) for column in zip(*parts)]
+    return cell_dofs, dof_bounds, verts, points
 
 
 def _dofs_on_faces(cell_dofs, degree, cells, faces):
@@ -390,16 +384,17 @@ def _dofs_on_faces(cell_dofs, degree, cells, faces):
     return cell_dofs[cells[:, None], _face_lattice(degree)[faces]]
 
 
-def _hanging_constraints(spaces, cell_dofs, dof_bounds):
-    """:meth:`FeSpace.hanging_constraints` of each of ``spaces`` (one degree, distinct meshes),
-    from their stacked ``cell_dofs`` and ``dof_bounds``.
+def _hanging_constraints(table, degree, cell_dofs, dof_bounds):
+    """:meth:`FeSpace.hanging_constraints` of each space of ``degree`` (distinct meshes) from
+    their stacked face ``table`` (:func:`mesh.stacked_faces`), ``cell_dofs`` and ``dof_bounds``.
 
     One closure runs over the block-diagonal dof range.  A slave's first
     row is picked among the rows in stacked order, which within each mesh
     is its own table order.
     """
-    degree = spaces[0].degree
-    fine, face, coarse, half = _face_rows(spaces, lambda table: table.kind == COARSER)
+    hanging = table.kind == COARSER
+    fine, face, coarse, half = (a[hanging] for a in (table.owner, table.face, table.neighbor,
+                                                     table.half))
     slaves = _dofs_on_faces(cell_dofs, degree, fine, face)
     masters = _dofs_on_faces(cell_dofs, degree, coarse, OPPOSITE_FACE[face])
     # the fine face is half ``half`` of the coarse face
@@ -415,11 +410,11 @@ def _hanging_constraints(spaces, cell_dofs, dof_bounds):
     return closed.blocks(dof_bounds)
 
 
-def _boundary_dofs(spaces, cell_dofs, dof_bounds, color):
-    """:meth:`FeSpace.boundary_dofs` of each of ``spaces``, as :func:`_hanging_constraints`
-    takes them, from one sort."""
-    owner, face, _, _ = _face_rows(spaces, lambda table: table.on_boundary(color))
-    dofs = np.unique(_dofs_on_faces(cell_dofs, spaces[0].degree, owner, face))
+def _boundary_dofs(table, degree, cell_dofs, dof_bounds, color):
+    """:meth:`FeSpace.boundary_dofs` of each space, as :func:`_hanging_constraints` takes them,
+    from one sort."""
+    on = table.on_boundary(color)
+    dofs = np.unique(_dofs_on_faces(cell_dofs, degree, table.owner[on], table.face[on]))
     cuts = np.searchsorted(dofs, dof_bounds)
     return [dofs[a:b] - lo for a, b, lo in zip(cuts, cuts[1:], dof_bounds)]
 
@@ -502,14 +497,23 @@ def cell_rule(space, n):
     """The :class:`CellRule` of the space's mesh state, built once per (mesh state, n)."""
     space._check_current()
     mesh = space.mesh
+    return mesh.cached(("cell_rule", n), lambda: _cell_rules(
+        [mesh], mesh.cell_corner_coords(space.active_ids), [0, len(space.active_ids)], n)[0])
 
-    def build():
-        coords = mesh.cell_corner_coords(space.active_ids)
-        phys = np.einsum("qv,cvd->cqd", _basis_tables(1, n).N, coords)
-        phys.setflags(write=False)
-        return CellRule(n, phys, *_cell_geometry(mesh))
 
-    return mesh.cached(("cell_rule", n), build)
+def _cell_rules(meshes, corners, bounds, n):
+    """The :class:`CellRule` of n points per direction of each of ``meshes``, whose active
+    cells' corners are ``corners[bounds[k]:bounds[k + 1]]``, from one pass over all.
+
+    The points are the bilinear map's sum over the corners in corner order,
+    as ``einsum("qv,cvd->cqd")`` adds them, at a fraction of its cost.
+    """
+    N = _basis_tables(1, n).N
+    phys = N[:, 0, None] * corners[:, None, 0]
+    for v in range(1, 4):
+        phys += N[:, v, None] * corners[:, None, v]
+    return [CellRule(n, points, *_cell_geometry(mesh))
+            for mesh, points in zip(meshes, parts(phys, bounds))]
 
 
 def _cell_geometry(mesh):
@@ -730,32 +734,43 @@ def face_rule(space):
     """The :class:`FaceRule` of the space's mesh state, built once per mesh state."""
     space._check_current()
     mesh = space.mesh
+    return mesh.cached("face_rule", lambda: _face_rules(
+        stacked_faces([mesh]), mesh.forest().vertices[space.active_ids], mesh.points)[0])
 
-    def build():
-        table = mesh.face_topology()
-        rows = ~table.on_boundary(DIRICHLET)
-        owner, face, kind, half, neighbor = (
-            a[rows] for a in (table.owner, table.face, table.kind, table.half, table.neighbor))
-        bnd, finer = kind == BOUNDARY, kind == FINER
-        cells = np.stack([owner, np.where(bnd, owner, neighbor)])
-        faces = np.stack([face, np.where(bnd, face, OPPOSITE_FACE[face])])
-        slots = np.where(np.stack([finer, kind == COARSER]), 1 + half, 0)
-        # the owner's edge and the piece, the finer side's edge: the neighbor's on a FINER row
-        ids = table.cells[np.stack([owner, np.where(finer, neighbor, owner)])]
-        edges = np.take(FACE_VERTS, np.stack([face, np.where(finer, faces[1], face)]), axis=0)
-        # np.take: fancy indexing is several times slower on these (r, 2) index arrays
-        vertices = np.take(mesh.forest().vertices.ravel(), 4 * ids[..., None] + edges)
-        own, ends = np.take(mesh.points, vertices, axis=0)
-        tx, ty = (own[:, 1] - own[:, 0]).T
-        sign, norm = _NORMAL_SIGN[face], np.hypot(tx, ty)
-        return read_only(FaceRule(
-            ((cells * 4 + faces) * 3 + slots).astype(np.int32),
-            np.hypot(*(ends[:, 1] - ends[:, 0]).T),
-            np.column_stack([sign * -ty / norm, sign * tx / norm]),
-            np.flatnonzero(bnd).astype(np.int32),  # every non-Dirichlet boundary row is Neumann
-            ends[bnd]))
 
-    return mesh.cached("face_rule", build)
+def _face_rules(faces, verts, points):
+    """The :class:`FaceRule` of each mesh of the :func:`mesh.stacked_faces` ``faces``, whose active
+    cells' vertex ids are the rows of ``verts`` (into ``points``), in one pass.
+
+    Index columns stay int32, so that the pass's high-water mark stays near its output.
+    """
+    table, row_bounds, cell_bounds = faces
+    rows = ~table.on_boundary(DIRICHLET)
+    owner, face, kind, half, neighbor = (
+        a[rows] for a in (table.owner, table.face, table.kind, table.half, table.neighbor))
+    bnd, finer = kind == BOUNDARY, kind == FINER
+    across = np.where(bnd, face, face ^ 1)  # the face seen from side 1: OPPOSITE_FACE is f ^ 1
+    # the owner's edge and the piece, the finer side's edge: the neighbor's on a FINER row
+    edges = np.take(FACE_VERTS, np.stack([face, np.where(finer, across, face)]), axis=0)
+    # np.take: fancy indexing is several times slower on these (r, 2) index arrays
+    own, ends = (np.take(points, np.take(verts.ravel(), 4 * side[:, None] + edge), axis=0)
+                 for side, edge in zip((owner, np.where(finer, neighbor, owner)), edges))
+    tx, ty = (own[:, 1] - own[:, 0]).T
+    sign, norm = _NORMAL_SIGN[face], np.hypot(tx, ty)
+    normal = np.column_stack([sign * -ty / norm, sign * tx / norm])
+    # each mesh's rule rows and Neumann rows, numbered from its own first cell row and rule row
+    bounds = np.searchsorted(np.flatnonzero(rows), row_bounds)
+    neumann = np.flatnonzero(bnd)  # every non-Dirichlet boundary row is Neumann
+    neumann_bounds = np.searchsorted(neumann, bounds)
+    cells = np.stack([owner, np.where(bnd, owner, neighbor)])
+    slots = np.where(np.stack([finer, kind == COARSER]), 1 + half, 0)
+    flat = (cells * 4 + np.stack([face, across])) * 3 + slots
+    flat -= 12 * np.repeat(cell_bounds[:-1], np.diff(bounds)).astype(np.int32)
+    neumann -= np.repeat(bounds[:-1], np.diff(neumann_bounds))
+    return [FaceRule(*rule) for rule in zip(
+        parts(flat.astype(np.int32), bounds, last=True),
+        parts(np.hypot(*(ends[:, 1] - ends[:, 0]).T), bounds), parts(normal, bounds),
+        parts(neumann.astype(np.int32), neumann_bounds), parts(ends[bnd], neumann_bounds))]
 
 
 # -- finite element functions ----------------------------------------------------
@@ -830,10 +845,7 @@ def transfer(fn, space_to):
     src._check_current()
     space_to._check_current()
     fs, ft = src.mesh.forest(), space_to.mesh.forest()
-    roots = np.flatnonzero(fs.parent < 0)
-    if not np.array_equal(roots, np.flatnonzero(ft.parent < 0)) or not np.array_equal(
-        src.mesh.cell_corner_coords(roots), space_to.mesh.cell_corner_coords(roots)
-    ):
+    if not np.array_equal(src.mesh.coarse_corners(), space_to.mesh.coarse_corners()):
         raise ValueError("transfer needs two refinements of the same coarse mesh")
     cells = space_to.active_ids
     # source cell containing each target cell, or equal to it where the

@@ -15,6 +15,15 @@ midpoints it shares from that array, never from coordinates; every consumer
 of adjacency reads the mesh state's :class:`FaceTable`, built from it with
 one row per face piece of every active cell.
 
+One refinement, :func:`refine_meshes`, serves a list of meshes at once,
+in passes of up to :data:`BLOCK_CELLS` active cells, the way p4est
+refines a whole forest of trees: a pass stacks the meshes' forests, cell
+ids running on from one mesh to the next, runs the closure rounds, one
+split and one neighbor update over the stack, and builds every new state's
+face table there.  Each new state is a new mesh whose arrays are bitwise
+those of refining that mesh alone; the inputs are not changed.
+:meth:`QuadMesh.refine` is its one-mesh case, in place.
+
 Vertex order within a cell is lower-left, lower-right, upper-left,
 upper-right; faces are numbered left, right, bottom, top.  Root cells must
 be laid out in this consistent orientation (no rotated gluing), which all
@@ -37,6 +46,7 @@ BOUNDARY_COLORS = (DIRICHLET, NEUMANN)  # a face's color code indexes this tuple
 
 # face kinds of a face-table row, seen from the owning cell
 BOUNDARY, SAME, COARSER, FINER = range(4)
+BLOCK_CELLS = 2 ** 12  # active cells per pass of the batched builders, bounding their temporaries
 
 
 def cell_ids(marks):
@@ -76,6 +86,15 @@ def read_only(arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def parts(array, bounds, last=False):
+    """Read-only pieces ``bounds[k]:bounds[k + 1]`` of ``array`` along its first (or ``last``)
+    axis, each owning its data: the array itself if it is the one piece."""
+    if len(bounds) == 2:
+        return read_only([array])
+    return read_only([(array[..., a:b] if last else array[a:b]).copy()
+                      for a, b in zip(bounds, bounds[1:])])
 
 
 # face -> canonical (ascending-parameter) endpoint slots in the cell
@@ -332,6 +351,12 @@ class QuadMesh:
     def total_area(self):
         return sum(self.cell_area(c) for c in self.active_cells())
 
+    def coarse_corners(self):
+        """The corner coordinates of the root cells, built once per refinement state; roots are
+        the first cells of every mesh, so equal arrays mean equal root ids too."""
+        return self.cached("coarse", lambda: read_only([self.cell_corner_coords(
+            np.flatnonzero(self._forest.parent < 0))])[0])
+
     def fingerprint(self):
         """Content hash; equal for structurally identical meshes (e.g. deep copies)."""
         return self.cached("fp", self._fingerprint)
@@ -356,33 +381,8 @@ class QuadMesh:
         return self.cached("faces", self._face_table)
 
     def _face_table(self):
-        f = self._forest
-        cells, position = self.active_ids(), self.active_position()
-        nb = f.neighbor[cells]  # (m, 4)
-        finer = (nb >= 0) & (f.children[nb, 0] >= 0)
-        kind = np.where(nb < 0, BOUNDARY, np.where(
-            finer, FINER, np.where(f.level[nb] < f.level[cells, None], COARSER, SAME)
-        ))
-        # a finer neighbor's two children touching the face, ascending along it
-        touch = f.children[nb[..., None], FACE_CHILDREN[OPPOSITE_FACE]]
-        piece = np.where(finer[..., None], touch, nb[..., None])  # (m, 4, 2)
-        rows = np.ones(piece.shape, dtype=bool)
-        rows[..., 1] = finer
-        owner, face, index = np.nonzero(rows)
-        neighbor = np.where(piece[rows] >= 0, position[piece[rows]], -1)
-        kind = kind[owner, face]
-        # the owner's child position bit along the face: y on faces 0/1, x on faces 2/3
-        along = (f.position[cells[owner]] >> (face < 2)) & 1
-        code = np.int8
-        return read_only(FaceTable(
-            cells=cells,
-            owner=owner.astype(np.int32),
-            face=face.astype(code),
-            neighbor=neighbor.astype(np.int32),
-            kind=kind.astype(code),
-            color=f.color[cells[owner], face].astype(code),
-            half=np.where(kind == FINER, index, np.where(kind == COARSER, along, -1)).astype(code),
-        ))
+        cells = self.active_ids()
+        return _face_tables(self._forest, cells, [0, len(cells)], [cells])[0]
 
     def active_across(self, cid, face):
         """Active cells sharing ``face`` of the active cell ``cid``, ascending along the face."""
@@ -399,95 +399,20 @@ class QuadMesh:
     # -- refinement ----------------------------------------------------------
 
     def refine(self, marked_cells):
-        """Isotropically refine the marked active cells (plus 1-irregularity closure).
+        """Isotropically refine the marked active cells (plus 1-irregularity closure), in place.
 
-        The closure is found on the current forest before anything is split:
-        round 0 holds the marks, and round r + 1 the cells not yet listed
-        that ``Forest.neighbor`` shows coarser than a cell of round r.  One
-        split then takes the rounds in order, ascending ids within each
-        round.  Raises ``ValueError`` naming the first mark that is not an
-        integer value (:func:`cell_ids`) or not an active cell id.
+        The one-mesh case of :func:`refine_meshes`: this mesh takes over
+        the new state, whose face table is left to :meth:`face_topology`.
+        Raises ``ValueError`` naming the first mark that is not an integer
+        value (:func:`cell_ids`) or not an active cell id.
         """
-        f = self._forest
-        queue = np.unique(cell_ids(marked_cells))
-        unknown = (queue < 0) | (queue >= len(f.level))
-        bad = unknown | (f.children[np.where(unknown, 0, queue), 0] >= 0)
-        if bad.any():
-            i = bad.argmax()
-            why = "unknown" if unknown[i] else "inactive"
-            raise ValueError(f"marked cell {queue[i]} is {why}; marks must be active cell ids")
-        listed = np.zeros(len(f.level), dtype=bool)
-        listed[queue] = True
-        rounds = [queue]
-        while queue.size:
-            nb = f.neighbor[queue]
-            # a coarser neighbor is active: a refined one would show its equal-level child
-            nb = nb[(nb >= 0) & (f.level[nb] < f.level[queue, None])]
-            queue = np.unique(nb[~listed[nb]])
-            listed[queue] = True
-            rounds.append(queue)
-        order = np.concatenate(rounds)
-        if order.size:
-            self._forest = self._split(f, order)
+        ids, refused = checked_marks([self], [marked_cells])
+        if refused is not None:
+            raise refused
+        (new,) = _refine_pass([self], ids, faces=False)
+        self._forest, self._points, self._cache = new._forest, new._points, new._cache
         self._version += 1
-        self._cache = {}
         return self
-
-    def _split(self, f, cells):
-        """The forest after splitting the active ``cells``, in the given order, into four children.
-
-        Children are numbered in that order.  A face midpoint exists on a
-        refined same-level neighbor, or is shared with one split along (the
-        cell earlier in ``cells`` creates it); other midpoints and the
-        centres are new vertices, numbered in (cell, slot) order.
-        """
-        k, n = len(cells), len(f.level)
-        p0, p1, p2, p3 = np.moveaxis(self._points[f.vertices[cells]], 1, 0)
-        # bottom, top, left and right midpoints and the centre of every cell
-        mids = np.stack(
-            [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
-             (p0 + p1 + p2 + p3) / 4.0], axis=1,
-        )
-        at = np.full(n, k)  # position in ``cells``, k off them
-        at[cells] = np.arange(k)
-        nb = f.neighbor[cells][:, _MID_FACE]  # (k, 4) across each midpoint
-        same = (nb >= 0) & (f.level[nb] == f.level[cells, None])
-        refined = same & (f.children[nb, 0] >= 0)
-        earlier = same & (at[nb] < np.arange(k)[:, None])  # split along, earlier in ``cells``
-        fresh = np.column_stack([~(refined | earlier), np.ones(k, dtype=bool)])
-        ids = np.empty((k, 5), dtype=np.intp)
-        ids[fresh] = len(self._points) + np.arange(np.count_nonzero(fresh))
-        # the neighbor holds the midpoint in its opposite slot
-        i, slot = np.nonzero(refined)
-        child, corner = _MID_CORNER[:, slot ^ 1]
-        ids[i, slot] = f.vertices[f.children[nb[i, slot], child], corner]
-        i, slot = np.nonzero(earlier)
-        ids[i, slot] = ids[at[nb[i, slot]], slot ^ 1]
-        self._points = np.concatenate([self._points, mids[fresh]])
-        self._points.setflags(write=False)
-        parent = np.repeat(cells, 4)
-        position = np.tile(np.arange(4), k)
-        scale = 0.5 * f.scale[parent]
-        quarter = np.column_stack([position & 1, position >> 1])
-        corners_and_mids = np.concatenate([f.vertices[cells], ids], axis=1)
-        # children inherit the colors of the parent faces they cover
-        inherit = _SIBLING_ACROSS[:, position].T < 0
-        rows = Forest(
-            children=np.full((4 * k, 4), -1, dtype=np.intp),
-            origin=f.origin[parent] + scale[:, None] * quarter,
-            scale=scale,
-            root=f.root[parent],
-            level=f.level[parent] + 1,
-            parent=parent,
-            position=position,
-            vertices=corners_and_mids[:, _CHILD_VERTS].reshape(-1, 4),
-            neighbor=np.full((4 * k, 4), -1, dtype=np.intp),
-            color=np.where(inherit, f.color[parent], -1),
-        )
-        grown = Forest(*map(np.concatenate, zip(f, rows)))
-        grown.children[cells] = n + np.arange(4 * k).reshape(k, 4)
-        # only cells finer than the coarsest split cell can see a new neighbor
-        return read_only(grown._replace(neighbor=_neighbors(grown, int(f.level[cells].min()) + 1)))
 
     # -- point location ------------------------------------------------------
 
@@ -534,6 +459,269 @@ class QuadMesh:
             if ok and np.all(ref >= -1e-9) and np.all(ref <= 1 + 1e-9):
                 return cid, np.clip(ref, 0.0, 1.0)
         raise OutsideDomainError(f"point {p} is outside the meshed domain")
+
+
+def blocks(items, size, budget):
+    """Consecutive runs of ``items`` whose ``size(item)`` add up to at most ``budget``; an item
+    over the budget is a run of its own.  Items are read one run (and one item) ahead."""
+    block, total = [], 0
+    for item in items:
+        n = size(item)
+        if block and total + n > budget:
+            yield block
+            block, total = [], 0
+        block.append(item)
+        total += n
+    if block:
+        yield block
+
+
+def refine_meshes(meshes, marks):
+    """Refine each of ``meshes`` by its cell-id ``marks``, in passes; yields one new mesh per input.
+
+    The inputs are not changed, and a mesh listed twice is refined twice.
+    A pass takes consecutive meshes of at most :data:`BLOCK_CELLS` active
+    cells in all (a larger mesh is a pass of its own), read as the pass
+    starts.  Each new state is bitwise what refining a copy of its input
+    alone gives, and comes with its active cells and its
+    :class:`FaceTable`.  Every mark of a pass is checked before any split
+    (:func:`checked_marks`): the meshes before the first refused mark are
+    yielded, then its ValueError is raised.
+    """
+    for run in blocks(zip(meshes, marks), lambda pair: pair[0].n_active_cells, BLOCK_CELLS):
+        inputs = [mesh for mesh, _ in run]
+        ids, refused = checked_marks(inputs, [picked for _, picked in run])
+        yield from _refine_pass(inputs[:len(ids)], ids, faces=True)
+        if refused is not None:
+            raise refused
+
+
+def checked_marks(meshes, marks):
+    """Each mesh's marks as an integer array (:func:`cell_ids`), up to the first mesh with a
+    refused mark, and the ValueError naming that mark (None if none).
+
+    A mark is refused that is not an integer value or not an active cell
+    id; the error names the smallest refused id of the first refusing mesh,
+    or its first mark that is not an integer.
+    """
+    ids, refused = [], None
+    for picked in marks:
+        try:
+            ids.append(cell_ids(picked))
+        except ValueError as error:
+            refused = error
+            break
+    forests = [mesh._forest for mesh in meshes[:len(ids)]]
+    n = np.array([len(f.level) for f in forests], dtype=np.intp)
+    owner = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    marked = np.concatenate([np.empty(0, dtype=np.intp), *ids])
+    unknown = (marked < 0) | (marked >= n[owner])
+    active = np.concatenate([np.empty(0, dtype=bool), *(f.children[:, 0] < 0 for f in forests)])
+    bad = unknown | ~active[np.where(unknown, 0, marked) + (np.cumsum(n) - n)[owner]]
+    if bad.any():
+        first = owner[bad].min()
+        cell = marked[bad & (owner == first)].min()
+        why = "unknown" if not 0 <= cell < n[first] else "inactive"
+        refused = ValueError(f"marked cell {cell} is {why}; marks must be active cell ids")
+        ids = ids[:first]
+    return ids, refused
+
+
+def _refine_pass(meshes, ids, faces):
+    """The new meshes of ``meshes`` refined by their checked marks ``ids``.
+
+    The forests are stacked, cell ids running on from one mesh to the
+    next (vertex ids stay each mesh's own), so that one closure, one split
+    and one neighbor update serve them all.  The closure lists the marks
+    and, round by round, the cells not yet listed that ``Forest.neighbor``
+    shows coarser than a cell of the round before; within each mesh the
+    split takes the rounds in order, ascending ids within each round.
+    """
+    if not meshes:
+        return []
+    forests = [mesh._forest for mesh in meshes]
+    n = np.array([len(f.level) for f in forests], dtype=np.intp)
+    base = np.cumsum(np.concatenate([[0], n]))
+    stacked = np.concatenate(ids) + np.repeat(base[:-1], [len(i) for i in ids])
+    f = forests[0]
+    if len(forests) > 1:
+        f = Forest(*map(np.concatenate, zip(*forests)))
+        row_base = np.repeat(base[:-1], n)
+        for column in (f.children, f.parent, f.neighbor):
+            np.add(column, row_base.reshape(-1, *[1] * (column.ndim - 1)), out=column,
+                   where=column >= 0)
+    # the closure, round by round on the stacked forest
+    queue = np.unique(stacked)
+    listed = np.zeros(len(f.level), dtype=bool)
+    listed[queue] = True
+    rounds = [queue]
+    while queue.size:
+        nb = f.neighbor[queue]
+        # a coarser neighbor is active: a refined one would show its equal-level child
+        nb = nb[(nb >= 0) & (f.level[nb] < f.level[queue, None])]
+        queue = np.unique(nb[~listed[nb]])
+        listed[queue] = True
+        rounds.append(queue)
+    order = np.concatenate(rounds)
+    mesh = np.searchsorted(base, order, side="right") - 1
+    by_mesh = np.argsort(mesh, kind="stable")
+    return _split(meshes, f, base, order[by_mesh], mesh[by_mesh], faces)
+
+
+def _split(meshes, f, base, cells, mesh, faces):
+    """New meshes from the stacked forest ``f`` of ``meshes`` (mesh k's cells from ``base[k]``)
+    with the active ``cells`` of each mesh ``mesh`` split into four children, in the given order.
+
+    Children are numbered in that order after the mesh's cells.  A face
+    midpoint exists on a refined same-level neighbor, or is shared with one
+    split along (the cell earlier in ``cells`` creates it); other midpoints
+    and the centres are new vertices, numbered in (cell, slot) order after
+    the mesh's vertices.  Only cells finer than the coarsest split cell can
+    see a new neighbor.
+    """
+    k, total, count = len(cells), len(f.level), len(meshes)
+    nv = np.array([len(m._points) for m in meshes], dtype=np.intp)
+    points = np.concatenate([m._points for m in meshes])
+    p0, p1, p2, p3 = points[f.vertices[cells] + (np.cumsum(nv) - nv)[mesh, None]].transpose(1, 0, 2)
+    # bottom, top, left and right midpoints and the centre of every cell
+    mids = np.stack(
+        [(p0 + p1) / 2.0, (p2 + p3) / 2.0, (p0 + p2) / 2.0, (p1 + p3) / 2.0,
+         (p0 + p1 + p2 + p3) / 4.0], axis=1,
+    )
+    at = np.full(total, k)  # position in ``cells``, k off them
+    at[cells] = np.arange(k)
+    nb = f.neighbor[cells][:, _MID_FACE]  # (k, 4) across each midpoint
+    same = (nb >= 0) & (f.level[nb] == f.level[cells, None])
+    refined = same & (f.children[nb, 0] >= 0)
+    earlier = same & (at[nb] < np.arange(k)[:, None])  # split along, earlier in ``cells``
+    fresh = np.ones((k, 5), dtype=bool)
+    fresh[:, :4] = ~(refined | earlier)
+    fresh_mesh = np.repeat(mesh, np.count_nonzero(fresh, axis=1))
+    fresh_bounds = np.cumsum(np.concatenate([[0], np.bincount(fresh_mesh, minlength=count)]))
+    ids = np.empty((k, 5), dtype=np.intp)
+    ids[fresh] = np.arange(len(fresh_mesh)) + (nv - fresh_bounds[:-1])[fresh_mesh]
+    # the neighbor holds the midpoint in its opposite slot
+    i, slot = np.nonzero(refined)
+    child, corner = _MID_CORNER[:, slot ^ 1]
+    ids[i, slot] = f.vertices[f.children[nb[i, slot], child], corner]
+    i, slot = np.nonzero(earlier)
+    ids[i, slot] = ids[at[nb[i, slot]], slot ^ 1]
+    mids = mids[fresh]
+    parent = np.repeat(cells, 4)
+    position = np.arange(4 * k) & 3
+    scale = 0.5 * f.scale[parent]
+    quarter = np.column_stack([position & 1, position >> 1])
+    corners_and_mids = np.concatenate([f.vertices[cells], ids], axis=1)
+    # children inherit the colors of the parent faces they cover
+    inherit = _SIBLING_ACROSS[:, position].T < 0
+    rows = Forest(
+        children=np.full((4 * k, 4), -1, dtype=np.intp),
+        origin=f.origin[parent] + scale[:, None] * quarter,
+        scale=scale,
+        root=f.root[parent],
+        level=f.level[parent] + 1,
+        parent=parent,
+        position=position,
+        vertices=corners_and_mids[:, _CHILD_VERTS].reshape(-1, 4),
+        neighbor=np.full((4 * k, 4), -1, dtype=np.intp),
+        color=np.where(inherit, f.color[parent], -1),
+    )
+    f = Forest(*map(np.concatenate, zip(f, rows)))
+    f.children[cells] = total + np.arange(4 * k).reshape(k, 4)
+    if k:
+        f = f._replace(neighbor=_neighbors(f, int(f.level[cells].min()) + 1))
+    out = _states(f, np.diff(base), 4 * np.bincount(mesh, minlength=count), faces)
+    for j, (old, state) in enumerate(zip(meshes, out)):
+        state._points = np.concatenate([old._points, mids[fresh_bounds[j]:fresh_bounds[j + 1]]])
+        state._points.setflags(write=False)
+        state._version = old._version + 1
+    return out
+
+
+def _states(f, n, children, faces):
+    """A new mesh, without its points, for each mesh k of the grown stacked forest ``f``: its
+    ``n[k]`` cells in stack order, then all meshes' children, ``children[k]`` of them its own.
+
+    Each state's arrays are its own: copies in its own cell ids.  With
+    ``faces``, each comes with its active cells and its face table.
+    """
+    count, total, sizes = len(n), len(f.level), np.concatenate([n, children])
+    row_mesh = np.repeat(np.arange(2 * count) % count, sizes)
+    if count == 1:
+        def per_mesh(array):
+            return [array]
+    else:
+        # each mesh's own cell ids, its cells first, then its children
+        base, child_base = (np.cumsum(np.concatenate([[0], a])) for a in (n, children))
+        first = np.concatenate([base[:-1], base[-1] + child_base[:-1] - n])
+        local = np.empty(total + 1, dtype=np.intp)
+        local[:total] = np.arange(total) - np.repeat(first, sizes)
+        local[-1] = -1  # -1 stays -1
+        mesh_rows = np.split(np.argsort(row_mesh, kind="stable"), np.cumsum(n + children)[:-1])
+
+        def per_mesh(array):
+            return [array[rows] for rows in mesh_rows]
+    states = [object.__new__(QuadMesh) for _ in n]
+    caches = [{} for _ in n]
+    if faces:
+        active = np.flatnonzero(f.children[:, 0] < 0)
+        active = active[np.argsort(row_mesh[active], kind="stable")]
+        bounds = np.cumsum(np.concatenate([[0], np.bincount(row_mesh[active], minlength=count)]))
+        position = np.full(total, -1, dtype=np.intp)
+        position[active] = np.arange(len(active)) - np.repeat(bounds[:-1], np.diff(bounds))
+        ids = [active] if count == 1 else [local[active[a:b]] for a, b in zip(bounds, bounds[1:])]
+        tables = _face_tables(f, active, bounds, ids)
+        for cache, cells, where, table in zip(caches, ids, per_mesh(position), tables):
+            cache["active"], cache["faces"] = read_only((cells, where)), table
+    if count > 1:
+        f = f._replace(children=local[f.children], parent=local[f.parent],
+                       neighbor=local[f.neighbor])
+    for state, cache, forest in zip(states, caches, zip(*map(per_mesh, f))):
+        state._forest, state._cache = read_only(Forest(*forest)), cache
+    return states
+
+
+def _face_tables(f, cells, bounds, ids):
+    """The :class:`FaceTable` of each mesh state of the stacked forest ``f`` whose active cells
+    are ``cells[bounds[j]:bounds[j + 1]]``, ``ids[j]`` in its own ids (mesh after mesh)."""
+    position = np.full(len(f.level), -1, dtype=np.intp)
+    position[cells] = np.arange(len(cells))
+    nb = f.neighbor[cells]  # (m, 4)
+    finer = (nb >= 0) & (f.children[nb, 0] >= 0)
+    kind = np.where(nb < 0, BOUNDARY, np.where(
+        finer, FINER, np.where(f.level[nb] < f.level[cells, None], COARSER, SAME)
+    ))
+    # a finer neighbor's two children touching the face, ascending along it
+    touch = f.children[nb[..., None], FACE_CHILDREN[OPPOSITE_FACE]]
+    piece = np.where(finer[..., None], touch, nb[..., None])  # (m, 4, 2)
+    rows = np.ones(piece.shape, dtype=bool)
+    rows[..., 1] = finer
+    owner, face, index = np.nonzero(rows)
+    row_bounds = np.searchsorted(owner, bounds)
+    first = np.repeat(bounds[:-1], np.diff(row_bounds))  # each row's mesh's first position
+    neighbor = np.where(piece[rows] >= 0, position[piece[rows]] - first, -1)
+    kind = kind[owner, face]
+    # the owner's child position bit along the face: y on faces 0/1, x on faces 2/3
+    along = (f.position[cells[owner]] >> (face < 2)) & 1
+    code = np.int8
+    columns = (
+        (owner - first).astype(np.int32), face.astype(code), neighbor.astype(np.int32),
+        kind.astype(code), f.color[cells[owner], face].astype(code),
+        np.where(kind == FINER, index, np.where(kind == COARSER, along, -1)).astype(code),
+    )
+    return [FaceTable(*table) for table in zip(ids, *(parts(c, row_bounds) for c in columns))]
+
+
+def stacked_faces(meshes):
+    """The face tables of ``meshes`` as one :class:`FaceTable` (no ``cells``), cell rows running
+    on from one mesh to the next, and the bounds of each mesh's rows and of its cell rows."""
+    tables = [mesh.face_topology() for mesh in meshes]
+    rows = np.cumsum([0] + [len(table.owner) for table in tables])
+    cells = np.cumsum([0] + [len(table.cells) for table in tables])
+    shift = np.repeat(cells[:-1], np.diff(rows)).astype(np.int32)
+    owner, face, neighbor, kind, color, half = (np.concatenate(c) for c in list(zip(*tables))[1:])
+    neighbor = np.where(neighbor >= 0, neighbor + shift, -1)
+    return FaceTable(None, owner + shift, face, neighbor, kind, color, half), rows, cells
 
 
 def make_lshape():

@@ -13,9 +13,10 @@ space in one :func:`fem.build_spaces` call
 (:meth:`SlabList.build_dual_spaces`), or :attr:`Slab.dual` builds its own
 on first use.  So they share one dual space too, and a loop that never
 runs the dual builds none.  Only :meth:`SlabList.refine` and its one-slab
-case :meth:`Slab.refine` change a slab's mesh, and they refine a fresh
-``copy()``, so no refinement reaches another slab; the list builds the
-new primal spaces of all its refined slabs in one call.  Every slab mesh
+case :meth:`Slab.refine` change a slab's mesh, and they give the slab a new
+mesh (:func:`mesh.refine_meshes`, or a refined ``copy()``), so no
+refinement reaches another slab; the list refines all its marked meshes in
+one pass and builds their new primal spaces in one call.  Every slab mesh
 thus refines one coarse mesh, which :func:`fem.transfer` relies on to
 walk the refinement forests down from the shared root cells.
 """
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import fem
 from .fem import FeSpace, gauss_1d
+from .mesh import checked_marks, refine_meshes
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,12 @@ class Slab:
         self.mesh, self.primal = mesh, primal
         self._dual = []  # the dual space once built, one list shared with time-split copies
         self._storage.clear()
+
+    def _release(self):
+        """A copy of the mesh, without the caches of its state; this slab drops its state."""
+        mesh = self.mesh.copy()
+        self._set_mesh(None, None)
+        return mesh
 
     def refine(self, marks):
         """Refine the given cell ids on a private copy of the mesh, then build its primal space.
@@ -154,13 +162,14 @@ def stored(slabs, tag):
 class SlabList:
     """Ordered slabs partitioning (t0, T) exactly.
 
-    ``spaces_s`` adds up the wall seconds of the one-pass space builds of
+    ``refine_s`` adds up the wall seconds of the one-pass refinements of
+    :meth:`refine`, and ``spaces_s`` those of the one-pass space builds of
     :meth:`refine` and :meth:`build_dual_spaces`.
     """
 
     def __init__(self, slabs):
         self.slabs = list(slabs)
-        self.spaces_s = 0.0
+        self.refine_s = self.spaces_s = 0.0
         self._check_partition()
 
     def _check_partition(self):
@@ -203,28 +212,38 @@ class SlabList:
         return self
 
     def refine(self, space_marks):
-        """Refine slab k's cells ``space_marks[k]`` on a private copy of its mesh, for each key k.
+        """Refine slab k's cells ``space_marks[k]`` for each key k; build the new primal spaces.
 
-        Each slab drops its old state (mesh, spaces and storage) as soon as
-        its copy is refined, so that the memory of the old states serves
-        the new ones, as when each slab was refined and built in turn.  Then
-        one :func:`fem.build_spaces` pass builds all the new primal spaces.
-        Marks that :meth:`QuadMesh.refine` refuses leave their slab and the
-        later ones unchanged; the slabs refined before still get their spaces.
+        Every mark is checked first (:func:`mesh.checked_marks`).  Marks
+        that :meth:`QuadMesh.refine` refuses leave their slab and the later
+        ones unchanged, and the slabs before them are refined; then the
+        ValueError is raised.  One :func:`mesh.refine_meshes` call refines
+        the slab meshes in passes of at most :data:`mesh.BLOCK_CELLS`
+        active cells into new meshes, each with its face table; slabs
+        sharing an old mesh keep it.  Each slab drops its old state (mesh
+        caches, spaces and storage) as the pass reads a copy of its mesh,
+        so that the memory of the old states serves the new ones.  Then
+        one :func:`fem.build_spaces` pass builds all the new primal spaces,
+        with the face rule and the cell rules that the next march reads.
         """
-        meshes = {}
+        keys = list(space_marks)
+        ids, refused = checked_marks([self.slabs[k].mesh for k in keys],
+                                     list(space_marks.values()))
+        refined = {}
         try:
-            for k, marks in space_marks.items():
-                mesh = self.slabs[k].mesh.copy()
-                mesh.refine(marks)
-                meshes[k] = mesh
-                self.slabs[k]._set_mesh(mesh, None)
+            with self._timed("refine_s"):
+                released = (self.slabs[k]._release() for k in keys[:len(ids)])
+                for k, mesh in zip(keys, refine_meshes(released, ids)):
+                    self.slabs[k]._set_mesh(mesh, None)
+                    refined[k] = mesh
         finally:
-            with self._timed():
+            with self._timed("spaces_s"):
                 spaces = _build_spaces([(mesh, self.slabs[k].primal_degree)
-                                        for k, mesh in meshes.items()])
-            for k, space in zip(meshes, spaces):
+                                        for k, mesh in refined.items()])
+            for k, space in zip(refined, spaces):
                 self.slabs[k].primal = space
+        if refused is not None:
+            raise refused
 
     def build_dual_spaces(self):
         """Build every dual space not built yet in one :func:`fem.build_spaces` pass.
@@ -232,16 +251,17 @@ class SlabList:
         Time-split copies of a slab share one dual space, built once.
         """
         todo = list({id(slab._dual): slab for slab in self.slabs if not slab._dual}.values())
-        with self._timed():
+        with self._timed("spaces_s"):
             spaces = _build_spaces([(slab.mesh, slab.dual_degree) for slab in todo])
         for slab, space in zip(todo, spaces):
             slab._dual.append(space)
 
     @contextmanager
-    def _timed(self):
+    def _timed(self, field):
+        """Add the wall seconds of the block to ``self.<field>``."""
         start = time.perf_counter()
         yield
-        self.spaces_s += time.perf_counter() - start
+        setattr(self, field, getattr(self, field) + time.perf_counter() - start)
 
 
 def _build_spaces(pairs):

@@ -7,12 +7,18 @@ Q1 and Q2 spaces, the dof numbering, support points, constraint rows,
 boundary dofs, a Neumann load and the bytes of the VTK file of a slab with
 that primal degree.
 ``tests/data/mesh_state.npz`` holds these observations; ``test_mesh_state``
-requires the current code to reproduce them.  Every recorded fixture of the
-tests is written by this script; re-record with::
+requires the current code to reproduce them.  ``tests/data/golden_fingerprints.json``
+holds the slab meshes' :meth:`QuadMesh.fingerprint` per loop of the
+three-loop golden run of the shipped parameter file (``test_driver``).
+Every recorded fixture of the tests is written by this script; re-record
+with::
 
-    PYTHONPATH=src python tests/mesh_state_cases.py
+    PYTHONPATH=src python tests/mesh_state_cases.py [case ...]
+    PYTHONPATH=src python tests/mesh_state_cases.py fingerprints
 """
 
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +31,8 @@ from dwr_diffusion.output import vtk_text
 from dwr_diffusion.slabs import Slab, TimeInterval
 
 FIXTURE_FILE = Path(__file__).resolve().parent / "data" / "mesh_state.npz"
+FINGERPRINT_FILE = FIXTURE_FILE.parent / "golden_fingerprints.json"
+PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
 
 SHEAR = 0.25
 RANDOM_SEEDS = (11, 12, 13)
@@ -180,5 +188,20 @@ def record(names=None, path=FIXTURE_FILE):
     np.savez_compressed(path, **arrays)
 
 
+def golden_fingerprints():
+    """The slab meshes' fingerprints, in slab order, of each loop of the golden three-loop run."""
+    from dwr_diffusion import dwr_loop, parse_parameter_file
+
+    config = parse_parameter_file(PARAMETER_FILE)
+    config = dataclasses.replace(config, adapt=dataclasses.replace(config.adapt, max_loops=3))
+    loops = []
+    dwr_loop(config, on_loop=lambda loop, slabs, *_: loops.append(
+        [slab.mesh.fingerprint() for slab in slabs]))
+    return loops
+
+
 if __name__ == "__main__":
-    record(sys.argv[1:])
+    if sys.argv[1:] == ["fingerprints"]:
+        FINGERPRINT_FILE.write_text(json.dumps(golden_fingerprints(), indent=1) + "\n")
+    else:
+        record(sys.argv[1:])

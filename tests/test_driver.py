@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse._compressed import _cs_matrix
 
-from dwr_diffusion import FeSpace, LoopRecord, QuadMesh, dwr_loop, fem, parse_parameter_file
+from dwr_diffusion import FeSpace, LoopRecord, QuadMesh, driver, dwr_loop, fem, parse_parameter_file
 from dwr_diffusion.output import OutputWriter
 
 PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
@@ -182,11 +182,29 @@ def test_space_builds_are_timed_within_the_adapt_and_dual_phases(caplog):
     # loop 1 builds the coarse dual space and the refined primal ones, loop 2 its dual spaces
     assert 0.0 < adapted.spaces_s <= adapted.adapt_s + adapted.dual_s
     assert budget_end.adapt_s == 0.0 and 0.0 < budget_end.spaces_s <= budget_end.dual_s
+    assert 0.0 < adapted.refine_s <= adapted.adapt_s and budget_end.refine_s == 0.0
     logged = [r.getMessage() for r in caplog.records if "space builds" in r.getMessage()]
     assert logged == [f"loop {r.loop}: space builds {r.spaces_s:.3f} s of the adapt and dual "
-                      "phases" for r in (adapted, budget_end)]
+                      f"phases, refinement {r.refine_s:.3f} s of the adapt phase"
+                      for r in (adapted, budget_end)]
     met = dwr_loop(shipped(2, **MET_AT_LOOP_2)).records[-1]
     assert met.goal_met and met.spaces_s == 0.0
+
+
+def test_records_carry_the_error_vs_dofs_rate_from_the_loop_before():
+    records = dwr_loop(shipped(3)).records
+    assert math.isnan(records[0].rate)
+    for before, record in zip(records, records[1:]):
+        assert record.rate == math.log(record.goal_error / before.goal_error) / math.log(
+            record.primal_dofs / before.primal_dofs)
+        assert record.rate < 0.0
+
+
+@pytest.mark.parametrize("goal_error, primal_dofs", [(0.5, 16), (0.0, 32), (math.nan, 32)])
+def test_an_undefined_rate_reads_nan(goal_error, primal_dofs):
+    before = LoopRecord(1, 2, 3, goal_error=0.5, primal_dofs=16)
+    record = LoopRecord(2, 2, 3, goal_error=goal_error, primal_dofs=primal_dofs)
+    assert math.isnan(driver._rate(before, record))
 
 
 def test_signed_estimate_sums_the_signed_indicators_in_table_order():

@@ -933,3 +933,14 @@ class TestTransfer:
         f = interpolate(FeSpace(lshape, 1), lambda x: x[..., 0])
         with pytest.raises(ValueError, match="same coarse mesh"):
             transfer(f, FeSpace(unit_square, 1))
+
+    def test_equal_root_counts_with_other_corners_raise(self, lshape):
+        f = interpolate(FeSpace(lshape, 1), lambda x: x[..., 0])
+        with pytest.raises(ValueError, match="same coarse mesh"):
+            transfer(f, FeSpace(build("sheared"), 1))
+
+    def test_each_mesh_state_builds_its_coarse_record_once(self, lshape):
+        record = lshape.coarse_corners()
+        assert lshape.coarse_corners() is record and not record.flags.writeable
+        assert np.array_equal(lshape.refine([0]).coarse_corners(), record)
+        assert lshape.coarse_corners() is not record  # a new refinement state

@@ -23,6 +23,7 @@ from dwr_diffusion.mesh import (
     make_lshape,
     make_unit_square,
 )
+import mesh_oracle
 from mesh_state_cases import SHEAR, sheared_lshape
 
 
@@ -139,16 +140,16 @@ def round_by_round_refine(mesh, marked_cells):
     active cells that the new neighbor array shows coarser than a cell split
     in this round.  Returns the number of rounds.
     """
-    f = mesh.forest()
+    f, points = mesh.forest(), mesh.points
     queue = np.unique(np.fromiter(marked_cells, dtype=np.intp))
     rounds = 0
     while queue.size:
-        f = mesh._split(f, queue)
+        f, points = mesh_oracle._split(f, points, queue)
         rounds += 1
         nb = f.neighbor[queue]
         coarse = (nb >= 0) & (f.children[nb, 0] < 0) & (f.level[nb] < f.level[queue, None])
         queue = np.unique(nb[coarse])
-    mesh._forest = f
+    mesh._forest, mesh._points = f, points
     mesh._version += 1
     mesh._cache = {}
     return rounds

@@ -20,8 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
 # Spans the solve path no longer reaches; ROADMAP item 1 repoints or deletes them.
+# ``mesh.refine`` is the one-mesh case of ``mesh.refine_meshes``, which the adaptation calls.
 KNOWN_ZERO = {"fem.assemble_mass", "fem.assemble_stiffness", "sparse_la.apply_dirichlet",
-              "mesh.fingerprint"}
+              "mesh.fingerprint", "mesh.refine"}
 
 
 @pytest.fixture(scope="module")
