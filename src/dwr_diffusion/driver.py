@@ -19,8 +19,6 @@ from __future__ import annotations
 import logging
 import math
 import resource
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import estimator as est_mod
@@ -29,7 +27,7 @@ from .dual import GoalContext, march_backward
 from .mesh import make_lshape
 from .primal import goal_pass, march_forward
 from .problem import ProblemData
-from .slabs import init_slabs
+from .slabs import init_slabs, timed
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +117,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         record = LoopRecord(loop, len(slabs), max(s.mesh.n_active_cells for s in slabs))
         records.append(record)
         spaces_before, refine_before = slabs.spaces_s, slabs.refine_s
-        with _timed(record, "primal_s"):
+        with timed(record, "primal_s"):
             reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
                                     time_rule=disc.load_quadrature)
             err, densities = goal_pass(slabs, config.solution, config.control_volume)
@@ -143,11 +141,11 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         if not record.goal_met:
             ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution,
                               densities=densities)
-            with _timed(record, "dual_s"):
+            with timed(record, "dual_s"):
                 dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
             del ctx, densities  # no later phase or loop reads them
             _record_march(record, "dual", dual_steps, slabs)
-            with _timed(record, "estimate_s"):
+            with timed(record, "estimate_s"):
                 estimate = est_mod.accumulate(est_mod.slab_indicators(
                     slabs, config.coefficients, data, config.estimator.time_restriction))
             record.eta, record.eta_signed = estimate.eta_total, estimate.eta_signed
@@ -155,10 +153,10 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
 
         final = record.goal_met or loop == adapt.max_loops
         if on_loop:
-            with _timed(record, "on_loop_s"):
+            with timed(record, "on_loop_s"):
                 on_loop(loop, slabs, estimate, record, final)
         if not final:
-            with _timed(record, "adapt_s"):
+            with timed(record, "adapt_s"):
                 marking.adapt_slabs(slabs, estimate, adapt, loop)
         record.spaces_s = slabs.spaces_s - spaces_before
         record.refine_s = slabs.refine_s - refine_before
@@ -167,14 +165,6 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             break
 
     return DwrResult(records, records[-1].goal_met, tol_abs, slabs)
-
-
-@contextmanager
-def _timed(record, field):
-    """Set ``record.<field>`` to the wall seconds the block takes."""
-    start = time.perf_counter()
-    yield
-    setattr(record, field, time.perf_counter() - start)
 
 
 def _log_costs(record):

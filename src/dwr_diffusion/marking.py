@@ -7,11 +7,12 @@ absolute indicators are marked for spatial refinement.  Fractions are
 count-based (ceil of fraction times population) with stable index
 tie-breaking, so identical inputs always produce identical marks.
 Indicators are arrays in ``active_ids()`` order; marks are index arrays.
-Spatial refinement runs first, then the time splits, whose halves
-share the refined meshes; the refined meshes' primal spaces are built in
-one pass (:meth:`SlabList.refine`), their dual spaces by the next dual
-march.  :func:`adapt_slabs` is one loop's whole step; a loop that marks
-nothing would repeat itself, so it raises ValueError.
+Every mark is checked before any slab changes, so a refused one leaves
+the whole list as it was.  Spatial refinement runs first, then the time
+splits, whose halves share the refined meshes; the refined meshes' primal
+spaces are built in one pass (:meth:`SlabList.refine`), their dual spaces
+by the next dual march.  :func:`adapt_slabs` is one loop's whole step; a
+loop that marks nothing would repeat itself, so it raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import cell_ids, check_integers
+from .mesh import check_integers
+from .slabs import check_slab_indices
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,17 @@ def execute_adaptation(slabs, time_marks, space_marks):
     :meth:`SlabList.refine`; every slab drops its storage.  Afterwards each
     time-marked slab is bisected, both halves sharing the already-refined
     mesh and spaces.
-    Before any slab changes, ValueError names a time mark that is repeated
-    or not in [0, n), a space-mark key not in [0, n), n slabs, and a space
-    mark that is not an integer value (:func:`mesh.cell_ids`).
+    Before any slab changes, ValueError names a time mark that is not an
+    integer in [0, n), n slabs, or is repeated, and then whatever
+    :meth:`SlabList.refine` refuses: a space-mark key that is not a slab
+    index, or a space mark that is not an active cell id.
     """
-    n, time_marks = len(slabs), sorted(time_marks, reverse=True)
-    for kind, marks in (("time mark", time_marks), ("space-mark key", space_marks)):
-        for k in marks:
-            if not 0 <= k < n:
-                raise ValueError(f"{kind} {k} is not a slab index in [0, {n})")
-    space_marks = {k: cell_ids(marks) for k, marks in space_marks.items()}
+    time_marks = sorted(time_marks, reverse=True)
+    check_slab_indices(time_marks, len(slabs), "time mark")
     for k, lower in zip(time_marks, time_marks[1:]):
         if k == lower:
             raise ValueError(f"time mark {k} is repeated; a slab is split at most once per loop")
-    slabs.refine({k: marks for k, marks in space_marks.items() if len(marks)})
+    slabs.refine(space_marks)
     for slab in slabs:
         slab.clear_storage()
     for k in time_marks:

@@ -21,8 +21,9 @@ refines a whole forest of trees: a pass stacks the meshes' forests, cell
 ids running on from one mesh to the next, runs the closure rounds, one
 split and one neighbor update over the stack, and builds every new state's
 face table there.  Each new state is a new mesh whose arrays are bitwise
-those of refining that mesh alone; the inputs are not changed.
-:meth:`QuadMesh.refine` is its one-mesh case, in place.
+those of refining that mesh alone; the inputs are not changed.  It takes
+marks that :func:`checked_marks` has checked, once and before any mesh is
+refined.  :meth:`QuadMesh.refine` is its one-mesh case, in place.
 
 Vertex order within a cell is lower-left, lower-right, upper-left,
 upper-right; faces are numbered left, right, bottom, top.  Root cells must
@@ -402,14 +403,11 @@ class QuadMesh:
         """Isotropically refine the marked active cells (plus 1-irregularity closure), in place.
 
         The one-mesh case of :func:`refine_meshes`: this mesh takes over
-        the new state, whose face table is left to :meth:`face_topology`.
-        Raises ``ValueError`` naming the first mark that is not an integer
-        value (:func:`cell_ids`) or not an active cell id.
+        the new state with its active cells and its face table.  A mark
+        that :func:`checked_marks` refuses raises its ValueError and leaves
+        the mesh unchanged.
         """
-        ids, refused = checked_marks([self], [marked_cells])
-        if refused is not None:
-            raise refused
-        (new,) = _refine_pass([self], ids, faces=False)
+        (new,) = _refine_pass([self], checked_marks([self], [marked_cells]))
         self._forest, self._points, self._cache = new._forest, new._points, new._cache
         self._version += 1
         return self
@@ -476,58 +474,42 @@ def blocks(items, size, budget):
         yield block
 
 
-def refine_meshes(meshes, marks):
-    """Refine each of ``meshes`` by its cell-id ``marks``, in passes; yields one new mesh per input.
+def refine_meshes(meshes, ids):
+    """Refine each of ``meshes`` by its checked cell ids ``ids`` (:func:`checked_marks`), in
+    passes; yields one new mesh per input.
 
     The inputs are not changed, and a mesh listed twice is refined twice.
     A pass takes consecutive meshes of at most :data:`BLOCK_CELLS` active
     cells in all (a larger mesh is a pass of its own), read as the pass
     starts.  Each new state is bitwise what refining a copy of its input
     alone gives, and comes with its active cells and its
-    :class:`FaceTable`.  Every mark of a pass is checked before any split
-    (:func:`checked_marks`): the meshes before the first refused mark are
-    yielded, then its ValueError is raised.
+    :class:`FaceTable`.
     """
-    for run in blocks(zip(meshes, marks), lambda pair: pair[0].n_active_cells, BLOCK_CELLS):
-        inputs = [mesh for mesh, _ in run]
-        ids, refused = checked_marks(inputs, [picked for _, picked in run])
-        yield from _refine_pass(inputs[:len(ids)], ids, faces=True)
-        if refused is not None:
-            raise refused
+    for run in blocks(zip(meshes, ids), lambda pair: pair[0].n_active_cells, BLOCK_CELLS):
+        yield from _refine_pass(*zip(*run))
 
 
 def checked_marks(meshes, marks):
-    """Each mesh's marks as an integer array (:func:`cell_ids`), up to the first mesh with a
-    refused mark, and the ValueError naming that mark (None if none).
+    """Each mesh's marks as an integer array of its active cell ids (:func:`cell_ids`).
 
     A mark is refused that is not an integer value or not an active cell
-    id; the error names the smallest refused id of the first refusing mesh,
-    or its first mark that is not an integer.
+    id.  The ValueError names the first refusing mesh's first mark that is
+    not an integer, or else its smallest refused id.
     """
-    ids, refused = [], None
-    for picked in marks:
-        try:
-            ids.append(cell_ids(picked))
-        except ValueError as error:
-            refused = error
-            break
-    forests = [mesh._forest for mesh in meshes[:len(ids)]]
-    n = np.array([len(f.level) for f in forests], dtype=np.intp)
-    owner = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
-    marked = np.concatenate([np.empty(0, dtype=np.intp), *ids])
-    unknown = (marked < 0) | (marked >= n[owner])
-    active = np.concatenate([np.empty(0, dtype=bool), *(f.children[:, 0] < 0 for f in forests)])
-    bad = unknown | ~active[np.where(unknown, 0, marked) + (np.cumsum(n) - n)[owner]]
-    if bad.any():
-        first = owner[bad].min()
-        cell = marked[bad & (owner == first)].min()
-        why = "unknown" if not 0 <= cell < n[first] else "inactive"
-        refused = ValueError(f"marked cell {cell} is {why}; marks must be active cell ids")
-        ids = ids[:first]
-    return ids, refused
+    ids = []
+    for mesh, picked in zip(meshes, marks):
+        picked, position = cell_ids(picked), mesh.active_position()
+        known = (picked >= 0) & (picked < len(position))
+        refused = picked[~known | (position[np.where(known, picked, 0)] < 0)]
+        if refused.size:
+            cell = refused.min()
+            why = "unknown" if not 0 <= cell < len(position) else "inactive"
+            raise ValueError(f"marked cell {cell} is {why}; marks must be active cell ids")
+        ids.append(picked)
+    return ids
 
 
-def _refine_pass(meshes, ids, faces):
+def _refine_pass(meshes, ids):
     """The new meshes of ``meshes`` refined by their checked marks ``ids``.
 
     The forests are stacked, cell ids running on from one mesh to the
@@ -537,8 +519,6 @@ def _refine_pass(meshes, ids, faces):
     shows coarser than a cell of the round before; within each mesh the
     split takes the rounds in order, ascending ids within each round.
     """
-    if not meshes:
-        return []
     forests = [mesh._forest for mesh in meshes]
     n = np.array([len(f.level) for f in forests], dtype=np.intp)
     base = np.cumsum(np.concatenate([[0], n]))
@@ -565,10 +545,10 @@ def _refine_pass(meshes, ids, faces):
     order = np.concatenate(rounds)
     mesh = np.searchsorted(base, order, side="right") - 1
     by_mesh = np.argsort(mesh, kind="stable")
-    return _split(meshes, f, base, order[by_mesh], mesh[by_mesh], faces)
+    return _split(meshes, f, base, order[by_mesh], mesh[by_mesh])
 
 
-def _split(meshes, f, base, cells, mesh, faces):
+def _split(meshes, f, base, cells, mesh):
     """New meshes from the stacked forest ``f`` of ``meshes`` (mesh k's cells from ``base[k]``)
     with the active ``cells`` of each mesh ``mesh`` split into four children, in the given order.
 
@@ -630,7 +610,7 @@ def _split(meshes, f, base, cells, mesh, faces):
     f.children[cells] = total + np.arange(4 * k).reshape(k, 4)
     if k:
         f = f._replace(neighbor=_neighbors(f, int(f.level[cells].min()) + 1))
-    out = _states(f, np.diff(base), 4 * np.bincount(mesh, minlength=count), faces)
+    out = _states(f, np.diff(base), 4 * np.bincount(mesh, minlength=count))
     for j, (old, state) in enumerate(zip(meshes, out)):
         state._points = np.concatenate([old._points, mids[fresh_bounds[j]:fresh_bounds[j + 1]]])
         state._points.setflags(write=False)
@@ -638,12 +618,12 @@ def _split(meshes, f, base, cells, mesh, faces):
     return out
 
 
-def _states(f, n, children, faces):
+def _states(f, n, children):
     """A new mesh, without its points, for each mesh k of the grown stacked forest ``f``: its
     ``n[k]`` cells in stack order, then all meshes' children, ``children[k]`` of them its own.
 
-    Each state's arrays are its own: copies in its own cell ids.  With
-    ``faces``, each comes with its active cells and its face table.
+    Each state's arrays are its own: copies in its own cell ids.  Each
+    comes with its active cells and its face table.
     """
     count, total, sizes = len(n), len(f.level), np.concatenate([n, children])
     row_mesh = np.repeat(np.arange(2 * count) % count, sizes)
@@ -661,23 +641,22 @@ def _states(f, n, children, faces):
 
         def per_mesh(array):
             return [array[rows] for rows in mesh_rows]
-    states = [object.__new__(QuadMesh) for _ in n]
-    caches = [{} for _ in n]
-    if faces:
-        active = np.flatnonzero(f.children[:, 0] < 0)
-        active = active[np.argsort(row_mesh[active], kind="stable")]
-        bounds = np.cumsum(np.concatenate([[0], np.bincount(row_mesh[active], minlength=count)]))
-        position = np.full(total, -1, dtype=np.intp)
-        position[active] = np.arange(len(active)) - np.repeat(bounds[:-1], np.diff(bounds))
-        ids = [active] if count == 1 else [local[active[a:b]] for a, b in zip(bounds, bounds[1:])]
-        tables = _face_tables(f, active, bounds, ids)
-        for cache, cells, where, table in zip(caches, ids, per_mesh(position), tables):
-            cache["active"], cache["faces"] = read_only((cells, where)), table
+    active = np.flatnonzero(f.children[:, 0] < 0)
+    active = active[np.argsort(row_mesh[active], kind="stable")]
+    bounds = np.cumsum(np.concatenate([[0], np.bincount(row_mesh[active], minlength=count)]))
+    position = np.full(total, -1, dtype=np.intp)
+    position[active] = np.arange(len(active)) - np.repeat(bounds[:-1], np.diff(bounds))
+    ids = [active] if count == 1 else [local[active[a:b]] for a, b in zip(bounds, bounds[1:])]
+    tables = _face_tables(f, active, bounds, ids)
     if count > 1:
         f = f._replace(children=local[f.children], parent=local[f.parent],
                        neighbor=local[f.neighbor])
-    for state, cache, forest in zip(states, caches, zip(*map(per_mesh, f))):
-        state._forest, state._cache = read_only(Forest(*forest)), cache
+    states = []
+    for cells, where, table, forest in zip(ids, per_mesh(position), tables, zip(*map(per_mesh, f))):
+        state = object.__new__(QuadMesh)
+        state._forest = read_only(Forest(*forest))
+        state._cache = {"active": read_only((cells, where)), "faces": table}
+        states.append(state)
     return states
 
 

@@ -30,11 +30,14 @@ per unit, so it is bitwise the same.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from . import mesh
 
 TWO_PI = 2.0 * math.pi
 BLOCK_POINTS = 2 ** 12  # points per data call of a block pass, bounding its temporaries
@@ -302,20 +305,11 @@ def blocks(units):
     :data:`BLOCK_POINTS` points.
 
     Each unit's ``x`` holds rows of points, shape (rows, q, 2), all at the
-    scalar time ``t``.  A block ends before a unit that would take it over
-    the budget or that has another q, so a unit over the budget is a block
-    of its own.
+    scalar time ``t``.  Each run of units of one q is cut by
+    :func:`mesh.blocks`, so a unit over the budget is a block of its own.
     """
-    pending, size = [], 0
-    for x, t in units:
-        points = x.size // 2
-        if pending and (size + points > BLOCK_POINTS or x.shape[1:] != pending[0][0].shape[1:]):
-            yield _block(pending)
-            pending, size = [], 0
-        pending.append((x, t))
-        size += points
-    if pending:
-        yield _block(pending)
+    for _, run in itertools.groupby(units, lambda unit: unit[0].shape[1:]):
+        yield from map(_block, mesh.blocks(run, lambda unit: unit[0].size // 2, BLOCK_POINTS))
 
 
 def _block(units):

@@ -12,18 +12,18 @@ those slabs share, empty until the dual march builds every missing dual
 space in one :func:`fem.build_spaces` call
 (:meth:`SlabList.build_dual_spaces`), or :attr:`Slab.dual` builds its own
 on first use.  So they share one dual space too, and a loop that never
-runs the dual builds none.  Only :meth:`SlabList.refine` and its one-slab
-case :meth:`Slab.refine` change a slab's mesh, and they give the slab a new
-mesh (:func:`mesh.refine_meshes`, or a refined ``copy()``), so no
-refinement reaches another slab; the list refines all its marked meshes in
-one pass and builds their new primal spaces in one call.  Every slab mesh
-thus refines one coarse mesh, which :func:`fem.transfer` relies on to
+runs the dual builds none.  Only :meth:`SlabList.refine` changes a slab's
+mesh: it checks every mark before any slab changes, then gives each marked
+slab a new mesh (:func:`mesh.refine_meshes`), so no refinement reaches
+another slab, and builds their new primal spaces in one call.  Every slab
+mesh thus refines one coarse mesh, which :func:`fem.transfer` relies on to
 walk the refinement forests down from the shared root cells.
 """
 
 from __future__ import annotations
 
 import copy
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,17 +99,6 @@ class Slab:
         mesh = self.mesh.copy()
         self._set_mesh(None, None)
         return mesh
-
-    def refine(self, marks):
-        """Refine the given cell ids on a private copy of the mesh, then build its primal space.
-
-        The one-slab case of :meth:`SlabList.refine`.  Slabs sharing the old
-        mesh keep it and their spaces unchanged; marks that
-        :meth:`QuadMesh.refine` refuses leave this slab unchanged too.
-        """
-        mesh = self.mesh.copy()
-        mesh.refine(marks)
-        self._set_mesh(mesh, FeSpace(mesh, self.primal_degree))
 
     def _with_interval(self, interval):
         """A slab over ``interval`` sharing this slab's mesh and spaces, with empty storage."""
@@ -214,36 +203,30 @@ class SlabList:
     def refine(self, space_marks):
         """Refine slab k's cells ``space_marks[k]`` for each key k; build the new primal spaces.
 
-        Every mark is checked first (:func:`mesh.checked_marks`).  Marks
-        that :meth:`QuadMesh.refine` refuses leave their slab and the later
-        ones unchanged, and the slabs before them are refined; then the
-        ValueError is raised.  One :func:`mesh.refine_meshes` call refines
-        the slab meshes in passes of at most :data:`mesh.BLOCK_CELLS`
-        active cells into new meshes, each with its face table; slabs
-        sharing an old mesh keep it.  Each slab drops its old state (mesh
-        caches, spaces and storage) as the pass reads a copy of its mesh,
-        so that the memory of the old states serves the new ones.  Then
-        one :func:`fem.build_spaces` pass builds all the new primal spaces,
-        with the face rule and the cell rules that the next march reads.
+        Before any slab changes, ValueError names the first key that is not
+        a slab index in [0, n), n slabs, or else the mark that
+        :func:`mesh.checked_marks` refuses.  A slab whose marks are empty
+        keeps its mesh and spaces.  One :func:`mesh.refine_meshes` call
+        refines the other slab meshes in passes of at most
+        :data:`mesh.BLOCK_CELLS` active cells into new meshes, each with
+        its face table; slabs sharing an old mesh keep it.  Each slab drops
+        its old state (mesh caches, spaces and storage) as the pass reads a
+        copy of its mesh, so that the memory of the old states serves the
+        new ones.  Then one :func:`fem.build_spaces` pass builds all the
+        new primal spaces, with the face rule and the cell rules that the
+        next march reads.
         """
-        keys = list(space_marks)
-        ids, refused = checked_marks([self.slabs[k].mesh for k in keys],
-                                     list(space_marks.values()))
-        refined = {}
-        try:
-            with self._timed("refine_s"):
-                released = (self.slabs[k]._release() for k in keys[:len(ids)])
-                for k, mesh in zip(keys, refine_meshes(released, ids)):
-                    self.slabs[k]._set_mesh(mesh, None)
-                    refined[k] = mesh
-        finally:
-            with self._timed("spaces_s"):
-                spaces = _build_spaces([(mesh, self.slabs[k].primal_degree)
-                                        for k, mesh in refined.items()])
-            for k, space in zip(refined, spaces):
-                self.slabs[k].primal = space
-        if refused is not None:
-            raise refused
+        check_slab_indices(space_marks, len(self.slabs), "space-mark key")
+        ids = checked_marks([self.slabs[k].mesh for k in space_marks], space_marks.values())
+        keys = [k for k, picked in zip(space_marks, ids) if len(picked)]
+        with timed(self, "refine_s"):
+            meshes = list(refine_meshes((self.slabs[k]._release() for k in keys),
+                                        [picked for picked in ids if len(picked)]))
+        with timed(self, "spaces_s"):
+            spaces = _build_spaces([(mesh, self.slabs[k].primal_degree)
+                                    for k, mesh in zip(keys, meshes)])
+        for k, mesh, space in zip(keys, meshes, spaces):
+            self.slabs[k]._set_mesh(mesh, space)
 
     def build_dual_spaces(self):
         """Build every dual space not built yet in one :func:`fem.build_spaces` pass.
@@ -251,17 +234,26 @@ class SlabList:
         Time-split copies of a slab share one dual space, built once.
         """
         todo = list({id(slab._dual): slab for slab in self.slabs if not slab._dual}.values())
-        with self._timed("spaces_s"):
+        with timed(self, "spaces_s"):
             spaces = _build_spaces([(slab.mesh, slab.dual_degree) for slab in todo])
         for slab, space in zip(todo, spaces):
             slab._dual.append(space)
 
-    @contextmanager
-    def _timed(self, field):
-        """Add the wall seconds of the block to ``self.<field>``."""
-        start = time.perf_counter()
-        yield
-        setattr(self, field, getattr(self, field) + time.perf_counter() - start)
+
+def check_slab_indices(keys, n, kind):
+    """Refuse the first of ``keys`` that is not an integer in [0, n) (a bool or a float is not):
+    ValueError names ``kind``, the key and the range."""
+    for k in keys:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < n:
+            raise ValueError(f"{kind} {k} is not a slab index in [0, {n})")
+
+
+@contextmanager
+def timed(obj, field):
+    """Add the wall seconds of the block to ``obj.<field>``."""
+    start = time.perf_counter()
+    yield
+    setattr(obj, field, getattr(obj, field) + time.perf_counter() - start)
 
 
 def _build_spaces(pairs):

@@ -36,7 +36,7 @@ def slab_list(mesh, degrees):
     the control window (0.25, 1).
     """
     slabs = init_slabs(mesh, 0.0, 1.25, 8, *degrees)
-    slabs[3].refine(slabs[3].mesh.active_ids()[:3])
+    slabs.refine({3: slabs[3].mesh.active_ids()[:3]})
     slabs.split_slab_in_time(5)
     return slabs
 

@@ -10,7 +10,7 @@ from dwr_diffusion.mesh import (
     BOUNDARY, BOUNDARY_COLORS, COARSER, DIRICHLET, FINER, NEUMANN, SAME, QuadMesh,
 )
 from dwr_diffusion.problem import Coefficients, ConeSolution, ProblemData
-from dwr_diffusion.slabs import Slab, TimeInterval
+from dwr_diffusion.slabs import Slab, SlabList, TimeInterval
 from mesh_state_cases import build, cases
 
 
@@ -270,7 +270,7 @@ def stored_slabs(slabs, rng):
 def test_slab_indicators_are_the_per_slab_indicators_bitwise(slab, rng):
     """Runs of slabs on one dual space share one face rule and change no bit."""
     refined = Slab(TimeInterval(0.35, 0.5), slab.mesh.copy(), 1, 2)
-    refined.refine(slab.mesh.active_ids()[:2])
+    SlabList([refined]).refine({0: slab.mesh.active_ids()[:2]})
     shared = [slab._with_interval(TimeInterval(0.1 * k, 0.1 * k + 0.1)) for k in range(4)]
     slabs = stored_slabs([shared[0], shared[1], refined, shared[2], shared[3]], rng)
     assert slabs[0].dual is slabs[1].dual is slabs[3].dual and refined.dual is not slab.dual

@@ -40,9 +40,9 @@ def slab(lshape):
 @pytest.fixture
 def refined_slab(lshape):
     """Active ids 1..6: root 0 is replaced by its children 3..6."""
-    slab = init_slabs(lshape, 0.0, 1.0, 1)[0]
-    slab.refine([0])
-    return slab
+    slabs = init_slabs(lshape, 0.0, 1.0, 1)
+    slabs.refine({0: [0]})
+    return slabs[0]
 
 
 class TestFractions:
@@ -135,6 +135,8 @@ def test_single_slab_adaptation(lshape):
     ({0, 3}, {}, r"time mark 3 is not a slab index in \[0, 3\)"),
     ([], {7: [0]}, r"space-mark key 7 is not a slab index in \[0, 3\)"),
     ([1], {0: {0}, -1: {0}}, r"space-mark key -1 is not a slab index in \[0, 3\)"),
+    ([1.0], {0: {0}}, r"time mark 1.0 is not a slab index in \[0, 3\)"),
+    ([True], {0: {0}}, r"time mark True is not a slab index in \[0, 3\)"),
 ])
 def test_marks_that_do_not_name_one_slab_each_fail_before_any_change(
         lshape, time_marks, space_marks, message):
@@ -191,7 +193,7 @@ def four_slabs():
     mesh = make_lshape()
     mesh.refine(mesh.active_ids())
     slabs = init_slabs(mesh, 0.0, 1.0, 4)
-    slabs[2].refine(slabs[2].mesh.active_ids()[:2])
+    slabs.refine({2: slabs[2].mesh.active_ids()[:2]})
     return slabs
 
 

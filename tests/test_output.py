@@ -16,7 +16,7 @@ PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_
 def test_vtk_files_of_slabs_sharing_a_space_equal_single_slab_exports(tmp_path, primal_degree):
     """The mesh block formatted once for a run of slabs sharing a primal space changes no byte."""
     slabs = init_slabs(make_lshape(), 0.0, 1.0, 4, primal_degree=primal_degree)
-    slabs[2].refine({0})  # slabs 0-1 and 3 share the coarse space, slab 2 has its own
+    slabs.refine({2: {0}})  # slabs 0-1 and 3 share the coarse space, slab 2 has its own
     for k, slab in enumerate(slabs):
         u = fem.interpolate(slab.primal, lambda x: x[..., 0] + k).coefficients
         slab.attach_storage("u", u)
@@ -80,8 +80,9 @@ def genexpr_vtk_text(slab, u, z):
 
 
 def test_vtk_blocks_are_byte_identical_to_per_value_formatting():
-    slab = init_slabs(make_lshape(), 0.0, 1.0, 1)[0]
-    slab.refine({0})
+    slabs = init_slabs(make_lshape(), 0.0, 1.0, 1)
+    slabs.refine({0: {0}})
+    slab = slabs[0]
     u = np.resize(SPECIAL, slab.primal.n_dofs)
     z = np.resize(SPECIAL[::-1], slab.dual.n_dofs)
     assert vtk_text(slab, u=u, z=z) == genexpr_vtk_text(slab, u, z)

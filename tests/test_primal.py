@@ -33,8 +33,8 @@ def bilinear(x):
 def slabs(lshape):
     """Three slabs over (0.1, 0.6), one of them refined to a 1-irregular mesh."""
     slabs = init_slabs(lshape, 0.1, 0.6, 3)
-    slabs[1].refine({0})
-    slabs[1].refine({slabs[1].mesh.cells[0].children[3]})
+    slabs.refine({1: {0}})
+    slabs.refine({1: {slabs[1].mesh.cells[0].children[3]}})
     return slabs
 
 
@@ -90,7 +90,7 @@ def runs(lshape):
     consecutive.
     """
     slabs = init_slabs(lshape, 0.0, 1.0, 4).split_slab_in_time(1)
-    slabs[4].refine({0})
+    slabs.refine({4: {0}})
     assert [s.tau for s in slabs] == [0.25, 0.125, 0.125, 0.25, 0.25]
     assert slabs[3].primal is slabs[0].primal is not slabs[4].primal
     return slabs

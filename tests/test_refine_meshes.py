@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import mesh_oracle
 from dwr_diffusion import fem, make_lshape, make_unit_square, mesh as mesh_mod
 from dwr_diffusion.fem import build_spaces
-from dwr_diffusion.mesh import Forest, refine_meshes
+from dwr_diffusion.mesh import Forest, checked_marks, refine_meshes
 from mesh_state_cases import (
     FINGERPRINT_FILE, golden_fingerprints, random_refine, sheared_lshape,
 )
@@ -63,7 +63,7 @@ def assert_state_matches(new, forest, points, owned=True):
 def check_batch(meshes, marks):
     """Refine ``meshes`` in one batch; every new state against the oracle on its input."""
     before = [(mesh.fingerprint(), mesh.forest(), mesh.points) for mesh in meshes]
-    new = list(refine_meshes(meshes, marks))
+    new = list(refine_meshes(meshes, checked_marks(meshes, marks)))
     assert len(new) == len(meshes)
     for mesh, (fingerprint, forest, points), state, picked in zip(meshes, before, new, marks):
         assert state is not mesh and mesh.fingerprint() == fingerprint  # inputs unchanged
@@ -110,9 +110,9 @@ def test_a_batch_over_the_cell_budget_runs_in_several_passes(budget, monkeypatch
     passes = []
     refine_pass = mesh_mod._refine_pass
 
-    def counted(meshes, ids, faces):
+    def counted(meshes, ids):
         passes.append(sum(mesh.n_active_cells for mesh in meshes))
-        return refine_pass(meshes, ids, faces)
+        return refine_pass(meshes, ids)
 
     monkeypatch.setattr(mesh_mod, "BLOCK_CELLS", budget)
     monkeypatch.setattr(mesh_mod, "_refine_pass", counted)
@@ -136,40 +136,42 @@ def test_empty_marks_give_a_new_state_equal_to_the_input():
     (99, "marked cell 99 is unknown"), (-1, "marked cell -1 is unknown"),
     (0, "marked cell 0 is inactive"), (1.5, "marked cell 1.5 is not an integer cell id"),
 ])
-def test_a_refused_mark_yields_the_meshes_before_it_then_names_the_mark(bad, message):
+def test_a_refused_mark_is_named_before_any_mesh_is_refined(bad, message, monkeypatch):
     meshes = [make_lshape().refine([0]) for _ in range(4)]
     marks = [random_marks(mesh, seed) for seed, mesh in enumerate(meshes)]
     marks[2] = [*marks[2].tolist(), bad]
-    got = []
+    monkeypatch.setattr(mesh_mod, "_refine_pass", lambda *args: pytest.fail("a mesh was refined"))
     with pytest.raises(ValueError, match=f"^{message}"):
-        for state in refine_meshes(meshes, marks):
-            got.append(state)
-    assert len(got) == 2
-    for mesh, state, picked in zip(meshes, got, marks):
-        assert_state_matches(state, *mesh_oracle.refine(mesh.forest(), mesh.points, picked))
+        checked_marks(meshes, marks)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        meshes[2].refine(marks[2])
+    assert meshes[2].n_active_cells == 6
 
 
 def test_the_mark_named_is_the_smallest_refused_one_of_the_first_refusing_mesh():
     meshes = [make_lshape() for _ in range(3)]
     with pytest.raises(ValueError, match="^marked cell 7 is unknown"):
-        list(refine_meshes(meshes, [[0], [9, 7], [-4]]))
+        checked_marks(meshes, [[0], [9, 7], [-4]])
+    with pytest.raises(ValueError, match="^marked cell 1.5 is not an integer cell id"):
+        checked_marks(meshes, [[0], [9, 1.5], [-4]])
 
 
 def test_a_state_that_holds_its_face_rule_gets_no_more_cell_rules():
     """The dual build on the primal build's states adds no rule that no march reads."""
     mesh = base_mesh("lshape", 4, 2)
-    meshes = list(refine_meshes([mesh, mesh], [random_marks(mesh, 1), random_marks(mesh, 2)]))
+    marks = checked_marks([mesh, mesh], [random_marks(mesh, 1), random_marks(mesh, 2)])
+    meshes = list(refine_meshes([mesh, mesh], marks))
     build_spaces(meshes, 1)
     build_spaces(meshes, 2)
     assert all(not mesh.is_cached(("cell_rule", 4)) for mesh in meshes)
 
 
-def test_the_one_mesh_refine_leaves_the_face_table_to_first_use():
+def test_the_one_mesh_refine_caches_the_oracle_face_table():
     mesh = base_mesh("sheared", 9, 2)
     forest, points = mesh_oracle.refine(mesh.forest(), mesh.points, random_marks(mesh, 3))
     mesh.refine(random_marks(mesh, 3))
-    assert not mesh.is_cached("faces")
-    assert_state_matches(mesh, forest, points, owned=False)  # built on first use, as before
+    assert mesh.is_cached("faces")
+    assert_state_matches(mesh, forest, points)
 
 
 def test_the_golden_cone_run_reaches_its_recorded_slab_meshes():

@@ -53,7 +53,7 @@ class TestInit:
         for slab in slabs:
             assert slab.mesh is first.mesh
             assert slab.primal is first.primal and slab.dual is first.dual
-        slabs[0].refine({0})
+        slabs.refine({0: {0}})
         assert slabs[0].mesh.n_active_cells == 6
         assert slabs[1].mesh.n_active_cells == 3
         assert lshape.n_active_cells == 3
@@ -65,7 +65,7 @@ class TestInit:
         mesh, primal = slab.mesh, slab.primal
         slab.attach_storage("u", np.zeros(primal.n_dofs))
         with pytest.raises(ValueError, match=rf"marked cell {marks[0]!r} is not an integer"):
-            slab.refine(marks)
+            slabs.refine({0: marks})
         assert slab.mesh is mesh is slabs[1].mesh and slab.primal is primal
         assert slab.fetch_storage("u") is not None and mesh.n_active_cells == 3
 
@@ -120,9 +120,9 @@ class TestSplit:
         assert degrees == [1]  # the shared primal space; no dual yet
         dual = slabs[2].dual
         assert all(slab.dual is dual for slab in slabs) and degrees == [1, 2]
-        slabs[0].refine({0})
-        assert degrees == [1, 2, 1] and slabs[0].dual is not dual
-        assert slabs[0].dual.mesh is slabs[0].mesh and degrees == [1, 2, 1, 2]
+        slabs.refine({0: {0}})  # the new primal space comes from the batched build
+        assert degrees == [1, 2] and slabs[0].dual is not dual
+        assert slabs[0].dual.mesh is slabs[0].mesh and degrees == [1, 2, 2]
 
     def test_split_halves_share_one_dual_from_the_batched_build(self, lshape, monkeypatch):
         slabs = init_slabs(lshape, 0.0, 1.0, 3)
@@ -150,13 +150,13 @@ class TestSplit:
         slabs.build_dual_spaces()  # nothing is left to build
         assert batches == [(2, 1), (3, 2)] and slabs.spaces_s > 0.0
 
-    def test_refused_marks_leave_their_slab_and_the_later_ones_unchanged(self, lshape):
+    def test_refused_marks_leave_every_slab_unchanged(self, lshape):
         slabs = init_slabs(lshape, 0.0, 1.0, 3)
-        coarse = slabs[1].primal
+        mesh, coarse = slabs[0].mesh, slabs[0].primal
         with pytest.raises(ValueError, match="marked cell 99 is unknown"):
             slabs.refine({0: [0], 1: [99], 2: [1]})
-        assert slabs[0].mesh.n_active_cells == 6 and slabs[0].primal.mesh is slabs[0].mesh
-        assert slabs[1].primal is coarse and slabs[2].primal is coarse
+        assert all(slab.mesh is mesh and slab.primal is coarse for slab in slabs)
+        assert mesh.n_active_cells == 3
 
     def test_adaptation_frees_the_old_state_without_the_cycle_collector(self, lshape):
         """No mesh <-> space reference cycle keeps a refined-away state alive."""
@@ -278,3 +278,66 @@ class TestMemoryContract:
         primal.march_forward(slabs, data.coefficients, data)
         # step n may read the previous slab's solution, nothing else
         assert log == [(k, "u") for k in range(4)]
+
+
+BAD_MARKS = [(99, "marked cell 99 is unknown"), (0, "marked cell 0 is inactive"),
+             (1.5, "marked cell 1.5 is not an integer cell id"),
+             (True, "marked cell True is not an integer cell id")]
+
+
+def stored_three_slabs():
+    """Three slabs on the L-shape with cell 0 refined (so 0 is inactive), each holding its dual
+    space and a stored vector."""
+    slabs = init_slabs(make_lshape().refine([0]), 0.0, 1.0, 3)
+    slabs.build_dual_spaces()
+    for slab in slabs:
+        slab.attach_storage("u", np.zeros(slab.primal.n_dofs))
+    return slabs
+
+
+def state(slabs):
+    return [(s.interval, s.mesh, s.primal, s._dual, s._dual[0], s.fetch_storage("u"))
+            for s in slabs]
+
+
+def assert_unchanged(slabs, before):
+    assert len(slabs) == len(before)
+    for slab, (interval, mesh, primal, dual, space, u) in zip(slabs, before):
+        assert slab.interval == interval and slab.mesh is mesh and slab.primal is primal
+        assert slab._dual is dual and dual[0] is space and len(dual) == 1
+        assert slab.fetch_storage("u") is u
+    assert before[0][1].n_active_cells == 6
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("bad, message", BAD_MARKS, ids=["unknown", "inactive", "float", "bool"])
+@pytest.mark.parametrize("through", ["refine", "execute_adaptation"])
+def test_a_refused_mark_on_any_slab_leaves_every_slab_unchanged(bad, message, where, through):
+    slabs = stored_three_slabs()
+    before = state(slabs)
+    marks = {k: [2] for k in range(3)}
+    marks[where] = [2, bad]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        if through == "refine":
+            slabs.refine(marks)
+        else:
+            execute_adaptation(slabs, time_marks=[0, 2], space_marks=marks)
+    assert_unchanged(slabs, before)
+
+
+@pytest.mark.parametrize("key", [-1, 3, 5, 1.0, True], ids=["-1", "3", "5", "float", "bool"])
+@pytest.mark.parametrize("marks", [[1], []], ids=["marks", "empty"])
+def test_a_space_mark_key_that_is_not_a_slab_index_fails_before_any_change(key, marks):
+    slabs = stored_three_slabs()
+    before = state(slabs)
+    with pytest.raises(ValueError, match=rf"^space-mark key {key} is not a slab index in \[0, 3\)"):
+        slabs.refine({0: [1], key: marks})
+    assert_unchanged(slabs, before)
+
+
+def test_a_slab_with_empty_marks_keeps_its_mesh_and_spaces():
+    slabs = stored_three_slabs()
+    before = state(slabs)
+    slabs.refine({0: [], 1: np.array([], dtype=int), 2: [1]})
+    assert_unchanged(slabs[:2], before[:2])
+    assert slabs[2].mesh is not before[2][1] and slabs[2].mesh.n_active_cells == 9
