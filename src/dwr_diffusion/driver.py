@@ -11,7 +11,8 @@ baseline is the first loop's error norm, captured once and frozen; a
 baseline of 0, whose target no loop can meet, is rejected.
 ``DwrResult.converged`` is whether the last loop met the goal: False when
 the budget runs out first, in which case that loop's dual and estimate are
-still computed for reporting.
+still computed for reporting.  A march's :class:`SolverError` is raised
+again naming the loop and ``solver.max_iterations``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import resource
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import estimator as est_mod
@@ -28,6 +30,7 @@ from .mesh import make_lshape
 from .primal import goal_pass, march_forward
 from .problem import ProblemData
 from .slabs import init_slabs, timed
+from .sparse_la import SolverError
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +120,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         record = LoopRecord(loop, len(slabs), max(s.mesh.n_active_cells for s in slabs))
         records.append(record)
         spaces_before, refine_before = slabs.spaces_s, slabs.refine_s
-        with timed(record, "primal_s"):
+        with timed(record, "primal_s"), _naming(loop, config.solver):
             reports = march_forward(slabs, config.coefficients, data, ctrl=config.solver,
                                     time_rule=disc.load_quadrature)
             err, densities = goal_pass(slabs, config.solution, config.control_volume)
@@ -141,7 +144,7 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
         if not record.goal_met:
             ctx = GoalContext(norm=err, cv=config.control_volume, solution=config.solution,
                               densities=densities)
-            with timed(record, "dual_s"):
+            with timed(record, "dual_s"), _naming(loop, config.solver):
                 dual_steps = march_backward(slabs, config.coefficients, ctx, ctrl=config.solver)
             del ctx, densities  # no later phase or loop reads them
             _record_march(record, "dual", dual_steps, slabs)
@@ -165,6 +168,16 @@ def dwr_loop(config, on_loop=None, mesh_factory=make_lshape):
             break
 
     return DwrResult(records, records[-1].goal_met, tol_abs, slabs)
+
+
+@contextmanager
+def _naming(loop, ctrl):
+    """Raise the block's :class:`SolverError` again, naming the loop and the iteration bound."""
+    try:
+        yield
+    except SolverError as err:
+        raise SolverError(f"loop {loop}: {err} (solver.max_iterations = {ctrl.max_iterations})",
+                          err.iterations, err.residual) from err
 
 
 def _log_costs(record):

@@ -13,7 +13,8 @@ the transferred right-endpoint trace for later use by the estimator.  The
 step is solved by :class:`primal.ImplicitStep` with mass factor 2.  The
 march first builds every dual space the slabs lack in one pass
 (:meth:`slabs.SlabList.build_dual_spaces`), so a loop whose goal is met,
-and which runs no dual march, builds none.
+and which runs no dual march, builds none; then its transfers read
+:func:`fem.transfer_plans` of the dual spaces.
 
 The goal density comes from the goal norm's pass: the
 :class:`GoalContext` carries the :class:`primal.GoalDensity` of each slab,
@@ -90,6 +91,8 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
     stored(slabs, "u")
     slabs.build_dual_spaces()
     step = ImplicitStep(coeff, 2.0, "dual")
+    plans = fem.transfer_plans((slabs[n + 1].dual, slabs[n].dual)
+                               for n in range(len(slabs) - 2, -1, -1))
     reports = []
     for n, slab in slabs.iterate_backward():
         space = slab.dual
@@ -98,7 +101,7 @@ def march_backward(slabs, coeff, ctx, ctrl=SolverControl()):
         else:
             succ = slabs[n + 1]
             z_tn = fem.transfer(
-                FeFunction(succ.dual, succ.fetch_storage("z_tm")), space
+                FeFunction(succ.dual, succ.fetch_storage("z_tm")), space, next(plans)
             ).coefficients
         slab.attach_storage("z_tn", z_tn)
         load = assemble_goal_rhs(slab, ctx)

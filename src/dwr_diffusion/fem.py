@@ -68,6 +68,10 @@ gradients there (``_face_basis``) and both as (nloc, points) matrices
 evaluation of a field on every cell into one product with the cells'
 coefficients, ``u[space.cell_dofs] @ table``.
 
+A march's :func:`transfer` calls read plans that :func:`transfer_plans`
+builds for windows of consecutive pairs of spaces, one stacked forest walk
+per window, bitwise what each pair alone gives.
+
 Matrices are one scatter, :func:`assemble_csr`, of cell matrices whose
 local dofs are replaced by their closed constraint rows unless
 ``condense=False`` (deal.II's ``distribute_local_to_global``): master rows
@@ -81,6 +85,7 @@ in :class:`primal.ImplicitStep`.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -825,57 +830,84 @@ def interpolate_same_mesh(fn, space_to):
     return FeFunction(space_to, space_to.constraints.distribute(vals))
 
 
-def transfer(fn, space_to):
+def transfer(fn, space_to, plan=None):
     """Interpolate a function onto a space over another refinement of its coarse mesh.
 
-    Both meshes must refine the same coarse mesh (the same root cells with
-    the same corner coordinates), as every slab mesh does; otherwise a
-    :class:`ValueError` is raised.  The source cell of every target support
-    point follows from walking both refinement forests down from the
-    shared roots, and its reference coordinates are exact dyadic fractions,
-    so no point is located.  The same space short-circuits to a coefficient
-    copy.  Any other space, even one on the same or an equal mesh, takes
-    the forest walk, which returns a constraint-consistent vector unchanged
-    on an equal mesh and :func:`interpolate_same_mesh`'s vector on the same
-    one; callers that know both spaces share a mesh call that directly.
+    The same space short-circuits to a coefficient copy.  Any other pair
+    reads its ``plan`` from :func:`transfer_plans`, built here for the one
+    pair when not given, and only gathers, contracts and distributes: a
+    space on an equal mesh gets a constraint-consistent vector unchanged,
+    one on the same mesh :func:`interpolate_same_mesh`'s vector.
     """
     src = fn.space
     if space_to is src:
         return FeFunction(space_to, fn.coefficients.copy())
-    src._check_current()
-    space_to._check_current()
-    fs, ft = src.mesh.forest(), space_to.mesh.forest()
-    if not np.array_equal(src.mesh.coarse_corners(), space_to.mesh.coarse_corners()):
-        raise ValueError("transfer needs two refinements of the same coarse mesh")
-    cells = space_to.active_ids
-    # source cell containing each target cell, or equal to it where the
-    # source is finer; cell centres never lie on a child boundary
-    centre = ft.origin[cells] + 0.5 * ft.scale[cells, None]
-    leaf = ft.root[cells]
-    while True:
-        go = (fs.children[leaf, 0] >= 0) & (fs.level[leaf] < ft.level[cells])
-        if not go.any():
-            break
-        leaf[go] = _child_containing(fs, leaf[go], centre[go])
-    # active source cell of every target lattice point
-    lattice = _lattice_points(space_to.degree)
-    X = (ft.origin[cells, None, :] + ft.scale[cells, None, None] * lattice).reshape(-1, 2)
-    leaf = np.repeat(leaf, len(lattice))
-    while True:
-        go = fs.children[leaf, 0] >= 0
-        if not go.any():
-            break
-        leaf[go] = _child_containing(fs, leaf[go], X[go])
-    ref = (X - fs.origin[leaf]) / fs.scale[leaf, None]
-    coeffs = fn.coefficients[src.cell_dofs[src.mesh.active_position()[leaf]]]
-    local = np.einsum("pi,pi->p", tensor_shape(src.degree, ref), coeffs)
+    position, N = plan or next(transfer_plans([(src, space_to)]))
+    local = np.einsum("pi,pi->p", N, fn.coefficients[src.cell_dofs[position]])
     vals = np.empty(space_to.n_dofs)
     # shared dofs take the last cell's value, in active-cell order
-    vals[space_to.cell_dofs] = local.reshape(len(cells), len(lattice))
+    vals[space_to.cell_dofs] = local.reshape(space_to.cell_dofs.shape)
     return FeFunction(space_to, space_to.constraints.distribute(vals))
 
 
-def _child_containing(forest, cells, pts):
-    """Child of each refined cell whose box holds the point; ties go up and right."""
-    rel = (pts - forest.origin[cells]) / forest.scale[cells, None]
-    return forest.children[cells, (rel[:, 0] >= 0.5) + 2 * (rel[:, 1] >= 0.5)]
+def transfer_plans(pairs):
+    """Yield the :func:`transfer` plan of each ``(source space, target space)`` pair: None for
+    the same space, else the source leaf's position in ``active_ids`` and the source basis row
+    at each target lattice point (target cells in ``active_ids`` order, nodes x fastest).
+
+    Both meshes of a pair must refine the same coarse mesh (root cells with
+    bitwise equal corners), as every slab mesh does, or ValueError is raised.
+    Windows of consecutive pairs of one degree pair and at most
+    :data:`BLOCK_CELLS` target cells stack the forests of their distinct
+    meshes, cell ids running on, and walk them down from the shared roots
+    once; boxes are dyadic, so no point is located.
+    """
+    for _, run in itertools.groupby(pairs, lambda pair: (pair[0].degree, pair[1].degree)):
+        cells = (lambda pair: 0 if pair[0] is pair[1] else len(pair[1].active_ids))
+        for window in blocks(run, cells, BLOCK_CELLS):
+            yield from _window_plans(window)
+
+
+def _window_plans(pairs):
+    """The :func:`transfer_plans` of one window, every plan bitwise the one-pair plan."""
+    moved = [(src, dst) for src, dst in pairs if src is not dst]
+    meshes = list({id(space.mesh): space.mesh for pair in moved for space in pair}.values())
+    coarse = {id(mesh): mesh.coarse_corners().tobytes() for mesh in meshes}
+    for src, dst in moved:
+        src._check_current()
+        dst._check_current()
+        if coarse[id(src.mesh)] != coarse[id(dst.mesh)]:
+            raise ValueError("transfer needs two refinements of the same coarse mesh")
+    if not moved:
+        return [None] * len(pairs)
+    sizes = [len(mesh.forest().level) for mesh in meshes]
+    at = dict(zip(map(id, meshes), np.cumsum([0] + sizes[:-1])))
+    children, origin, scale, root, level = (np.concatenate(column) for column in zip(
+        *(mesh.forest()[:5] for mesh in meshes)))
+    children = np.where(children >= 0, children + np.repeat(list(at.values()), sizes)[:, None], -1)
+
+    def descend(leaf, points, limit):
+        """Move each leaf down to the cell holding its point, no deeper than ``limit``, one
+        level a round; ties go up and right."""
+        for _ in range(level.max()):
+            go = (children[leaf, 0] >= 0) & (level[leaf] < limit)
+            cells = leaf[go]
+            rel = (points[go] - origin[cells]) / scale[cells, None]
+            leaf[go] = children[cells, (rel[:, 0] >= 0.5) + 2 * (rel[:, 1] >= 0.5)]
+        return leaf
+
+    counts = [len(dst.active_ids) for _, dst in moved]
+    cells = np.concatenate([dst.active_ids + at[id(dst.mesh)] for _, dst in moved])
+    leaf = root[cells] + np.repeat([at[id(src.mesh)] for src, _ in moved], counts)
+    # the source cell holding each target cell, or equal to it where the source is finer;
+    # cell centres never lie on a child boundary
+    leaf = descend(leaf, origin[cells] + 0.5 * scale[cells, None], level[cells])
+    lattice = _lattice_points(moved[0][1].degree)
+    X = (origin[cells, None, :] + scale[cells, None, None] * lattice).reshape(-1, 2)
+    # the source leaf holding each target lattice point
+    leaf = descend(np.repeat(leaf, len(lattice)), X, level.max() + 1)
+    N = tensor_shape(moved[0][0].degree, (X - origin[leaf]) / scale[leaf, None])
+    position = np.concatenate([mesh.active_position() for mesh in meshes])[leaf]
+    bounds = np.cumsum([0] + counts) * len(lattice)
+    plans = iter([(position[a:b], N[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return [None if src is dst else next(plans) for src, dst in pairs]

@@ -271,7 +271,7 @@ class QuadMesh:
     # -- basic queries -------------------------------------------------------
 
     def cached(self, name, build):
-        """``build()``, computed once per refinement state: refine and copy empty the cache."""
+        """``build()``, computed once per refinement state: refinement empties the cache."""
         value = self._cache.get(name)
         if value is None:
             value = self._cache[name] = build()
@@ -369,10 +369,11 @@ class QuadMesh:
             h.update(arr.tobytes())
         return h.hexdigest()
 
-    def copy(self):
-        """An independent mesh in the same state; the immutable forest arrays are shared."""
+    def copy(self, cache=True):
+        """An independent mesh in the same state, sharing the immutable forest arrays and, in a
+        dict of its own unless ``cache`` is False, the read-only values cached for the state."""
         new = copy.copy(self)
-        new._cache = {}
+        new._cache = dict(self._cache) if cache else {}
         return new
 
     # -- adjacency -------------------------------------------------------------

@@ -8,7 +8,8 @@ where M and A carry the density and permeability coefficients, f_bar and
 h_bar are the volume and Neumann loads averaged over the slab interval (by
 a 2-point Gauss rule in time, or sampled at the right endpoint), u_prev is
 the previous slab's solution interpolated onto the current primal space
-(the initial value on the first slab), and Dirichlet values at the right
+(the initial value on the first slab, the others by :func:`fem.transfer`
+on the march's :func:`fem.transfer_plans`), and Dirichlet values at the right
 endpoint are eliminated strongly.  The scheme is algebraically a backward
 Euler step with averaged loads.  The march only solves; :func:`goal_pass`
 is a pass of its own over the stored solutions.
@@ -289,6 +290,8 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(), time_rule="gauss"):
     """
     step = ImplicitStep(coeff, 1.0, "primal")
     loads = _load_data(slabs, data, time_rule)
+    plans = fem.transfer_plans((slabs[n - 1].primal, slabs[n].primal)
+                               for n in range(1, len(slabs)))
     reports = []
     for n, slab in slabs.iterate_forward():
         space = slab.primal
@@ -296,9 +299,8 @@ def march_forward(slabs, coeff, data, ctrl=SolverControl(), time_rule="gauss"):
             u_prev = fem.interpolate(space, data.initial).coefficients
         else:
             prev = slabs[n - 1]
-            prev_u = prev.fetch_storage("u")
             u_prev = fem.transfer(
-                FeFunction(prev.primal, prev_u), space
+                FeFunction(prev.primal, prev.fetch_storage("u")), space, next(plans)
             ).coefficients
         slab.attach_storage("u_prev", u_prev)
         load = _averaged_load(slab, data, time_rule, next(loads))

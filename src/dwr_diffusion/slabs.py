@@ -16,8 +16,8 @@ runs the dual builds none.  Only :meth:`SlabList.refine` changes a slab's
 mesh: it checks every mark before any slab changes, then gives each marked
 slab a new mesh (:func:`mesh.refine_meshes`), so no refinement reaches
 another slab, and builds their new primal spaces in one call.  Every slab
-mesh thus refines one coarse mesh, which :func:`fem.transfer` relies on to
-walk the refinement forests down from the shared root cells.
+mesh thus refines one coarse mesh, which :func:`fem.transfer_plans` relies
+on to walk the refinement forests down from the shared root cells.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Slab:
 
     def _release(self):
         """A copy of the mesh, without the caches of its state; this slab drops its state."""
-        mesh = self.mesh.copy()
+        mesh = self.mesh.copy(cache=False)
         self._set_mesh(None, None)
         return mesh
 

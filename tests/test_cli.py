@@ -73,3 +73,13 @@ def test_a_loop_that_marks_nothing_exits_one_naming_the_loop(tmp_path, capsys):
     assert main([str(prm), "--out", str(tmp_path / "out"), "--max-loops", "2", "-q"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: loop 1: no slab and no cell is marked (theta_tau = 0, ")
+
+
+def test_a_solver_failure_exits_one_naming_the_loop_and_the_bound(tmp_path, capsys):
+    prm = write_variant(tmp_path, {"set max_iterations = 5000": "set max_iterations = 30"})
+    assert main([str(prm), "--out", str(tmp_path / "out"), "-q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: loop 4: dual solve failed on slab 16: CG did not converge in 30 iterations (")
+    assert captured.err.endswith(" (solver.max_iterations = 30)\n")

@@ -14,6 +14,7 @@ from scipy.sparse._compressed import _cs_matrix
 
 from dwr_diffusion import FeSpace, LoopRecord, QuadMesh, driver, dwr_loop, fem, parse_parameter_file
 from dwr_diffusion.output import OutputWriter
+from dwr_diffusion.sparse_la import SolverError
 
 PARAMETER_FILE = Path(__file__).resolve().parents[1] / "input" / "rotating_cone_2d.prm"
 
@@ -244,6 +245,22 @@ def test_a_loop_that_marks_nothing_fails_naming_the_loop_and_the_fractions(skip_
     assert str(exc.value).startswith(
         "loop 1: no slab and no cell is marked (theta_tau = 0, theta_h1 = 0, theta_h2 = 0, "
         f"skip_zero_indicators = {str(skip_zero).lower()})")
+
+
+def test_a_solver_failure_names_its_loop_and_the_iteration_bound():
+    config = shipped(5)
+    config = dataclasses.replace(config, solver=dataclasses.replace(config.solver,
+                                                                    max_iterations=30))
+    with pytest.raises(SolverError) as exc:
+        dwr_loop(config)
+    err, cause = exc.value, exc.value.__cause__
+    assert re.fullmatch(r"loop 4: dual solve failed on slab 16: CG did not converge in 30 "
+                        r"iterations \(residual \S+, target \S+\) \(solver.max_iterations = 30\)",
+                        str(err))
+    assert str(err) == f"loop 4: {cause} (solver.max_iterations = 30)"
+    assert isinstance(cause, SolverError) and str(cause).startswith("dual solve failed on slab 16")
+    assert err.iterations == cause.iterations == 30 and err.residual == cause.residual > 0.0
+    assert isinstance(cause.__cause__, SolverError)  # the CG failure itself
 
 
 def test_a_solve_builds_no_scipy_sparse_matrix(monkeypatch):

@@ -109,9 +109,10 @@ class TestStaleSpace:
             lambda space: interpolate(space, lambda x: x[..., 0]),
             lambda space: space.dofs_on_cell(space.active_ids[-1]),
             lambda space: assemble_load_neumann(space, lambda x: x[..., 1], condense=False),
+            lambda space: list(fem.transfer_plans([(space, FeSpace(space.mesh, 1))])),
         ],
         ids=["constraints", "dirichlet_dofs", "neumann_dofs", "interpolate", "dofs_on_cell",
-             "neumann_load"],
+             "neumann_load", "transfer_plans"],
     )
     def test_stale_space_raises(self, lshape, use):
         space = FeSpace(lshape, 2)

@@ -282,6 +282,28 @@ class TestInvariants:
         assert lshape.n_active_cells == 3
         assert clone.fingerprint() != lshape.fingerprint()
 
+    def test_copy_shares_the_cached_values_and_keeps_them_through_a_refine(self):
+        """A copy holds the state's cached values by identity, in a dict of its own."""
+        queries = {"active_ids": QuadMesh.active_ids, "face_topology": QuadMesh.face_topology,
+                   "cells": lambda mesh: mesh.cells, "coarse_corners": QuadMesh.coarse_corners}
+        mesh, fresh = make_lshape().refine([0, 2]), make_lshape().refine([0, 2])
+        seen = {name: query(mesh) for name, query in queries.items()}
+        clone = mesh.copy()
+        assert clone._cache is not mesh._cache and clone._cache.keys() == mesh._cache.keys()
+        assert all(clone._cache[key] is value for key, value in mesh._cache.items())
+        clone.boundary_color
+        assert clone.is_cached("colors") and not mesh.is_cached("colors")
+        assert mesh.copy(cache=False)._cache == {}
+        mesh.refine(mesh.active_ids()[:2])
+        for name, query in queries.items():
+            got, expected = query(clone), query(fresh)
+            assert got is seen[name]
+            if name == "face_topology":
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            else:
+                assert np.array_equal(got, expected) if name != "cells" else got == expected
+        assert not np.array_equal(mesh.active_ids(), clone.active_ids())
+
 
 class TestConstruction:
     def test_rejects_inconsistent_orientation(self):
